@@ -244,8 +244,8 @@ def generic_monic(backend=RATIONAL) -> FamilySpec:
 # ---------------------------------------------------------------------------
 
 
-def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
-    """Value of the family's degree-n polynomial at x (three-term
+def eval_polys(spec: FamilySpec, n: int, x) -> list:
+    """Values [P_0(x), ..., P_n(x)] of the family's polynomials (three-term
     recurrences, exact in the rational backend)."""
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
@@ -254,61 +254,53 @@ def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
     f = spec.family
 
     if f is Family.GENERIC_MONIC:
-        return (x + 1) ** n
+        return [(x + 1) ** k for k in range(n + 1)]
 
     if f is Family.LAGUERRE:
         alpha = spec.alpha
-        p_prev = be.one()
-        if n == 0:
-            return p_prev
-        p = 1 + alpha - x
-        for k in range(2, n + 1):
-            p, p_prev = ((2 * k - 1 + alpha - x) * p
-                         - (k - 1 + alpha) * p_prev) / k, p
-        return p
+        first = 1 + alpha - x
 
-    if f is Family.LEGENDRE:
-        p_prev = be.one()
-        if n == 0:
-            return p_prev
-        p = x
-        for k in range(2, n + 1):
-            p, p_prev = ((2 * k - 1) * x * p - (k - 1) * p_prev) / k, p
-        return p
+        def step(k, p, p_prev):
+            return ((2 * k - 1 + alpha - x) * p
+                    - (k - 1 + alpha) * p_prev) / k
+    elif f is Family.LEGENDRE:
+        first = x
 
-    if f is Family.CHEBYSHEV:
-        p_prev = be.one()
-        if n == 0:
-            return p_prev
-        p = x
-        for _ in range(2, n + 1):
-            p, p_prev = 2 * x * p - p_prev, p
-        return p
+        def step(k, p, p_prev):
+            return ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    elif f is Family.CHEBYSHEV:
+        first = x
 
-    if f is Family.GEGENBAUER:
+        def step(k, p, p_prev):
+            return 2 * x * p - p_prev
+    elif f is Family.GEGENBAUER:
         lam = spec.lam
-        p_prev = be.one()
-        if n == 0:
-            return p_prev
-        p = 2 * lam * x
-        for k in range(2, n + 1):
-            p, p_prev = (2 * x * (k + lam - 1) * p
-                         - (k + 2 * lam - 2) * p_prev) / k, p
-        return p
+        first = 2 * lam * x
 
-    alpha, beta = spec.jacobi_parameters()
-    p_prev = be.one()
-    if n == 0:
-        return p_prev
-    p = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-    for k in range(2, n + 1):
+        def step(k, p, p_prev):
+            return (2 * x * (k + lam - 1) * p
+                    - (k + 2 * lam - 2) * p_prev) / k
+    else:
+        alpha, beta = spec.jacobi_parameters()
         s = alpha + beta
-        c1 = 2 * k * (k + s) * (2 * k + s - 2)
-        c2 = (2 * k + s - 1) * ((2 * k + s) * (2 * k + s - 2) * x
-                                + (alpha - beta) * (alpha + beta))
-        c3 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
-        p, p_prev = (c2 * p - c3 * p_prev) / c1, p
-    return p
+        first = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
+
+        def step(k, p, p_prev):
+            c1 = 2 * k * (k + s) * (2 * k + s - 2)
+            c2 = (2 * k + s - 1) * ((2 * k + s) * (2 * k + s - 2) * x
+                                    + (alpha - beta) * (alpha + beta))
+            c3 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
+            return (c2 * p - c3 * p_prev) / c1
+
+    values = [be.one(), first]
+    for k in range(2, n + 1):
+        values.append(step(k, values[-1], values[-2]))
+    return values[:n + 1]
+
+
+def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
+    """Value of the family's degree-n polynomial at x."""
+    return eval_polys(spec, n, x)[n]
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +336,48 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
         return be.make(factorial(n))
     alpha, beta = spec.jacobi_parameters()
     return spec.normalization(n) * _jacobi_endpoint_derivative(n, p, alpha, beta)
+
+
+def _normalization_ratio(spec: FamilySpec, n: int) -> Scalar:
+    """c_{n+1} / c_n for c = `spec.normalization`, in O(1) where each
+    `normalization` call takes O(n)."""
+    if spec.family is Family.GEGENBAUER:
+        return (2 * spec.lam + n) / (spec.lam + Fraction(2 * n + 1, 2))
+    if spec.family is Family.CHEBYSHEV:
+        return spec.backend.make(Fraction(2 * n + 2, 2 * n + 1))
+    return spec.backend.one()
+
+
+def derivative_connection(spec: FamilySpec, n: int) -> tuple:
+    """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
+    in the family's own normalization (DLMF 18.9).
+
+    B_0, C_0 and C_1 multiply P'_0 = 0 or P'_{-1} and are set to 0; for
+    C_1 this also avoids the 0/0 of the Jacobi display at alpha+beta = -1.
+    """
+    if n < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    be = spec.backend
+    f = spec.family
+    if f is Family.LAGUERRE:
+        return -be.one(), be.one(), be.zero()
+    if f is Family.GENERIC_MONIC:
+        raise ValueError("generic sequences have no derivative connection")
+    alpha, beta = spec.jacobi_parameters()
+    s = alpha + beta
+    if n == 0:
+        a, b, c = 2 / (s + 2), be.zero(), be.zero()
+    else:
+        a = 2 * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
+        b = 2 * (alpha - beta) / ((2 * n + s) * (2 * n + s + 2))
+        c = be.zero() if n == 1 else (-2 * (n + alpha) * (n + beta)
+                                      / ((n + s) * (2 * n + s)
+                                         * (2 * n + s + 1)))
+    # P_n = c_n J_n, so A and C pick up normalization ratios
+    a = a / _normalization_ratio(spec, n)
+    if c != 0:
+        c = c * _normalization_ratio(spec, n - 1)
+    return a, b, c
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,8 @@ def _config_from_args(args) -> JobConfig:
                 raw[key] = v
         if getattr(args, "lam", None) is not None:
             raw["lambda"] = args.lam
-        spec = basis.spec_from_config(raw, backend=backend)
+        # parameters stay exact: --backend rounds only the written entries
+        spec = basis.spec_from_config(raw)
     return JobConfig(
         command=args.command,
         spec=spec,
@@ -131,10 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_nonnegative, required=True)
     p.add_argument("--jmax", type=_nonnegative, required=True)
     p.add_argument("--nmax", type=_nonnegative, required=True)
-    p.add_argument("--backend", type=_parse_backend,
-                   default=FloatBackend(256),
-                   help="magnitude arithmetic; exact zeros are classified "
-                        "structurally either way")
+    p.add_argument("--backend", type=_parse_backend, default=RATIONAL,
+                   help="has no effect: the grid is computed exactly and "
+                        "only log10 rounds")
     p.add_argument("--out", default=None)
 
     p = commands.add_parser("matrix", help="convolution matrix of a series")
@@ -298,7 +298,7 @@ def _open_out(path):
 
 def cmd_coeffs(config: JobConfig) -> int:
     table = closed_forms.rho_table(config.spec, config.m, config.jmax,
-                                   config.nmax)
+                                   config.nmax).to_backend(config.backend)
     stream, close = _open_out(config.out)
     try:
         closed_forms.write_rho_csv(table, stream, fmt=config.fmt)
@@ -321,8 +321,8 @@ def cmd_figure(config: JobConfig) -> int:
 
 
 def cmd_matrix(config: JobConfig) -> int:
-    f = read_series(config.f_path, backend=config.backend)
-    matrix = convmat.build_matrix(f, config.n_cols)
+    f = read_series(config.f_path)
+    matrix = convmat.build_matrix(f, config.n_cols).to_backend(config.backend)
     stream, close = _open_out(config.out)
     try:
         if config.fmt == "csv":

@@ -15,8 +15,13 @@ normalization.  The symmetric-parameter displays have removable
 singularities at alpha = -1/2, where the equivalent general-parameter forms
 are used instead.
 
-Everything here is a pure function of its inputs; small hypergeometric
-factors are memoized since tables reuse them heavily across grid cells.
+Whole tables (``rho_table``, ``magnitude_grid``, and the convolution
+matrices in ``convmat``) are not summed cell by cell: ``rho_columns`` fills
+them exactly from one closed-form column by a recurrence in n, and the
+closed forms remain the reference that certifies it.
+
+Everything here is a pure function of its inputs; Pochhammer symbols and
+small hypergeometric factors are memoized across calls.
 """
 
 import csv
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import Family, FamilySpec
+from .basis import Family, FamilySpec, derivative_connection, eval_polys
 from .errors import IndexContractError
 from .scalars import (
     RATIONAL,
@@ -36,12 +41,17 @@ from .scalars import (
 )
 
 _HALF = Fraction(1, 2)
+_POCH_STRIDE = 256
 
 
 @lru_cache(maxsize=500_000)
 def _poch(z: Scalar, n: int) -> Scalar:
     if n == 0:
         return z.backend.one()
+    if n > _POCH_STRIDE:
+        # warm the cache a stride below first, so the recursion depth stays
+        # near _POCH_STRIDE however cold the cache is
+        _poch(z, n - _POCH_STRIDE)
     return _poch(z, n - 1) * (z + (n - 1))
 
 
@@ -507,9 +517,78 @@ class RhoTable:
     nmax: int
     values: list
 
+    def to_backend(self, backend) -> "RhoTable":
+        """The table with every entry rounded to `backend`."""
+        if backend == self.family.backend:
+            return self
+        values = [[v.to_backend(backend) for v in row] for row in self.values]
+        return RhoTable(self.family.to_backend(backend), self.m, self.jmax,
+                        self.nmax, values)
+
+
+def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
+    """The columns rho^m_{., n} for n = 0..nmax as exact Fractions; column
+    n holds j = 0..m+n+1.
+
+    Column 0 comes from the closed form.  Each later column follows from
+    the two before it through the derivative connection
+    P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}, which gives for j >= 1
+
+        A_n rho_{j,n+1} = A_{j-1} rho_{j-1,n} + (B_j - B_n) rho_{j,n}
+                          + C_{j+1} rho_{j+1,n} - C_n rho_{j,n-1}
+                          + E_n [A_m d_{j,m+1} + B_m d_{j,m} + C_m d_{j,m-1}]
+
+    with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a) and d the
+    Kronecker delta; the j = 0 entry closes the column through
+    sum_j rho_{j,n+1} P_j(-a) = 0, since the convolution vanishes at
+    x = -2a.  O(1) exact operations per entry.  Float specs are evaluated
+    exactly at their binary parameters; a non-dyadic parameter such as 1/3
+    rounded to a float spec makes every entry a huge rational, so pass the
+    rational spec instead and round the result with `RhoTable.to_backend`
+    or `ConvMatrix.to_backend`, as the CLI does.
+    """
+    if m < 0 or nmax < 0:
+        raise IndexContractError("degrees must be nonnegative")
+    exact = spec.to_backend(RATIONAL)
+    top = m + nmax + 2
+    coeffs = [[c.as_fraction() for c in derivative_connection(exact, k)]
+              for k in range(top + 1)]
+    a, b, c = zip(*coeffs)
+    ends = [v.as_fraction()
+            for v in eval_polys(exact, top, -exact.domain_offset_a)]
+    cols = [[v.as_fraction() for v in rho_closed_vector(exact, m, 0)]]
+    zero = Fraction(0)
+    for n in range(nmax):
+        size = m + n + 3
+        cur = cols[n] + [zero, zero]
+        prev = cols[n - 1] + [zero, zero] if n else [zero] * size
+        inv = 1 / a[n]
+        nxt = [zero] * size
+        for k in range(1, size):
+            nxt[k] = (a[k - 1] * cur[k - 1] + (b[k] - b[n]) * cur[k]
+                      + c[k + 1] * cur[k + 1] - c[n] * prev[k]) * inv
+        e = a[n] * ends[n + 1] + b[n] * ends[n]
+        if n:
+            e += c[n] * ends[n - 1]
+        for k, coeff in ((m + 1, a[m]), (m, b[m]), (m - 1, c[m])):
+            if k >= 1:
+                nxt[k] += e * coeff * inv
+        nxt[0] = -sum(nxt[k] * ends[k] for k in range(1, size)) / ends[0]
+        cols.append(nxt)
+    return cols
+
+
+def _entry(cols: list, j: int, n: int) -> Fraction:
+    col = cols[n]
+    return col[j] if j < len(col) else Fraction(0)
+
 
 def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> RhoTable:
-    values = [[rho_closed(spec, m, n, j) for n in range(nmax + 1)]
+    """rho_{j,n}^m on the grid, filled exactly by `rho_columns` and
+    rounded to the spec's backend entry by entry."""
+    cols = rho_columns(spec, m, nmax)
+    make = spec.backend.make
+    values = [[make(_entry(cols, j, n)) for n in range(nmax + 1)]
               for j in range(jmax + 1)]
     return RhoTable(spec, m, jmax, nmax, values)
 
@@ -537,17 +616,17 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
 
 
 def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
-    """log10 |rho| on the grid; None marks exact zeros.  Zeros are
-    classified structurally so a float backend never misreports one."""
+    """log10 |rho| on the grid; None marks exact zeros.  Every cell is
+    computed exactly by `rho_columns` whatever the spec's backend, so zeros
+    are exact and the logarithm is taken of the exact value."""
+    cols = rho_columns(spec, m, nmax)
     grid = []
     for j in range(jmax + 1):
         row = []
         for n in range(nmax + 1):
-            if structural_zero(spec, m, n, j):
-                row.append(None)
-                continue
-            value = rho_closed(spec, m, n, j)
-            row.append(None if value == 0 else log10_abs(value))
+            value = _entry(cols, j, n)
+            row.append(None if value == 0
+                       else log10_abs(RATIONAL.make(value)))
         grid.append(row)
     return grid
 

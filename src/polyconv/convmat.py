@@ -6,16 +6,21 @@ dense (M+N+2) x (N+1) matrix R with
 
     R[j][n] = sum_m a_m rho_{j,n}^m,
 
-so the coefficients of f * g are c = R b.  Storage is dense on purpose:
+so the coefficients of f * g are c = R b.  R is filled column by column
+with the exact recurrence of ``closed_forms.rho_columns``;
+``convolve_series`` touches only the cells it needs and evaluates them
+from the closed forms, which suits sparse, high-degree series.  Storage is
+dense on purpose:
 sparsity of R is an observation about its entries, not a format, at the
 desk scales this package targets.
 """
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import rho_closed_vector
+from .closed_forms import rho_closed_vector, rho_columns
 from .errors import FamilyMismatchError
 
 
@@ -70,6 +75,17 @@ class ConvMatrix:
                 out[j] = out[j] + self.entries[j][n] * bn
         return SeriesCoeffs(self.family, out)
 
+    def to_backend(self, backend) -> "ConvMatrix":
+        """The matrix with every entry rounded to `backend`."""
+        if backend == self.family.backend:
+            return self
+        spec = self.family.to_backend(backend)
+        f = SeriesCoeffs(spec, [c.to_backend(backend)
+                                for c in self.f_coeffs.coeffs])
+        entries = [[v.to_backend(backend) for v in row]
+                   for row in self.entries]
+        return ConvMatrix(spec, f, self.n_cols, entries)
+
 
 def _rho_cache(spec: FamilySpec):
     cache = {}
@@ -85,23 +101,27 @@ def _rho_cache(spec: FamilySpec):
 
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
     """Assemble R for the operator `convolve with f` on N+1 = n_cols
-    coefficient vectors; shape (M + N + 2) x (N + 1)."""
+    coefficient vectors; shape (M + N + 2) x (N + 1).
+
+    Each nonzero a_m contributes the columns rho^m_{., n}, n = 0..N, filled
+    by the exact recurrence of `rho_columns`.  Entries are accumulated
+    exactly (a float coefficient counts as its exact binary value) and
+    rounded to the series' backend only once, at the end."""
     if n_cols < 1:
         raise ValueError("the matrix needs at least one column")
     spec = f.family
-    big_m = f.degree
     big_n = n_cols - 1
-    zero = spec.backend.zero()
-    rows = big_m + big_n + 2
-    entries = [[zero] * n_cols for _ in range(rows)]
-    rho = _rho_cache(spec)
+    rows = f.degree + big_n + 2
+    exact = [[Fraction(0)] * n_cols for _ in range(rows)]
     for m, am in enumerate(f.coeffs):
         if am == 0:
             continue
-        for n in range(n_cols):
-            vec = rho(m, n)
-            for j in range(m + n + 2):
-                entries[j][n] = entries[j][n] + am * vec[j]
+        a = am.as_fraction()
+        for n, col in enumerate(rho_columns(spec, m, big_n)):
+            for j, v in enumerate(col):
+                exact[j][n] += a * v
+    make = spec.backend.make
+    entries = [[make(v) for v in row] for row in exact]
     return ConvMatrix(spec, f, n_cols, entries)
 
 

@@ -60,6 +60,21 @@ class TestCoeffsCommand:
         assert "error" in capsys.readouterr().err
 
 
+    def test_float_backend_rounds_the_exact_entries(self, tmp_path):
+        from polyconv import closed_forms as cf
+        out = tmp_path / "rho.csv"
+        assert main(["coeffs", "--family", "jacobi", "--alpha", "1/3",
+                     "--beta", "1/5", "--m", "3", "--jmax", "12",
+                     "--nmax", "8", "--backend", "float:128",
+                     "--out", str(out)]) == 0
+        spec = basis.jacobi(Fraction(1, 3), Fraction(1, 5))
+        fb = FloatBackend(128)
+        for ln in out.read_text().strip().splitlines()[1:]:
+            j, n, v = ln.split(",")
+            exact = cf.rho_closed(spec, 3, int(n), int(j)).as_fraction()
+            assert v == str(fb.make(exact)), (j, n)
+
+
 class TestFigureCommand:
     def test_sentinels_match_structural_zeros(self, tmp_path):
         from polyconv import closed_forms as cf
@@ -80,6 +95,21 @@ class TestFigureCommand:
                      "--jmax", "4", "--nmax", "4",
                      "--backend", "float:128", "--out", str(out)]) == 0
         assert out.read_text().startswith("j,n,log10abs")
+
+    @pytest.mark.parametrize("alpha,beta", [("5/2", "3/2"), ("1/3", "1/5")])
+    def test_float_backend_writes_the_exact_figure(self, tmp_path, alpha,
+                                                   beta):
+        # figure data is computed exactly at the exact parameters and
+        # rounded only by log10, so the backend cannot change a byte
+        texts = []
+        for backend in ("float:128", "float:256", "rational"):
+            out = tmp_path / f"{backend.replace(':', '')}.csv"
+            assert main(["figure", "--family", "jacobi", "--alpha", alpha,
+                         "--beta", beta, "--m", "15", "--jmax", "66",
+                         "--nmax", "66", "--backend", backend,
+                         "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
 
 
 class TestSeriesIO:
@@ -139,6 +169,21 @@ class TestMatrixAndConvolve:
         write_file(g, "# family=legendre\n0,1\n")
         assert main(["convolve", "--f", str(f), "--g", str(g)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_float_backend_rounds_the_exact_matrix(self, tmp_path):
+        f = tmp_path / "f.csv"
+        write_file(f, "# family=jacobi alpha=1/3 beta=1/5\n"
+                      "0,1/3\n1,-2\n2,0.1\n")
+        out = tmp_path / "R.csv"
+        assert main(["matrix", "--f", str(f), "--N", "3",
+                     "--backend", "float:128", "--out", str(out)]) == 0
+        exact = convmat.build_matrix(read_series(str(f)), 4)
+        fb = FloatBackend(128)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "7,4"
+        assert lines[1:] == [",".join(str(fb.make(v.as_fraction()))
+                                      for v in row)
+                             for row in exact.entries]
 
     def test_triplet_format(self, tmp_path):
         f = tmp_path / "f.csv"

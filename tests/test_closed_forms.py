@@ -361,3 +361,19 @@ class TestFloatBackend:
                             assert abs(f) < Fraction(1, 10 ** 55)
                         else:
                             assert abs(f - r) / abs(r) < Fraction(1, 10 ** 60)
+
+
+class TestPochhammer:
+    def test_cold_cache_large_order(self):
+        # a cold cache must not cost one stack frame per order: these
+        # orders lie far beyond the default recursion limit
+        cf._poch.cache_clear()
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        value = cf.rho_closed(spec, 3, 500, 503)
+        assert value != 0
+        cf._poch.cache_clear()
+        assert cf.rho_closed(basis.jacobi(Fraction(1, 2), Fraction(1, 3)),
+                             1, 1100, 1102) != 0
+        cf._poch.cache_clear()
+        z = RATIONAL.make(Fraction(1, 3))
+        assert cf._poch(z, 3000) == cf._poch(z, 2999) * (z + 2999)
