@@ -23,7 +23,7 @@ parts of the literature this follows, but the parameters used
 formulas, not the label, are authoritative here.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -59,7 +59,8 @@ _INTERVAL_FAMILIES = (
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """A polynomial family with its parameters and scalar backend."""
+    """A polynomial family with its exact parameters and the backend its
+    tables and series are rounded to on output."""
 
     family: Family
     alpha: Scalar | None = None
@@ -109,8 +110,8 @@ class FamilySpec:
         """Offset a of the shifted argument: 1 for interval families, 0 for
         Laguerre."""
         if self.family is Family.LAGUERRE:
-            return self.backend.zero()
-        return self.backend.one()
+            return RATIONAL.zero()
+        return RATIONAL.one()
 
     @property
     def zero_region_q(self) -> int | None:
@@ -133,10 +134,10 @@ class FamilySpec:
             a = self.lam - Fraction(1, 2)
             return a, a
         if f is Family.LEGENDRE:
-            z = self.backend.zero()
+            z = RATIONAL.zero()
             return z, z
         if f is Family.CHEBYSHEV:
-            h = self.backend.make(Fraction(-1, 2))
+            h = RATIONAL.make(Fraction(-1, 2))
             return h, h
         raise ValueError(f"{f.value} has no Jacobi parameters")
 
@@ -147,13 +148,12 @@ class FamilySpec:
             half = self.lam + Fraction(1, 2)
             return pochhammer(2 * self.lam, n) / pochhammer(half, n)
         if f is Family.CHEBYSHEV:
-            return factorial(n) / pochhammer(self.backend.make(Fraction(1, 2)), n)
-        return self.backend.one()
+            return factorial(n) / pochhammer(Fraction(1, 2), n)
+        return RATIONAL.one()
 
     def to_backend(self, backend) -> "FamilySpec":
-        conv = lambda s: None if s is None else s.to_backend(backend)
-        return FamilySpec(self.family, conv(self.alpha), conv(self.beta),
-                          conv(self.lam), backend)
+        """The same family with output rounded to `backend`."""
+        return replace(self, backend=backend)
 
     # -- serialization -----------------------------------------------------
 
@@ -175,7 +175,7 @@ class FamilySpec:
         return f"{self.family.value}({params})" if params else self.family.value
 
 
-def spec_from_config(config: dict, backend=RATIONAL) -> FamilySpec:
+def spec_from_config(config: dict) -> FamilySpec:
     """Inverse of FamilySpec.to_config; applies the factory redirects."""
     kind = config["family"].lower()
 
@@ -186,36 +186,39 @@ def spec_from_config(config: dict, backend=RATIONAL) -> FamilySpec:
         return value
 
     if kind == "jacobi":
-        return jacobi(need("alpha"), need("beta"), backend=backend)
+        return jacobi(need("alpha"), need("beta"))
     if kind == "symmetric_jacobi":
-        return symmetric_jacobi(need("alpha"), backend=backend)
+        return symmetric_jacobi(need("alpha"))
     if kind == "gegenbauer":
-        return gegenbauer(need("lambda"), backend=backend)
+        return gegenbauer(need("lambda"))
     if kind == "legendre":
-        return legendre(backend=backend)
+        return legendre()
     if kind == "chebyshev":
-        return chebyshev(backend=backend)
+        return chebyshev()
     if kind == "laguerre":
-        return laguerre(need("alpha"), backend=backend)
+        return laguerre(need("alpha"))
     if kind == "generic_monic":
-        return generic_monic(backend=backend)
+        return generic_monic()
     raise ValueError(f"unknown family {config['family']!r}")
 
 
+# The factories keep the parameters exact whatever `backend` says.
+
+
 def jacobi(alpha, beta, backend=RATIONAL) -> FamilySpec:
-    return FamilySpec(Family.JACOBI, backend.make(alpha), backend.make(beta),
+    return FamilySpec(Family.JACOBI, RATIONAL.make(alpha), RATIONAL.make(beta),
                       backend=backend)
 
 
 def symmetric_jacobi(alpha, backend=RATIONAL) -> FamilySpec:
-    alpha = backend.make(alpha)
+    alpha = RATIONAL.make(alpha)
     if alpha == 0:
         return legendre(backend=backend)
     return FamilySpec(Family.SYMMETRIC_JACOBI, alpha, backend=backend)
 
 
 def gegenbauer(lam, backend=RATIONAL) -> FamilySpec:
-    lam = backend.make(lam)
+    lam = RATIONAL.make(lam)
     if lam == Fraction(1, 2):
         return legendre(backend=backend)
     return FamilySpec(Family.GEGENBAUER, lam=lam, backend=backend)
@@ -230,7 +233,7 @@ def chebyshev(backend=RATIONAL) -> FamilySpec:
 
 
 def laguerre(alpha, backend=RATIONAL) -> FamilySpec:
-    return FamilySpec(Family.LAGUERRE, backend.make(alpha), backend=backend)
+    return FamilySpec(Family.LAGUERRE, RATIONAL.make(alpha), backend=backend)
 
 
 def generic_monic(backend=RATIONAL) -> FamilySpec:
@@ -246,11 +249,10 @@ def generic_monic(backend=RATIONAL) -> FamilySpec:
 
 def eval_polys(spec: FamilySpec, n: int, x) -> list:
     """Values [P_0(x), ..., P_n(x)] of the family's polynomials (three-term
-    recurrences, exact in the rational backend)."""
+    recurrences, exact)."""
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
-    be = spec.backend
-    x = be.make(x)
+    x = RATIONAL.make(x)
     f = spec.family
 
     if f is Family.GENERIC_MONIC:
@@ -292,7 +294,7 @@ def eval_polys(spec: FamilySpec, n: int, x) -> list:
             c3 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
             return (c2 * p - c3 * p_prev) / c1
 
-    values = [be.one(), first]
+    values = [RATIONAL.one(), first]
     for k in range(2, n + 1):
         values.append(step(k, values[-1], values[-2]))
     return values[:n + 1]
@@ -312,10 +314,9 @@ def _jacobi_endpoint_derivative(n: int, p: int, alpha: Scalar,
                                 beta: Scalar) -> Scalar:
     # d^p/dx^p P_n^(alpha,beta) at x = -1:
     #   2^-p (-1)^(n+p) (p+beta+1)_(n-p) (n+alpha+beta+1)_p / (n-p)!
-    be = alpha.backend
     sign = -1 if (n + p) % 2 else 1
     num = pochhammer(beta + p + 1, n - p) * pochhammer(alpha + beta + n + 1, p)
-    return sign * num / (be.make(2) ** p * factorial(n - p))
+    return sign * num / (2 ** p * factorial(n - p))
 
 
 def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
@@ -323,17 +324,16 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     of the convolution domain); 0 when p > n."""
     if n < 0 or p < 0:
         raise IndexOutOfRangeError("degree and order must be nonnegative")
-    be = spec.backend
     if p > n:
-        return be.zero()
+        return RATIONAL.zero()
     f = spec.family
     if f is Family.LAGUERRE:
         sign = -1 if p % 2 else 1
         return sign * pochhammer(spec.alpha + p + 1, n - p) / factorial(n - p)
     if f is Family.GENERIC_MONIC:
         if p < n:
-            return be.zero()
-        return be.make(factorial(n))
+            return RATIONAL.zero()
+        return RATIONAL.make(factorial(n))
     alpha, beta = spec.jacobi_parameters()
     return spec.normalization(n) * _jacobi_endpoint_derivative(n, p, alpha, beta)
 
@@ -344,8 +344,8 @@ def _normalization_ratio(spec: FamilySpec, n: int) -> Scalar:
     if spec.family is Family.GEGENBAUER:
         return (2 * spec.lam + n) / (spec.lam + Fraction(2 * n + 1, 2))
     if spec.family is Family.CHEBYSHEV:
-        return spec.backend.make(Fraction(2 * n + 2, 2 * n + 1))
-    return spec.backend.one()
+        return RATIONAL.make(Fraction(2 * n + 2, 2 * n + 1))
+    return RATIONAL.one()
 
 
 def derivative_connection(spec: FamilySpec, n: int) -> tuple:
@@ -357,20 +357,19 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
     """
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
-    be = spec.backend
     f = spec.family
     if f is Family.LAGUERRE:
-        return -be.one(), be.one(), be.zero()
+        return -RATIONAL.one(), RATIONAL.one(), RATIONAL.zero()
     if f is Family.GENERIC_MONIC:
         raise ValueError("generic sequences have no derivative connection")
     alpha, beta = spec.jacobi_parameters()
     s = alpha + beta
     if n == 0:
-        a, b, c = 2 / (s + 2), be.zero(), be.zero()
+        a, b, c = 2 / (s + 2), RATIONAL.zero(), RATIONAL.zero()
     else:
         a = 2 * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
         b = 2 * (alpha - beta) / ((2 * n + s) * (2 * n + s + 2))
-        c = be.zero() if n == 1 else (-2 * (n + alpha) * (n + beta)
+        c = RATIONAL.zero() if n == 1 else (-2 * (n + alpha) * (n + beta)
                                       / ((n + s) * (2 * n + s)
                                          * (2 * n + s + 1)))
     # P_n = c_n J_n, so A and C pick up normalization ratios
@@ -391,9 +390,8 @@ def _jacobi_b(n: int, k: int, alpha: Scalar, beta: Scalar) -> Scalar:
     #             / ((beta+1)_k Gamma(alpha+beta+n+k+2) (n-k)!).
     # At k = 0 the prefactor and the leading gamma merge so the formula
     # stays finite when alpha + beta + 1 = 0.
-    be = alpha.backend
     s = alpha + beta
-    common = be.make(2) ** n * factorial(n) * pochhammer(beta + 1, n)
+    common = 2 ** n * factorial(n) * pochhammer(beta + 1, n)
     if k == 0:
         # (s+1) Gamma(s+1) / Gamma(s+n+2) = Gamma(s+2) / Gamma(s+n+2)
         return common * gamma_quotient(s + 2, n) / factorial(n)
@@ -409,11 +407,10 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
     f = spec.family
     if f is Family.LAGUERRE:
         # x^n = sum_k b_{n,k} L_k^(alpha), b_{n,k} = (-n)_k (k+alpha+1)_(n-k)
-        be = spec.backend
-        return (pochhammer(be.make(-n), k)
+        return (pochhammer(-n, k)
                 * pochhammer(spec.alpha + k + 1, n - k))
     if f is Family.GENERIC_MONIC:
-        return spec.backend.one() if n == k else spec.backend.zero()
+        return RATIONAL.one() if n == k else RATIONAL.zero()
     alpha, beta = spec.jacobi_parameters()
     return _jacobi_b(n, k, alpha, beta) / spec.normalization(k)
 
@@ -427,18 +424,17 @@ def _jacobi_connection_gamma(n: int, k: int, p: int, q: int, alpha: Scalar,
                              beta: Scalar) -> Scalar:
     # gamma_{n,k}^(p,q): d^p/dx^p P_{n+p} = sum_k gamma d^q/dx^q P_{k+q},
     # a terminating 3F2 at unit argument.  Pole-free for alpha, beta > -1.
-    be = alpha.backend
     s = alpha + beta
     num = (pochhammer(alpha + k + p + 1, n - k)
            * pochhammer(s + n + p + 1, p)
            * pochhammer(s + n + 2 * p + 1, k))
-    den = (be.make(2) ** (p - q) * factorial(n - k)
+    den = (Fraction(2) ** (p - q) * factorial(n - k)
            * pochhammer(s + k + q + 1, q)
            * pochhammer(s + k + 2 * q + 1, k))
     f = hyp_pfq(
         [k - n, alpha + k + q + 1, s + k + n + 2 * p + 1],
         [alpha + k + p + 1, s + 2 * k + 2 * q + 2],
-        be.one(),
+        1,
     )
     return num / den * f
 
@@ -448,25 +444,24 @@ def _symmetric_connection_gamma(n: int, k: int, p: int, q: int,
     # Parity form for alpha = beta: zero for odd n-k, otherwise a pure
     # product of gamma quotients.  alpha = -1/2 has removable singularities
     # here, so that case is routed through the general Jacobi form.
-    be = alpha.backend
     if (n - k) % 2:
-        return be.zero()
+        return RATIONAL.zero()
     if alpha == Fraction(-1, 2):
         return _jacobi_connection_gamma(n, k, p, q, alpha, alpha)
     h = (n - k) // 2
     if k + q == 0:
         # (alpha+1/2) Gamma(2 alpha+1) merges to Gamma(2 alpha+2)/2
-        pref = be.make(Fraction(1, 2))
+        pref = RATIONAL.make(Fraction(1, 2))
         r1 = gamma_quotient(2 * alpha + 2, n + p - 1)  # / Gamma(n+p+2alpha+1)
     else:
         pref = alpha + k + q + Fraction(1, 2)
         r1 = gamma_quotient(2 * alpha + k + q + 1, n + p - k - q)
     r2 = gamma_quotient(alpha + n + p + 1, k + q - n - p)
-    half = be.make(Fraction(1, 2))
+    half = RATIONAL.make(Fraction(1, 2))
     top3 = alpha + p + half * (k + n + 1)
     r3 = gamma_quotient(top3, 1 + q - p)
-    return (pochhammer(be.make(p - q), h) * pref * r1 * r2 * r3
-            * be.make(2) ** (p - q) / factorial(h))
+    return (pochhammer(p - q, h) * pref * r1 * r2 * r3
+            * Fraction(2) ** (p - q) / factorial(h))
 
 
 def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
@@ -477,14 +472,13 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
     if p < 0 or q < 0:
         raise IndexOutOfRangeError("derivative orders must be nonnegative")
     f = spec.family
-    be = spec.backend
     if f is Family.LAGUERRE:
         sign = -1 if (p + q) % 2 else 1
-        return sign * pochhammer(be.make(p - q), n - k) / factorial(n - k)
+        return sign * pochhammer(p - q, n - k) / factorial(n - k)
     if f is Family.GENERIC_MONIC:
         if n != k:
-            return be.zero()
-        return be.make(Fraction(factorial(n + p), factorial(n + q)))
+            return RATIONAL.zero()
+        return RATIONAL.make(Fraction(factorial(n + p), factorial(n + q)))
     alpha, beta = spec.jacobi_parameters()
     if f is Family.JACOBI:
         core = _jacobi_connection_gamma(n, k, p, q, alpha, beta)
@@ -503,7 +497,9 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
 class GenericBasisData:
     """User-suppliable connection data for an arbitrary degree-graded
     polynomial sequence: monomial-expansion b-coefficients and derivatives
-    at x = -a up to ``max_degree``."""
+    at x = -a up to ``max_degree``.  ``backend`` records the output backend
+    of the family the data came from; the data and every coefficient
+    computed from them are exact."""
 
     domain_offset_a: Scalar
     max_degree: int
@@ -538,7 +534,7 @@ class GenericBasisData:
 
     def deriv(self, n: int, p: int) -> Scalar:
         if p > n:
-            return self.backend.zero()
+            return RATIONAL.zero()
         try:
             return self.endpoint_derivs[(n, p)]
         except KeyError:
@@ -559,7 +555,7 @@ def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
         raise IndexOutOfRangeError(f"need n >= r, got n={n}, r={r}")
     if k < 0 or k > n - r:
         raise IndexOutOfRangeError(f"need 0 <= k <= n-r, got k={k}")
-    total = data.backend.zero()
+    total = RATIONAL.zero()
     for sigma in range(n - r - k + 1):
         total = total + (data.b(sigma + k + s, k + s)
                          / factorial(sigma + k + s)

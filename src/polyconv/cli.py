@@ -8,13 +8,16 @@ Commands:
 * ``convolve``  - convolve two series files
 * ``verify``    - certify the closed forms against the exact oracle
 
-Exit codes: 0 success, 1 computation or verification failure, 2 usage
-error.  Series files are CSV with a family header comment and exact
-`index,value` rows, so rational runs round-trip byte for byte.
+Exit codes: 0 success, 1 computation or verification failure or a
+malformed input file, 2 usage error.  Series files are CSV with a family
+header comment and exact `index,value` rows, so rational runs round-trip
+byte for byte.  Every command computes exactly; `--backend float:<bits>`
+rounds the written values only.
 """
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,56 +53,11 @@ def _positive(text: str) -> int:
     return value
 
 
-@dataclass
-class JobConfig:
-    """A fully parsed, validated command invocation."""
-
-    command: str
-    spec: FamilySpec | None = None
-    m: int = 0
-    jmax: int = 0
-    nmax: int = 0
-    n_cols: int = 0
-    max_degree: int = 6
-    f_path: str | None = None
-    g_path: str | None = None
-    backend: object = RATIONAL
-    out: str | None = None
-    fmt: str = "csv"
-
-
-def _config_from_args(args) -> JobConfig:
-    backend = getattr(args, "backend", RATIONAL)
-    spec = None
-    if getattr(args, "family", None) is not None:
-        raw = {"family": args.family}
-        for key in ("alpha", "beta"):
-            v = getattr(args, key, None)
-            if v is not None:
-                raw[key] = v
-        if getattr(args, "lam", None) is not None:
-            raw["lambda"] = args.lam
-        # parameters stay exact: --backend rounds only the written entries
-        spec = basis.spec_from_config(raw)
-    return JobConfig(
-        command=args.command,
-        spec=spec,
-        m=getattr(args, "m", 0),
-        jmax=getattr(args, "jmax", 0),
-        nmax=getattr(args, "nmax", 0),
-        n_cols=getattr(args, "N", -1) + 1,
-        max_degree=getattr(args, "max_degree", 6),
-        f_path=getattr(args, "f", None),
-        g_path=getattr(args, "g", None),
-        backend=backend,
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "fmt", "csv"),
-    )
-
-
 def _family_options(sub):
+    # generic sequences have no closed form, so no table command takes them
     sub.add_argument("--family", required=True,
-                     choices=[f.value for f in basis.Family])
+                     choices=[f.value for f in basis.Family
+                              if f is not basis.Family.GENERIC_MONIC])
     sub.add_argument("--alpha")
     sub.add_argument("--beta")
     sub.add_argument("--lambda", dest="lam")
@@ -169,21 +127,44 @@ def write_series(series: convmat.SeriesCoeffs, stream) -> None:
         stream.write(f"{idx},{value}\n")
 
 
-def read_series(path: str, backend=RATIONAL) -> convmat.SeriesCoeffs:
+def read_series(path: str) -> convmat.SeriesCoeffs:
+    """Parse a series file exactly.  Malformed content raises PolyconvError
+    naming the file and line: a missing or bad header, a header with no
+    rows, a row that is not `index,value` with an integer index and a
+    rational value, a negative index, or an index given twice.  Indices
+    left out are zero."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+        lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise PolyconvError(f"{path}: missing family header comment")
+    header_no, header = lines[0]
     config = {}
-    for token in lines[0][1:].split():
+    for token in header[1:].split():
         key, _, value = token.partition("=")
         config[key] = value
-    spec = basis.spec_from_config(config, backend=backend)
+    try:
+        spec = basis.spec_from_config(config)
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise PolyconvError(f"{path}:{header_no}: bad family header: "
+                            f"{exc}") from None
     entries = {}
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         idx_text, _, value_text = ln.partition(",")
-        entries[int(idx_text)] = backend.make(value_text)
-    coeffs = [entries.get(i, backend.zero()) for i in range(max(entries) + 1)]
+        try:
+            idx, value = int(idx_text), Fraction(value_text)
+        except (ValueError, ZeroDivisionError):
+            raise PolyconvError(
+                f"{path}:{no}: expected 'index,value' with an integer index "
+                f"and a rational value, got {ln!r}") from None
+        if idx < 0:
+            raise PolyconvError(f"{path}:{no}: negative index {idx}")
+        if idx in entries:
+            raise PolyconvError(f"{path}:{no}: index {idx} given twice")
+        entries[idx] = value
+    if not entries:
+        raise PolyconvError(f"{path}:{header_no}: header has no "
+                            "coefficient rows")
+    coeffs = [entries.get(i, 0) for i in range(max(entries) + 1)]
     return convmat.SeriesCoeffs(spec, coeffs)
 
 
@@ -290,66 +271,58 @@ def run_verification(max_degree: int = 6, families=None,
 # ---------------------------------------------------------------------------
 
 
-def _open_out(path):
+@contextmanager
+def _output(path):
+    """The `--out` stream: the named file, or stdout when none is given."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
 
 
-def cmd_coeffs(config: JobConfig) -> int:
-    table = closed_forms.rho_table(config.spec, config.m, config.jmax,
-                                   config.nmax).to_backend(config.backend)
-    stream, close = _open_out(config.out)
-    try:
-        closed_forms.write_rho_csv(table, stream, fmt=config.fmt)
-    finally:
-        if close:
-            stream.close()
+def _spec(args) -> FamilySpec:
+    """The exact family spec named by --family and its parameters."""
+    return basis.spec_from_config({"family": args.family, "alpha": args.alpha,
+                                   "beta": args.beta, "lambda": args.lam})
+
+
+def cmd_coeffs(args) -> int:
+    table = closed_forms.rho_table(_spec(args), args.m, args.jmax,
+                                   args.nmax).to_backend(args.backend)
+    with _output(args.out) as stream:
+        closed_forms.write_rho_csv(table, stream, fmt=args.fmt)
     return 0
 
 
-def cmd_figure(config: JobConfig) -> int:
-    grid = closed_forms.magnitude_grid(config.spec, config.m, config.jmax,
-                                       config.nmax)
-    stream, close = _open_out(config.out)
-    try:
+def cmd_figure(args) -> int:
+    grid = closed_forms.magnitude_grid(_spec(args), args.m, args.jmax,
+                                       args.nmax)
+    with _output(args.out) as stream:
         closed_forms.write_magnitude_csv(grid, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
-def cmd_matrix(config: JobConfig) -> int:
-    f = read_series(config.f_path)
-    matrix = convmat.build_matrix(f, config.n_cols).to_backend(config.backend)
-    stream, close = _open_out(config.out)
-    try:
-        if config.fmt == "csv":
+def cmd_matrix(args) -> int:
+    f = read_series(args.f)
+    matrix = convmat.build_matrix(f, args.N + 1).to_backend(args.backend)
+    with _output(args.out) as stream:
+        if args.fmt == "csv":
             convmat.write_matrix_dense_csv(matrix, stream)
         else:
             convmat.write_matrix_triplet_csv(matrix, stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
-def cmd_convolve(config: JobConfig) -> int:
-    f = read_series(config.f_path, backend=config.backend)
-    g = read_series(config.g_path, backend=config.backend)
-    c = convmat.convolve_series(f, g)
-    stream, close = _open_out(config.out)
-    try:
-        write_series(c, stream)
-    finally:
-        if close:
-            stream.close()
+def cmd_convolve(args) -> int:
+    c = convmat.convolve_series(read_series(args.f), read_series(args.g))
+    with _output(args.out) as stream:
+        write_series(c.to_backend(args.backend), stream)
     return 0
 
 
-def cmd_verify(config: JobConfig) -> int:
-    report = run_verification(max_degree=config.max_degree)
+def cmd_verify(args) -> int:
+    report = run_verification(max_degree=args.max_degree)
     for line in report.lines:
         print(line)
     return 0 if report.ok else 1
@@ -369,8 +342,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        config = _config_from_args(args)
-        return handlers[config.command](config)
+        return handlers[args.command](args)
     except PolyconvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

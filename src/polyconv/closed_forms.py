@@ -31,14 +31,7 @@ from functools import lru_cache
 
 from .basis import Family, FamilySpec, derivative_connection, eval_polys
 from .errors import IndexContractError
-from .scalars import (
-    RATIONAL,
-    RationalBackend,
-    Scalar,
-    factorial,
-    hyp_pfq,
-    log10_abs,
-)
+from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, log10_abs
 
 _HALF = Fraction(1, 2)
 _POCH_STRIDE = 256
@@ -47,7 +40,7 @@ _POCH_STRIDE = 256
 @lru_cache(maxsize=500_000)
 def _poch(z: Scalar, n: int) -> Scalar:
     if n == 0:
-        return z.backend.one()
+        return RATIONAL.one()
     if n > _POCH_STRIDE:
         # warm the cache a stride below first, so the recursion depth stays
         # near _POCH_STRIDE however cold the cache is
@@ -59,7 +52,7 @@ def _poch_signed(z: Scalar, n: int) -> Scalar:
     """Rising factorial extended to negative order: (z)_{-t} = 1/(z-t)_t."""
     if n >= 0:
         return _poch(z, n)
-    return z.backend.one() / _poch(z + n, -n)
+    return 1 / _poch(z + n, -n)
 
 
 def _sign(k: int) -> int:
@@ -75,7 +68,6 @@ def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar,
                  beta: Scalar) -> Scalar:
     """Inner-sum term of the j >= max(m+1, n-m-1) regime for general
     (alpha, beta)."""
-    be = alpha.backend
     s = alpha + beta
     num = (2 * _sign(m + nu - 1)
            * _poch(alpha + (j - nu + 1), n - j + nu)
@@ -87,7 +79,7 @@ def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar,
     f = hyp_pfq(
         [j - n - nu, alpha + (j + 1), s + (n + j - nu + 1)],
         [alpha + (j - nu + 1), s + (2 * j + 2)],
-        be.one(),
+        1,
     )
     return num / den * f
 
@@ -99,7 +91,7 @@ def _jacobi_d_f43(m: int, nu: int, j: int, alpha: Scalar,
     return hyp_pfq(
         [1, -m, beta + (nu + 1), s + (m + 1)],
         [nu - j + 1, beta + 1, s + (j + nu + 2)],
-        alpha.backend.one(),
+        1,
     )
 
 
@@ -114,7 +106,7 @@ def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar,
     den = factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
     if j == 0 and s + 1 == 0:
         # (s+2j+1) / (s+j+1)_(nu+1) is 0/0 here; its limit in s is 1/nu!
-        ratio = alpha.backend.one() / factorial(nu)
+        ratio = Fraction(1, factorial(nu))
     else:
         ratio = (s + (2 * j + 1)) / _poch(s + (j + 1), nu + 1)
     return num / den * ratio * _jacobi_d_f43(m, nu, j, alpha, beta)
@@ -128,9 +120,8 @@ def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar,
 def sym_jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar) -> Scalar:
     """Symmetric-parameter varpi; zero for odd n+nu-j.  At alpha = -1/2 the
     parity display is indeterminate (0/0) and the general form is used."""
-    be = alpha.backend
     if (n + nu - j) % 2:
-        return be.zero()
+        return RATIONAL.zero()
     if alpha == -_HALF:
         return jacobi_varpi(m, n, j, nu, alpha, alpha)
     h = (n + nu - j) // 2
@@ -138,7 +129,7 @@ def sym_jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar) -> Scalar:
            * _poch(alpha + nu, m + 1 - nu)
            * _poch(2 * alpha + (m + 1), nu - 1)
            * _poch(2 * alpha + (n + 1), j - nu)
-           * _poch(be.make(-nu), h)
+           * _poch(RATIONAL.make(-nu), h)
            * _poch(alpha + (j - nu) + _HALF, h)
            * _poch(alpha + (j - nu + 1), n + nu - j))
     den = (factorial(m - nu + 1) * factorial(h)
@@ -153,14 +144,13 @@ def _sym_d_f43(m: int, nu: int, j: int, alpha: Scalar) -> Scalar:
     return hyp_pfq(
         [1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
         [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)],
-        alpha.backend.one(),
+        1,
     )
 
 
 def sym_jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar) -> Scalar:
     """Symmetric-parameter d term; alpha = -1/2 reroutes through the
     general form, whose j = 0 branch takes the required limit."""
-    be = alpha.backend
     if alpha == -_HALF:
         return jacobi_d(nu, j, n, m, alpha, alpha)
     num = (2 * _sign(m + n + 1 + nu) * (2 * alpha + (2 * j + 1)) * (alpha + nu)
@@ -177,15 +167,15 @@ def sym_jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def legendre_varpi(m: int, n: int, j: int, nu: int, backend) -> Scalar:
+def legendre_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
     if (n + nu - j) % 2:
-        return backend.zero()
+        return RATIONAL.zero()
     h = (n - j + nu) // 2
     num = (_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1)
-           * _poch(backend.make(-nu), h))
-    den = (backend.make(4) ** nu * factorial(nu - 1) * factorial(m - nu + 1)
+           * _poch(RATIONAL.make(-nu), h))
+    den = (4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
            * factorial(h)
-           * _poch(backend.make(Fraction(n + j - nu + 1, 2)), nu + 1))
+           * _poch(RATIONAL.make(Fraction(n + j - nu + 1, 2)), nu + 1))
     return num / den
 
 
@@ -203,24 +193,15 @@ def _sqrt_pi_over_gammas(a2: int, b2: int) -> Fraction:
                     factorial(2 * t) * factorial(other - 1))
 
 
-def legendre_d(nu: int, j: int, n: int, m: int, backend) -> Scalar:
+def legendre_d(nu: int, j: int, n: int, m: int) -> Scalar:
     num = (_sign(m + nu + n + 1) * (2 * j + 1) * nu
-           * backend.make(2) ** (j + m - nu)
+           * Fraction(2) ** (j + m - nu)
            * factorial(n + nu - 1)
-           * _poch(backend.make(Fraction(-j - m + nu + 1, 2)), j + m)
-           * _poch(backend.make(Fraction(j - m + nu + 2, 2)), m))
+           * _poch(RATIONAL.make(Fraction(-j - m + nu + 1, 2)), j + m)
+           * _poch(RATIONAL.make(Fraction(j - m + nu + 2, 2)), m))
     den = factorial(n - nu + 1) * factorial(j + m + nu)
-    a2 = -j + m + nu + 2   # twice the first gamma argument
-    b2 = j + m + nu + 3
-    if isinstance(backend, RationalBackend):
-        gam = backend.make(_sqrt_pi_over_gammas(a2, b2))
-    else:
-        import mpmath
-
-        with mpmath.workprec(backend.precision):
-            gam = Scalar(backend, mpmath.sqrt(mpmath.pi)
-                         / (mpmath.gamma(mpmath.mpf(a2) / 2)
-                            * mpmath.gamma(mpmath.mpf(b2) / 2)))
+    # twice the two gamma arguments
+    gam = _sqrt_pi_over_gammas(-j + m + nu + 2, j + m + nu + 3)
     return num / den * gam
 
 
@@ -229,48 +210,44 @@ def legendre_d(nu: int, j: int, n: int, m: int, backend) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _cheb_scale(m: int, n: int, j: int, backend) -> Scalar:
+def _cheb_scale(m: int, n: int, j: int) -> Scalar:
     # rho_T = m! n! (1/2)_j / ((1/2)_m (1/2)_n j!) * rho_{(-1/2,-1/2)}
-    half = backend.make(_HALF)
+    half = RATIONAL.make(_HALF)
     return (factorial(m) * factorial(n) * _poch(half, j)
             / (_poch(half, m) * _poch(half, n) * factorial(j)))
 
 
-def chebyshev_varpi(m: int, n: int, j: int, nu: int, backend) -> Scalar:
+def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
     """T-normalized varpi.  The simplified display carries a factor n and
     degenerates at n = 0; that case is rescaled from the general form."""
     if (n + nu - j) % 2:
-        return backend.zero()
+        return RATIONAL.zero()
     if n == 0:
-        half = backend.make(-_HALF)
-        return _cheb_scale(m, n, j, backend) * jacobi_varpi(m, n, j, nu,
-                                                            half, half)
+        half = RATIONAL.make(-_HALF)
+        return _cheb_scale(m, n, j) * jacobi_varpi(m, n, j, nu, half, half)
     h = (n + nu - j) // 2
-    num = (_sign(m) * backend.make(2) ** (1 - 2 * nu) * n
-           * _poch(backend.make(-m), nu - 1)
-           * _poch(backend.make(m), nu - 1)
-           * _poch(backend.make(-nu), h)
-           * _poch_signed(backend.make(Fraction(n + nu - j + 2, 2)),
+    num = (_sign(m) * Fraction(2) ** (1 - 2 * nu) * n
+           * _poch(RATIONAL.make(-m), nu - 1)
+           * _poch(RATIONAL.make(m), nu - 1)
+           * _poch(RATIONAL.make(-nu), h)
+           * _poch_signed(RATIONAL.make(Fraction(n + nu - j + 2, 2)),
                           j - nu - 1))
-    den = (_poch(backend.make(_HALF), nu - 1)
+    den = (_poch(RATIONAL.make(_HALF), nu - 1)
            * factorial((n + nu + j) // 2))
     return num / den
 
 
 @lru_cache(maxsize=200_000)
-def _cheb_d_f43(m: int, nu: int, j: int, backend) -> Scalar:
-    half = backend.make(_HALF)
-    return hyp_pfq([1, -m, m, nu + half], [half, nu - j + 1, j + nu + 1],
-                   backend.one())
+def _cheb_d_f43(m: int, nu: int, j: int) -> Scalar:
+    return hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
 
 
-def chebyshev_d(nu: int, j: int, n: int, m: int, backend) -> Scalar:
-    half = backend.make(_HALF)
-    lead = backend.make(2) ** (2 - (1 if j == 0 else 0))
-    num = (lead * _sign(m + n) * _poch(backend.make(-n), nu - 1)
-           * _poch(backend.make(n), nu - 1) * (nu - half))
+def chebyshev_d(nu: int, j: int, n: int, m: int) -> Scalar:
+    lead = 2 if j == 0 else 4
+    num = (lead * _sign(m + n) * _poch(RATIONAL.make(-n), nu - 1)
+           * _poch(RATIONAL.make(n), nu - 1) * (nu - _HALF))
     den = factorial(nu - j) * factorial(j + nu)
-    return num / den * _cheb_d_f43(m, nu, j, backend)
+    return num / den * _cheb_d_f43(m, nu, j)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +257,6 @@ def chebyshev_d(nu: int, j: int, n: int, m: int, backend) -> Scalar:
 
 def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
     """Piecewise closed form, m <= n assumed; j in [0, m+n+1]."""
-    be = alpha.backend
 
     def tail(idx: int) -> Scalar:
         # (alpha - 1)_(m+n+1-idx) / (m+n+1-idx)!
@@ -299,7 +275,7 @@ def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
     if j == n:
         return _poch(alpha, m) / factorial(m)
     if j >= m + 1:
-        return be.zero()
+        return RATIONAL.zero()
     if j == m:
         return _poch(alpha, n + 1) / factorial(n + 1)
     return tail(j)
@@ -317,9 +293,9 @@ def _varpi(spec: FamilySpec, m: int, n: int, j: int, nu: int) -> Scalar:
     if f is Family.SYMMETRIC_JACOBI:
         return sym_jacobi_varpi(m, n, j, nu, spec.alpha)
     if f is Family.LEGENDRE:
-        return legendre_varpi(m, n, j, nu, spec.backend)
+        return legendre_varpi(m, n, j, nu)
     if f is Family.CHEBYSHEV:
-        return chebyshev_varpi(m, n, j, nu, spec.backend)
+        return chebyshev_varpi(m, n, j, nu)
     raise ValueError(f"no varpi form for {f.value}")
 
 
@@ -330,9 +306,9 @@ def _dterm(spec: FamilySpec, nu: int, j: int, n: int, m: int) -> Scalar:
     if f is Family.SYMMETRIC_JACOBI:
         return sym_jacobi_d(nu, j, n, m, spec.alpha)
     if f is Family.LEGENDRE:
-        return legendre_d(nu, j, n, m, spec.backend)
+        return legendre_d(nu, j, n, m)
     if f is Family.CHEBYSHEV:
-        return chebyshev_d(nu, j, n, m, spec.backend)
+        return chebyshev_d(nu, j, n, m)
     raise ValueError(f"no d form for {f.value}")
 
 
@@ -345,12 +321,12 @@ def _gegenbauer_scale(lam: Scalar, m: int, n: int, j: int) -> Scalar:
 
 def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """The coefficient rho_{j,n}^m in the family's own normalization,
-    from the closed forms.  Swaps (m, n) when m > n (commutativity)."""
-    be = spec.backend
+    from the closed forms, exact whatever the spec's backend.  Swaps (m, n)
+    when m > n (commutativity)."""
     if m < 0 or n < 0:
         raise IndexContractError("degrees must be nonnegative")
     if j < 0 or j > m + n + 1:
-        return be.zero()
+        return RATIONAL.zero()
     if m > n:
         m, n = n, m
 
@@ -358,8 +334,7 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     if f is Family.LAGUERRE:
         return laguerre_rho(spec.alpha, m, n, j)
     if f is Family.GEGENBAUER:
-        sym = FamilySpec(Family.SYMMETRIC_JACOBI, alpha=spec.lam - _HALF,
-                         backend=be)
+        sym = FamilySpec(Family.SYMMETRIC_JACOBI, alpha=spec.lam - _HALF)
         return _gegenbauer_scale(spec.lam, m, n, j) * rho_closed(sym, m, n, j)
     if f is Family.GENERIC_MONIC:
         raise ValueError(
@@ -368,13 +343,13 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
         )
 
     if j >= max(m + 1, n - m - 1):
-        total = be.zero()
+        total = RATIONAL.zero()
         for nu in range(max(1, abs(j - n)), m + 2):
             total = total + _varpi(spec, m, n, j, nu)
         return total
     if m + 1 <= j <= n - m - 2:
-        return be.zero()
-    total = be.zero()
+        return RATIONAL.zero()
+    total = RATIONAL.zero()
     for nu in range(1, j + 1):
         total = total + _varpi(spec, n, m, j, nu)
     for nu in range(j + 1, n + 2):
@@ -415,9 +390,8 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     the Legendre case.  Laguerre has no such relation.
     """
     f = spec.family
-    be = spec.backend
     if f is Family.LEGENDRE:
-        return _sign(n + j) * be.make(Fraction(2 * n + 1, 2 * j + 1))
+        return _sign(n + j) * RATIONAL.make(Fraction(2 * n + 1, 2 * j + 1))
     if f is Family.LAGUERRE or f is Family.GENERIC_MONIC:
         raise IndexContractError(f"{f.value} has no symmetry scaling")
     if j < m + 1 or n < m + 1:
@@ -435,7 +409,7 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
 
     if f is Family.CHEBYSHEV:
         # T-normalized limit of the symmetric relation at alpha = -1/2
-        return _sign(n + j) * be.make(Fraction(j, n))
+        return _sign(n + j) * RATIONAL.make(Fraction(j, n))
 
     alpha, _ = spec.jacobi_parameters()
     num = ((2 * alpha + (2 * n + 1)) * _poch(2 * alpha + 1, n) ** 2
@@ -472,18 +446,17 @@ class BatemanTensor:
     coeffs: dict
 
     def coefficient(self, k: int, j: int) -> Scalar:
-        return self.coeffs.get((k, j), self.alpha.backend.zero())
+        return self.coeffs.get((k, j), RATIONAL.zero())
 
 
 def bateman_tensor(m: int, alpha: Scalar, beta: Scalar) -> BatemanTensor:
     """Tensor-product expansion coefficients of the shifted difference
     kernel for Jacobi parameters (alpha, beta)."""
-    be = alpha.backend
     s = alpha + beta
     coeffs = {}
     for k in range(m + 1):
         for j in range(m - k + 1):
-            total = be.zero()
+            total = RATIONAL.zero()
             for nu in range(k, m - j + 1):
                 pref = (_sign(nu) * (s + (2 * k + 1))
                         * _poch(beta + (k + 1), nu - k)
@@ -495,7 +468,7 @@ def bateman_tensor(m: int, alpha: Scalar, beta: Scalar) -> BatemanTensor:
                 f = hyp_pfq(
                     [j - m + nu, alpha + (j + 1), s + (j + m + nu + 1)],
                     [alpha + (j + nu + 1), s + (2 * j + 2)],
-                    be.one(),
+                    1,
                 )
                 total = total + pref * mid * f
             coeffs[(k, j)] = total
@@ -541,22 +514,17 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
     with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a) and d the
     Kronecker delta; the j = 0 entry closes the column through
     sum_j rho_{j,n+1} P_j(-a) = 0, since the convolution vanishes at
-    x = -2a.  O(1) exact operations per entry.  Float specs are evaluated
-    exactly at their binary parameters; a non-dyadic parameter such as 1/3
-    rounded to a float spec makes every entry a huge rational, so pass the
-    rational spec instead and round the result with `RhoTable.to_backend`
-    or `ConvMatrix.to_backend`, as the CLI does.
+    x = -2a.  O(1) exact operations per entry.
     """
     if m < 0 or nmax < 0:
         raise IndexContractError("degrees must be nonnegative")
-    exact = spec.to_backend(RATIONAL)
     top = m + nmax + 2
-    coeffs = [[c.as_fraction() for c in derivative_connection(exact, k)]
+    coeffs = [[c.as_fraction() for c in derivative_connection(spec, k)]
               for k in range(top + 1)]
     a, b, c = zip(*coeffs)
     ends = [v.as_fraction()
-            for v in eval_polys(exact, top, -exact.domain_offset_a)]
-    cols = [[v.as_fraction() for v in rho_closed_vector(exact, m, 0)]]
+            for v in eval_polys(spec, top, -spec.domain_offset_a)]
+    cols = [[v.as_fraction() for v in rho_closed_vector(spec, m, 0)]]
     zero = Fraction(0)
     for n in range(nmax):
         size = m + n + 3
@@ -603,10 +571,8 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
     if j > m + n + 1:
         return True
     if spec.family is Family.LAGUERRE:
-        exact = spec if isinstance(spec.backend, RationalBackend) \
-            else spec.to_backend(RATIONAL)
         mm, nn = (m, n) if m <= n else (n, m)
-        return laguerre_rho(exact.alpha, mm, nn, j) == 0
+        return laguerre_rho(spec.alpha, mm, nn, j) == 0
     if spec.family is Family.LEGENDRE and (n > j + m + 1 or m > j + n + 1):
         # full symmetry in (j, n, m): support is the tilted band where no
         # index exceeds the sum of the others plus one
@@ -617,8 +583,8 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
 
 def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
     """log10 |rho| on the grid; None marks exact zeros.  Every cell is
-    computed exactly by `rho_columns` whatever the spec's backend, so zeros
-    are exact and the logarithm is taken of the exact value."""
+    computed exactly by `rho_columns`, so zeros are exact and the logarithm
+    is taken of the exact value."""
     cols = rho_columns(spec, m, nmax)
     grid = []
     for j in range(jmax + 1):

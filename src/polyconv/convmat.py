@@ -22,12 +22,14 @@ from fractions import Fraction
 from .basis import FamilySpec
 from .closed_forms import rho_closed_vector, rho_columns
 from .errors import FamilyMismatchError
+from .scalars import RATIONAL
 
 
 @dataclass
 class SeriesCoeffs:
     """Coefficients of a finite expansion in a family basis; index =
-    degree."""
+    degree.  Each coefficient is made in the family's backend, so a float
+    backend rounds it."""
 
     family: FamilySpec
     coeffs: list
@@ -40,6 +42,12 @@ class SeriesCoeffs:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
+
+    def to_backend(self, backend) -> "SeriesCoeffs":
+        """The series with every coefficient rounded to `backend`."""
+        if backend == self.family.backend:
+            return self
+        return SeriesCoeffs(self.family.to_backend(backend), self.coeffs)
 
 
 @dataclass
@@ -66,8 +74,7 @@ class ConvMatrix:
                 f"series has {len(b.coeffs)} coefficients but the matrix "
                 f"has {self.n_cols} columns"
             )
-        zero = self.family.backend.zero()
-        out = [zero] * self.n_rows
+        out = [RATIONAL.zero()] * self.n_rows
         for n, bn in enumerate(b.coeffs):
             if bn == 0:
                 continue
@@ -79,12 +86,11 @@ class ConvMatrix:
         """The matrix with every entry rounded to `backend`."""
         if backend == self.family.backend:
             return self
-        spec = self.family.to_backend(backend)
-        f = SeriesCoeffs(spec, [c.to_backend(backend)
-                                for c in self.f_coeffs.coeffs])
         entries = [[v.to_backend(backend) for v in row]
                    for row in self.entries]
-        return ConvMatrix(spec, f, self.n_cols, entries)
+        return ConvMatrix(self.family.to_backend(backend),
+                          self.f_coeffs.to_backend(backend), self.n_cols,
+                          entries)
 
 
 def _rho_cache(spec: FamilySpec):
@@ -126,14 +132,14 @@ def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
 
 
 def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
-    """Coefficients of the convolution f * g, length M + N + 2."""
+    """Coefficients of the convolution f * g, length M + N + 2, summed
+    exactly and rounded once to the series' backend."""
     if f.family != g.family:
         raise FamilyMismatchError(
             f"cannot convolve {f.family.label()} with {g.family.label()}"
         )
     spec = f.family
-    zero = spec.backend.zero()
-    out = [zero] * (f.degree + g.degree + 2)
+    out = [RATIONAL.zero()] * (f.degree + g.degree + 2)
     rho = _rho_cache(spec)
     for m, am in enumerate(f.coeffs):
         if am == 0:

@@ -5,10 +5,6 @@ class PolyconvError(Exception):
     """Base class for all polyconv errors."""
 
 
-class BackendMismatchError(PolyconvError):
-    """Arithmetic attempted between scalars of different backends."""
-
-
 class NonTerminatingSeriesError(PolyconvError):
     """No numerator parameter of a pFq is a nonpositive integer."""
 

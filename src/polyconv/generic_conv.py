@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .basis import GenericBasisData, gamma_from_b
 from .errors import IndexContractError
-from .scalars import Scalar, factorial
+from .scalars import RATIONAL, Scalar, factorial
 
 
 @dataclass(frozen=True)
@@ -64,9 +64,9 @@ def rho_taylor(data: GenericBasisData, req: RhoRequest) -> Scalar:
     """
     _check_offset(data, req)
     m, n, j = req.m, req.n, req.j
-    total = data.backend.zero()
+    total = RATIONAL.zero()
     for p in range(j, m + n + 2):
-        inner = data.backend.zero()
+        inner = RATIONAL.zero()
         for nu in range(max(1, p - m), min(p, n + 1) + 1):
             # d^{p-nu} P_m vanishes for p-nu > m, d^{nu-1} P_n for nu-1 > n
             inner = inner + data.deriv(m, p - nu) * data.deriv(n, nu - 1)
@@ -84,7 +84,7 @@ def rho_highj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     m, n, j = req.m, req.n, req.j
     if j <= m:
         raise IndexContractError(f"rho_highj needs j >= m+1, got j={j}, m={m}")
-    total = data.backend.zero()
+    total = RATIONAL.zero()
     for nu in range(max(1, j - n), m + 2):
         gamma = gamma_from_b(data, n, 0, j - nu, j)
         total = total + gamma * data.deriv(m, nu - 1)
@@ -102,12 +102,12 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     m, n, j = req.m, req.n, req.j
     if j > m:
         raise IndexContractError(f"rho_lowj needs j <= m, got j={j}, m={m}")
-    total = data.backend.zero()
+    total = RATIONAL.zero()
     for nu in range(1, j + 1):
         gamma = gamma_from_b(data, m, 0, j - nu, j)
         total = total + gamma * data.deriv(n, nu - 1)
     for nu in range(j + 1, n + 2):
-        inner = data.backend.zero()
+        inner = RATIONAL.zero()
         for p in range(m + 1):
             inner = inner + (data.b(p + nu, j) / factorial(p + nu)
                              * data.deriv(m, p))

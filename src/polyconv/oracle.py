@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import Family, FamilySpec
-from .scalars import RATIONAL, RationalBackend, Scalar
+from .scalars import RATIONAL, Scalar
 
 _ZERO = Fraction(0)
 
@@ -76,8 +76,6 @@ def _add_scaled(target: list, poly_coeffs, scale: Fraction) -> None:
 def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
     """Exact monomial coefficients of the degree-n family polynomial,
     obtained from the three-term recurrence on coefficient arrays."""
-    if not isinstance(spec.backend, RationalBackend):
-        raise ValueError("the oracle works in the exact rational backend only")
     if n < 0:
         raise ValueError("degree must be nonnegative")
     f = spec.family

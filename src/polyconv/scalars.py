@@ -1,26 +1,26 @@
-"""Dual-backend scalar arithmetic and combinatorial primitives.
+"""Exact scalar arithmetic and combinatorial primitives.
 
-Every coefficient in this package is a :class:`Scalar`: either an exact
-rational (arbitrary-size integers, the default) or a binary float of
-declared precision backed by mpmath.  The backends never mix silently;
-combining scalars from different backends raises
-:class:`~polyconv.errors.BackendMismatchError`.  Plain ``int`` and
-``Fraction`` operands are coerced, since they are exact in both backends.
+Every coefficient in this package is a :class:`Scalar` holding an exact
+``Fraction``.  Arithmetic never rounds: its result is a rational scalar
+whatever backends its operands carry.  A backend is only a tag saying how a
+value is printed.  :data:`RATIONAL` prints the fraction itself;
+``FloatBackend(bits)`` rounds a value once, when the value is made, to a
+binary float of that precision (stored exactly as the dyadic rational it
+is) and prints it as a decimal.  That rounding and printing is the only
+code that touches mpmath, and it imports mpmath on first use, so a rational
+run never loads it.  Plain ``int`` and ``Fraction`` operands are coerced.
 
 On top of the scalar type sit the primitives every coefficient formula is
 built from: rising factorials (Pochhammer symbols), terminating generalized
 hypergeometric sums, and gamma-quotient reduction to Pochhammer products so
-the rational backend never needs a transcendental gamma.
+no transcendental gamma is ever needed.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import (
-    BackendMismatchError,
     DenominatorPoleError,
     GammaPoleError,
     NonIntegerGapError,
@@ -29,29 +29,25 @@ from .errors import (
 
 
 class RationalBackend:
-    """Exact arithmetic over ``fractions.Fraction`` (closed, no rounding)."""
+    """Exact values printed as fractions."""
 
     name = "rational"
 
     def make(self, value) -> "Scalar":
         if isinstance(value, Scalar):
-            if value.backend == self:
-                return value
-            raise BackendMismatchError(
-                f"cannot reinterpret {value.backend.name} scalar as rational; "
-                "convert explicitly"
-            )
-        if isinstance(value, (int, Fraction)):
+            return value if value.backend == self else Scalar(self, value.value)
+        if isinstance(value, (int, Fraction, str)):
             return Scalar(self, Fraction(value))
-        if isinstance(value, str):
-            return Scalar(self, Fraction(value))
-        raise TypeError(f"cannot build a rational scalar from {value!r}")
+        raise TypeError(f"cannot build a scalar from {value!r}")
 
     def zero(self) -> "Scalar":
         return Scalar(self, Fraction(0))
 
     def one(self) -> "Scalar":
         return Scalar(self, Fraction(1))
+
+    def format(self, value: Fraction) -> str:
+        return str(value)
 
     def __eq__(self, other):
         return isinstance(other, RationalBackend)
@@ -63,8 +59,16 @@ class RationalBackend:
         return "RationalBackend()"
 
 
+RATIONAL = RationalBackend()
+
+
 class FloatBackend:
-    """Binary floats of fixed precision (bits); operations round to it."""
+    """Rounding to binary floats of fixed precision (bits) for output.
+
+    `make` rounds the exact value to nearest at `precision` bits and tags
+    the result, whose exact dyadic value is kept; `str` of a tagged value
+    prints it in decimal with all its digits.
+    """
 
     def __init__(self, precision: int = 256):
         if precision < 53:
@@ -75,34 +79,29 @@ class FloatBackend:
     def name(self) -> str:
         return f"float:{self.precision}"
 
-    def make(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            if value.backend == self:
-                return value
-            if isinstance(value.value, Fraction):
-                return self._from_fraction(value.value)
-            raise BackendMismatchError(
-                f"cannot reinterpret {value.backend.name} scalar at precision "
-                f"{self.precision}; convert explicitly"
-            )
-        if isinstance(value, int):
-            with mpmath.workprec(self.precision):
-                return Scalar(self, mpmath.mpf(value))
-        if isinstance(value, Fraction):
-            return self._from_fraction(value)
-        if isinstance(value, str):
-            return self._from_fraction(Fraction(value))
-        raise TypeError(f"cannot build a float scalar from {value!r}")
+    def _mpf(self, value: Fraction):
+        """`value` as an mpmath float rounded to `precision` bits."""
+        import mpmath
 
-    def _from_fraction(self, fr: Fraction) -> "Scalar":
         with mpmath.workprec(self.precision):
-            return Scalar(self, mpmath.mpf(fr.numerator) / fr.denominator)
+            return mpmath.mpf(value.numerator) / value.denominator
+
+    def make(self, value) -> "Scalar":
+        if isinstance(value, Scalar) and value.backend == self:
+            return value
+        sign, man, exp, _ = self._mpf(RATIONAL.make(value).value)._mpf_
+        return Scalar(self, Fraction(-man if sign else man) * Fraction(2) ** exp)
 
     def zero(self) -> "Scalar":
-        return Scalar(self, mpmath.mpf(0))
+        return Scalar(self, Fraction(0))
 
     def one(self) -> "Scalar":
-        return Scalar(self, mpmath.mpf(1))
+        return Scalar(self, Fraction(1))
+
+    def format(self, value: Fraction) -> str:
+        import mpmath
+
+        return mpmath.nstr(self._mpf(value), int(self.precision * 0.30103) + 3)
 
     def __eq__(self, other):
         return isinstance(other, FloatBackend) and other.precision == self.precision
@@ -114,11 +113,9 @@ class FloatBackend:
         return f"FloatBackend({self.precision})"
 
 
-RATIONAL = RationalBackend()
-
-
 class Scalar:
-    """A number in a fixed backend.  Immutable and hashable."""
+    """An exact rational value with the backend tag that prints it.
+    Immutable and hashable; equality and hashing see the value only."""
 
     __slots__ = ("backend", "value")
 
@@ -131,31 +128,20 @@ class Scalar:
 
     # -- coercion ---------------------------------------------------------
 
-    def _other(self, other):
-        """Return the raw backend value of `other`, or None if unsupported."""
+    @staticmethod
+    def _other(other):
+        """The exact value of `other`, or None if unsupported."""
         if isinstance(other, Scalar):
-            if other.backend != self.backend:
-                raise BackendMismatchError(
-                    f"mixed-backend arithmetic: {self.backend.name} with "
-                    f"{other.backend.name}"
-                )
             return other.value
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return other
-        if isinstance(other, Fraction):
-            if isinstance(self.backend, RationalBackend):
-                return other
-            return self.backend.make(other).value
         return None
 
     def _binop(self, other, op):
         v = self._other(other)
         if v is None:
             return NotImplemented
-        if isinstance(self.backend, FloatBackend):
-            with mpmath.workprec(self.backend.precision):
-                return Scalar(self.backend, op(self.value, v))
-        return Scalar(self.backend, op(self.value, v))
+        return Scalar(RATIONAL, op(self.value, v))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -184,26 +170,18 @@ class Scalar:
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
             return NotImplemented
-        if isinstance(self.backend, FloatBackend):
-            with mpmath.workprec(self.backend.precision):
-                return Scalar(self.backend, self.value ** exponent)
-        return Scalar(self.backend, self.value ** exponent)
+        return Scalar(RATIONAL, self.value ** exponent)
 
     def __neg__(self):
-        return Scalar(self.backend, -self.value)
+        return Scalar(RATIONAL, -self.value)
 
     def __abs__(self):
-        return Scalar(self.backend, abs(self.value))
+        return Scalar(RATIONAL, abs(self.value))
 
     # -- comparisons ------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, Scalar) and other.backend != self.backend:
-            return False
-        try:
-            v = self._other(other)
-        except BackendMismatchError:
-            return False
+        v = self._other(other)
         if v is None:
             return NotImplemented
         return self.value == v
@@ -233,7 +211,7 @@ class Scalar:
         return self.value >= v
 
     def __hash__(self):
-        return hash((self.backend, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -241,33 +219,21 @@ class Scalar:
     # -- conversions ------------------------------------------------------
 
     def is_integer(self) -> bool:
-        if isinstance(self.value, Fraction):
-            return self.value.denominator == 1
-        return mpmath.isint(self.value)
+        return self.value.denominator == 1
 
     def as_fraction(self) -> Fraction:
-        """Exact rational value (every binary float is a dyadic rational)."""
-        if isinstance(self.value, Fraction):
-            return self.value
-        sign, man, exp, _ = self.value._mpf_
-        fr = Fraction(man) * Fraction(2) ** exp
-        return -fr if sign else fr
+        return self.value
 
     def to_backend(self, backend) -> "Scalar":
-        """Explicit conversion; rational -> float rounds, float -> rational
-        is exact."""
-        if backend == self.backend:
-            return self
-        return backend.make(self.as_fraction())
+        """The value made in `backend`: rounded for a float backend, the
+        same exact value for the rational one."""
+        return backend.make(self)
 
     def __float__(self):
         return float(self.value)
 
     def __str__(self):
-        if isinstance(self.value, Fraction):
-            return str(self.value)
-        dps = int(self.backend.precision * 0.30103) + 3
-        return mpmath.nstr(self.value, dps)
+        return self.backend.format(self.value)
 
     def __repr__(self):
         return f"Scalar({self.backend.name}, {self})"
@@ -278,28 +244,15 @@ def as_scalar(value, backend=RATIONAL) -> Scalar:
     return backend.make(value)
 
 
-def _backend_of(*values):
-    for v in values:
-        if isinstance(v, Scalar):
-            return v.backend
-    return RATIONAL
-
-
 def as_integer(value):
-    """The exact integer a value represents, or None.
-
-    Works for ints, integral Fractions, integral rational scalars, and
-    integral binary floats (dyadic, so the test is exact).
-    """
+    """The exact integer a value represents, or None (ints, Fractions and
+    scalars)."""
     if isinstance(value, int):
         return value
+    if isinstance(value, Scalar):
+        value = value.value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else None
-    if isinstance(value, Scalar):
-        if isinstance(value.value, Fraction):
-            v = value.value
-            return v.numerator if v.denominator == 1 else None
-        return int(value.value) if mpmath.isint(value.value) else None
     return None
 
 
@@ -312,9 +265,8 @@ def pochhammer(z, n: int) -> Scalar:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1."""
     if n < 0:
         raise ValueError("pochhammer order must be nonnegative")
-    backend = _backend_of(z)
-    z = backend.make(z)
-    acc = backend.one()
+    z = RATIONAL.make(z)
+    acc = RATIONAL.one()
     for step in range(n):
         acc = acc * (z + step)
     return acc
@@ -332,15 +284,14 @@ def gamma_quotient(top, gap: int) -> Scalar:
     gamma at a nonpositive integer not cancelled by the denominator).
     A pole in the denominator gamma alone yields an exact zero.
     """
-    backend = _backend_of(top)
-    top = backend.make(top)
+    top = RATIONAL.make(top)
     if gap >= 0:
         den = pochhammer(top, gap)
         if den == 0:
             raise GammaPoleError(
                 f"gamma quotient pole: ({top})_{gap} vanishes"
             )
-        return backend.one() / den
+        return 1 / den
     return pochhammer(top + gap, -gap)
 
 
@@ -365,11 +316,9 @@ def hyp_pfq_terminating(spec: PFQSpec) -> Scalar:
     integer -t, and the sum runs over k = 0..t.  A denominator parameter
     hitting zero before termination raises DenominatorPoleError.
     """
-    backend = _backend_of(spec.argument, *spec.numerator_params,
-                          *spec.denominator_params)
-    x = backend.make(spec.argument)
-    nums = [backend.make(a) for a in spec.numerator_params]
-    dens = [backend.make(b) for b in spec.denominator_params]
+    x = RATIONAL.make(spec.argument)
+    nums = [RATIONAL.make(a) for a in spec.numerator_params]
+    dens = [RATIONAL.make(b) for b in spec.denominator_params]
 
     t = None
     for a in nums:
@@ -387,9 +336,7 @@ def hyp_pfq_terminating(spec: PFQSpec) -> Scalar:
                 f"denominator parameter {b} vanishes at k = {-ib} <= {t - 1}"
             )
 
-    one = backend.one()
-    term = one
-    total = one
+    term = total = RATIONAL.one()
     for k in range(t):
         for a in nums:
             term = term * (a + k)
@@ -402,10 +349,9 @@ def hyp_pfq_terminating(spec: PFQSpec) -> Scalar:
 
 def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
     """Convenience wrapper building a PFQSpec."""
-    backend = _backend_of(argument, *numerator_params, *denominator_params)
     return hyp_pfq_terminating(
         PFQSpec(tuple(numerator_params), tuple(denominator_params),
-                backend.make(argument))
+                RATIONAL.make(argument))
     )
 
 
@@ -414,11 +360,8 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _fraction_part_key(s: Scalar):
-    if isinstance(s.value, Fraction):
-        v = s.value
-        return v - math.floor(v)
-    return s.value - mpmath.floor(s.value)
+def _fraction_part_key(s: Scalar) -> Fraction:
+    return s.value - math.floor(s.value)
 
 
 def gamma_ratio(num, den) -> Scalar:
@@ -430,9 +373,8 @@ def gamma_ratio(num, den) -> Scalar:
     An uncancelled numerator pole raises GammaPoleError; a denominator
     pole alone makes the whole quotient exactly zero.
     """
-    backend = _backend_of(*num, *den)
-    nums = [backend.make(u) for u in num]
-    dens = [backend.make(v) for v in den]
+    nums = [RATIONAL.make(u) for u in num]
+    dens = [RATIONAL.make(v) for v in den]
     if len(nums) != len(dens):
         raise NonIntegerGapError(
             "gamma quotient needs equally many numerator and denominator "
@@ -478,8 +420,8 @@ def gamma_ratio(num, den) -> Scalar:
                 )
             factors.append((p, True))
     if saw_zero:
-        return backend.zero()
-    out = backend.one()
+        return RATIONAL.zero()
+    out = RATIONAL.one()
     for p, invert in factors:
         out = out / p if invert else out * p
     return out
@@ -487,11 +429,8 @@ def gamma_ratio(num, den) -> Scalar:
 
 def log10_abs(s: Scalar) -> float:
     """log10 |s| as a machine float; -inf for zero.  Exact-integer logs are
-    used for rationals so huge magnitudes cannot overflow."""
+    used so huge magnitudes cannot overflow."""
     if s == 0:
         return float("-inf")
-    if isinstance(s.value, Fraction):
-        v = abs(s.value)
-        return (math.log10(v.numerator) - math.log10(v.denominator))
-    with mpmath.workprec(s.backend.precision):
-        return float(mpmath.log10(abs(s.value)))
+    v = abs(s.value)
+    return math.log10(v.numerator) - math.log10(v.denominator)

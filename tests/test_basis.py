@@ -6,7 +6,7 @@ import pytest
 from polyconv import basis, oracle
 from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexOutOfRangeError, MissingDataError
-from polyconv.scalars import RATIONAL, pochhammer
+from polyconv.scalars import RATIONAL, FloatBackend, pochhammer
 
 
 def all_families():
@@ -74,6 +74,16 @@ class TestFamilySpec:
     def test_config_has_string_parameters(self):
         cfg = basis.jacobi(Fraction(5, 2), Fraction(3, 2)).to_config()
         assert cfg == {"family": "jacobi", "alpha": "5/2", "beta": "3/2"}
+
+
+    def test_float_spec_parameters_stay_exact(self):
+        fb = FloatBackend(256)
+        spec = basis.jacobi(Fraction(1, 3), Fraction(1, 5), backend=fb)
+        assert spec.alpha.as_fraction() == Fraction(1, 3)
+        assert spec.beta.as_fraction() == Fraction(1, 5)
+        assert spec.backend == fb
+        assert spec.to_backend(RATIONAL) == \
+            basis.jacobi(Fraction(1, 3), Fraction(1, 5))
 
 
 class TestEvalPoly:

@@ -1,11 +1,21 @@
 import io
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
+import polyconv
 from polyconv import basis, convmat
 from polyconv.cli import main, read_series, run_verification, write_series
+from polyconv.errors import PolyconvError
 from polyconv.scalars import FloatBackend
+
+JACOBI_F = "# family=jacobi alpha=1/3 beta=1/5\n0,1/3\n1,-2\n2,0.1\n3,5/7\n"
+JACOBI_G = "# family=jacobi alpha=1/3 beta=1/5\n" + "".join(
+    f"{i},{(-1) ** i}/{i + 2}\n" for i in range(10))
 
 
 def write_file(path, text):
@@ -52,6 +62,11 @@ class TestCoeffsCommand:
 
     def test_unknown_family_is_usage_error(self):
         assert main(["coeffs", "--family", "hermite", "--m", "0",
+                     "--jmax", "1", "--nmax", "1"]) == 2
+
+    @pytest.mark.parametrize("command", ["coeffs", "figure"])
+    def test_generic_monic_is_usage_error(self, command):
+        assert main([command, "--family", "generic_monic", "--m", "0",
                      "--jmax", "1", "--nmax", "1"]) == 2
 
     def test_missing_parameter_is_reported(self, capsys):
@@ -130,6 +145,25 @@ class TestSeriesIO:
         with pytest.raises(Exception):
             read_series(str(path))
 
+    @pytest.mark.parametrize("text,line,detail", [
+        ("# family=legendre\n0,1\n1,2\n\n0,3\n", 5, "index 0 given twice"),
+        ("# family=legendre\n0,1\n-1,2\n", 3, "negative index -1"),
+        ("# family=legendre\n\n", 1, "no coefficient rows"),
+        ("# family=legendre\n0,1\n1,\n", 3, "got '1,'"),
+        ("\n# family=jacobi alpha=1/3\n0,1\n", 2, "parameter 'beta'"),
+    ], ids=["duplicate_index", "negative_index", "no_rows", "empty_value",
+            "bad_header"])
+    def test_malformed_series_names_file_and_line(self, tmp_path, capsys,
+                                                  text, line, detail):
+        path = tmp_path / "bad.csv"
+        write_file(path, text)
+        with pytest.raises(PolyconvError) as info:
+            read_series(str(path))
+        assert str(info.value).startswith(f"{path}:{line}: ")
+        assert detail in str(info.value)
+        assert main(["convolve", "--f", str(path), "--g", str(path)]) == 1
+        assert f"{path}:{line}: " in capsys.readouterr().err
+
 
 class TestMatrixAndConvolve:
     def test_matrix_and_convolve_agree(self, tmp_path):
@@ -185,6 +219,23 @@ class TestMatrixAndConvolve:
                                       for v in row)
                              for row in exact.entries]
 
+    def test_float_backend_rounds_the_exact_convolution(self, tmp_path):
+        f = tmp_path / "f.csv"
+        g = tmp_path / "g.csv"
+        write_file(f, JACOBI_F)
+        write_file(g, JACOBI_G)
+        out = tmp_path / "c.csv"
+        assert main(["convolve", "--f", str(f), "--g", str(g),
+                     "--backend", "float:128", "--out", str(out)]) == 0
+        exact = convmat.convolve_series(read_series(str(f)),
+                                        read_series(str(g)))
+        fb = FloatBackend(128)
+        lines = out.read_text().splitlines()
+        assert lines[0] == "# family=jacobi alpha=1/3 beta=1/5"
+        assert lines[1:] == [f"{i},{fb.make(v.as_fraction())}"
+                             for i, v in enumerate(exact.coeffs)]
+        assert len(lines) == 1 + 14
+
     def test_triplet_format(self, tmp_path):
         f = tmp_path / "f.csv"
         write_file(f, "# family=laguerre alpha=0\n0,1\n")
@@ -214,13 +265,41 @@ class TestDeterminism:
         write_series(series, buf)
         path = tmp_path / "s.csv"
         write_file(path, buf.getvalue())
-        again = read_series(str(path), backend=fb)
+        again = read_series(str(path))
         for a, b in zip(again.coeffs, series.coeffs):
             if b == 0:
                 assert a == 0
             else:
                 rel = abs((a - b) / b)
                 assert rel < fb.make(Fraction(1, 2 ** 100))
+
+
+def test_rational_runs_do_not_import_mpmath(tmp_path):
+    # mpmath only rounds and prints float output, so a rational run of
+    # every computing command must not load it
+    write_file(tmp_path / "f.csv", JACOBI_F)
+    write_file(tmp_path / "g.csv", JACOBI_G)
+    script = textwrap.dedent(f"""
+        import os, sys
+        from polyconv.cli import main
+        os.chdir({str(tmp_path)!r})
+        runs = [
+            ["figure", "--family", "jacobi", "--alpha", "1/3", "--beta",
+             "1/5", "--m", "4", "--jmax", "9", "--nmax", "9",
+             "--out", "fig.csv"],
+            ["matrix", "--f", "f.csv", "--N", "4", "--out", "R.csv"],
+            ["convolve", "--f", "f.csv", "--g", "g.csv", "--out", "c.csv"],
+            ["verify", "--max-degree", "2"],
+        ]
+        codes = [main(argv) for argv in runs]
+        print(codes, "mpmath" in sys.modules)
+    """)
+    src = os.path.dirname(os.path.dirname(polyconv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
 
 
 class TestVerify:

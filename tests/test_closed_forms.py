@@ -93,9 +93,9 @@ class TestInnerTerms:
         assert cf._jacobi_d_f43(0, 1, 0, spec.alpha, spec.beta) == 1
 
     def test_legendre_d_reduces_rationally(self):
-        v = cf.legendre_d(2, 0, 1, 0, RATIONAL)
+        v = cf.legendre_d(2, 0, 1, 0)
         assert v.as_fraction() == Fraction(2, 3)
-        v = cf.legendre_d(1, 0, 1, 0, RATIONAL)
+        v = cf.legendre_d(1, 0, 1, 0)
         assert v.as_fraction() == -1
 
 
@@ -230,7 +230,7 @@ class TestNormalizationScalings:
         for m in range(4):
             for n in range(4):
                 for j in range(m + n + 2):
-                    scale = cf._cheb_scale(m, n, j, RATIONAL)
+                    scale = cf._cheb_scale(m, n, j)
                     assert cf.rho_closed(cheb, m, n, j) == \
                         scale * cf.rho_closed(sym, m, n, j)
 

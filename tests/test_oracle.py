@@ -40,11 +40,13 @@ class TestToMonomial:
         assert oracle.to_monomial(basis.gegenbauer(Fraction(3, 2)), 2).coeffs \
             == [Fraction(-3, 2), Fraction(0), Fraction(15, 2)]
 
-    def test_float_backend_rejected(self):
+    def test_float_spec_is_exact(self):
+        # a float spec only rounds output; its parameters stay exact
         from polyconv.scalars import FloatBackend
-        spec = basis.legendre(backend=FloatBackend(64))
-        with pytest.raises(ValueError):
-            oracle.to_monomial(spec, 1)
+        spec = basis.jacobi(Fraction(1, 3), Fraction(1, 5),
+                            backend=FloatBackend(64))
+        assert oracle.to_monomial(spec, 3).coeffs == oracle.to_monomial(
+            basis.jacobi(Fraction(1, 3), Fraction(1, 5)), 3).coeffs
 
 
 class TestConvolveExact:

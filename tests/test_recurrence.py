@@ -115,6 +115,16 @@ class TestTables:
             for n in range(10):
                 assert table.values[j][n] == cf.rho_closed(spec, 4, n, j)
 
+    def test_float_spec_table_rounds_the_exact_table(self):
+        fb = FloatBackend(256)
+        exact = basis.jacobi(Fraction(1, 3), Fraction(1, 5))
+        table = cf.rho_table(exact.to_backend(fb), 15, 66, 66)
+        want = cf.rho_table(exact, 15, 66, 66)
+        assert [[(v.as_fraction(), v.backend) for v in row]
+                for row in table.values] == \
+            [[(fb.make(v).as_fraction(), fb) for v in row]
+             for row in want.values]
+
     def test_float_matrix_agrees_with_rational(self):
         random.seed(41)
         fb = FloatBackend(256)
