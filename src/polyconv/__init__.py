@@ -45,14 +45,9 @@ from .oracle import MonomialPoly, convolve_exact, oracle_rho, project_to_family,
 from .scalars import (
     RATIONAL,
     FloatBackend,
-    PFQSpec,
     RationalBackend,
     Scalar,
-    as_scalar,
-    factorial,
-    gamma_ratio,
     hyp_pfq,
-    hyp_pfq_terminating,
     pochhammer,
 )
 
@@ -66,14 +61,12 @@ __all__ = [
     "FloatBackend",
     "GenericBasisData",
     "MonomialPoly",
-    "PFQSpec",
     "RATIONAL",
     "RationalBackend",
     "RhoRequest",
     "RhoTable",
     "Scalar",
     "SeriesCoeffs",
-    "as_scalar",
     "bateman_tensor",
     "build_matrix",
     "chebyshev",
@@ -82,13 +75,10 @@ __all__ = [
     "convolve_series",
     "endpoint_derivative",
     "eval_poly",
-    "factorial",
     "gamma_from_b",
-    "gamma_ratio",
     "gegenbauer",
     "generic_monic",
     "hyp_pfq",
-    "hyp_pfq_terminating",
     "jacobi",
     "laguerre",
     "legendre",

@@ -28,14 +28,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import IndexOutOfRangeError, MissingDataError
-from .scalars import (
-    RATIONAL,
-    Scalar,
-    factorial,
-    gamma_quotient,
-    hyp_pfq,
-    pochhammer,
-)
+from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, pochhammer
 
 
 class Family(Enum):
@@ -394,8 +387,8 @@ def _jacobi_b(n: int, k: int, alpha: Scalar, beta: Scalar) -> Scalar:
     common = 2 ** n * factorial(n) * pochhammer(beta + 1, n)
     if k == 0:
         # (s+1) Gamma(s+1) / Gamma(s+n+2) = Gamma(s+2) / Gamma(s+n+2)
-        return common * gamma_quotient(s + 2, n) / factorial(n)
-    ratio = gamma_quotient(s + k + 1, n + 1)
+        return common * pochhammer(s + 2 + n, -n) / factorial(n)
+    ratio = pochhammer(s + k + n + 2, -(n + 1))
     return (common * (s + 2 * k + 1) * ratio
             / (pochhammer(beta + 1, k) * factorial(n - k)))
 
@@ -452,14 +445,15 @@ def _symmetric_connection_gamma(n: int, k: int, p: int, q: int,
     if k + q == 0:
         # (alpha+1/2) Gamma(2 alpha+1) merges to Gamma(2 alpha+2)/2
         pref = RATIONAL.make(Fraction(1, 2))
-        r1 = gamma_quotient(2 * alpha + 2, n + p - 1)  # / Gamma(n+p+2alpha+1)
+        # Gamma(2 alpha+2) / Gamma(2 alpha+n+p+1)
+        r1 = pochhammer(2 * alpha + n + p + 1, 1 - n - p)
     else:
         pref = alpha + k + q + Fraction(1, 2)
-        r1 = gamma_quotient(2 * alpha + k + q + 1, n + p - k - q)
-    r2 = gamma_quotient(alpha + n + p + 1, k + q - n - p)
+        r1 = pochhammer(2 * alpha + n + p + 1, k + q - n - p)
+    r2 = pochhammer(alpha + k + q + 1, n + p - k - q)
     half = RATIONAL.make(Fraction(1, 2))
     top3 = alpha + p + half * (k + n + 1)
-    r3 = gamma_quotient(top3, 1 + q - p)
+    r3 = pochhammer(top3 + (1 + q - p), p - q - 1)
     return (pochhammer(p - q, h) * pref * r1 * r2 * r3
             * Fraction(2) ** (p - q) / factorial(h))
 

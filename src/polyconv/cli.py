@@ -343,10 +343,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except PolyconvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (PolyconvError, ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

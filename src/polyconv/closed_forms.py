@@ -20,8 +20,10 @@ matrices in ``convmat``) are not summed cell by cell: ``rho_columns`` fills
 them exactly from one closed-form column by a recurrence in n, and the
 closed forms remain the reference that certifies it.
 
-Everything here is a pure function of its inputs; Pochhammer symbols and
-small hypergeometric factors are memoized across calls.
+Everything here is a pure function of its inputs.  The rising factorials
+come from the one cached helper ``scalars.pochhammer`` (imported as
+``_poch``; a negative order is a gamma quotient), and the small
+hypergeometric factors of the ``d`` terms are memoized across calls.
 """
 
 import csv
@@ -32,27 +34,9 @@ from functools import lru_cache
 from .basis import Family, FamilySpec, derivative_connection, eval_polys
 from .errors import IndexContractError
 from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, log10_abs
+from .scalars import pochhammer as _poch
 
 _HALF = Fraction(1, 2)
-_POCH_STRIDE = 256
-
-
-@lru_cache(maxsize=500_000)
-def _poch(z: Scalar, n: int) -> Scalar:
-    if n == 0:
-        return RATIONAL.one()
-    if n > _POCH_STRIDE:
-        # warm the cache a stride below first, so the recursion depth stays
-        # near _POCH_STRIDE however cold the cache is
-        _poch(z, n - _POCH_STRIDE)
-    return _poch(z, n - 1) * (z + (n - 1))
-
-
-def _poch_signed(z: Scalar, n: int) -> Scalar:
-    """Rising factorial extended to negative order: (z)_{-t} = 1/(z-t)_t."""
-    if n >= 0:
-        return _poch(z, n)
-    return 1 / _poch(z + n, -n)
 
 
 def _sign(k: int) -> int:
@@ -230,8 +214,7 @@ def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
            * _poch(RATIONAL.make(-m), nu - 1)
            * _poch(RATIONAL.make(m), nu - 1)
            * _poch(RATIONAL.make(-nu), h)
-           * _poch_signed(RATIONAL.make(Fraction(n + nu - j + 2, 2)),
-                          j - nu - 1))
+           * _poch(RATIONAL.make(Fraction(n + nu - j + 2, 2)), j - nu - 1))
     den = (_poch(RATIONAL.make(_HALF), nu - 1)
            * factorial((n + nu + j) // 2))
     return num / den

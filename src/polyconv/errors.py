@@ -14,12 +14,9 @@ class DenominatorPoleError(PolyconvError):
     series terminates."""
 
 
-class NonIntegerGapError(PolyconvError):
-    """Gamma-quotient arguments cannot be paired with integer gaps."""
-
-
 class GammaPoleError(PolyconvError):
-    """A gamma quotient has an unmatched pole at a nonpositive integer."""
+    """A Pochhammer symbol of negative order, a gamma quotient, has a pole:
+    (z)_{-t} = 1/(z-t)_t with (z-t)_t = 0."""
 
 
 class IndexOutOfRangeError(PolyconvError):

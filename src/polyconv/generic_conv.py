@@ -27,12 +27,11 @@ from .scalars import RATIONAL, Scalar, factorial
 
 @dataclass(frozen=True)
 class RhoRequest:
-    """One coefficient request: degrees m, n, output index j, offset a."""
+    """One coefficient request: degrees m, n and output index j."""
 
     m: int
     n: int
     j: int
-    a: Scalar
 
     def __post_init__(self):
         if self.m < 0 or self.n < 0:
@@ -44,16 +43,9 @@ class RhoRequest:
             )
 
 
-def _check_offset(data: GenericBasisData, req: RhoRequest) -> None:
-    if req.a != data.domain_offset_a:
-        raise IndexContractError(
-            "request offset does not match the basis data offset"
-        )
-
-
 def request(data: GenericBasisData, m: int, n: int, j: int) -> RhoRequest:
-    """RhoRequest with the offset taken from the data table."""
-    return RhoRequest(m, n, j, data.domain_offset_a)
+    """The RhoRequest for (m, n, j) against `data`."""
+    return RhoRequest(m, n, j)
 
 
 def rho_taylor(data: GenericBasisData, req: RhoRequest) -> Scalar:
@@ -62,7 +54,6 @@ def rho_taylor(data: GenericBasisData, req: RhoRequest) -> Scalar:
         rho_j = sum_{p=j}^{m+n+1} b_{p,j}/p!
                 sum_{nu=1}^{p} d^{p-nu} P_m * d^{nu-1} P_n   (at x = -a).
     """
-    _check_offset(data, req)
     m, n, j = req.m, req.n, req.j
     total = RATIONAL.zero()
     for p in range(j, m + n + 2):
@@ -80,7 +71,6 @@ def rho_highj(data: GenericBasisData, req: RhoRequest) -> Scalar:
         rho_j = sum_{nu=max(1, j-n)}^{m+1} gamma_{n-j+nu,0}^{(j-nu, j)}
                                            * d^{nu-1} P_m |_{x=-a}.
     """
-    _check_offset(data, req)
     m, n, j = req.m, req.n, req.j
     if j <= m:
         raise IndexContractError(f"rho_highj needs j >= m+1, got j={j}, m={m}")
@@ -98,7 +88,6 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
               + sum_{nu=j+1}^{n+1} d^{nu-1} P_n
                     sum_{p=0}^{m} b_{p+nu,j}/(p+nu)! d^p P_m.
     """
-    _check_offset(data, req)
     m, n, j = req.m, req.n, req.j
     if j > m:
         raise IndexContractError(f"rho_lowj needs j <= m, got j={j}, m={m}")
@@ -115,14 +104,12 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     return total
 
 
-def rho_vector(data: GenericBasisData, m: int, n: int, a=None) -> list:
+def rho_vector(data: GenericBasisData, m: int, n: int) -> list:
     """All rho_{j,n}^m for j = 0..m+n+1, via the piecewise formulas.
 
     Swaps (m, n) when m > n, which is free by commutativity of the
     convolution.
     """
-    if a is not None and a != data.domain_offset_a:
-        raise IndexContractError("offset does not match the basis data")
     if m > n:
         m, n = n, m
     out = []

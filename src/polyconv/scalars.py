@@ -11,19 +11,20 @@ code that touches mpmath, and it imports mpmath on first use, so a rational
 run never loads it.  Plain ``int`` and ``Fraction`` operands are coerced.
 
 On top of the scalar type sit the primitives every coefficient formula is
-built from: rising factorials (Pochhammer symbols), terminating generalized
-hypergeometric sums, and gamma-quotient reduction to Pochhammer products so
-no transcendental gamma is ever needed.
+built from: rising factorials (Pochhammer symbols) and terminating
+generalized hypergeometric sums.  One cached helper, :func:`pochhammer`,
+gives the rising factorial of every integer order; a negative order stands
+for a gamma quotient, so no transcendental gamma is ever needed.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import factorial  # noqa: F401  (re-exported for the formulas)
 
 from .errors import (
     DenominatorPoleError,
     GammaPoleError,
-    NonIntegerGapError,
     NonTerminatingSeriesError,
 )
 
@@ -239,11 +240,6 @@ class Scalar:
         return f"Scalar({self.backend.name}, {self})"
 
 
-def as_scalar(value, backend=RATIONAL) -> Scalar:
-    """Coerce ints, Fractions, strings, or scalars into `backend`."""
-    return backend.make(value)
-
-
 def as_integer(value):
     """The exact integer a value represents, or None (ints, Fractions and
     scalars)."""
@@ -257,42 +253,35 @@ def as_integer(value):
 
 
 # ---------------------------------------------------------------------------
-# rising factorials and factorials
+# rising factorials
 # ---------------------------------------------------------------------------
 
+_POCH_STRIDE = 256
 
+
+@lru_cache(maxsize=500_000)
 def pochhammer(z, n: int) -> Scalar:
-    """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1."""
-    if n < 0:
-        raise ValueError("pochhammer order must be nonnegative")
-    z = RATIONAL.make(z)
-    acc = RATIONAL.one()
-    for step in range(n):
-        acc = acc * (z + step)
-    return acc
+    """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
+    (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order.
 
-
-def factorial(n: int) -> int:
-    return math.factorial(n)
-
-
-def gamma_quotient(top, gap: int) -> Scalar:
-    """Gamma(top) / Gamma(top + gap) for an integer gap, as a Pochhammer
-    product.
-
-    Raises GammaPoleError when the quotient itself has a pole (numerator
-    gamma at a nonpositive integer not cancelled by the denominator).
-    A pole in the denominator gamma alone yields an exact zero.
+    `z` is a Scalar, Fraction or int; the result is a rational Scalar.
+    Exact and cached: (z)_n costs one product once (z)_{n-1} is cached.
+    Raises GammaPoleError when a negative order hits a pole, that is when
+    (z-t)_t vanishes.
     """
-    top = RATIONAL.make(top)
-    if gap >= 0:
-        den = pochhammer(top, gap)
+    if n < 0:
+        den = pochhammer(z + n, -n)
         if den == 0:
-            raise GammaPoleError(
-                f"gamma quotient pole: ({top})_{gap} vanishes"
-            )
+            raise GammaPoleError(f"pochhammer pole: ({z})_{n} has a zero "
+                                 "denominator")
         return 1 / den
-    return pochhammer(top + gap, -gap)
+    if n == 0:
+        return RATIONAL.one()
+    if n > _POCH_STRIDE:
+        # warm the cache a stride below first, so the recursion depth stays
+        # near _POCH_STRIDE however cold the cache is
+        pochhammer(z, n - _POCH_STRIDE)
+    return pochhammer(z, n - 1) * (z + (n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -300,25 +289,16 @@ def gamma_quotient(top, gap: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PFQSpec:
-    """Parameters of a terminating pFq evaluated at `argument`."""
-
-    numerator_params: tuple
-    denominator_params: tuple
-    argument: Scalar
-
-
-def hyp_pfq_terminating(spec: PFQSpec) -> Scalar:
+def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
     """Sum a terminating pFq term by term with a running-term ratio.
 
     The series must terminate: some numerator parameter is a nonpositive
     integer -t, and the sum runs over k = 0..t.  A denominator parameter
     hitting zero before termination raises DenominatorPoleError.
     """
-    x = RATIONAL.make(spec.argument)
-    nums = [RATIONAL.make(a) for a in spec.numerator_params]
-    dens = [RATIONAL.make(b) for b in spec.denominator_params]
+    x = RATIONAL.make(argument)
+    nums = [RATIONAL.make(a) for a in numerator_params]
+    dens = [RATIONAL.make(b) for b in denominator_params]
 
     t = None
     for a in nums:
@@ -345,86 +325,6 @@ def hyp_pfq_terminating(spec: PFQSpec) -> Scalar:
         term = term * x / (k + 1)
         total = total + term
     return total
-
-
-def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
-    """Convenience wrapper building a PFQSpec."""
-    return hyp_pfq_terminating(
-        PFQSpec(tuple(numerator_params), tuple(denominator_params),
-                RATIONAL.make(argument))
-    )
-
-
-# ---------------------------------------------------------------------------
-# gamma-quotient reduction
-# ---------------------------------------------------------------------------
-
-
-def _fraction_part_key(s: Scalar) -> Fraction:
-    return s.value - math.floor(s.value)
-
-
-def gamma_ratio(num, den) -> Scalar:
-    """prod Gamma(num_i) / prod Gamma(den_i), reduced exactly.
-
-    Arguments are paired between numerator and denominator so that each
-    pair differs by an integer; each pair then reduces to a Pochhammer
-    product.  NonIntegerGapError is raised when no full pairing exists.
-    An uncancelled numerator pole raises GammaPoleError; a denominator
-    pole alone makes the whole quotient exactly zero.
-    """
-    nums = [RATIONAL.make(u) for u in num]
-    dens = [RATIONAL.make(v) for v in den]
-    if len(nums) != len(dens):
-        raise NonIntegerGapError(
-            "gamma quotient needs equally many numerator and denominator "
-            "arguments to pair"
-        )
-
-    groups = {}
-    for u in nums:
-        groups.setdefault(_fraction_part_key(u), [[], []])[0].append(u)
-    for v in dens:
-        groups.setdefault(_fraction_part_key(v), [[], []])[1].append(v)
-
-    pairs = []
-    for key, (us, vs) in groups.items():
-        if len(us) != len(vs):
-            raise NonIntegerGapError(
-                f"cannot pair gamma arguments with integer gaps "
-                f"(fractional class {key} is unbalanced)"
-            )
-        us.sort(reverse=True)
-        vs.sort(reverse=True)
-        pairs.extend(zip(us, vs))
-
-    factors = []
-    saw_zero = False
-    for u, v in pairs:
-        gap = as_integer(u - v)
-        if gap is None:
-            raise NonIntegerGapError(f"gamma arguments {u} and {v} differ by "
-                                     "a non-integer")
-        if gap >= 0:
-            p = pochhammer(v, gap)
-            if p == 0:
-                saw_zero = True
-            else:
-                factors.append((p, False))
-        else:
-            p = pochhammer(u, -gap)
-            if p == 0:
-                raise GammaPoleError(
-                    f"unmatched gamma pole at nonpositive integer: "
-                    f"Gamma({u}) / Gamma({v})"
-                )
-            factors.append((p, True))
-    if saw_zero:
-        return RATIONAL.zero()
-    out = RATIONAL.one()
-    for p, invert in factors:
-        out = out / p if invert else out * p
-    return out
 
 
 def log10_abs(s: Scalar) -> float:

@@ -74,6 +74,14 @@ class TestCoeffsCommand:
                      "--jmax", "1", "--nmax", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["coeffs", "--family", "jacobi", "--alpha", "1/0", "--beta", "1"],
+        ["figure", "--family", "gegenbauer", "--lambda", "1/0"],
+    ], ids=["coeffs", "figure"])
+    def test_zero_denominator_parameter_is_reported(self, argv, capsys):
+        assert main(argv + ["--m", "1", "--jmax", "2", "--nmax", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_float_backend_rounds_the_exact_entries(self, tmp_path):
         from polyconv import closed_forms as cf

@@ -377,3 +377,22 @@ class TestPochhammer:
         cf._poch.cache_clear()
         z = RATIONAL.make(Fraction(1, 3))
         assert cf._poch(z, 3000) == cf._poch(z, 2999) * (z + 2999)
+
+    @pytest.mark.parametrize("make", [
+        lambda: basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        lambda: basis.symmetric_jacobi(Fraction(1, 3)),
+        lambda: basis.gegenbauer(Fraction(3, 2)),
+        lambda: basis.legendre(),
+        lambda: basis.chebyshev(),
+        lambda: basis.jacobi(Fraction(-1, 2), Fraction(1, 2)),
+    ], ids=["jacobi", "symmetric_jacobi", "gegenbauer", "legendre",
+            "chebyshev", "jacobi_half_edge"])
+    def test_cold_cache_degree_2000(self, make):
+        # degrees in the thousands work from a cold cache, and the two
+        # cells that the symmetry scaling links agree
+        spec = make()
+        cf._poch.cache_clear()
+        value = cf.rho_closed(spec, 1, 2002, 2000)
+        assert value != 0
+        assert value == (cf.symmetry_factor(spec, 1, 2000, 2002)
+                         * cf.rho_closed(spec, 1, 2000, 2002))

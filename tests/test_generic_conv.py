@@ -8,7 +8,6 @@ from polyconv import basis, generic_conv, oracle
 from polyconv.basis import GenericBasisData
 from polyconv.errors import IndexContractError, MissingDataError
 from polyconv.generic_conv import RhoRequest, request
-from polyconv.scalars import RATIONAL
 
 
 DEGREE = 5
@@ -109,20 +108,13 @@ class TestContracts:
             generic_conv.rho_lowj(data, request(data, 2, 3, 4))
 
     def test_out_of_range_index_rejected(self):
-        data = data_for(basis.legendre())
         with pytest.raises(IndexContractError):
-            RhoRequest(2, 3, 7, data.domain_offset_a)
+            RhoRequest(2, 3, 7)
 
     def test_truncated_data_reported(self):
         data = data_for(basis.legendre(), max_degree=4)
         with pytest.raises(MissingDataError):
             generic_conv.rho_taylor(data, request(data, 2, 3, 0))
-
-    def test_offset_mismatch_rejected(self):
-        data = data_for(basis.legendre())
-        req = RhoRequest(1, 1, 0, RATIONAL.zero())
-        with pytest.raises(IndexContractError):
-            generic_conv.rho_taylor(data, req)
 
 
 def _mp_eval(coeffs, x):

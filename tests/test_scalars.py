@@ -4,21 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from polyconv import closed_forms
 from polyconv.errors import (
     DenominatorPoleError,
     GammaPoleError,
-    NonIntegerGapError,
     NonTerminatingSeriesError,
 )
-from polyconv.scalars import (
-    RATIONAL,
-    FloatBackend,
-    PFQSpec,
-    gamma_ratio,
-    hyp_pfq,
-    hyp_pfq_terminating,
-    pochhammer,
-)
+from polyconv.scalars import RATIONAL, FloatBackend, hyp_pfq, pochhammer
 
 
 def frac(s):
@@ -105,6 +97,35 @@ class TestPochhammer:
                     rhs = pochhammer(frac(z), m) * pochhammer(frac(z) + m, n)
                     assert lhs == rhs
 
+    def test_negative_order_inverts(self):
+        # (z)_{-t} (z-t)_t = 1 wherever (z-t)_t does not vanish
+        random.seed(4)
+        for _ in range(40):
+            z = frac(Fraction(random.randint(-30, 30), random.randint(2, 9)))
+            t = random.randint(0, 12)
+            if pochhammer(z - t, t) == 0:
+                with pytest.raises(GammaPoleError):
+                    pochhammer(z, -t)
+            else:
+                assert pochhammer(z, -t) * pochhammer(z - t, t) == 1
+
+    def test_negative_order_pole(self):
+        # (3)_{-4} = 1/(-1)_4 and (-1)_4 = 0
+        with pytest.raises(GammaPoleError):
+            pochhammer(frac(3), -4)
+
+    def test_result_does_not_depend_on_cache_state(self):
+        z = frac("1/3")
+        want = Fraction(1)
+        for k in range(3000):
+            want *= Fraction(1, 3) + k
+        pochhammer.cache_clear()
+        assert pochhammer(z, 3000) == want
+        assert pochhammer(z, 3000) == want
+
+    def test_closed_forms_share_the_helper(self):
+        assert closed_forms._poch is pochhammer
+
     def test_sign_flip_identity(self):
         # (z)_n = (-1)^n (-z-n+1)_n
         for z in [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
@@ -113,62 +134,6 @@ class TestPochhammer:
                 lhs = pochhammer(frac(z), n)
                 rhs = (-1) ** n * pochhammer(frac(-z - n + 1), n)
                 assert lhs == rhs
-
-
-class TestHypPfq:
-    def test_zero_numerator_parameter(self):
-        assert hyp_pfq([0, frac("7/3")], [frac("1/5")], frac(1)) == 1
-
-    def test_2f1_with_minus_one(self):
-        # 2F1(-1, b; c; x) = 1 - b x / c
-        for b, c, x in [("3/2", "5/2", "1/3"), ("2", "7", "-4/5"),
-                        ("-5/3", "1/2", "2")]:
-            got = hyp_pfq([-1, frac(b)], [frac(c)], frac(x))
-            want = 1 - frac(b) * frac(x) / frac(c)
-            assert got == want
-
-    def test_termination_uses_smallest_index(self):
-        # both -2 and -5 appear; (a)_k kills terms past k = 2
-        got = hyp_pfq([-2, -5], [frac(3)], frac(1))
-        want = 1 + Fraction((-2) * (-5), 3) + \
-            Fraction((-2) * (-1) * (-5) * (-4), 3 * 4 * 2)
-        assert got == want
-
-    def test_non_terminating_rejected(self):
-        with pytest.raises(NonTerminatingSeriesError):
-            hyp_pfq([frac("1/2"), frac(2)], [frac(3)], frac(1))
-
-    def test_denominator_pole_detected(self):
-        with pytest.raises(DenominatorPoleError):
-            hyp_pfq([-3, frac(1)], [frac(-1)], frac(1))
-
-    def test_denominator_pole_past_termination_is_fine(self):
-        # pole would appear at k = 2 but the series stops at k = 1
-        assert hyp_pfq([-1, frac(1)], [frac(-2)], frac(1)) == Fraction(3, 2)
-
-    def test_pfqspec_interface(self):
-        # 2F1(-2, 3/2; 1/2; 1) = (1/2 - 3/2)_2 / (1/2)_2 = 0 (Chu-Vandermonde)
-        spec = PFQSpec((frac(-2), frac("3/2")), (frac("1/2"),), frac(1))
-        assert hyp_pfq_terminating(spec) == 0
-
-    def test_backends_agree_within_conditioning(self):
-        # parameters made in a float backend are their exact binary values
-        # (here halves, so unrounded) and the sum never rounds: the two
-        # sums agree exactly, whatever the conditioning
-        random.seed(9)
-        fb = FloatBackend(256)
-        for _ in range(60):
-            m = random.randint(0, 9)
-            a = Fraction(random.randint(1, 12), 2)
-            b = Fraction(random.randint(1, 12), 2)
-            c = Fraction(random.randint(1, 12), 2)
-            nums = [-m, a, b]
-            dens = [c, a + c]
-            exact = hyp_pfq(nums, dens, frac(1)).as_fraction()
-            approx = hyp_pfq([fb.make(Fraction(v)) for v in nums],
-                             [fb.make(Fraction(v)) for v in dens],
-                             fb.one()).as_fraction()
-            assert approx == exact
 
 
 def half_gamma(two_z):
@@ -214,41 +179,60 @@ def whipple_closed_form(m, j, nu):
     return num / den / Fraction(2) ** (2 * nu + 1)
 
 
-class TestGammaRatio:
-    def test_recurrence_product(self):
-        z = frac("5/2")
-        assert gamma_ratio([z + 3], [z]) == Fraction(5, 2) * Fraction(7, 2) * Fraction(9, 2)
+class TestHypPfq:
+    def test_zero_numerator_parameter(self):
+        assert hyp_pfq([0, frac("7/3")], [frac("1/5")], frac(1)) == 1
 
-    def test_identity(self):
-        assert gamma_ratio([frac("7/3")], [frac("7/3")]) == 1
+    def test_2f1_with_minus_one(self):
+        # 2F1(-1, b; c; x) = 1 - b x / c
+        for b, c, x in [("3/2", "5/2", "1/3"), ("2", "7", "-4/5"),
+                        ("-5/3", "1/2", "2")]:
+            got = hyp_pfq([-1, frac(b)], [frac(c)], frac(x))
+            want = 1 - frac(b) * frac(x) / frac(c)
+            assert got == want
 
-    def test_jacobi_b_quotient_example(self):
-        # Gamma(alpha+beta+k+1) / Gamma(alpha+beta+n+k+2) at
-        # alpha=5/2, beta=3/2, k=1, n=2 -> 1/(6*7*8)
-        s = frac("5/2") + frac("3/2")
-        got = gamma_ratio([s + 2], [s + 5])
-        assert got == Fraction(1, 336)
+    def test_termination_uses_smallest_index(self):
+        # both -2 and -5 appear; (a)_k kills terms past k = 2
+        got = hyp_pfq([-2, -5], [frac(3)], frac(1))
+        want = 1 + Fraction((-2) * (-5), 3) + \
+            Fraction((-2) * (-1) * (-5) * (-4), 3 * 4 * 2)
+        assert got == want
 
-    def test_multi_argument_pairing(self):
-        # Gamma(1/2) cancels across numerator and denominator classes
-        got = gamma_ratio([frac("1/2"), frac(4)], [frac("5/2"), frac(2)])
-        # Gamma(1/2)/Gamma(5/2) = 1/((1/2)(3/2)); Gamma(4)/Gamma(2) = 6
-        assert got == Fraction(1, 1) * 6 / (Fraction(1, 2) * Fraction(3, 2))
+    def test_non_terminating_rejected(self):
+        with pytest.raises(NonTerminatingSeriesError):
+            hyp_pfq([frac("1/2"), frac(2)], [frac(3)], frac(1))
 
-    def test_non_integer_gap_rejected(self):
-        with pytest.raises(NonIntegerGapError):
-            gamma_ratio([frac("1/2")], [frac("1/3")])
+    def test_denominator_pole_detected(self):
+        with pytest.raises(DenominatorPoleError):
+            hyp_pfq([-3, frac(1)], [frac(-1)], frac(1))
 
-    def test_unmatched_numerator_pole(self):
-        with pytest.raises(GammaPoleError):
-            gamma_ratio([frac(-1)], [frac(2)])
+    def test_denominator_pole_past_termination_is_fine(self):
+        # pole would appear at k = 2 but the series stops at k = 1
+        assert hyp_pfq([-1, frac(1)], [frac(-2)], frac(1)) == Fraction(3, 2)
 
-    def test_denominator_pole_gives_zero(self):
-        assert gamma_ratio([frac(2)], [frac(-1)]) == 0
+    def test_pfqspec_interface(self):
+        # any parameter sequences will do, tuples included;
+        # 2F1(-2, 3/2; 1/2; 1) = (1/2 - 3/2)_2 / (1/2)_2 = 0 (Chu-Vandermonde)
+        assert hyp_pfq((frac(-2), frac("3/2")), (frac("1/2"),), frac(1)) == 0
 
-    def test_paired_poles_take_the_limit(self):
-        # Gamma(0)/Gamma(-1) -> -1 in the common-offset limit
-        assert gamma_ratio([frac(0)], [frac(-1)]) == -1
+    def test_backends_agree_within_conditioning(self):
+        # parameters made in a float backend are their exact binary values
+        # (here halves, so unrounded) and the sum never rounds: the two
+        # sums agree exactly, whatever the conditioning
+        random.seed(9)
+        fb = FloatBackend(256)
+        for _ in range(60):
+            m = random.randint(0, 9)
+            a = Fraction(random.randint(1, 12), 2)
+            b = Fraction(random.randint(1, 12), 2)
+            c = Fraction(random.randint(1, 12), 2)
+            nums = [-m, a, b]
+            dens = [c, a + c]
+            exact = hyp_pfq(nums, dens, frac(1)).as_fraction()
+            approx = hyp_pfq([fb.make(Fraction(v)) for v in nums],
+                             [fb.make(Fraction(v)) for v in dens],
+                             fb.one()).as_fraction()
+            assert approx == exact
 
     def test_whipple_sum(self):
         # termwise summation against the independent gamma product
