@@ -176,7 +176,11 @@ def spec_from_config(config: dict) -> FamilySpec:
         value = config.get(key)
         if value is None:
             raise ValueError(f"family {kind!r} requires parameter {key!r}")
-        return value
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"family {kind!r}: parameter {key!r} is not a "
+                             f"rational number: {value!r}") from None
 
     if kind == "jacobi":
         return jacobi(need("alpha"), need("beta"))

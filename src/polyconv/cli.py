@@ -129,7 +129,8 @@ def write_series(series: convmat.SeriesCoeffs, stream) -> None:
 
 def read_series(path: str) -> convmat.SeriesCoeffs:
     """Parse a series file exactly.  Malformed content raises PolyconvError
-    naming the file and line: a missing or bad header, a header with no
+    naming the file and line: a missing or bad header (generic_monic
+    included: it has no closed form to convolve with), a header with no
     rows, a row that is not `index,value` with an integer index and a
     rational value, a negative index, or an index given twice.  Indices
     left out are zero."""
@@ -144,9 +145,12 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
         config[key] = value
     try:
         spec = basis.spec_from_config(config)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, ValueError) as exc:
         raise PolyconvError(f"{path}:{header_no}: bad family header: "
                             f"{exc}") from None
+    if spec.family is basis.Family.GENERIC_MONIC:
+        raise PolyconvError(f"{path}:{header_no}: bad family header: "
+                            "generic_monic has no closed-form convolution")
     entries = {}
     for no, ln in lines[1:]:
         idx_text, _, value_text = ln.partition(",")
@@ -343,7 +347,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (PolyconvError, ValueError, ZeroDivisionError, OSError) as exc:
+    except (PolyconvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,15 @@ splits into three index regimes (assuming m <= n, free by commutativity):
 * 0 <= j <= m: a ``varpi`` sum with the degree roles swapped plus a sum of
   ``d`` terms.
 
-Laguerre collapses to an explicit piecewise rational expression.  Gegenbauer
-and Chebyshev values are normalization rescalings of the symmetric-Jacobi
-case; Chebyshev additionally gets the simplified forms stated in its own
-normalization.  The symmetric-parameter displays have removable
-singularities at alpha = -1/2, where the equivalent general-parameter forms
-are used instead.
+Laguerre collapses to an explicit piecewise rational expression.  The
+interval families take their varpi and d terms from one table, ``_TERMS``.
+Every rescaling comes from ``FamilySpec.normalization`` (P_n = c_n J_n, J
+the Jacobi polynomial): Gegenbauer sums the symmetric-Jacobi terms at
+alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
+simplified forms in the T normalization, whose n = 0 case takes the same
+factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
+symmetric-parameter displays have removable singularities at alpha = -1/2,
+where the equivalent general-parameter forms are used instead.
 
 Whole tables (``rho_table``, ``magnitude_grid``, and the convolution
 matrices in ``convmat``) are not summed cell by cell: ``rho_columns`` fills
@@ -31,12 +34,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import Family, FamilySpec, derivative_connection, eval_polys
+from .basis import (Family, FamilySpec, chebyshev, derivative_connection,
+                    eval_polys)
 from .errors import IndexContractError
 from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, log10_abs
 from .scalars import pochhammer as _poch
 
 _HALF = Fraction(1, 2)
+_CHEBYSHEV = chebyshev()
 
 
 def _sign(k: int) -> int:
@@ -194,13 +199,6 @@ def legendre_d(nu: int, j: int, n: int, m: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _cheb_scale(m: int, n: int, j: int) -> Scalar:
-    # rho_T = m! n! (1/2)_j / ((1/2)_m (1/2)_n j!) * rho_{(-1/2,-1/2)}
-    half = RATIONAL.make(_HALF)
-    return (factorial(m) * factorial(n) * _poch(half, j)
-            / (_poch(half, m) * _poch(half, n) * factorial(j)))
-
-
 def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
     """T-normalized varpi.  The simplified display carries a factor n and
     degenerates at n = 0; that case is rescaled from the general form."""
@@ -208,7 +206,8 @@ def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
         return RATIONAL.zero()
     if n == 0:
         half = RATIONAL.make(-_HALF)
-        return _cheb_scale(m, n, j) * jacobi_varpi(m, n, j, nu, half, half)
+        return (_rescale(_CHEBYSHEV, m, n, j)
+                * jacobi_varpi(m, n, j, nu, half, half))
     h = (n + nu - j) // 2
     num = (_sign(m) * Fraction(2) ** (1 - 2 * nu) * n
            * _poch(RATIONAL.make(-m), nu - 1)
@@ -269,37 +268,25 @@ def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _varpi(spec: FamilySpec, m: int, n: int, j: int, nu: int) -> Scalar:
-    f = spec.family
-    if f is Family.JACOBI:
-        return jacobi_varpi(m, n, j, nu, spec.alpha, spec.beta)
-    if f is Family.SYMMETRIC_JACOBI:
-        return sym_jacobi_varpi(m, n, j, nu, spec.alpha)
-    if f is Family.LEGENDRE:
-        return legendre_varpi(m, n, j, nu)
-    if f is Family.CHEBYSHEV:
-        return chebyshev_varpi(m, n, j, nu)
-    raise ValueError(f"no varpi form for {f.value}")
+# Interval family -> (varpi, d, its parameters from the spec, whether the
+# terms are in the Jacobi normalization rather than the family's own).
+_TERMS = {
+    Family.JACOBI: (jacobi_varpi, jacobi_d,
+                    lambda spec: (spec.alpha, spec.beta), False),
+    Family.SYMMETRIC_JACOBI: (sym_jacobi_varpi, sym_jacobi_d,
+                              lambda spec: (spec.alpha,), False),
+    Family.GEGENBAUER: (sym_jacobi_varpi, sym_jacobi_d,
+                        lambda spec: (spec.lam - _HALF,), True),
+    Family.LEGENDRE: (legendre_varpi, legendre_d, lambda spec: (), False),
+    Family.CHEBYSHEV: (chebyshev_varpi, chebyshev_d, lambda spec: (), False),
+}
 
 
-def _dterm(spec: FamilySpec, nu: int, j: int, n: int, m: int) -> Scalar:
-    f = spec.family
-    if f is Family.JACOBI:
-        return jacobi_d(nu, j, n, m, spec.alpha, spec.beta)
-    if f is Family.SYMMETRIC_JACOBI:
-        return sym_jacobi_d(nu, j, n, m, spec.alpha)
-    if f is Family.LEGENDRE:
-        return legendre_d(nu, j, n, m)
-    if f is Family.CHEBYSHEV:
-        return chebyshev_d(nu, j, n, m)
-    raise ValueError(f"no d form for {f.value}")
-
-
-def _gegenbauer_scale(lam: Scalar, m: int, n: int, j: int) -> Scalar:
-    half = lam + _HALF
-    two = 2 * lam
-    return (_poch(half, j) * _poch(two, m) * _poch(two, n)
-            / (_poch(two, j) * _poch(half, m) * _poch(half, n)))
+def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
+    """c_m c_n / c_j for c = `spec.normalization`: the factor taking
+    rho_{j,n}^m from the Jacobi normalization to the family's own."""
+    c = spec.normalization
+    return c(m) * c(n) / c(j)
 
 
 def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
@@ -316,28 +303,26 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     f = spec.family
     if f is Family.LAGUERRE:
         return laguerre_rho(spec.alpha, m, n, j)
-    if f is Family.GEGENBAUER:
-        sym = FamilySpec(Family.SYMMETRIC_JACOBI, alpha=spec.lam - _HALF)
-        return _gegenbauer_scale(spec.lam, m, n, j) * rho_closed(sym, m, n, j)
     if f is Family.GENERIC_MONIC:
         raise ValueError(
             "generic sequences have no closed form; use the "
             "family-agnostic formulas in polyconv.generic_conv"
         )
 
-    if j >= max(m + 1, n - m - 1):
-        total = RATIONAL.zero()
-        for nu in range(max(1, abs(j - n)), m + 2):
-            total = total + _varpi(spec, m, n, j, nu)
-        return total
     if m + 1 <= j <= n - m - 2:
         return RATIONAL.zero()
+    varpi, d, parameters, jacobi_normalized = _TERMS[f]
+    params = parameters(spec)
     total = RATIONAL.zero()
-    for nu in range(1, j + 1):
-        total = total + _varpi(spec, n, m, j, nu)
-    for nu in range(j + 1, n + 2):
-        total = total + _dterm(spec, nu, j, n, m)
-    return total
+    if j >= max(m + 1, n - m - 1):
+        for nu in range(max(1, abs(j - n)), m + 2):
+            total = total + varpi(m, n, j, nu, *params)
+    else:
+        for nu in range(1, j + 1):
+            total = total + varpi(n, m, j, nu, *params)
+        for nu in range(j + 1, n + 2):
+            total = total + d(nu, j, n, m, *params)
+    return total * _rescale(spec, m, n, j) if jacobi_normalized else total
 
 
 def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
@@ -369,44 +354,27 @@ def zero_region(spec: FamilySpec, m: int, n: int) -> tuple[int, int] | None:
 def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """Factor F with rho_{n,j}^m = F * rho_{j,n}^m.
 
-    Valid for j, n >= m+1 in the Jacobi-type families and for all j, n in
-    the Legendre case.  Laguerre has no such relation.
+    Valid for j, n >= m+1 in every interval family and for all j, n in the
+    Legendre case.  Laguerre has no such relation.  F is the Jacobi factor
+    times (c_j / c_n)^2, with (s+1)_n / (s+1)_j written as
+    (s+2)_(n-1) / (s+2)_(j-1) so that it holds at s = alpha + beta = -1
+    too.
     """
     f = spec.family
-    if f is Family.LEGENDRE:
-        return _sign(n + j) * RATIONAL.make(Fraction(2 * n + 1, 2 * j + 1))
     if f is Family.LAGUERRE or f is Family.GENERIC_MONIC:
         raise IndexContractError(f"{f.value} has no symmetry scaling")
-    if j < m + 1 or n < m + 1:
+    if f is not Family.LEGENDRE and (j < m + 1 or n < m + 1):
         raise IndexContractError(
             f"symmetry scaling needs j, n >= m+1; got j={j}, n={n}, m={m}"
         )
-    if f is Family.JACOBI:
-        alpha, beta = spec.alpha, spec.beta
-        s = alpha + beta
-        num = ((s + (2 * n + 1)) * _poch(alpha + 1, j) * _poch(beta + 1, j)
-               * _poch(s + 1, n) ** 2)
-        den = ((s + (2 * j + 1)) * _poch(alpha + 1, n) * _poch(beta + 1, n)
-               * _poch(s + 1, j) ** 2)
-        return _sign(n + j) * num / den
-
-    if f is Family.CHEBYSHEV:
-        # T-normalized limit of the symmetric relation at alpha = -1/2
-        return _sign(n + j) * RATIONAL.make(Fraction(j, n))
-
-    alpha, _ = spec.jacobi_parameters()
-    num = ((2 * alpha + (2 * n + 1)) * _poch(2 * alpha + 1, n) ** 2
-           * _poch(alpha + 1, j) ** 2)
-    den = ((2 * alpha + (2 * j + 1)) * _poch(2 * alpha + 1, j) ** 2
-           * _poch(alpha + 1, n) ** 2)
-    base = _sign(n + j) * num / den
-    if f is Family.SYMMETRIC_JACOBI:
-        return base
-    # Gegenbauer: conjugating by the normalization in
-    # rho_geg = s_j / (s_m s_n) * rho_sym contributes an extra (s_n/s_j)^2
-    s_j = _poch(spec.lam + _HALF, j) / _poch(2 * spec.lam, j)
-    s_n = _poch(spec.lam + _HALF, n) / _poch(2 * spec.lam, n)
-    return base * (s_n / s_j) ** 2
+    alpha, beta = spec.jacobi_parameters()
+    s = alpha + beta
+    c = spec.normalization
+    num = ((s + (2 * n + 1)) * _poch(alpha + 1, j) * _poch(beta + 1, j)
+           * (_poch(s + 2, n - 1) * c(j)) ** 2)
+    den = ((s + (2 * j + 1)) * _poch(alpha + 1, n) * _poch(beta + 1, n)
+           * (_poch(s + 2, j - 1) * c(n)) ** 2)
+    return _sign(n + j) * num / den
 
 
 # ---------------------------------------------------------------------------

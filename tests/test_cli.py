@@ -74,14 +74,20 @@ class TestCoeffsCommand:
                      "--jmax", "1", "--nmax", "1"]) == 1
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["coeffs", "--family", "jacobi", "--alpha", "1/0", "--beta", "1"],
-        ["figure", "--family", "gegenbauer", "--lambda", "1/0"],
-    ], ids=["coeffs", "figure"])
-    def test_zero_denominator_parameter_is_reported(self, argv, capsys):
+    @pytest.mark.parametrize("argv,name,text", [
+        (["coeffs", "--family", "jacobi", "--alpha", "1/0", "--beta", "1"],
+         "alpha", "1/0"),
+        (["figure", "--family", "gegenbauer", "--lambda", "1/0"],
+         "lambda", "1/0"),
+        (["coeffs", "--family", "jacobi", "--alpha", "1", "--beta", "abc"],
+         "beta", "abc"),
+    ], ids=["coeffs", "figure", "abc"])
+    def test_zero_denominator_parameter_is_reported(self, argv, name, text,
+                                                    capsys):
         assert main(argv + ["--m", "1", "--jmax", "2", "--nmax", "2"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert f"parameter {name!r}" in err and text in err
 
     def test_float_backend_rounds_the_exact_entries(self, tmp_path):
         from polyconv import closed_forms as cf
@@ -159,8 +165,9 @@ class TestSeriesIO:
         ("# family=legendre\n\n", 1, "no coefficient rows"),
         ("# family=legendre\n0,1\n1,\n", 3, "got '1,'"),
         ("\n# family=jacobi alpha=1/3\n0,1\n", 2, "parameter 'beta'"),
+        ("# family=generic_monic\n0,1\n", 1, "generic_monic"),
     ], ids=["duplicate_index", "negative_index", "no_rows", "empty_value",
-            "bad_header"])
+            "bad_header", "generic_monic"])
     def test_malformed_series_names_file_and_line(self, tmp_path, capsys,
                                                   text, line, detail):
         path = tmp_path / "bad.csv"

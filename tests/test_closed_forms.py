@@ -181,14 +181,27 @@ class TestZeroRegion:
 
 
 class TestSymmetryFactor:
-    def test_jacobi_relation(self):
-        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
-        for m in range(3):
-            for j in range(m + 1, 9):
-                for n in range(m + 1, 9):
+    @pytest.mark.parametrize("spec", [
+        basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        basis.gegenbauer(Fraction(3, 2)),
+        basis.gegenbauer(Fraction(-1, 4)),
+        basis.chebyshev(),
+        basis.symmetric_jacobi(Fraction(1, 3)),
+        basis.symmetric_jacobi(Fraction(-1, 2)),
+        basis.jacobi(Fraction(-1, 2), Fraction(1, 2)),
+        basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+        basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
+    ], ids=["jacobi", "gegenbauer", "gegenbauer_negative", "chebyshev",
+            "symmetric_jacobi", "symmetric_jacobi_half_edge",
+            "jacobi_half_edge", "jacobi_sum_minus_one", "jacobi_both_half"])
+    def test_jacobi_relation(self, spec):
+        # one formula for every interval family, alpha + beta = -1 included
+        for m in range(4):
+            for j in range(m + 1, 10):
+                for n in range(m + 1, 10):
                     factor = cf.symmetry_factor(spec, m, n, j)
                     assert cf.rho_closed(spec, m, j, n) == \
-                        factor * cf.rho_closed(spec, m, n, j)
+                        factor * cf.rho_closed(spec, m, n, j), (m, n, j)
 
     def test_legendre_relation_everywhere(self):
         spec = basis.legendre()
@@ -213,26 +226,28 @@ class TestSymmetryFactor:
 
 
 class TestNormalizationScalings:
+    # P_n = c_n J_n with c = spec.normalization and J the Jacobi polynomial,
+    # so rho_{j,n}^m = c_m c_n / c_j * rho_{j,n}^m in Jacobi's normalization
     def test_gegenbauer_matches_scaled_symmetric(self):
         lam = Fraction(3, 2)
         geg = basis.gegenbauer(lam)
         sym = basis.symmetric_jacobi(lam - Fraction(1, 2))
+        c = geg.normalization
         for m in range(4):
             for n in range(4):
                 for j in range(m + n + 2):
-                    scale = cf._gegenbauer_scale(RATIONAL.make(lam), m, n, j)
                     assert cf.rho_closed(geg, m, n, j) == \
-                        scale * cf.rho_closed(sym, m, n, j)
+                        c(m) * c(n) / c(j) * cf.rho_closed(sym, m, n, j)
 
     def test_chebyshev_matches_scaled_symmetric(self):
         cheb = basis.chebyshev()
         sym = basis.symmetric_jacobi(Fraction(-1, 2))
+        c = cheb.normalization
         for m in range(4):
             for n in range(4):
                 for j in range(m + n + 2):
-                    scale = cf._cheb_scale(m, n, j)
                     assert cf.rho_closed(cheb, m, n, j) == \
-                        scale * cf.rho_closed(sym, m, n, j)
+                        c(m) * c(n) / c(j) * cf.rho_closed(sym, m, n, j)
 
 
 class TestBatemanTensor:

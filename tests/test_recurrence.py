@@ -19,7 +19,8 @@ from conftest import acceptance_families
 def edge_families():
     return [
         basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
-        basis.jacobi(Fraction(1, 3), Fraction(-2, 3)),   # alpha + beta = -1
+        basis.jacobi(Fraction(1, 3), Fraction(-2, 3)),   # alpha + beta = -1/3
+        basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),  # alpha + beta = -1
         basis.jacobi(Fraction(-1, 2), Fraction(1, 2)),
         basis.gegenbauer(Fraction(-1, 4)),
         basis.laguerre(Fraction(-1, 2)),
