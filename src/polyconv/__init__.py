@@ -32,6 +32,7 @@ from .closed_forms import (
     BatemanTensor,
     RhoTable,
     bateman_tensor,
+    clear_caches,
     magnitude_grid,
     rho_closed,
     rho_closed_vector,
@@ -70,6 +71,7 @@ __all__ = [
     "bateman_tensor",
     "build_matrix",
     "chebyshev",
+    "clear_caches",
     "connection_gamma",
     "convolve_exact",
     "convolve_series",

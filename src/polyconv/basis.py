@@ -358,7 +358,10 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
     if f is Family.LAGUERRE:
         return -RATIONAL.one(), RATIONAL.one(), RATIONAL.zero()
     if f is Family.GENERIC_MONIC:
-        raise ValueError("generic sequences have no derivative connection")
+        raise ValueError(
+            "generic sequences have no derivative connection; use the "
+            "family-agnostic formulas in polyconv.generic_conv"
+        )
     alpha, beta = spec.jacobi_parameters()
     s = alpha + beta
     if n == 0:

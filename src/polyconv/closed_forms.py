@@ -18,15 +18,20 @@ factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
 symmetric-parameter displays have removable singularities at alpha = -1/2,
 where the equivalent general-parameter forms are used instead.
 
-Whole tables (``rho_table``, ``magnitude_grid``, and the convolution
-matrices in ``convmat``) are not summed cell by cell: ``rho_columns`` fills
-them exactly from one closed-form column by a recurrence in n, and the
-closed forms remain the reference that certifies it.
+Whole tables (``rho_table``, ``magnitude_grid``) and every series product
+in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
+columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
+it starts from the derivative connection, closes each column at j = 0 by
+the endpoint condition, and skips every product that is exactly zero.
+``rho_columns`` is its single-weight case.  The closed forms are off that
+path; they remain the reference that certifies it (``verify``, the tests
+and the benchmark's checks).
 
 Everything here is a pure function of its inputs.  The rising factorials
 come from the one cached helper ``scalars.pochhammer`` (imported as
 ``_poch``; a negative order is a gamma quotient), and the small
-hypergeometric factors of the ``d`` terms are memoized across calls.
+hypergeometric factors of the ``d`` terms are memoized across calls;
+``clear_caches`` empties both.
 """
 
 import csv
@@ -330,6 +335,14 @@ def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
     return [rho_closed(spec, m, n, j) for j in range(m + n + 2)]
 
 
+def clear_caches() -> None:
+    """Empty the memo caches of `scalars.pochhammer` and of the d terms'
+    hypergeometric factors.  No result depends on them; this only frees
+    the memory they hold."""
+    for cache in (_poch, _jacobi_d_f43, _sym_d_f43, _cheb_d_f43):
+        cache.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # zero regions and symmetry scalings
 # ---------------------------------------------------------------------------
@@ -450,51 +463,92 @@ class RhoTable:
                         self.nmax, values)
 
 
-def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
-    """The columns rho^m_{., n} for n = 0..nmax as exact Fractions; column
-    n holds j = 0..m+n+1.
+def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
+    """The columns R_{., n} = sum_m w_m rho^m_{., n}, n = 0..nmax, as exact
+    Fractions, where `weights` maps each degree m to its exact coefficient
+    w_m.  Column n holds j = 0..M+n+1, M the highest degree of nonzero
+    weight (0 when there is none).
 
-    Column 0 comes from the closed form.  Each later column follows from
-    the two before it through the derivative connection
-    P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}, which gives for j >= 1
+    rho is linear in P_m and the recurrence below is linear in rho, so one
+    run serves a whole series.  With the derivative connection
+    P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1} and the weighted image
 
-        A_n rho_{j,n+1} = A_{j-1} rho_{j-1,n} + (B_j - B_n) rho_{j,n}
-                          + C_{j+1} rho_{j+1,n} - C_n rho_{j,n-1}
-                          + E_n [A_m d_{j,m+1} + B_m d_{j,m} + C_m d_{j,m-1}]
+        h_j = sum_m w_m [A_m d_{j,m+1} + B_m d_{j,m} + C_m d_{j,m-1}]
 
-    with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a) and d the
-    Kronecker delta; the j = 0 entry closes the column through
-    sum_j rho_{j,n+1} P_j(-a) = 0, since the convolution vanishes at
-    x = -2a.  O(1) exact operations per entry.
+    (d the Kronecker delta), column 0 is h for j >= 1: the convolution of
+    P_m with P_0 = 1 is the integral of P_m from -a to x+a.  No closed
+    form is evaluated.  Each later column follows from the two before it:
+    for j >= 1
+
+        A_n R_{j,n+1} = A_{j-1} R_{j-1,n} + (B_j - B_n) R_{j,n}
+                        + C_{j+1} R_{j+1,n} - C_n R_{j,n-1} + E_n h_j
+
+    with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a).  Every
+    column's j = 0 entry, column 0's included, closes it through
+    sum_j R_{j,n} P_j(-a) = 0, since the convolution vanishes at x = -2a
+    (P_0 = 1).  A product whose coefficient or operand is exactly zero
+    is skipped: the zero bands, B_j = B_n, C = 0 and sparse weights cost
+    nothing.  O(1) exact operations per nonzero entry.
     """
-    if m < 0 or nmax < 0:
+    weights = {m: w for m, w in weights.items() if w}
+    if nmax < 0 or any(m < 0 for m in weights):
         raise IndexContractError("degrees must be nonnegative")
-    top = m + nmax + 2
-    coeffs = [[c.as_fraction() for c in derivative_connection(spec, k)]
-              for k in range(top + 1)]
-    a, b, c = zip(*coeffs)
+    top_m = max(weights, default=0)
+    top = top_m + nmax + 2
+    a, b, c = zip(*([v.as_fraction() for v in derivative_connection(spec, k)]
+                    for k in range(top + 1)))
     ends = [v.as_fraction()
             for v in eval_polys(spec, top, -spec.domain_offset_a)]
-    cols = [[v.as_fraction() for v in rho_closed_vector(spec, m, 0)]]
     zero = Fraction(0)
+    h = [zero] * (top + 1)
+    for m, w in weights.items():
+        for k, coeff in ((m + 1, a[m]), (m, b[m]), (m - 1, c[m])):
+            if k >= 1 and coeff:
+                h[k] += w * coeff
+
+    def close(col):
+        col[0] = -sum((col[k] * ends[k] for k in range(1, len(col)) if col[k]),
+                      zero)
+        return col
+
+    cols = [close(h[:top_m + 2])]
     for n in range(nmax):
-        size = m + n + 3
+        size = top_m + n + 3
         cur = cols[n] + [zero, zero]
         prev = cols[n - 1] + [zero, zero] if n else [zero] * size
-        inv = 1 / a[n]
-        nxt = [zero] * size
-        for k in range(1, size):
-            nxt[k] = (a[k - 1] * cur[k - 1] + (b[k] - b[n]) * cur[k]
-                      + c[k + 1] * cur[k + 1] - c[n] * prev[k]) * inv
-        e = a[n] * ends[n + 1] + b[n] * ends[n]
+        an, bn, mcn = a[n], b[n], -c[n]
+        e = an * ends[n + 1] + bn * ends[n]
         if n:
             e += c[n] * ends[n - 1]
-        for k, coeff in ((m + 1, a[m]), (m, b[m]), (m - 1, c[m])):
-            if k >= 1:
-                nxt[k] += e * coeff * inv
-        nxt[0] = -sum(nxt[k] * ends[k] for k in range(1, size)) / ends[0]
-        cols.append(nxt)
+        nxt = [zero] * size
+        for k in range(1, size):
+            terms = []
+            x = cur[k - 1]
+            if x:
+                terms.append(a[k - 1] * x)
+            x = cur[k]
+            if x and b[k] != bn:
+                terms.append((b[k] - bn) * x)
+            x = cur[k + 1]
+            if x and c[k + 1]:
+                terms.append(c[k + 1] * x)
+            x = prev[k]
+            if x and mcn:
+                terms.append(mcn * x)
+            x = h[k]
+            if x and e:
+                terms.append(e * x)
+            if terms:
+                nxt[k] = sum(terms[1:], terms[0]) / an
+        cols.append(close(nxt))
     return cols
+
+
+def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
+    """The columns rho^m_{., n} for n = 0..nmax as exact Fractions, column
+    n holding j = 0..m+n+1: `series_columns` with the single weight
+    w_m = 1."""
+    return series_columns(spec, {m: Fraction(1)}, nmax)
 
 
 def _entry(cols: list, j: int, n: int) -> Fraction:

@@ -6,13 +6,13 @@ dense (M+N+2) x (N+1) matrix R with
 
     R[j][n] = sum_m a_m rho_{j,n}^m,
 
-so the coefficients of f * g are c = R b.  R is filled column by column
-with the exact recurrence of ``closed_forms.rho_columns``;
-``convolve_series`` touches only the cells it needs and evaluates them
-from the closed forms, which suits sparse, high-degree series.  Storage is
-dense on purpose:
-sparsity of R is an observation about its entries, not a format, at the
-desk scales this package targets.
+so the coefficients of f * g are c = R b.  Both R and f * g come from one
+exact run of ``closed_forms.series_columns``, whose recurrence is linear
+in the series: R weights it by the a_m, and ``convolve_series`` weights it
+by the factor of higher degree and stops at the other factor's degree.
+No closed form is evaluated.  Storage is dense on purpose: sparsity of R
+is an observation about its entries, not a format, at the desk scales
+this package targets.
 """
 
 import csv
@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import rho_closed_vector, rho_columns
+from .closed_forms import _entry, series_columns
+# unused here: the benchmark's trace (bench/tracing.py) wraps this name
+from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
 from .scalars import RATIONAL
 
@@ -93,65 +95,53 @@ class ConvMatrix:
                           entries)
 
 
-def _rho_cache(spec: FamilySpec):
-    cache = {}
-
-    def vec(m: int, n: int) -> list:
-        key = (m, n) if m <= n else (n, m)
-        if key not in cache:
-            cache[key] = rho_closed_vector(spec, *key)
-        return cache[key]
-
-    return vec
+def _weights(series: SeriesCoeffs) -> dict:
+    """The nonzero coefficients of `series` by degree, as exact Fractions
+    (a float coefficient counts as its exact binary value)."""
+    return {m: c.as_fraction() for m, c in enumerate(series.coeffs) if c != 0}
 
 
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
     """Assemble R for the operator `convolve with f` on N+1 = n_cols
     coefficient vectors; shape (M + N + 2) x (N + 1).
 
-    Each nonzero a_m contributes the columns rho^m_{., n}, n = 0..N, filled
-    by the exact recurrence of `rho_columns`.  Entries are accumulated
-    exactly (a float coefficient counts as its exact binary value) and
-    rounded to the series' backend only once, at the end."""
+    The columns R[., n] = sum_m a_m rho^m_{., n}, n = 0..N, come from one
+    exact run of `series_columns` weighted by the a_m, and are rounded to
+    the series' backend only once, at the end."""
     if n_cols < 1:
         raise ValueError("the matrix needs at least one column")
     spec = f.family
-    big_n = n_cols - 1
-    rows = f.degree + big_n + 2
-    exact = [[Fraction(0)] * n_cols for _ in range(rows)]
-    for m, am in enumerate(f.coeffs):
-        if am == 0:
-            continue
-        a = am.as_fraction()
-        for n, col in enumerate(rho_columns(spec, m, big_n)):
-            for j, v in enumerate(col):
-                exact[j][n] += a * v
+    rows = f.degree + n_cols + 1
+    cols = series_columns(spec, _weights(f), n_cols - 1)
     make = spec.backend.make
-    entries = [[make(v) for v in row] for row in exact]
+    entries = [[make(_entry(cols, j, n)) for n in range(n_cols)]
+               for j in range(rows)]
     return ConvMatrix(spec, f, n_cols, entries)
 
 
 def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
-    """Coefficients of the convolution f * g, length M + N + 2, summed
-    exactly and rounded once to the series' backend."""
+    """Coefficients of the convolution f * g, length M + N + 2, computed
+    exactly and rounded once to the series' backend.
+
+    By commutativity, rho^m_{j,n} = rho^n_{j,m}, so the factor of higher
+    degree weights one `series_columns` run that stops at the other
+    factor's degree, and the result is the columns' combination with the
+    other factor's coefficients: O(min(M, N) (M + N)) exact operations."""
     if f.family != g.family:
         raise FamilyMismatchError(
             f"cannot convolve {f.family.label()} with {g.family.label()}"
         )
-    spec = f.family
-    out = [RATIONAL.zero()] * (f.degree + g.degree + 2)
-    rho = _rho_cache(spec)
-    for m, am in enumerate(f.coeffs):
-        if am == 0:
-            continue
-        for n, bn in enumerate(g.coeffs):
-            if bn == 0:
-                continue
-            scale = am * bn
-            vec = rho(m, n)
-            for j in range(m + n + 2):
-                out[j] = out[j] + scale * vec[j]
-    return SeriesCoeffs(spec, out)
+    long, short = _weights(f), _weights(g)
+    if max(short, default=-1) > max(long, default=-1):
+        long, short = short, long
+    out = [Fraction(0)] * (f.degree + g.degree + 2)
+    if short:
+        cols = series_columns(f.family, long, max(short))
+        for n, bn in short.items():
+            for j, v in enumerate(cols[n]):
+                if v:
+                    out[j] += bn * v
+    return SeriesCoeffs(f.family, out)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from polyconv import basis, convmat, oracle
+from polyconv import basis, clear_caches, closed_forms as cf, convmat, oracle
 from polyconv.convmat import SeriesCoeffs, build_matrix, convolve_series
 from polyconv.errors import FamilyMismatchError
+from polyconv.scalars import RATIONAL, FloatBackend
+
+from conftest import acceptance_families
 
 
 def unit_series(spec, degree, length=None):
@@ -143,6 +146,167 @@ class TestAlgebraicProperties:
         for n in range(2 * m + 3, 10):
             for j in range(m + 1, n - m - 1):
                 assert mat.entries[j][n] == 0
+
+
+# ---------------------------------------------------------------------------
+# certificate: the closed forms, one vector per term pair
+# ---------------------------------------------------------------------------
+
+
+def closed_convolution(f, g):
+    """sum_{m,n} a_m b_n rho^m_{., n} from `rho_closed_vector`, exact."""
+    out = [Fraction(0)] * (f.degree + g.degree + 2)
+    for m, am in enumerate(f.coeffs):
+        for n, bn in enumerate(g.coeffs):
+            if am != 0 and bn != 0:
+                scale = am.as_fraction() * bn.as_fraction()
+                for j, v in enumerate(cf.rho_closed_vector(f.family, m, n)):
+                    out[j] += scale * v.as_fraction()
+    return out
+
+
+def closed_matrix(f, n_cols):
+    """R[j][n] = sum_m a_m rho^m_{j,n} from `rho_closed_vector`, exact."""
+    rows = f.degree + n_cols + 1
+    out = [[Fraction(0)] * n_cols for _ in range(rows)]
+    for m, am in enumerate(f.coeffs):
+        if am == 0:
+            continue
+        for n in range(n_cols):
+            for j, v in enumerate(cf.rho_closed_vector(f.family, m, n)):
+                out[j][n] += am.as_fraction() * v.as_fraction()
+    return out
+
+
+def certificate_families():
+    return acceptance_families() + [
+        basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
+        basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),  # alpha + beta = -1
+        basis.gegenbauer(Fraction(-1, 4)),
+        basis.laguerre(Fraction(-1, 2)),
+    ]
+
+
+def series_shapes():
+    """(f, g) coefficient lists: f longer, shorter and as long as g; sparse
+    with interior and trailing zeros; a degree-0 factor."""
+    rng = random.Random(43)
+
+    def dense(degree):
+        return [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                for _ in range(degree + 1)]
+
+    return [
+        (dense(5), dense(2)),
+        (dense(1), dense(4)),
+        (dense(3), dense(3)),
+        ([0, Fraction(2, 3), 0, 0, Fraction(-5, 2)],
+         [Fraction(1, 4), 0, 0, 3, 0, 0]),
+        ([Fraction(1, 4), 0, 0, 3, 0, 0],
+         [0, Fraction(2, 3), 0, 0, Fraction(-5, 2)]),
+        ([Fraction(7, 3)], dense(4)),
+        (dense(2), [Fraction(-1, 5)]),
+    ]
+
+
+def as_fractions(values):
+    return [v.as_fraction() for v in values]
+
+
+class TestAgainstClosedForms:
+    def test_convolve_series(self):
+        for spec in certificate_families():
+            for f, g in series_shapes():
+                f, g = SeriesCoeffs(spec, f), SeriesCoeffs(spec, g)
+                assert as_fractions(convolve_series(f, g).coeffs) == \
+                    closed_convolution(f, g), (spec.label(), f.coeffs)
+
+    def test_build_matrix(self):
+        for spec in certificate_families():
+            for f, _ in series_shapes():
+                f = SeriesCoeffs(spec, f)
+                got = [as_fractions(row) for row in build_matrix(f, 4).entries]
+                assert got == closed_matrix(f, 4), (spec.label(), f.coeffs)
+
+    def test_all_zero_series(self):
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        zero = SeriesCoeffs(spec, [0, 0, 0])
+        g = SeriesCoeffs(spec, [1, 2, 0, 3])
+        for c in (convolve_series(zero, g), convolve_series(g, zero)):
+            assert as_fractions(c.coeffs) == [0] * 7
+            assert all(v.backend == RATIONAL for v in c.coeffs)
+        mat = build_matrix(zero, 3)
+        assert (mat.n_rows, mat.n_cols) == (6, 3)
+        assert all(v == 0 for row in mat.entries for v in row)
+
+    def test_empty_weights(self):
+        spec = basis.legendre()
+        for weights in ({}, {3: Fraction(0)}):
+            assert cf.series_columns(spec, weights, 2) == \
+                [[0] * 2, [0] * 3, [0] * 4]
+
+    def test_float_series_is_the_exact_result_rounded_once(self):
+        fb = FloatBackend(128)
+        for exact_spec in (basis.jacobi(Fraction(1, 3), Fraction(1, 5)),
+                           basis.chebyshev(), basis.laguerre(Fraction(1, 3))):
+            spec = exact_spec.to_backend(fb)
+            f = SeriesCoeffs(spec, [Fraction(1, 3), 0, Fraction(-2, 7), 5])
+            g = SeriesCoeffs(spec, [Fraction(5, 11), Fraction(1, 9)])
+            # the rational twin at the float spec's binary parameters
+            twin = spec.to_backend(RATIONAL)
+            want = closed_convolution(SeriesCoeffs(twin, f.coeffs),
+                                      SeriesCoeffs(twin, g.coeffs))
+            got = convolve_series(f, g).coeffs
+            assert [(v.as_fraction(), v.backend) for v in got] == \
+                [(fb.make(v).as_fraction(), fb) for v in want], spec.label()
+
+
+class TestHighDegree:
+    def test_degree_2000_factor(self):
+        # dense degree-3 f, sparse degree-2000 g; the spot cells have
+        # j >= M + 2, so every term pair is in its zero band or in the
+        # single-sum regime, where the closed form is cheap
+        for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                     basis.legendre(), basis.chebyshev(),
+                     basis.laguerre(Fraction(1, 3))):
+            f = SeriesCoeffs(spec, [Fraction(1, 2), -2, Fraction(3, 7), 5])
+            g = [0] * 2001
+            g[0], g[1000], g[2000] = 1, Fraction(-3, 5), Fraction(2, 9)
+            g = SeriesCoeffs(spec, g)
+            c = convolve_series(f, g)
+            assert len(c.coeffs) == 2005
+            for j in (5, 998, 1003, 1999, 2004):
+                want = Fraction(0)
+                for m, am in enumerate(f.coeffs):
+                    for n, bn in enumerate(g.coeffs):
+                        if bn == 0:
+                            continue
+                        lo, hi = min(m, n), max(m, n)
+                        assert j >= max(lo + 1, hi - lo - 1) \
+                            or j <= hi - lo - 2
+                        want += (am.as_fraction() * bn.as_fraction()
+                                 * cf.rho_closed(spec, m, n, j).as_fraction())
+                assert c.coeffs[j] == want, (spec.label(), j)
+
+
+class TestCaches:
+    def test_cold_and_warm_caches_agree(self):
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        f = SeriesCoeffs(spec, [Fraction(1, 2), 0, 3, Fraction(-1, 7)])
+        g = SeriesCoeffs(spec, [2, Fraction(5, 3), 0, 0, 1])
+
+        def values():
+            return (as_fractions(convolve_series(f, g).coeffs),
+                    [as_fractions(row) for row in build_matrix(f, 5).entries],
+                    cf.rho_closed(spec, 2, 5, 1).as_fraction())
+
+        clear_caches()
+        cold = values()
+        assert values() == cold
+        clear_caches()
+        caches = (cf._poch, cf._jacobi_d_f43, cf._sym_d_f43, cf._cheb_d_f43)
+        assert all(c.cache_info().currsize == 0 for c in caches)
+        assert values() == cold
 
 
 class TestExports:
