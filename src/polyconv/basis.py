@@ -10,11 +10,15 @@ connection-coefficient tables everything else is built from:
 * ``connection_gamma``: coefficients linking the p-th derivatives of the
   sequence to the q-th derivatives of shifted-degree members.
 
-Normalizations are the standard ones: Jacobi P_n^(a,b) with
-P_n^(a,b)(1) = (a+1)_n / n!, Gegenbauer C_n^(lam) = (2 lam)_n /
-(lam+1/2)_n * P_n^(lam-1/2, lam-1/2), Chebyshev stored through
-P_n^(-1/2,-1/2) = (1/2)_n / n! * T_n with all outputs in the T_n
-normalization, and Laguerre L_n^(alpha) with L_n^(alpha)(0) =
+Every interval family is a normalized Jacobi polynomial,
+P_n = (p)_n / (q)_n * P_n^(alpha,beta) (DLMF 18.7), and states its row
+(alpha, beta, p, q) once, in ``_JACOBI_ROWS``: Jacobi (alpha, beta, 1, 1),
+symmetric Jacobi (alpha, alpha, 1, 1), Gegenbauer C_n^(lam)
+(lam-1/2, lam-1/2, 2 lam, lam+1/2), Legendre (0, 0, 1, 1) and Chebyshev
+T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the normalization c_n,
+the derivative connection, the recurrence of ``eval_polys`` and
+``endpoint_values`` all read that row.  Jacobi is normalized by
+P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by L_n^(alpha)(0) =
 (1+alpha)_n / n!.
 
 Note: the Chebyshev family here is sometimes labelled "second kind" in
@@ -26,6 +30,7 @@ formulas, not the label, are authoritative here.
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
 from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, pochhammer
@@ -41,13 +46,19 @@ class Family(Enum):
     GENERIC_MONIC = "generic_monic"
 
 
-_INTERVAL_FAMILIES = (
-    Family.JACOBI,
-    Family.SYMMETRIC_JACOBI,
-    Family.GEGENBAUER,
-    Family.LEGENDRE,
-    Family.CHEBYSHEV,
-)
+_HALF = Fraction(1, 2)
+_ONE = RATIONAL.one()  # a Scalar is immutable, so one instance serves all
+
+# Interval family -> its row (alpha, beta, p, q) from the spec's parameters:
+# P_n = (p)_n / (q)_n * P_n^(alpha, beta) (DLMF 18.7).
+_JACOBI_ROWS = {
+    Family.JACOBI: lambda spec: (spec.alpha, spec.beta, 1, 1),
+    Family.SYMMETRIC_JACOBI: lambda spec: (spec.alpha, spec.alpha, 1, 1),
+    Family.GEGENBAUER: lambda spec: (spec.lam - _HALF, spec.lam - _HALF,
+                                     2 * spec.lam, spec.lam + _HALF),
+    Family.LEGENDRE: lambda spec: (0, 0, 1, 1),
+    Family.CHEBYSHEV: lambda spec: (-_HALF, -_HALF, 1, _HALF),
+}
 
 
 @dataclass(frozen=True)
@@ -110,39 +121,28 @@ class FamilySpec:
     def zero_region_q(self) -> int | None:
         """Family constant of the guaranteed zero band (1 for Jacobi-type,
         0 for Laguerre)."""
-        if self.family in _INTERVAL_FAMILIES:
+        if self.family in _JACOBI_ROWS:
             return 1
         if self.family is Family.LAGUERRE:
             return 0
         return None
 
+    @cached_property
+    def _jacobi_row(self) -> tuple:
+        """(alpha, beta, p, q) of the family's `_JACOBI_ROWS` row."""
+        row = _JACOBI_ROWS.get(self.family)
+        if row is None:
+            raise ValueError(f"{self.family.value} has no Jacobi parameters")
+        return tuple(RATIONAL.make(v) for v in row(self))
+
     def jacobi_parameters(self) -> tuple[Scalar, Scalar]:
         """The (alpha, beta) of the underlying Jacobi normalization."""
-        f = self.family
-        if f is Family.JACOBI:
-            return self.alpha, self.beta
-        if f is Family.SYMMETRIC_JACOBI:
-            return self.alpha, self.alpha
-        if f is Family.GEGENBAUER:
-            a = self.lam - Fraction(1, 2)
-            return a, a
-        if f is Family.LEGENDRE:
-            z = RATIONAL.zero()
-            return z, z
-        if f is Family.CHEBYSHEV:
-            h = RATIONAL.make(Fraction(-1, 2))
-            return h, h
-        raise ValueError(f"{f.value} has no Jacobi parameters")
+        return self._jacobi_row[:2]
 
     def normalization(self, n: int) -> Scalar:
-        """c_n with FamilyPoly_n = c_n * P_n^(alpha_J, beta_J)."""
-        f = self.family
-        if f is Family.GEGENBAUER:
-            half = self.lam + Fraction(1, 2)
-            return pochhammer(2 * self.lam, n) / pochhammer(half, n)
-        if f is Family.CHEBYSHEV:
-            return factorial(n) / pochhammer(Fraction(1, 2), n)
-        return RATIONAL.one()
+        """c_n = (p)_n / (q)_n with FamilyPoly_n = c_n * P_n^(alpha, beta)."""
+        _, _, p, q = self._jacobi_row
+        return _ONE if p == q else pochhammer(p, n) / pochhammer(q, n)
 
     def to_backend(self, backend) -> "FamilySpec":
         """The same family with output rounded to `backend`."""
@@ -166,37 +166,6 @@ class FamilySpec:
             for v in (self.alpha, self.beta, self.lam) if v is not None
         )
         return f"{self.family.value}({params})" if params else self.family.value
-
-
-def spec_from_config(config: dict) -> FamilySpec:
-    """Inverse of FamilySpec.to_config; applies the factory redirects."""
-    kind = config["family"].lower()
-
-    def need(key):
-        value = config.get(key)
-        if value is None:
-            raise ValueError(f"family {kind!r} requires parameter {key!r}")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"family {kind!r}: parameter {key!r} is not a "
-                             f"rational number: {value!r}") from None
-
-    if kind == "jacobi":
-        return jacobi(need("alpha"), need("beta"))
-    if kind == "symmetric_jacobi":
-        return symmetric_jacobi(need("alpha"))
-    if kind == "gegenbauer":
-        return gegenbauer(need("lambda"))
-    if kind == "legendre":
-        return legendre()
-    if kind == "chebyshev":
-        return chebyshev()
-    if kind == "laguerre":
-        return laguerre(need("alpha"))
-    if kind == "generic_monic":
-        return generic_monic()
-    raise ValueError(f"unknown family {config['family']!r}")
 
 
 # The factories keep the parameters exact whatever `backend` says.
@@ -239,6 +208,42 @@ def generic_monic(backend=RATIONAL) -> FamilySpec:
     return FamilySpec(Family.GENERIC_MONIC, backend=backend)
 
 
+# Family name -> (factory, the config keys of its parameters in order).
+_FACTORIES = {
+    "jacobi": (jacobi, ("alpha", "beta")),
+    "symmetric_jacobi": (symmetric_jacobi, ("alpha",)),
+    "gegenbauer": (gegenbauer, ("lambda",)),
+    "legendre": (legendre, ()),
+    "chebyshev": (chebyshev, ()),
+    "laguerre": (laguerre, ("alpha",)),
+    "generic_monic": (generic_monic, ()),
+}
+
+
+def spec_from_config(config: dict) -> FamilySpec:
+    """Inverse of FamilySpec.to_config; applies the factory redirects.  A
+    parameter the family does not take is an error, not ignored."""
+    kind = config["family"].lower()
+    if kind not in _FACTORIES:
+        raise ValueError(f"unknown family {config['family']!r}")
+    factory, keys = _FACTORIES[kind]
+    for key, value in config.items():
+        if key != "family" and value is not None and key not in keys:
+            raise ValueError(f"family {kind!r} takes no parameter {key!r}")
+
+    def need(key):
+        value = config.get(key)
+        if value is None:
+            raise ValueError(f"family {kind!r} requires parameter {key!r}")
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"family {kind!r}: parameter {key!r} is not a "
+                             f"rational number: {value!r}") from None
+
+    return factory(*(need(key) for key in keys))
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
@@ -246,55 +251,35 @@ def generic_monic(backend=RATIONAL) -> FamilySpec:
 
 def eval_polys(spec: FamilySpec, n: int, x) -> list:
     """Values [P_0(x), ..., P_n(x)] of the family's polynomials (three-term
-    recurrences, exact)."""
+    recurrences, exact).  An interval family runs the Jacobi recurrence and
+    scales J_k by its running normalization c_k."""
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
-    x = RATIONAL.make(x)
-    f = spec.family
+    x = RATIONAL.make(x).as_fraction()
 
-    if f is Family.GENERIC_MONIC:
-        return [(x + 1) ** k for k in range(n + 1)]
-
-    if f is Family.LAGUERRE:
-        alpha = spec.alpha
-        first = 1 + alpha - x
-
-        def step(k, p, p_prev):
-            return ((2 * k - 1 + alpha - x) * p
-                    - (k - 1 + alpha) * p_prev) / k
-    elif f is Family.LEGENDRE:
-        first = x
-
-        def step(k, p, p_prev):
-            return ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    elif f is Family.CHEBYSHEV:
-        first = x
-
-        def step(k, p, p_prev):
-            return 2 * x * p - p_prev
-    elif f is Family.GEGENBAUER:
-        lam = spec.lam
-        first = 2 * lam * x
-
-        def step(k, p, p_prev):
-            return (2 * x * (k + lam - 1) * p
-                    - (k + 2 * lam - 2) * p_prev) / k
+    if spec.family is Family.GENERIC_MONIC:
+        values = [(x + 1) ** k for k in range(n + 1)]
+    elif spec.family is Family.LAGUERRE:
+        alpha = spec.alpha.as_fraction()
+        values = [Fraction(1), 1 + alpha - x]
+        for k in range(2, n + 1):
+            values.append(((2 * k - 1 + alpha - x) * values[-1]
+                           - (k - 1 + alpha) * values[-2]) / k)
     else:
-        alpha, beta = spec.jacobi_parameters()
+        alpha, beta, p, q = (v.as_fraction() for v in spec._jacobi_row)
         s = alpha + beta
-        first = (alpha + 1) + (alpha + beta + 2) * (x - 1) / 2
-
-        def step(k, p, p_prev):
+        prev, cur = Fraction(1), (alpha + 1) + (s + 2) * (x - 1) / 2
+        c = p / q
+        values = [prev, c * cur]
+        for k in range(2, n + 1):
             c1 = 2 * k * (k + s) * (2 * k + s - 2)
             c2 = (2 * k + s - 1) * ((2 * k + s) * (2 * k + s - 2) * x
-                                    + (alpha - beta) * (alpha + beta))
+                                    + (alpha - beta) * s)
             c3 = 2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s)
-            return (c2 * p - c3 * p_prev) / c1
-
-    values = [RATIONAL.one(), first]
-    for k in range(2, n + 1):
-        values.append(step(k, values[-1], values[-2]))
-    return values[:n + 1]
+            prev, cur = cur, (c2 * cur - c3 * prev) / c1
+            c = c * (p + k - 1) / (q + k - 1)
+            values.append(c * cur)
+    return [RATIONAL.make(v) for v in values[:n + 1]]
 
 
 def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
@@ -335,14 +320,25 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     return spec.normalization(n) * _jacobi_endpoint_derivative(n, p, alpha, beta)
 
 
-def _normalization_ratio(spec: FamilySpec, n: int) -> Scalar:
-    """c_{n+1} / c_n for c = `spec.normalization`, in O(1) where each
-    `normalization` call takes O(n)."""
-    if spec.family is Family.GEGENBAUER:
-        return (2 * spec.lam + n) / (spec.lam + Fraction(2 * n + 1, 2))
-    if spec.family is Family.CHEBYSHEV:
-        return RATIONAL.make(Fraction(2 * n + 2, 2 * n + 1))
-    return RATIONAL.one()
+def endpoint_values(spec: FamilySpec, n: int) -> list:
+    """[P_0(-a), ..., P_n(-a)] as exact Fractions for an interval family or
+    Laguerre: the p = 0 case of `endpoint_derivative`, one product per
+    degree and no Pochhammer cache.  P_{k+1}(-a) / P_k(-a) is
+    -(beta+k+1)/(k+1) * (p+k)/(q+k) for the row (alpha, beta, p, q) of an
+    interval family, and (alpha+k+1)/(k+1) for Laguerre."""
+    if n < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    if spec.family is Family.LAGUERRE:
+        alpha = spec.alpha.as_fraction()
+        ratios = ((alpha + k + 1) / (k + 1) for k in range(n))
+    else:
+        _, beta, p, q = (v.as_fraction() for v in spec._jacobi_row)
+        ratios = (-(beta + k + 1) * (p + k) / ((k + 1) * (q + k))
+                  for k in range(n))
+    values = [Fraction(1)]
+    for r in ratios:
+        values.append(values[-1] * r)
+    return values
 
 
 def derivative_connection(spec: FamilySpec, n: int) -> tuple:
@@ -362,7 +358,7 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
             "generic sequences have no derivative connection; use the "
             "family-agnostic formulas in polyconv.generic_conv"
         )
-    alpha, beta = spec.jacobi_parameters()
+    alpha, beta, p, q = spec._jacobi_row
     s = alpha + beta
     if n == 0:
         a, b, c = 2 / (s + 2), RATIONAL.zero(), RATIONAL.zero()
@@ -372,10 +368,11 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
         c = RATIONAL.zero() if n == 1 else (-2 * (n + alpha) * (n + beta)
                                       / ((n + s) * (2 * n + s)
                                          * (2 * n + s + 1)))
-    # P_n = c_n J_n, so A and C pick up normalization ratios
-    a = a / _normalization_ratio(spec, n)
-    if c != 0:
-        c = c * _normalization_ratio(spec, n - 1)
+    # P_n = c_n J_n, so A and C pick up the ratios c_{k+1}/c_k = (p+k)/(q+k)
+    if p != q:
+        a = a * (q + n) / (p + n)
+        if c != 0:
+            c = c * (p + n - 1) / (q + n - 1)
     return a, b, c
 
 

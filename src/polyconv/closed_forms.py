@@ -9,7 +9,8 @@ splits into three index regimes (assuming m <= n, free by commutativity):
   ``d`` terms.
 
 Laguerre collapses to an explicit piecewise rational expression.  The
-interval families take their varpi and d terms from one table, ``_TERMS``.
+interval families take their varpi and d terms from one table, ``_TERMS``,
+and their parameters from ``FamilySpec.jacobi_parameters``.
 Every rescaling comes from ``FamilySpec.normalization`` (P_n = c_n J_n, J
 the Jacobi polynomial): Gegenbauer sums the symmetric-Jacobi terms at
 alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
@@ -22,7 +23,8 @@ Whole tables (``rho_table``, ``magnitude_grid``) and every series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
 columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
 it starts from the derivative connection, closes each column at j = 0 by
-the endpoint condition, and skips every product that is exactly zero.
+the endpoint condition, whose values P_k(-a) come from
+``basis.endpoint_values``, and skips every product that is exactly zero.
 ``rho_columns`` is its single-weight case.  The closed forms are off that
 path; they remain the reference that certifies it (``verify``, the tests
 and the benchmark's checks).
@@ -40,7 +42,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .basis import (Family, FamilySpec, chebyshev, derivative_connection,
-                    eval_polys)
+                    endpoint_values)
 from .errors import IndexContractError
 from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, log10_abs
 from .scalars import pochhammer as _poch
@@ -273,17 +275,15 @@ def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-# Interval family -> (varpi, d, its parameters from the spec, whether the
-# terms are in the Jacobi normalization rather than the family's own).
+# Interval family -> (varpi, d, how many of `spec.jacobi_parameters()` the
+# terms take, whether the terms are in the Jacobi normalization rather than
+# the family's own).
 _TERMS = {
-    Family.JACOBI: (jacobi_varpi, jacobi_d,
-                    lambda spec: (spec.alpha, spec.beta), False),
-    Family.SYMMETRIC_JACOBI: (sym_jacobi_varpi, sym_jacobi_d,
-                              lambda spec: (spec.alpha,), False),
-    Family.GEGENBAUER: (sym_jacobi_varpi, sym_jacobi_d,
-                        lambda spec: (spec.lam - _HALF,), True),
-    Family.LEGENDRE: (legendre_varpi, legendre_d, lambda spec: (), False),
-    Family.CHEBYSHEV: (chebyshev_varpi, chebyshev_d, lambda spec: (), False),
+    Family.JACOBI: (jacobi_varpi, jacobi_d, 2, False),
+    Family.SYMMETRIC_JACOBI: (sym_jacobi_varpi, sym_jacobi_d, 1, False),
+    Family.GEGENBAUER: (sym_jacobi_varpi, sym_jacobi_d, 1, True),
+    Family.LEGENDRE: (legendre_varpi, legendre_d, 0, False),
+    Family.CHEBYSHEV: (chebyshev_varpi, chebyshev_d, 0, False),
 }
 
 
@@ -316,8 +316,8 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
 
     if m + 1 <= j <= n - m - 2:
         return RATIONAL.zero()
-    varpi, d, parameters, jacobi_normalized = _TERMS[f]
-    params = parameters(spec)
+    varpi, d, count, jacobi_normalized = _TERMS[f]
+    params = spec.jacobi_parameters()[:count]
     total = RATIONAL.zero()
     if j >= max(m + 1, n - m - 1):
         for nu in range(max(1, abs(j - n)), m + 2):
@@ -486,9 +486,10 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a).  Every
     column's j = 0 entry, column 0's included, closes it through
     sum_j R_{j,n} P_j(-a) = 0, since the convolution vanishes at x = -2a
-    (P_0 = 1).  A product whose coefficient or operand is exactly zero
-    is skipped: the zero bands, B_j = B_n, C = 0 and sparse weights cost
-    nothing.  O(1) exact operations per nonzero entry.
+    (P_0 = 1).  The values P_k(-a) come from `basis.endpoint_values`, one
+    exact product per degree.  A product whose coefficient or operand is
+    exactly zero is skipped: the zero bands, B_j = B_n, C = 0 and sparse
+    weights cost nothing.  O(1) exact operations per nonzero entry.
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
@@ -497,8 +498,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     top = top_m + nmax + 2
     a, b, c = zip(*([v.as_fraction() for v in derivative_connection(spec, k)]
                     for k in range(top + 1)))
-    ends = [v.as_fraction()
-            for v in eval_polys(spec, top, -spec.domain_offset_a)]
+    ends = endpoint_values(spec, top)
     zero = Fraction(0)
     h = [zero] * (top + 1)
     for m, w in weights.items():

@@ -27,6 +27,12 @@ from .errors import FamilyMismatchError
 from .scalars import RATIONAL
 
 
+def _described(spec: FamilySpec) -> str:
+    """The family's label and its output backend, which `FamilySpec`
+    equality includes and `label` leaves out."""
+    return f"{spec.label()} at {spec.backend.name}"
+
+
 @dataclass
 class SeriesCoeffs:
     """Coefficients of a finite expansion in a family basis; index =
@@ -68,8 +74,8 @@ class ConvMatrix:
     def matvec(self, b: SeriesCoeffs) -> SeriesCoeffs:
         if b.family != self.family:
             raise FamilyMismatchError(
-                f"matrix basis {self.family.label()} does not match series "
-                f"basis {b.family.label()}"
+                f"matrix basis {_described(self.family)} does not match "
+                f"series basis {_described(b.family)}"
             )
         if len(b.coeffs) > self.n_cols:
             raise ValueError(
@@ -128,9 +134,8 @@ def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
     factor's degree, and the result is the columns' combination with the
     other factor's coefficients: O(min(M, N) (M + N)) exact operations."""
     if f.family != g.family:
-        raise FamilyMismatchError(
-            f"cannot convolve {f.family.label()} with {g.family.label()}"
-        )
+        raise FamilyMismatchError(f"cannot convolve {_described(f.family)} "
+                                  f"with {_described(g.family)}")
     long, short = _weights(f), _weights(g)
     if max(short, default=-1) > max(long, default=-1):
         long, short = short, long

@@ -89,6 +89,19 @@ class TestCoeffsCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert f"parameter {name!r}" in err and text in err
 
+    @pytest.mark.parametrize("argv,family,name", [
+        (["--family", "legendre", "--alpha", "5"], "legendre", "alpha"),
+        (["--family", "jacobi", "--alpha", "1", "--beta", "1", "--lambda",
+          "7"], "jacobi", "lambda"),
+    ], ids=["legendre_alpha", "jacobi_lambda"])
+    def test_parameter_the_family_does_not_take_is_reported(
+            self, argv, family, name, capsys):
+        assert main(["coeffs", *argv, "--m", "1", "--jmax", "2",
+                     "--nmax", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: family {family!r} takes no parameter "
+                       f"{name!r}\n")
+
     def test_float_backend_rounds_the_exact_entries(self, tmp_path):
         from polyconv import closed_forms as cf
         out = tmp_path / "rho.csv"
@@ -178,6 +191,15 @@ class TestSeriesIO:
         assert detail in str(info.value)
         assert main(["convolve", "--f", str(path), "--g", str(path)]) == 1
         assert f"{path}:{line}: " in capsys.readouterr().err
+
+    def test_parameter_the_family_does_not_take_names_file_and_line(
+            self, tmp_path):
+        path = tmp_path / "bad.csv"
+        write_file(path, "# family=chebyshev alpha=3\n0,1\n")
+        with pytest.raises(PolyconvError) as info:
+            read_series(str(path))
+        assert str(info.value) == (f"{path}:1: bad family header: family "
+                                   "'chebyshev' takes no parameter 'alpha'")
 
 
 class TestMatrixAndConvolve:
@@ -315,6 +337,19 @@ def test_rational_runs_do_not_import_mpmath(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["verify", "--max-degree", "2"], 0),
+    (["coeffs", "--family", "legendre"], 2),  # required options missing
+], ids=["verify", "usage_error"])
+def test_console_entry_point_exit_code(argv, code):
+    src = os.path.dirname(os.path.dirname(polyconv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "polyconv.cli", *argv],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == code, done.stderr
 
 
 class TestVerify:

@@ -105,6 +105,23 @@ class TestAlgebraicProperties:
         with pytest.raises(FamilyMismatchError):
             mat.matvec(g)
 
+    def test_family_mismatch_names_each_backend(self):
+        # FamilySpec equality includes the output backend; label() does not
+        spec = basis.jacobi(1, 1)
+        fb = FloatBackend(128)
+        f = SeriesCoeffs(spec, [1, 2])
+        g = SeriesCoeffs(spec.to_backend(fb), [1])
+        with pytest.raises(FamilyMismatchError) as info:
+            convolve_series(f, g)
+        assert str(info.value) == ("cannot convolve jacobi(1,1) at rational "
+                                   "with jacobi(1,1) at float:128")
+        mat = build_matrix(f, 2).to_backend(fb)
+        with pytest.raises(FamilyMismatchError) as info:
+            mat.matvec(f)
+        assert str(info.value) == ("matrix basis jacobi(1,1) at float:128 "
+                                   "does not match series basis jacobi(1,1) "
+                                   "at rational")
+
     def test_pointwise_against_exact_integration(self):
         # series route vs termwise symbolic convolution, exact equality
         random.seed(31)
@@ -307,6 +324,22 @@ class TestCaches:
         caches = (cf._poch, cf._jacobi_d_f43, cf._sym_d_f43, cf._cheb_d_f43)
         assert all(c.cache_info().currsize == 0 for c in caches)
         assert values() == cold
+
+    def test_engine_fills_no_cache(self):
+        specs = [basis.chebyshev(), basis.gegenbauer(Fraction(3, 2)),
+                 basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                 basis.laguerre(Fraction(5, 2)), basis.legendre()]
+        clear_caches()
+        for spec in specs:
+            cf.rho_table(spec, 4, 12, 9)
+            cf.magnitude_grid(spec, 4, 12, 9)
+            f = SeriesCoeffs(spec, [Fraction(1, 2), 0, 3, Fraction(-1, 7)])
+            g = SeriesCoeffs(spec, [2, Fraction(5, 3), 0, 0, 1])
+            build_matrix(f, 5)
+            convolve_series(f, g)
+            convolve_series(g, f)
+        caches = (cf._poch, cf._jacobi_d_f43, cf._sym_d_f43, cf._cheb_d_f43)
+        assert [c.cache_info().currsize for c in caches] == [0, 0, 0, 0]
 
 
 class TestExports:

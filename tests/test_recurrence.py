@@ -2,7 +2,10 @@
 
 `closed_forms.rho_columns` fills whole tables from the derivative
 connection P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}; every entry must
-equal `rho_closed` exactly, including the cells with m > n.
+equal `rho_closed` exactly, including the cells with m > n.  The closed
+forms and the family-agnostic route must in turn equal the oracle at
+random parameters, and the endpoint values P_k(-a) the recurrence closes
+its columns with must equal the endpoint derivatives of order 0.
 """
 
 import random
@@ -10,7 +13,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from polyconv import basis, closed_forms as cf, convmat
+from polyconv import basis, closed_forms as cf, convmat, generic_conv
+from polyconv.oracle import oracle_rho
 from polyconv.scalars import FloatBackend
 
 from conftest import acceptance_families
@@ -106,6 +110,45 @@ def test_random_laguerre_and_gegenbauer(alpha, m, nmax):
     lam = alpha + Fraction(1, 2)
     if lam > Fraction(-1, 2) and lam != 0:
         assert_matches_closed_forms(basis.gegenbauer(lam), m, nmax)
+
+
+def assert_certified(spec, top=4):
+    """rho_closed = generic route = oracle at every j, for m <= n <= top."""
+    data = basis.GenericBasisData.from_family(spec, 2 * top + 1)
+    for m in range(top + 1):
+        for n in range(m, top + 1):
+            truth = oracle_rho(spec, m, n)
+            assert len(truth) == m + n + 2
+            assert cf.rho_closed_vector(spec, m, n) == truth, \
+                (spec.label(), m, n)
+            assert generic_conv.rho_vector(data, m, n) == truth, \
+                (spec.label(), m, n)
+
+
+@settings(max_examples=10, deadline=None)
+@given(jacobi_parameters())
+def test_random_jacobi_certified_by_the_oracle(params):
+    assert_certified(basis.jacobi(*params))
+
+
+@settings(max_examples=5, deadline=None)
+@given(_parameter())
+def test_random_one_parameter_families_certified_by_the_oracle(alpha):
+    assert_certified(basis.symmetric_jacobi(alpha))
+    assert_certified(basis.laguerre(alpha))
+    if alpha != Fraction(-1, 2):
+        assert_certified(basis.gegenbauer(alpha + Fraction(1, 2)))
+
+
+class TestEndpointValues:
+    def test_equal_endpoint_derivatives_and_recurrence(self):
+        for spec in acceptance_families() + edge_families():
+            values = basis.endpoint_values(spec, 40)
+            assert all(type(v) is Fraction for v in values)
+            assert values == [basis.endpoint_derivative(spec, k, 0)
+                              for k in range(41)], spec.label()
+            assert values == basis.eval_polys(
+                spec, 40, -spec.domain_offset_a), spec.label()
 
 
 class TestTables:
