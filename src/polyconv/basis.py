@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
-from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, pochhammer
+from .scalars import RATIONAL, Scalar, exact, factorial, hyp_pfq, pochhammer
 
 
 class Family(Enum):
@@ -47,17 +47,18 @@ class Family(Enum):
 
 
 _HALF = Fraction(1, 2)
-_ONE = RATIONAL.one()  # a Scalar is immutable, so one instance serves all
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
-# Interval family -> its row (alpha, beta, p, q) from the spec's parameters:
-# P_n = (p)_n / (q)_n * P_n^(alpha, beta) (DLMF 18.7).
+# Interval family -> its row (alpha, beta, p, q) from the spec's exact
+# (alpha, beta, lam): P_n = (p)_n / (q)_n * P_n^(alpha, beta) (DLMF 18.7).
 _JACOBI_ROWS = {
-    Family.JACOBI: lambda spec: (spec.alpha, spec.beta, 1, 1),
-    Family.SYMMETRIC_JACOBI: lambda spec: (spec.alpha, spec.alpha, 1, 1),
-    Family.GEGENBAUER: lambda spec: (spec.lam - _HALF, spec.lam - _HALF,
-                                     2 * spec.lam, spec.lam + _HALF),
-    Family.LEGENDRE: lambda spec: (0, 0, 1, 1),
-    Family.CHEBYSHEV: lambda spec: (-_HALF, -_HALF, 1, _HALF),
+    Family.JACOBI: lambda alpha, beta, lam: (alpha, beta, 1, 1),
+    Family.SYMMETRIC_JACOBI: lambda alpha, beta, lam: (alpha, alpha, 1, 1),
+    Family.GEGENBAUER: lambda alpha, beta, lam: (lam - _HALF, lam - _HALF,
+                                                 2 * lam, lam + _HALF),
+    Family.LEGENDRE: lambda alpha, beta, lam: (0, 0, 1, 1),
+    Family.CHEBYSHEV: lambda alpha, beta, lam: (-_HALF, -_HALF, 1, _HALF),
 }
 
 
@@ -113,9 +114,7 @@ class FamilySpec:
     def domain_offset_a(self) -> Scalar:
         """Offset a of the shifted argument: 1 for interval families, 0 for
         Laguerre."""
-        if self.family is Family.LAGUERRE:
-            return RATIONAL.zero()
-        return RATIONAL.one()
+        return RATIONAL.make(0 if self.family is Family.LAGUERRE else 1)
 
     @property
     def zero_region_q(self) -> int | None:
@@ -128,18 +127,24 @@ class FamilySpec:
         return None
 
     @cached_property
+    def _exact(self) -> tuple:
+        """(alpha, beta, lam) as Fractions, None where unset."""
+        return tuple(None if v is None else Fraction(exact(v))
+                     for v in (self.alpha, self.beta, self.lam))
+
+    @cached_property
     def _jacobi_row(self) -> tuple:
         """(alpha, beta, p, q) of the family's `_JACOBI_ROWS` row."""
         row = _JACOBI_ROWS.get(self.family)
         if row is None:
             raise ValueError(f"{self.family.value} has no Jacobi parameters")
-        return tuple(RATIONAL.make(v) for v in row(self))
+        return tuple(Fraction(v) for v in row(*self._exact))
 
-    def jacobi_parameters(self) -> tuple[Scalar, Scalar]:
+    def jacobi_parameters(self) -> tuple[Fraction, Fraction]:
         """The (alpha, beta) of the underlying Jacobi normalization."""
         return self._jacobi_row[:2]
 
-    def normalization(self, n: int) -> Scalar:
+    def normalization(self, n: int) -> Fraction:
         """c_n = (p)_n / (q)_n with FamilyPoly_n = c_n * P_n^(alpha, beta)."""
         _, _, p, q = self._jacobi_row
         return _ONE if p == q else pochhammer(p, n) / pochhammer(q, n)
@@ -153,18 +158,13 @@ class FamilySpec:
     def to_config(self) -> dict:
         """Small record format with rational parameters as strings."""
         out = {"family": self.family.value}
-        for name in ("alpha", "beta", "lam"):
-            v = getattr(self, name)
+        for key, v in zip(("alpha", "beta", "lambda"), self._exact):
             if v is not None:
-                key = "lambda" if name == "lam" else name
-                out[key] = str(v.as_fraction())
+                out[key] = str(v)
         return out
 
     def label(self) -> str:
-        params = ",".join(
-            str(v.as_fraction())
-            for v in (self.alpha, self.beta, self.lam) if v is not None
-        )
+        params = ",".join(str(v) for v in self._exact if v is not None)
         return f"{self.family.value}({params})" if params else self.family.value
 
 
@@ -255,20 +255,20 @@ def eval_polys(spec: FamilySpec, n: int, x) -> list:
     scales J_k by its running normalization c_k."""
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
-    x = RATIONAL.make(x).as_fraction()
+    x = Fraction(exact(x))
 
     if spec.family is Family.GENERIC_MONIC:
         values = [(x + 1) ** k for k in range(n + 1)]
     elif spec.family is Family.LAGUERRE:
-        alpha = spec.alpha.as_fraction()
-        values = [Fraction(1), 1 + alpha - x]
+        alpha = spec._exact[0]
+        values = [_ONE, 1 + alpha - x]
         for k in range(2, n + 1):
             values.append(((2 * k - 1 + alpha - x) * values[-1]
                            - (k - 1 + alpha) * values[-2]) / k)
     else:
-        alpha, beta, p, q = (v.as_fraction() for v in spec._jacobi_row)
+        alpha, beta, p, q = spec._jacobi_row
         s = alpha + beta
-        prev, cur = Fraction(1), (alpha + 1) + (s + 2) * (x - 1) / 2
+        prev, cur = _ONE, (alpha + 1) + (s + 2) * (x - 1) / 2
         c = p / q
         values = [prev, c * cur]
         for k in range(2, n + 1):
@@ -279,12 +279,12 @@ def eval_polys(spec: FamilySpec, n: int, x) -> list:
             prev, cur = cur, (c2 * cur - c3 * prev) / c1
             c = c * (p + k - 1) / (q + k - 1)
             values.append(c * cur)
-    return [RATIONAL.make(v) for v in values[:n + 1]]
+    return values[:n + 1]
 
 
 def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
     """Value of the family's degree-n polynomial at x."""
-    return eval_polys(spec, n, x)[n]
+    return RATIONAL.make(eval_polys(spec, n, x)[n])
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,8 @@ def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_endpoint_derivative(n: int, p: int, alpha: Scalar,
-                                beta: Scalar) -> Scalar:
+def _jacobi_endpoint_derivative(n: int, p: int, alpha: Fraction,
+                                beta: Fraction) -> Fraction:
     # d^p/dx^p P_n^(alpha,beta) at x = -1:
     #   2^-p (-1)^(n+p) (p+beta+1)_(n-p) (n+alpha+beta+1)_p / (n-p)!
     sign = -1 if (n + p) % 2 else 1
@@ -306,18 +306,20 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     of the convolution domain); 0 when p > n."""
     if n < 0 or p < 0:
         raise IndexOutOfRangeError("degree and order must be nonnegative")
-    if p > n:
-        return RATIONAL.zero()
     f = spec.family
-    if f is Family.LAGUERRE:
+    if p > n:
+        value = 0
+    elif f is Family.LAGUERRE:
         sign = -1 if p % 2 else 1
-        return sign * pochhammer(spec.alpha + p + 1, n - p) / factorial(n - p)
-    if f is Family.GENERIC_MONIC:
-        if p < n:
-            return RATIONAL.zero()
-        return RATIONAL.make(factorial(n))
-    alpha, beta = spec.jacobi_parameters()
-    return spec.normalization(n) * _jacobi_endpoint_derivative(n, p, alpha, beta)
+        value = (sign * pochhammer(spec._exact[0] + p + 1, n - p)
+                 / factorial(n - p))
+    elif f is Family.GENERIC_MONIC:
+        value = factorial(n) if p == n else 0
+    else:
+        alpha, beta = spec.jacobi_parameters()
+        value = (spec.normalization(n)
+                 * _jacobi_endpoint_derivative(n, p, alpha, beta))
+    return RATIONAL.make(value)
 
 
 def endpoint_values(spec: FamilySpec, n: int) -> list:
@@ -329,13 +331,13 @@ def endpoint_values(spec: FamilySpec, n: int) -> list:
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
     if spec.family is Family.LAGUERRE:
-        alpha = spec.alpha.as_fraction()
+        alpha = spec._exact[0]
         ratios = ((alpha + k + 1) / (k + 1) for k in range(n))
     else:
-        _, beta, p, q = (v.as_fraction() for v in spec._jacobi_row)
+        _, beta, p, q = spec._jacobi_row
         ratios = (-(beta + k + 1) * (p + k) / ((k + 1) * (q + k))
                   for k in range(n))
-    values = [Fraction(1)]
+    values = [_ONE]
     for r in ratios:
         values.append(values[-1] * r)
     return values
@@ -352,7 +354,7 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
         raise IndexOutOfRangeError("degree must be nonnegative")
     f = spec.family
     if f is Family.LAGUERRE:
-        return -RATIONAL.one(), RATIONAL.one(), RATIONAL.zero()
+        return -_ONE, _ONE, _ZERO
     if f is Family.GENERIC_MONIC:
         raise ValueError(
             "generic sequences have no derivative connection; use the "
@@ -361,13 +363,12 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
     alpha, beta, p, q = spec._jacobi_row
     s = alpha + beta
     if n == 0:
-        a, b, c = 2 / (s + 2), RATIONAL.zero(), RATIONAL.zero()
+        a, b, c = 2 / (s + 2), _ZERO, _ZERO
     else:
         a = 2 * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
         b = 2 * (alpha - beta) / ((2 * n + s) * (2 * n + s + 2))
-        c = RATIONAL.zero() if n == 1 else (-2 * (n + alpha) * (n + beta)
-                                      / ((n + s) * (2 * n + s)
-                                         * (2 * n + s + 1)))
+        c = _ZERO if n == 1 else (-2 * (n + alpha) * (n + beta)
+                                  / ((n + s) * (2 * n + s) * (2 * n + s + 1)))
     # P_n = c_n J_n, so A and C pick up the ratios c_{k+1}/c_k = (p+k)/(q+k)
     if p != q:
         a = a * (q + n) / (p + n)
@@ -381,7 +382,7 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_b(n: int, k: int, alpha: Scalar, beta: Scalar) -> Scalar:
+def _jacobi_b(n: int, k: int, alpha: Fraction, beta: Fraction) -> Fraction:
     # (x+1)^n = sum_k b_{n,k} P_k^(alpha,beta)(x) with
     #   b_{n,k} = 2^n n! (beta+1)_n (alpha+beta+2k+1) Gamma(alpha+beta+k+1)
     #             / ((beta+1)_k Gamma(alpha+beta+n+k+2) (n-k)!).
@@ -404,12 +405,13 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
     f = spec.family
     if f is Family.LAGUERRE:
         # x^n = sum_k b_{n,k} L_k^(alpha), b_{n,k} = (-n)_k (k+alpha+1)_(n-k)
-        return (pochhammer(-n, k)
-                * pochhammer(spec.alpha + k + 1, n - k))
-    if f is Family.GENERIC_MONIC:
-        return RATIONAL.one() if n == k else RATIONAL.zero()
-    alpha, beta = spec.jacobi_parameters()
-    return _jacobi_b(n, k, alpha, beta) / spec.normalization(k)
+        value = pochhammer(-n, k) * pochhammer(spec._exact[0] + k + 1, n - k)
+    elif f is Family.GENERIC_MONIC:
+        value = 1 if n == k else 0
+    else:
+        alpha, beta = spec.jacobi_parameters()
+        value = _jacobi_b(n, k, alpha, beta) / spec.normalization(k)
+    return RATIONAL.make(value)
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +419,8 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_connection_gamma(n: int, k: int, p: int, q: int, alpha: Scalar,
-                             beta: Scalar) -> Scalar:
+def _jacobi_connection_gamma(n: int, k: int, p: int, q: int,
+                             alpha: Fraction, beta: Fraction) -> Fraction:
     # gamma_{n,k}^(p,q): d^p/dx^p P_{n+p} = sum_k gamma d^q/dx^q P_{k+q},
     # a terminating 3F2 at unit argument.  Pole-free for alpha, beta > -1.
     s = alpha + beta
@@ -437,26 +439,25 @@ def _jacobi_connection_gamma(n: int, k: int, p: int, q: int, alpha: Scalar,
 
 
 def _symmetric_connection_gamma(n: int, k: int, p: int, q: int,
-                                alpha: Scalar) -> Scalar:
+                                alpha: Fraction) -> Fraction:
     # Parity form for alpha = beta: zero for odd n-k, otherwise a pure
     # product of gamma quotients.  alpha = -1/2 has removable singularities
     # here, so that case is routed through the general Jacobi form.
     if (n - k) % 2:
-        return RATIONAL.zero()
-    if alpha == Fraction(-1, 2):
+        return _ZERO
+    if alpha == -_HALF:
         return _jacobi_connection_gamma(n, k, p, q, alpha, alpha)
     h = (n - k) // 2
     if k + q == 0:
         # (alpha+1/2) Gamma(2 alpha+1) merges to Gamma(2 alpha+2)/2
-        pref = RATIONAL.make(Fraction(1, 2))
+        pref = _HALF
         # Gamma(2 alpha+2) / Gamma(2 alpha+n+p+1)
         r1 = pochhammer(2 * alpha + n + p + 1, 1 - n - p)
     else:
-        pref = alpha + k + q + Fraction(1, 2)
+        pref = alpha + k + q + _HALF
         r1 = pochhammer(2 * alpha + n + p + 1, k + q - n - p)
     r2 = pochhammer(alpha + k + q + 1, n + p - k - q)
-    half = RATIONAL.make(Fraction(1, 2))
-    top3 = alpha + p + half * (k + n + 1)
+    top3 = alpha + p + _HALF * (k + n + 1)
     r3 = pochhammer(top3 + (1 + q - p), p - q - 1)
     return (pochhammer(p - q, h) * pref * r1 * r2 * r3
             * Fraction(2) ** (p - q) / factorial(h))
@@ -472,18 +473,18 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
     f = spec.family
     if f is Family.LAGUERRE:
         sign = -1 if (p + q) % 2 else 1
-        return sign * pochhammer(p - q, n - k) / factorial(n - k)
-    if f is Family.GENERIC_MONIC:
-        if n != k:
-            return RATIONAL.zero()
-        return RATIONAL.make(Fraction(factorial(n + p), factorial(n + q)))
-    alpha, beta = spec.jacobi_parameters()
-    if f is Family.JACOBI:
-        core = _jacobi_connection_gamma(n, k, p, q, alpha, beta)
+        value = sign * pochhammer(p - q, n - k) / factorial(n - k)
+    elif f is Family.GENERIC_MONIC:
+        value = Fraction(factorial(n + p), factorial(n + q)) if n == k else 0
     else:
-        core = _symmetric_connection_gamma(n, k, p, q, alpha)
-    scale = spec.normalization(n + p) / spec.normalization(k + q)
-    return core * scale
+        alpha, beta = spec.jacobi_parameters()
+        if f is Family.JACOBI:
+            core = _jacobi_connection_gamma(n, k, p, q, alpha, beta)
+        else:
+            core = _symmetric_connection_gamma(n, k, p, q, alpha)
+        value = (core * spec.normalization(n + p)
+                 / spec.normalization(k + q))
+    return RATIONAL.make(value)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +498,8 @@ class GenericBasisData:
     polynomial sequence: monomial-expansion b-coefficients and derivatives
     at x = -a up to ``max_degree``.  ``backend`` records the output backend
     of the family the data came from; the data and every coefficient
-    computed from them are exact."""
+    computed from them are exact.  `b` and `deriv` read a table's Fractions
+    or Scalars as Fractions."""
 
     domain_offset_a: Scalar
     max_degree: int
@@ -520,21 +522,21 @@ class GenericBasisData:
         d = {}
         for n in range(max_degree + 1):
             for k in range(n + 1):
-                b[(n, k)] = monomial_expansion_b(spec, n, k)
-                d[(n, k)] = endpoint_derivative(spec, n, k)
+                b[(n, k)] = monomial_expansion_b(spec, n, k).as_fraction()
+                d[(n, k)] = endpoint_derivative(spec, n, k).as_fraction()
         return cls(spec.domain_offset_a, max_degree, b, d, spec.backend)
 
-    def b(self, n: int, k: int) -> Scalar:
+    def b(self, n: int, k: int):
         try:
-            return self.b_coeffs[(n, k)]
+            return exact(self.b_coeffs[(n, k)])
         except KeyError:
             raise MissingDataError(f"missing b-coefficient ({n}, {k})") from None
 
-    def deriv(self, n: int, p: int) -> Scalar:
+    def deriv(self, n: int, p: int):
         if p > n:
-            return RATIONAL.zero()
+            return _ZERO
         try:
-            return self.endpoint_derivs[(n, p)]
+            return exact(self.endpoint_derivs[(n, p)])
         except KeyError:
             raise MissingDataError(
                 f"missing endpoint derivative ({n}, {p})"
@@ -553,9 +555,8 @@ def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
         raise IndexOutOfRangeError(f"need n >= r, got n={n}, r={r}")
     if k < 0 or k > n - r:
         raise IndexOutOfRangeError(f"need 0 <= k <= n-r, got k={k}")
-    total = RATIONAL.zero()
+    total = 0
     for sigma in range(n - r - k + 1):
-        total = total + (data.b(sigma + k + s, k + s)
-                         / factorial(sigma + k + s)
-                         * data.deriv(n, r + k + sigma))
-    return total
+        total += (data.b(sigma + k + s, k + s) / factorial(sigma + k + s)
+                  * data.deriv(n, r + k + sigma))
+    return RATIONAL.make(total)

@@ -132,10 +132,19 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
     naming the file and line: a missing or bad header (generic_monic
     included: it has no closed form to convolve with), a header with no
     rows, a row that is not `index,value` with an integer index and a
-    rational value, a negative index, or an index given twice.  Indices
-    left out are zero."""
-    with open(path, "r", encoding="utf-8") as fh:
+    rational value, a negative index, an index given twice, or a byte that
+    is not UTF-8.  A UTF-8 byte-order mark is skipped.  Indices left out
+    are zero."""
+    # an undecodable byte b is read as the lone surrogate U+DC00 + b
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
+    for no, ln in lines:
+        try:
+            ln.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(ln[exc.start]) - 0xDC00
+            raise PolyconvError(
+                f"{path}:{no}: byte 0x{byte:02x} is not UTF-8 text") from None
     if not lines or not lines[0][1].startswith("#"):
         raise PolyconvError(f"{path}: missing family header comment")
     header_no, header = lines[0]

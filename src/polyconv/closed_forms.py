@@ -44,10 +44,11 @@ from functools import lru_cache
 from .basis import (Family, FamilySpec, chebyshev, derivative_connection,
                     endpoint_values)
 from .errors import IndexContractError
-from .scalars import RATIONAL, Scalar, factorial, hyp_pfq, log10_abs
+from .scalars import RATIONAL, Scalar, exact, factorial, hyp_pfq, log10_abs
 from .scalars import pochhammer as _poch
 
 _HALF = Fraction(1, 2)
+_ZERO = Fraction(0)
 _CHEBYSHEV = chebyshev()
 
 
@@ -60,8 +61,8 @@ def _sign(k: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar,
-                 beta: Scalar) -> Scalar:
+def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Fraction,
+                 beta: Fraction) -> Fraction:
     """Inner-sum term of the j >= max(m+1, n-m-1) regime for general
     (alpha, beta)."""
     s = alpha + beta
@@ -81,8 +82,8 @@ def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar,
 
 
 @lru_cache(maxsize=200_000)
-def _jacobi_d_f43(m: int, nu: int, j: int, alpha: Scalar,
-                  beta: Scalar) -> Scalar:
+def _jacobi_d_f43(m: int, nu: int, j: int, alpha: Fraction,
+                  beta: Fraction) -> Fraction:
     s = alpha + beta
     return hyp_pfq(
         [1, -m, beta + (nu + 1), s + (m + 1)],
@@ -91,8 +92,8 @@ def _jacobi_d_f43(m: int, nu: int, j: int, alpha: Scalar,
     )
 
 
-def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar,
-             beta: Scalar) -> Scalar:
+def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Fraction,
+             beta: Fraction) -> Fraction:
     """Second-sum term of the j <= m regime for general (alpha, beta)."""
     s = alpha + beta
     num = (2 * _sign(m + n + 1 + nu) * (beta + nu)
@@ -113,11 +114,12 @@ def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar,
 # ---------------------------------------------------------------------------
 
 
-def sym_jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar) -> Scalar:
+def sym_jacobi_varpi(m: int, n: int, j: int, nu: int,
+                     alpha: Fraction) -> Fraction:
     """Symmetric-parameter varpi; zero for odd n+nu-j.  At alpha = -1/2 the
     parity display is indeterminate (0/0) and the general form is used."""
     if (n + nu - j) % 2:
-        return RATIONAL.zero()
+        return _ZERO
     if alpha == -_HALF:
         return jacobi_varpi(m, n, j, nu, alpha, alpha)
     h = (n + nu - j) // 2
@@ -125,7 +127,7 @@ def sym_jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar) -> Scalar:
            * _poch(alpha + nu, m + 1 - nu)
            * _poch(2 * alpha + (m + 1), nu - 1)
            * _poch(2 * alpha + (n + 1), j - nu)
-           * _poch(RATIONAL.make(-nu), h)
+           * _poch(-nu, h)
            * _poch(alpha + (j - nu) + _HALF, h)
            * _poch(alpha + (j - nu + 1), n + nu - j))
     den = (factorial(m - nu + 1) * factorial(h)
@@ -136,7 +138,7 @@ def sym_jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Scalar) -> Scalar:
 
 
 @lru_cache(maxsize=200_000)
-def _sym_d_f43(m: int, nu: int, j: int, alpha: Scalar) -> Scalar:
+def _sym_d_f43(m: int, nu: int, j: int, alpha: Fraction) -> Fraction:
     return hyp_pfq(
         [1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
         [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)],
@@ -144,7 +146,8 @@ def _sym_d_f43(m: int, nu: int, j: int, alpha: Scalar) -> Scalar:
     )
 
 
-def sym_jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar) -> Scalar:
+def sym_jacobi_d(nu: int, j: int, n: int, m: int,
+                 alpha: Fraction) -> Fraction:
     """Symmetric-parameter d term; alpha = -1/2 reroutes through the
     general form, whose j = 0 branch takes the required limit."""
     if alpha == -_HALF:
@@ -163,15 +166,15 @@ def sym_jacobi_d(nu: int, j: int, n: int, m: int, alpha: Scalar) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def legendre_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
+def legendre_varpi(m: int, n: int, j: int, nu: int) -> Fraction:
     if (n + nu - j) % 2:
-        return RATIONAL.zero()
+        return _ZERO
     h = (n - j + nu) // 2
     num = (_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1)
-           * _poch(RATIONAL.make(-nu), h))
+           * _poch(-nu, h))
     den = (4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
            * factorial(h)
-           * _poch(RATIONAL.make(Fraction(n + j - nu + 1, 2)), nu + 1))
+           * _poch(Fraction(n + j - nu + 1, 2), nu + 1))
     return num / den
 
 
@@ -189,12 +192,12 @@ def _sqrt_pi_over_gammas(a2: int, b2: int) -> Fraction:
                     factorial(2 * t) * factorial(other - 1))
 
 
-def legendre_d(nu: int, j: int, n: int, m: int) -> Scalar:
+def legendre_d(nu: int, j: int, n: int, m: int) -> Fraction:
     num = (_sign(m + nu + n + 1) * (2 * j + 1) * nu
            * Fraction(2) ** (j + m - nu)
            * factorial(n + nu - 1)
-           * _poch(RATIONAL.make(Fraction(-j - m + nu + 1, 2)), j + m)
-           * _poch(RATIONAL.make(Fraction(j - m + nu + 2, 2)), m))
+           * _poch(Fraction(-j - m + nu + 1, 2), j + m)
+           * _poch(Fraction(j - m + nu + 2, 2), m))
     den = factorial(n - nu + 1) * factorial(j + m + nu)
     # twice the two gamma arguments
     gam = _sqrt_pi_over_gammas(-j + m + nu + 2, j + m + nu + 3)
@@ -206,35 +209,34 @@ def legendre_d(nu: int, j: int, n: int, m: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Scalar:
+def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Fraction:
     """T-normalized varpi.  The simplified display carries a factor n and
     degenerates at n = 0; that case is rescaled from the general form."""
     if (n + nu - j) % 2:
-        return RATIONAL.zero()
+        return _ZERO
     if n == 0:
-        half = RATIONAL.make(-_HALF)
         return (_rescale(_CHEBYSHEV, m, n, j)
-                * jacobi_varpi(m, n, j, nu, half, half))
+                * jacobi_varpi(m, n, j, nu, -_HALF, -_HALF))
     h = (n + nu - j) // 2
     num = (_sign(m) * Fraction(2) ** (1 - 2 * nu) * n
-           * _poch(RATIONAL.make(-m), nu - 1)
-           * _poch(RATIONAL.make(m), nu - 1)
-           * _poch(RATIONAL.make(-nu), h)
-           * _poch(RATIONAL.make(Fraction(n + nu - j + 2, 2)), j - nu - 1))
-    den = (_poch(RATIONAL.make(_HALF), nu - 1)
+           * _poch(-m, nu - 1)
+           * _poch(m, nu - 1)
+           * _poch(-nu, h)
+           * _poch(Fraction(n + nu - j + 2, 2), j - nu - 1))
+    den = (_poch(_HALF, nu - 1)
            * factorial((n + nu + j) // 2))
     return num / den
 
 
 @lru_cache(maxsize=200_000)
-def _cheb_d_f43(m: int, nu: int, j: int) -> Scalar:
+def _cheb_d_f43(m: int, nu: int, j: int) -> Fraction:
     return hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
 
 
-def chebyshev_d(nu: int, j: int, n: int, m: int) -> Scalar:
+def chebyshev_d(nu: int, j: int, n: int, m: int) -> Fraction:
     lead = 2 if j == 0 else 4
-    num = (lead * _sign(m + n) * _poch(RATIONAL.make(-n), nu - 1)
-           * _poch(RATIONAL.make(n), nu - 1) * (nu - _HALF))
+    num = (lead * _sign(m + n) * _poch(-n, nu - 1)
+           * _poch(n, nu - 1) * (nu - _HALF))
     den = factorial(nu - j) * factorial(j + nu)
     return num / den * _cheb_d_f43(m, nu, j)
 
@@ -244,10 +246,10 @@ def chebyshev_d(nu: int, j: int, n: int, m: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
+def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
     """Piecewise closed form, m <= n assumed; j in [0, m+n+1]."""
 
-    def tail(idx: int) -> Scalar:
+    def tail(idx: int) -> Fraction:
         # (alpha - 1)_(m+n+1-idx) / (m+n+1-idx)!
         k = m + n + 1 - idx
         return _poch(alpha - 1, k) / factorial(k)
@@ -264,7 +266,7 @@ def laguerre_rho(alpha: Scalar, m: int, n: int, j: int) -> Scalar:
     if j == n:
         return _poch(alpha, m) / factorial(m)
     if j >= m + 1:
-        return RATIONAL.zero()
+        return _ZERO
     if j == m:
         return _poch(alpha, n + 1) / factorial(n + 1)
     return tail(j)
@@ -287,7 +289,7 @@ _TERMS = {
 }
 
 
-def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
+def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> Fraction:
     """c_m c_n / c_j for c = `spec.normalization`: the factor taking
     rho_{j,n}^m from the Jacobi normalization to the family's own."""
     c = spec.normalization
@@ -300,34 +302,34 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     when m > n (commutativity)."""
     if m < 0 or n < 0:
         raise IndexContractError("degrees must be nonnegative")
-    if j < 0 or j > m + n + 1:
-        return RATIONAL.zero()
     if m > n:
         m, n = n, m
 
     f = spec.family
-    if f is Family.LAGUERRE:
-        return laguerre_rho(spec.alpha, m, n, j)
-    if f is Family.GENERIC_MONIC:
-        raise ValueError(
-            "generic sequences have no closed form; use the "
-            "family-agnostic formulas in polyconv.generic_conv"
-        )
-
-    if m + 1 <= j <= n - m - 2:
-        return RATIONAL.zero()
-    varpi, d, count, jacobi_normalized = _TERMS[f]
-    params = spec.jacobi_parameters()[:count]
-    total = RATIONAL.zero()
-    if j >= max(m + 1, n - m - 1):
-        for nu in range(max(1, abs(j - n)), m + 2):
-            total = total + varpi(m, n, j, nu, *params)
+    if j < 0 or j > m + n + 1:
+        total = _ZERO
+    elif f is Family.LAGUERRE:
+        total = laguerre_rho(spec._exact[0], m, n, j)
+    elif f is Family.GENERIC_MONIC:
+        raise ValueError("generic sequences have no closed form; use the "
+                         "family-agnostic formulas in polyconv.generic_conv")
+    elif m + 1 <= j <= n - m - 2:
+        total = _ZERO
     else:
-        for nu in range(1, j + 1):
-            total = total + varpi(n, m, j, nu, *params)
-        for nu in range(j + 1, n + 2):
-            total = total + d(nu, j, n, m, *params)
-    return total * _rescale(spec, m, n, j) if jacobi_normalized else total
+        varpi, d, count, jacobi_normalized = _TERMS[f]
+        params = spec.jacobi_parameters()[:count]
+        total = _ZERO
+        if j >= max(m + 1, n - m - 1):
+            for nu in range(max(1, abs(j - n)), m + 2):
+                total += varpi(m, n, j, nu, *params)
+        else:
+            for nu in range(1, j + 1):
+                total += varpi(n, m, j, nu, *params)
+            for nu in range(j + 1, n + 2):
+                total += d(nu, j, n, m, *params)
+        if jacobi_normalized:
+            total *= _rescale(spec, m, n, j)
+    return RATIONAL.make(total)
 
 
 def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
@@ -387,7 +389,7 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
            * (_poch(s + 2, n - 1) * c(j)) ** 2)
     den = ((s + (2 * j + 1)) * _poch(alpha + 1, n) * _poch(beta + 1, n)
            * (_poch(s + 2, j - 1) * c(n)) ** 2)
-    return _sign(n + j) * num / den
+    return RATIONAL.make(_sign(n + j) * num / den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +404,7 @@ class BatemanTensor:
         P_m(x-t) = sum_{k=0}^m sum_{j=0}^{m-k} c_{m-k,j}
                    * P_j(x+1) P_k(t),
 
-    stored only on the triangle j <= m-k."""
+    stored, as exact Fractions, only on the triangle j <= m-k."""
 
     m: int
     alpha: Scalar
@@ -410,31 +412,32 @@ class BatemanTensor:
     coeffs: dict
 
     def coefficient(self, k: int, j: int) -> Scalar:
-        return self.coeffs.get((k, j), RATIONAL.zero())
+        return RATIONAL.make(self.coeffs.get((k, j), _ZERO))
 
 
-def bateman_tensor(m: int, alpha: Scalar, beta: Scalar) -> BatemanTensor:
+def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
     """Tensor-product expansion coefficients of the shifted difference
-    kernel for Jacobi parameters (alpha, beta)."""
-    s = alpha + beta
+    kernel for exact Jacobi parameters (alpha, beta), kept as given."""
+    a, b = exact(alpha), exact(beta)
+    s = a + b
     coeffs = {}
     for k in range(m + 1):
         for j in range(m - k + 1):
-            total = RATIONAL.zero()
+            total = _ZERO
             for nu in range(k, m - j + 1):
                 pref = (_sign(nu) * (s + (2 * k + 1))
-                        * _poch(beta + (k + 1), nu - k)
+                        * _poch(b + (k + 1), nu - k)
                         / (_poch(s + (k + 1), nu + 1) * factorial(nu - k)))
-                mid = (_poch(alpha + (j + nu + 1), m - nu - j)
+                mid = (_poch(a + (j + nu + 1), m - nu - j)
                        * _poch(s + (m + 1), nu)
                        * _poch(s + (m + nu + 1), j)
                        / (factorial(m - nu - j) * _poch(s + (j + 1), j)))
                 f = hyp_pfq(
-                    [j - m + nu, alpha + (j + 1), s + (j + m + nu + 1)],
-                    [alpha + (j + nu + 1), s + (2 * j + 2)],
+                    [j - m + nu, a + (j + 1), s + (j + m + nu + 1)],
+                    [a + (j + nu + 1), s + (2 * j + 2)],
                     1,
                 )
-                total = total + pref * mid * f
+                total += pref * mid * f
             coeffs[(k, j)] = total
     return BatemanTensor(m, alpha, beta, coeffs)
 
@@ -496,8 +499,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         raise IndexContractError("degrees must be nonnegative")
     top_m = max(weights, default=0)
     top = top_m + nmax + 2
-    a, b, c = zip(*([v.as_fraction() for v in derivative_connection(spec, k)]
-                    for k in range(top + 1)))
+    a, b, c = zip(*(derivative_connection(spec, k) for k in range(top + 1)))
     ends = endpoint_values(spec, top)
     zero = Fraction(0)
     h = [zero] * (top + 1)
@@ -577,7 +579,7 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
         return True
     if spec.family is Family.LAGUERRE:
         mm, nn = (m, n) if m <= n else (n, m)
-        return laguerre_rho(spec.alpha, mm, nn, j) == 0
+        return laguerre_rho(spec._exact[0], mm, nn, j) == 0
     if spec.family is Family.LEGENDRE and (n > j + m + 1 or m > j + n + 1):
         # full symmetry in (j, n, m): support is the tilted band where no
         # index exceeds the sum of the others plus one
@@ -596,8 +598,7 @@ def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
         row = []
         for n in range(nmax + 1):
             value = _entry(cols, j, n)
-            row.append(None if value == 0
-                       else log10_abs(RATIONAL.make(value)))
+            row.append(None if value == 0 else log10_abs(value))
         grid.append(row)
     return grid
 

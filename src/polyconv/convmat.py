@@ -24,7 +24,6 @@ from .closed_forms import _entry, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
-from .scalars import RATIONAL
 
 
 def _described(spec: FamilySpec) -> str:
@@ -82,12 +81,13 @@ class ConvMatrix:
                 f"series has {len(b.coeffs)} coefficients but the matrix "
                 f"has {self.n_cols} columns"
             )
-        out = [RATIONAL.zero()] * self.n_rows
+        out = [Fraction(0)] * self.n_rows
         for n, bn in enumerate(b.coeffs):
             if bn == 0:
                 continue
-            for j in range(self.n_rows):
-                out[j] = out[j] + self.entries[j][n] * bn
+            bn = bn.as_fraction()
+            for j, row in enumerate(self.entries):
+                out[j] += row[n].as_fraction() * bn
         return SeriesCoeffs(self.family, out)
 
     def to_backend(self, backend) -> "ConvMatrix":

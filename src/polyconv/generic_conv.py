@@ -55,14 +55,14 @@ def rho_taylor(data: GenericBasisData, req: RhoRequest) -> Scalar:
                 sum_{nu=1}^{p} d^{p-nu} P_m * d^{nu-1} P_n   (at x = -a).
     """
     m, n, j = req.m, req.n, req.j
-    total = RATIONAL.zero()
+    total = 0
     for p in range(j, m + n + 2):
-        inner = RATIONAL.zero()
+        inner = 0
         for nu in range(max(1, p - m), min(p, n + 1) + 1):
             # d^{p-nu} P_m vanishes for p-nu > m, d^{nu-1} P_n for nu-1 > n
-            inner = inner + data.deriv(m, p - nu) * data.deriv(n, nu - 1)
-        total = total + data.b(p, j) / factorial(p) * inner
-    return total
+            inner += data.deriv(m, p - nu) * data.deriv(n, nu - 1)
+        total += data.b(p, j) / factorial(p) * inner
+    return RATIONAL.make(total)
 
 
 def rho_highj(data: GenericBasisData, req: RhoRequest) -> Scalar:
@@ -74,11 +74,11 @@ def rho_highj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     m, n, j = req.m, req.n, req.j
     if j <= m:
         raise IndexContractError(f"rho_highj needs j >= m+1, got j={j}, m={m}")
-    total = RATIONAL.zero()
+    total = 0
     for nu in range(max(1, j - n), m + 2):
-        gamma = gamma_from_b(data, n, 0, j - nu, j)
-        total = total + gamma * data.deriv(m, nu - 1)
-    return total
+        gamma = gamma_from_b(data, n, 0, j - nu, j).as_fraction()
+        total += gamma * data.deriv(m, nu - 1)
+    return RATIONAL.make(total)
 
 
 def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
@@ -91,17 +91,17 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     m, n, j = req.m, req.n, req.j
     if j > m:
         raise IndexContractError(f"rho_lowj needs j <= m, got j={j}, m={m}")
-    total = RATIONAL.zero()
+    total = 0
     for nu in range(1, j + 1):
-        gamma = gamma_from_b(data, m, 0, j - nu, j)
-        total = total + gamma * data.deriv(n, nu - 1)
+        gamma = gamma_from_b(data, m, 0, j - nu, j).as_fraction()
+        total += gamma * data.deriv(n, nu - 1)
     for nu in range(j + 1, n + 2):
-        inner = RATIONAL.zero()
+        inner = 0
         for p in range(m + 1):
-            inner = inner + (data.b(p + nu, j) / factorial(p + nu)
-                             * data.deriv(m, p))
-        total = total + data.deriv(n, nu - 1) * inner
-    return total
+            inner += (data.b(p + nu, j) / factorial(p + nu)
+                      * data.deriv(m, p))
+        total += data.deriv(n, nu - 1) * inner
+    return RATIONAL.make(total)
 
 
 def rho_vector(data: GenericBasisData, m: int, n: int) -> list:

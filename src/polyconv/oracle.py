@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import Family, FamilySpec
-from .scalars import RATIONAL, Scalar
+from .scalars import RATIONAL, exact
 
 _ZERO = Fraction(0)
 
@@ -88,7 +88,7 @@ def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
         return MonomialPoly(prev)
 
     if f is Family.LAGUERRE:
-        alpha = spec.alpha.as_fraction()
+        alpha = spec._exact[0]
         cur = [1 + alpha, Fraction(-1)]
         for k in range(2, n + 1):
             nxt = _recurrence_step(cur, prev,
@@ -115,7 +115,7 @@ def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
         return MonomialPoly(cur)
 
     if f is Family.GEGENBAUER:
-        lam = spec.lam.as_fraction()
+        lam = spec._exact[2]
         cur = [Fraction(0), 2 * lam]
         for k in range(2, n + 1):
             nxt = _recurrence_step(cur, prev,
@@ -124,7 +124,7 @@ def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
             prev, cur = cur, nxt
         return MonomialPoly(cur)
 
-    alpha, beta = (s.as_fraction() for s in spec.jacobi_parameters())
+    alpha, beta = spec.jacobi_parameters()
     s = alpha + beta
     cur = [(alpha + 1) - (s + 2) / 2, (s + 2) / 2]
     for k in range(2, n + 1):
@@ -213,7 +213,7 @@ def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
 def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
     """Coefficients c_j with poly = sum_j c_j P_j(x + shift), found by
     repeatedly eliminating the highest remaining degree; exact."""
-    shift = Fraction(shift) if not isinstance(shift, Scalar) else shift.as_fraction()
+    shift = exact(shift)
     residual = poly.recenter(shift).coeffs[:]
     out = [_ZERO] * len(residual)
     basis_cache = {}
@@ -229,7 +229,7 @@ def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
         for k, v in enumerate(pj):
             residual[k] -= ratio * v
     assert all(v == 0 for v in residual)
-    return [Scalar(RATIONAL, v) for v in out]
+    return [RATIONAL.make(v) for v in out]
 
 
 def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
@@ -238,6 +238,5 @@ def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
     a = spec.domain_offset_a
     h = convolve_exact(spec, m, n)
     rho = project_to_family(h, spec, a)
-    zero = Scalar(RATIONAL, _ZERO)
-    rho = rho + [zero] * (m + n + 2 - len(rho))
+    rho = rho + [RATIONAL.zero()] * (m + n + 2 - len(rho))
     return rho[: m + n + 2]

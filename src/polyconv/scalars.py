@@ -1,23 +1,24 @@
-"""Exact scalar arithmetic and combinatorial primitives.
+"""Exact numbers inside the package, and the Scalar type at its boundary.
 
-Every coefficient in this package is a :class:`Scalar` holding an exact
-``Fraction``.  Arithmetic never rounds: its result is a rational scalar
-whatever backends its operands carry.  A backend is only a tag saying how a
-value is printed.  :data:`RATIONAL` prints the fraction itself;
-``FloatBackend(bits)`` rounds a value once, when the value is made, to a
-binary float of that precision (stored exactly as the dyadic rational it
-is) and prints it as a decimal.  That rounding and printing is the only
-code that touches mpmath, and it imports mpmath on first use, so a rational
-run never loads it.  Plain ``int`` and ``Fraction`` operands are coerced.
+Inside the package every exact value is a plain ``int`` or ``Fraction``.
+A :class:`Scalar`, made only where a value leaves the package, holds the
+exact ``Fraction`` and a backend, a tag saying how it is printed.
+:data:`RATIONAL` prints the fraction itself; ``FloatBackend(bits)`` rounds
+a value once, when the value is made, to a binary float of that precision
+(stored exactly as the dyadic rational it is) and prints it as a decimal.
+That rounding and printing is the only code that touches mpmath, imported
+on first use, so a rational run never loads it.  Scalar arithmetic, for
+callers, never rounds: its result is a rational scalar whatever backends
+its operands carry.  :func:`exact` reads any of these types back.
 
-On top of the scalar type sit the primitives every coefficient formula is
-built from: rising factorials (Pochhammer symbols) and terminating
-generalized hypergeometric sums.  One cached helper, :func:`pochhammer`,
-gives the rising factorial of every integer order; a negative order stands
-for a gamma quotient, so no transcendental gamma is ever needed.
+The primitives every coefficient formula is built from return exact
+``Fraction``s: rising factorials (Pochhammer symbols) from one cached
+helper, :func:`pochhammer`, whose negative orders stand for gamma
+quotients, and terminating generalized hypergeometric sums.
 """
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial  # noqa: F401  (re-exported for the formulas)
@@ -29,23 +30,25 @@ from .errors import (
 )
 
 
-class RationalBackend:
-    """Exact values printed as fractions."""
-
-    name = "rational"
-
-    def make(self, value) -> "Scalar":
-        if isinstance(value, Scalar):
-            return value if value.backend == self else Scalar(self, value.value)
-        if isinstance(value, (int, Fraction, str)):
-            return Scalar(self, Fraction(value))
-        raise TypeError(f"cannot build a scalar from {value!r}")
+class _Backend:
+    """Zero and one, exact in every backend."""
 
     def zero(self) -> "Scalar":
         return Scalar(self, Fraction(0))
 
     def one(self) -> "Scalar":
         return Scalar(self, Fraction(1))
+
+
+class RationalBackend(_Backend):
+    """Exact values printed as fractions."""
+
+    name = "rational"
+
+    def make(self, value) -> "Scalar":
+        if isinstance(value, Scalar) and value.backend == self:
+            return value
+        return Scalar(self, Fraction(exact(value)))
 
     def format(self, value: Fraction) -> str:
         return str(value)
@@ -63,7 +66,7 @@ class RationalBackend:
 RATIONAL = RationalBackend()
 
 
-class FloatBackend:
+class FloatBackend(_Backend):
     """Rounding to binary floats of fixed precision (bits) for output.
 
     `make` rounds the exact value to nearest at `precision` bits and tags
@@ -80,7 +83,7 @@ class FloatBackend:
     def name(self) -> str:
         return f"float:{self.precision}"
 
-    def _mpf(self, value: Fraction):
+    def _mpf(self, value):
         """`value` as an mpmath float rounded to `precision` bits."""
         import mpmath
 
@@ -90,14 +93,8 @@ class FloatBackend:
     def make(self, value) -> "Scalar":
         if isinstance(value, Scalar) and value.backend == self:
             return value
-        sign, man, exp, _ = self._mpf(RATIONAL.make(value).value)._mpf_
+        sign, man, exp, _ = self._mpf(exact(value))._mpf_
         return Scalar(self, Fraction(-man if sign else man) * Fraction(2) ** exp)
-
-    def zero(self) -> "Scalar":
-        return Scalar(self, Fraction(0))
-
-    def one(self) -> "Scalar":
-        return Scalar(self, Fraction(1))
 
     def format(self, value: Fraction) -> str:
         import mpmath
@@ -181,35 +178,24 @@ class Scalar:
 
     # -- comparisons ------------------------------------------------------
 
-    def __eq__(self, other):
+    def _compare(self, other, op):
         v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return self.value == v
+        return NotImplemented if v is None else op(self.value, v)
+
+    def __eq__(self, other):
+        return self._compare(other, operator.eq)
 
     def __lt__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return self.value < v
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return self.value <= v
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return self.value > v
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        v = self._other(other)
-        if v is None:
-            return NotImplemented
-        return self.value >= v
+        return self._compare(other, operator.ge)
 
     def __hash__(self):
         return hash(self.value)
@@ -218,9 +204,6 @@ class Scalar:
         return self.value != 0
 
     # -- conversions ------------------------------------------------------
-
-    def is_integer(self) -> bool:
-        return self.value.denominator == 1
 
     def as_fraction(self) -> Fraction:
         return self.value
@@ -240,16 +223,22 @@ class Scalar:
         return f"Scalar({self.backend.name}, {self})"
 
 
-def as_integer(value):
-    """The exact integer a value represents, or None (ints, Fractions and
-    scalars)."""
-    if isinstance(value, int):
+def exact(value):
+    """The exact value of an int, Fraction, Scalar or rational string: an
+    int or Fraction as it is, a Scalar's Fraction, a string parsed."""
+    if isinstance(value, (int, Fraction)):
         return value
     if isinstance(value, Scalar):
-        value = value.value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else None
-    return None
+        return value.value
+    if isinstance(value, str):
+        return Fraction(value)
+    raise TypeError(f"cannot build a scalar from {value!r}")
+
+
+def as_integer(value):
+    """The exact integer an int, Fraction or Scalar represents, or None."""
+    value = exact(value)
+    return value.numerator if value.denominator == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -257,18 +246,20 @@ def as_integer(value):
 # ---------------------------------------------------------------------------
 
 _POCH_STRIDE = 256
+_ONE = Fraction(1)
 
 
 @lru_cache(maxsize=500_000)
-def pochhammer(z, n: int) -> Scalar:
+def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
     (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order.
 
-    `z` is a Scalar, Fraction or int; the result is a rational Scalar.
-    Exact and cached: (z)_n costs one product once (z)_{n-1} is cached.
-    Raises GammaPoleError when a negative order hits a pole, that is when
-    (z-t)_t vanishes.
+    `z` is an int, Fraction or Scalar (equal keys share a cache entry); the
+    result is an exact Fraction.  (z)_n costs one product once (z)_{n-1}
+    is cached.  Raises GammaPoleError when a negative order hits a pole,
+    that is when (z-t)_t vanishes.
     """
+    z = exact(z)
     if n < 0:
         den = pochhammer(z + n, -n)
         if den == 0:
@@ -276,7 +267,7 @@ def pochhammer(z, n: int) -> Scalar:
                                  "denominator")
         return 1 / den
     if n == 0:
-        return RATIONAL.one()
+        return _ONE
     if n > _POCH_STRIDE:
         # warm the cache a stride below first, so the recursion depth stays
         # near _POCH_STRIDE however cold the cache is
@@ -289,26 +280,23 @@ def pochhammer(z, n: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
-    """Sum a terminating pFq term by term with a running-term ratio.
+def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
+    """Sum a terminating pFq term by term with a running-term ratio, as an
+    exact Fraction; the parameters are ints, Fractions or Scalars.
 
     The series must terminate: some numerator parameter is a nonpositive
     integer -t, and the sum runs over k = 0..t.  A denominator parameter
     hitting zero before termination raises DenominatorPoleError.
     """
-    x = RATIONAL.make(argument)
-    nums = [RATIONAL.make(a) for a in numerator_params]
-    dens = [RATIONAL.make(b) for b in denominator_params]
+    x = exact(argument)
+    nums = [exact(a) for a in numerator_params]
+    dens = [exact(b) for b in denominator_params]
 
-    t = None
-    for a in nums:
-        ia = as_integer(a)
-        if ia is not None and ia <= 0 and (t is None or -ia < t):
-            t = -ia
-    if t is None:
-        raise NonTerminatingSeriesError(
-            "no numerator parameter is a nonpositive integer"
-        )
+    ends = [-i for i in map(as_integer, nums) if i is not None and i <= 0]
+    if not ends:
+        raise NonTerminatingSeriesError("no numerator parameter is a "
+                                        "nonpositive integer")
+    t = min(ends)
     for b in dens:
         ib = as_integer(b)
         if ib is not None and ib <= 0 and -ib <= t - 1:
@@ -316,7 +304,7 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
                 f"denominator parameter {b} vanishes at k = {-ib} <= {t - 1}"
             )
 
-    term = total = RATIONAL.one()
+    term = total = _ONE
     for k in range(t):
         for a in nums:
             term = term * (a + k)
@@ -327,10 +315,11 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Scalar:
     return total
 
 
-def log10_abs(s: Scalar) -> float:
-    """log10 |s| as a machine float; -inf for zero.  Exact-integer logs are
-    used so huge magnitudes cannot overflow."""
-    if s == 0:
+def log10_abs(value) -> float:
+    """log10 |value| as a machine float for an exact value (int, Fraction
+    or Scalar); -inf for zero.  Exact-integer logs are used so huge
+    magnitudes cannot overflow."""
+    v = abs(exact(value))
+    if v == 0:
         return float("-inf")
-    v = abs(s.value)
     return math.log10(v.numerator) - math.log10(v.denominator)

@@ -19,7 +19,10 @@ JACOBI_G = "# family=jacobi alpha=1/3 beta=1/5\n" + "".join(
 
 
 def write_file(path, text):
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
 
 
 class TestCoeffsCommand:
@@ -179,8 +182,9 @@ class TestSeriesIO:
         ("# family=legendre\n0,1\n1,\n", 3, "got '1,'"),
         ("\n# family=jacobi alpha=1/3\n0,1\n", 2, "parameter 'beta'"),
         ("# family=generic_monic\n0,1\n", 1, "generic_monic"),
+        (b"# family=legendre\n0,1\n1,1/\xff\n", 3, "0xff is not UTF-8"),
     ], ids=["duplicate_index", "negative_index", "no_rows", "empty_value",
-            "bad_header", "generic_monic"])
+            "bad_header", "generic_monic", "not_utf8"])
     def test_malformed_series_names_file_and_line(self, tmp_path, capsys,
                                                   text, line, detail):
         path = tmp_path / "bad.csv"
@@ -191,6 +195,14 @@ class TestSeriesIO:
         assert detail in str(info.value)
         assert main(["convolve", "--f", str(path), "--g", str(path)]) == 1
         assert f"{path}:{line}: " in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_file(plain, JACOBI_F)
+        write_file(marked, b"\xef\xbb\xbf" + JACOBI_F.encode("utf-8"))
+        want = read_series(str(plain))
+        got = read_series(str(marked))
+        assert got.family == want.family and got.coeffs == want.coeffs
 
     def test_parameter_the_family_does_not_take_names_file_and_line(
             self, tmp_path):

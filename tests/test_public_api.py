@@ -1,13 +1,22 @@
-"""The package's public surface: the exports resolve and the README tour
-runs, so a deleted or renamed name fails here and not in a user's code."""
+"""The package's public surface: the exports resolve, the README tour
+runs, and values cross it with fixed types.  A deleted or renamed name
+fails here and not in a user's code.  Inside the package every exact value
+is an int or Fraction; a Scalar is made only where a value leaves it."""
 
 import os
+import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import polyconv
+from polyconv import (basis, cli, clear_caches, closed_forms as cf, convmat,
+                      generic_conv, oracle)
+from polyconv.scalars import RATIONAL, Scalar, hyp_pfq, pochhammer
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,3 +37,137 @@ def test_readme_quick_tour_runs():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+JACOBI = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+
+
+def _dense_series(spec, degree, seed):
+    rng = random.Random(seed)
+    return convmat.SeriesCoeffs(spec, [
+        Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+        for _ in range(degree + 1)])
+
+
+def _products():
+    f, g = _dense_series(JACOBI, 6, 1), _dense_series(JACOBI, 5, 2)
+    convmat.convolve_series(f, g)
+    matrix = convmat.build_matrix(f, 6)
+    for _ in range(20):
+        matrix.matvec(g)
+
+
+def _tables():
+    cf.rho_table(basis.legendre(), 6, 14, 14)
+    cf.magnitude_grid(basis.legendre(), 6, 14, 14)
+
+
+def _closed_vectors():
+    for spec in (JACOBI, basis.gegenbauer(Fraction(3, 2)), basis.chebyshev(),
+                 basis.laguerre(Fraction(5, 2))):
+        cf.rho_closed_vector(spec, 3, 7)
+
+
+def _generic_route():
+    data = basis.GenericBasisData.from_family(JACOBI, 11)
+    generic_conv.rho_vector(data, 3, 5)
+    generic_conv.rho_vector(data, 2, 7)
+
+
+def _certification():
+    oracle.oracle_rho(JACOBI, 3, 5)
+    cf.symmetry_factor(JACOBI, 1, 4, 6)
+    cf.bateman_tensor(3, JACOBI.alpha, JACOBI.beta)
+    assert cli.run_verification(2).ok
+
+
+@pytest.mark.parametrize("work", [_products, _tables, _closed_vectors,
+                                  _generic_route, _certification],
+                         ids=["products", "tables", "closed_vectors",
+                              "generic_route", "certification"])
+def test_package_does_no_scalar_arithmetic(monkeypatch, work):
+    # Scalar operators are for callers; the package computes on ints and
+    # Fractions and wraps a value once, where it leaves
+    calls = []
+    binop = Scalar._binop
+
+    def counted(self, other, op):
+        calls.append(op)
+        return binop(self, other, op)
+
+    monkeypatch.setattr(Scalar, "_binop", counted)
+    clear_caches()
+    work()
+    assert len(calls) == 0
+
+
+def test_boundary_functions_return_scalars():
+    gen = basis.GenericBasisData.from_family(JACOBI, 9)
+    req = generic_conv.request(gen, 2, 4, 5)
+    low = generic_conv.request(gen, 2, 4, 1)
+    f = _dense_series(JACOBI, 3, 3)
+    table = cf.rho_table(JACOBI, 2, 4, 4)
+    geg = basis.gegenbauer(Fraction(3, 2))
+    values = {
+        "alpha": JACOBI.alpha,
+        "beta": JACOBI.beta,
+        "lam": geg.lam,
+        "domain_offset_a": JACOBI.domain_offset_a,
+        "rho_closed": cf.rho_closed(JACOBI, 2, 4, 5),
+        "rho_closed_vector": cf.rho_closed_vector(geg, 2, 4)[3],
+        "symmetry_factor": cf.symmetry_factor(JACOBI, 1, 4, 6),
+        "bateman": cf.bateman_tensor(2, Fraction(5, 2),
+                                     Fraction(3, 2)).coefficient(1, 1),
+        "eval_poly": basis.eval_poly(JACOBI, 3, Fraction(1, 3)),
+        "endpoint_derivative": basis.endpoint_derivative(JACOBI, 4, 2),
+        "monomial_expansion_b": basis.monomial_expansion_b(JACOBI, 4, 2),
+        "connection_gamma": basis.connection_gamma(geg, 4, 2, 1, 1),
+        "gamma_from_b": basis.gamma_from_b(gen, 4, 1, 1, 1),
+        "rho_taylor": generic_conv.rho_taylor(gen, req),
+        "rho_highj": generic_conv.rho_highj(gen, req),
+        "rho_lowj": generic_conv.rho_lowj(gen, low),
+        "rho_vector": generic_conv.rho_vector(gen, 2, 4)[0],
+        "oracle_rho": oracle.oracle_rho(JACOBI, 2, 4)[7],
+        "project_to_family": oracle.project_to_family(
+            oracle.to_monomial(JACOBI, 3), JACOBI, 0)[2],
+        "SeriesCoeffs": f.coeffs[1],
+        "RhoTable": table.values[3][2],
+        "ConvMatrix": convmat.build_matrix(f, 3).entries[2][1],
+        "convolve_series": convmat.convolve_series(f, f).coeffs[4],
+        "matvec": convmat.build_matrix(f, 4).matvec(f).coeffs[2],
+    }
+    assert {k: type(v) for k, v in values.items()} == \
+        {k: Scalar for k in values}
+
+
+def test_internals_return_fractions():
+    specs = [JACOBI, basis.legendre(), basis.chebyshev(),
+             basis.gegenbauer(Fraction(3, 2)), basis.laguerre(2)]
+    values = [pochhammer(3, 0), pochhammer(3, 3), pochhammer(3, -2),
+              pochhammer(Fraction(1, 2), 3),
+              hyp_pfq([-2, 3], [5], 1), hyp_pfq([0], [], 2),
+              cf.legendre_d(2, 0, 1, 0)]
+    for spec in specs:
+        for n in range(3):
+            values += basis.derivative_connection(spec, n)
+        values += basis.endpoint_values(spec, 3)
+        values += basis.eval_polys(spec, 3, 2)
+        if spec.family is not basis.Family.LAGUERRE:
+            values.append(spec.normalization(0))
+    values += basis.eval_polys(basis.generic_monic(), 3, 1)
+    # an int / int slipped into a formula makes a float that compares equal
+    # to a dyadic Fraction, so the type is what is checked
+    assert [type(v) for v in values] == [Fraction] * len(values)
+
+
+@pytest.mark.parametrize("scalar_first", [True, False])
+def test_pochhammer_type_does_not_depend_on_call_order(scalar_first):
+    # the cache shares equal Scalar, Fraction and int keys
+    for z in (Fraction(2, 7), Fraction(3)):
+        calls = [RATIONAL.make(z), z] + ([int(z)] if z.denominator == 1 else [])
+        if not scalar_first:
+            calls.reverse()
+        clear_caches()
+        for n in (0, 4, -2):
+            assert [type(pochhammer(arg, n)) for arg in calls] == \
+                [Fraction] * len(calls)

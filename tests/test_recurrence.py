@@ -65,7 +65,7 @@ class TestAgainstClosedForms:
                     if k < 0:
                         continue
                     for i, v in enumerate(deriv(to_monomial(spec, k).coeffs)):
-                        rhs[i] += weight.as_fraction() * v
+                        rhs[i] += weight * v
                 lhs = to_monomial(spec, n).coeffs
                 assert rhs[:len(lhs)] == lhs and not any(rhs[len(lhs):]), \
                     (spec.label(), n)
