@@ -498,8 +498,8 @@ class GenericBasisData:
     polynomial sequence: monomial-expansion b-coefficients and derivatives
     at x = -a up to ``max_degree``.  ``backend`` records the output backend
     of the family the data came from; the data and every coefficient
-    computed from them are exact.  `b` and `deriv` read a table's Fractions
-    or Scalars as Fractions."""
+    computed from them are exact.  The tables may hold ints, Fractions or
+    Scalars; `b` and `deriv` return every entry as a Fraction."""
 
     domain_offset_a: Scalar
     max_degree: int
@@ -526,21 +526,22 @@ class GenericBasisData:
                 d[(n, k)] = endpoint_derivative(spec, n, k).as_fraction()
         return cls(spec.domain_offset_a, max_degree, b, d, spec.backend)
 
-    def b(self, n: int, k: int):
-        try:
-            return exact(self.b_coeffs[(n, k)])
-        except KeyError:
-            raise MissingDataError(f"missing b-coefficient ({n}, {k})") from None
+    def b(self, n: int, k: int) -> Fraction:
+        return _lookup(self.b_coeffs, (n, k), "b-coefficient")
 
-    def deriv(self, n: int, p: int):
+    def deriv(self, n: int, p: int) -> Fraction:
         if p > n:
             return _ZERO
-        try:
-            return exact(self.endpoint_derivs[(n, p)])
-        except KeyError:
-            raise MissingDataError(
-                f"missing endpoint derivative ({n}, {p})"
-            ) from None
+        return _lookup(self.endpoint_derivs, (n, p), "endpoint derivative")
+
+
+def _lookup(table: dict, key: tuple, what: str) -> Fraction:
+    """table[key] as a Fraction; MissingDataError names a missing entry."""
+    try:
+        value = table[key]
+    except KeyError:
+        raise MissingDataError(f"missing {what} {key}") from None
+    return value if isinstance(value, Fraction) else Fraction(exact(value))
 
 
 def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,

@@ -129,12 +129,12 @@ def write_series(series: convmat.SeriesCoeffs, stream) -> None:
 
 def read_series(path: str) -> convmat.SeriesCoeffs:
     """Parse a series file exactly.  Malformed content raises PolyconvError
-    naming the file and line: a missing or bad header (generic_monic
-    included: it has no closed form to convolve with), a header with no
-    rows, a row that is not `index,value` with an integer index and a
-    rational value, a negative index, an index given twice, or a byte that
-    is not UTF-8.  A UTF-8 byte-order mark is skipped.  Indices left out
-    are zero."""
+    naming the file and line: a missing or bad header (a parameter given
+    twice, or generic_monic: it has no closed form to convolve with), a
+    header with no rows, a row that is not `index,value` with an integer
+    index and a rational value, a negative index, an index given twice, or
+    a byte that is not UTF-8.  A UTF-8 byte-order mark is skipped.  Indices
+    left out are zero."""
     # an undecodable byte b is read as the lone surrogate U+DC00 + b
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -151,6 +151,9 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
     config = {}
     for token in header[1:].split():
         key, _, value = token.partition("=")
+        if key in config:
+            raise PolyconvError(f"{path}:{header_no}: bad family header: "
+                                f"parameter {key!r} given twice")
         config[key] = value
     try:
         spec = basis.spec_from_config(config)

@@ -31,9 +31,9 @@ and the benchmark's checks).
 
 Everything here is a pure function of its inputs.  The rising factorials
 come from the one cached helper ``scalars.pochhammer`` (imported as
-``_poch``; a negative order is a gamma quotient), and the small
-hypergeometric factors of the ``d`` terms are memoized across calls;
-``clear_caches`` empties both.
+``_poch``; a negative order is a gamma quotient), whose cache keeps one
+entry per (z, n) asked for, and the small hypergeometric factors of the
+``d`` terms are memoized across calls; ``clear_caches`` empties both.
 """
 
 import csv
@@ -607,14 +607,18 @@ def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
     """Write a coefficient table as `j,n,value` rows.  The `csv` format
     lists the whole grid; `triplet` keeps only nonzero entries for sparse
     inspection."""
+    _write_jn_rows(table.values, stream, nonzero_only=fmt == "triplet")
+
+
+def _write_jn_rows(rows: list, stream, nonzero_only: bool = True) -> None:
+    """Write the grid rows[j][n] as `j,n,value` rows, by default only its
+    nonzero cells (the triplet format)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["j", "n", "value"])
-    for j in range(table.jmax + 1):
-        for n in range(table.nmax + 1):
-            value = table.values[j][n]
-            if fmt == "triplet" and value == 0:
-                continue
-            writer.writerow([j, n, str(value)])
+    for j, row in enumerate(rows):
+        for n, v in enumerate(row):
+            if not nonzero_only or v != 0:
+                writer.writerow([j, n, str(v)])
 
 
 def write_magnitude_csv(grid: list, stream) -> None:

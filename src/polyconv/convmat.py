@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import _entry, series_columns
+from .closed_forms import _entry, _write_jn_rows, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
@@ -164,9 +164,4 @@ def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
 
 def write_matrix_triplet_csv(matrix: ConvMatrix, stream) -> None:
     """Sparse-inspection triplet format `j,n,value`, nonzero entries only."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["j", "n", "value"])
-    for j, row in enumerate(matrix.entries):
-        for n, v in enumerate(row):
-            if v != 0:
-                writer.writerow([j, n, str(v)])
+    _write_jn_rows(matrix.entries, stream)

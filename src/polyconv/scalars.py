@@ -245,7 +245,6 @@ def as_integer(value):
 # rising factorials
 # ---------------------------------------------------------------------------
 
-_POCH_STRIDE = 256
 _ONE = Fraction(1)
 
 
@@ -254,10 +253,11 @@ def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
     (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order.
 
-    `z` is an int, Fraction or Scalar (equal keys share a cache entry); the
-    result is an exact Fraction.  (z)_n costs one product once (z)_{n-1}
-    is cached.  Raises GammaPoleError when a negative order hits a pole,
-    that is when (z-t)_t vanishes.
+    `z` is an int, Fraction, Scalar or rational string (equal keys share a
+    cache entry); the result is an exact Fraction.  With z = p/q in lowest
+    terms, (z)_n = prod_{k<n} (p + kq) / q^n: one integer product, and the
+    cache keeps only the (z, n) asked for.  Raises GammaPoleError when a
+    negative order hits a pole, that is when (z-t)_t vanishes.
     """
     z = exact(z)
     if n < 0:
@@ -266,13 +266,8 @@ def pochhammer(z, n: int) -> Fraction:
             raise GammaPoleError(f"pochhammer pole: ({z})_{n} has a zero "
                                  "denominator")
         return 1 / den
-    if n == 0:
-        return _ONE
-    if n > _POCH_STRIDE:
-        # warm the cache a stride below first, so the recursion depth stays
-        # near _POCH_STRIDE however cold the cache is
-        pochhammer(z, n - _POCH_STRIDE)
-    return pochhammer(z, n - 1) * (z + (n - 1))
+    p, q = z.numerator, z.denominator
+    return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
 
 
 # ---------------------------------------------------------------------------

@@ -183,8 +183,10 @@ class TestSeriesIO:
         ("\n# family=jacobi alpha=1/3\n0,1\n", 2, "parameter 'beta'"),
         ("# family=generic_monic\n0,1\n", 1, "generic_monic"),
         (b"# family=legendre\n0,1\n1,1/\xff\n", 3, "0xff is not UTF-8"),
+        ("# family=jacobi alpha=1 beta=1 alpha=2\n0,1\n", 1,
+         "bad family header: parameter 'alpha' given twice"),
     ], ids=["duplicate_index", "negative_index", "no_rows", "empty_value",
-            "bad_header", "generic_monic", "not_utf8"])
+            "bad_header", "generic_monic", "not_utf8", "repeated_key"])
     def test_malformed_series_names_file_and_line(self, tmp_path, capsys,
                                                   text, line, detail):
         path = tmp_path / "bad.csv"

@@ -59,6 +59,18 @@ class TestAgreement:
                     vec = generic_conv.rho_vector(data, m, n)
                     assert vec[m + n + 1] != 0
 
+    def test_int_tables_match_fraction_tables(self):
+        data = GenericBasisData.from_family(basis.generic_monic(), 7)
+        ints = GenericBasisData(
+            data.domain_offset_a, data.max_degree,
+            {key: int(v) for key, v in data.b_coeffs.items()},
+            {key: int(v) for key, v in data.endpoint_derivs.items()},
+        )
+        for m in range(4):
+            for n in range(m, 4):
+                assert generic_conv.rho_vector(ints, m, n) == \
+                    generic_conv.rho_vector(data, m, n)
+
 
 class TestKnownValues:
     def test_legendre_constant_times_linear(self):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polyconv import closed_forms
+from polyconv import basis, closed_forms
 from polyconv.errors import (
     DenominatorPoleError,
     GammaPoleError,
@@ -125,6 +125,16 @@ class TestPochhammer:
 
     def test_closed_forms_share_the_helper(self):
         assert closed_forms._poch is pochhammer
+
+    def test_cache_stays_bounded_at_degree_1000(self):
+        # each call keeps its own (z, n) keys, not every prefix (z)_k, k < n
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        ks = range(0, 1001, 50)
+        closed_forms.clear_caches()
+        for k in ks:
+            basis.monomial_expansion_b(spec, 1000, k)
+            basis.endpoint_derivative(spec, 1000, k)
+        assert pochhammer.cache_info().currsize <= 4 * 2 * len(ks)
 
     def test_sign_flip_identity(self):
         # (z)_n = (-1)^n (-z-n+1)_n
