@@ -2,13 +2,14 @@
 
 Each family is described by a :class:`FamilySpec`.  The module evaluates
 polynomials by their three-term recurrences, gives closed forms for
-derivatives at the left endpoint of the domain, and produces the two
-connection-coefficient tables everything else is built from:
+derivatives at the left endpoint of the domain, and gives two kinds of
+connection coefficients:
 
 * ``monomial_expansion_b``: coefficients b_{n,k} of the shifted monomial
-  (x+a)^n in the family basis,
+  (x+a)^n in the family basis, the data of ``GenericBasisData``;
 * ``connection_gamma``: coefficients linking the p-th derivatives of the
-  sequence to the q-th derivatives of shifted-degree members.
+  sequence to the q-th derivatives of shifted-degree members.  Public, but
+  nothing in the package is built from it.
 
 Every interval family is a normalized Jacobi polynomial,
 P_n = (p)_n / (q)_n * P_n^(alpha,beta) (DLMF 18.7), and states its row
@@ -422,7 +423,9 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
 def _jacobi_connection_gamma(n: int, k: int, p: int, q: int,
                              alpha: Fraction, beta: Fraction) -> Fraction:
     # gamma_{n,k}^(p,q): d^p/dx^p P_{n+p} = sum_k gamma d^q/dx^q P_{k+q},
-    # a terminating 3F2 at unit argument.  Pole-free for alpha, beta > -1.
+    # a terminating 3F2 at unit argument.  Pole-free for alpha, beta > -1,
+    # so it serves every interval family, alpha = beta = -1/2 included.  For
+    # alpha = beta and odd n-k the 3F2 sums to 0.
     s = alpha + beta
     num = (pochhammer(alpha + k + p + 1, n - k)
            * pochhammer(s + n + p + 1, p)
@@ -436,31 +439,6 @@ def _jacobi_connection_gamma(n: int, k: int, p: int, q: int,
         1,
     )
     return num / den * f
-
-
-def _symmetric_connection_gamma(n: int, k: int, p: int, q: int,
-                                alpha: Fraction) -> Fraction:
-    # Parity form for alpha = beta: zero for odd n-k, otherwise a pure
-    # product of gamma quotients.  alpha = -1/2 has removable singularities
-    # here, so that case is routed through the general Jacobi form.
-    if (n - k) % 2:
-        return _ZERO
-    if alpha == -_HALF:
-        return _jacobi_connection_gamma(n, k, p, q, alpha, alpha)
-    h = (n - k) // 2
-    if k + q == 0:
-        # (alpha+1/2) Gamma(2 alpha+1) merges to Gamma(2 alpha+2)/2
-        pref = _HALF
-        # Gamma(2 alpha+2) / Gamma(2 alpha+n+p+1)
-        r1 = pochhammer(2 * alpha + n + p + 1, 1 - n - p)
-    else:
-        pref = alpha + k + q + _HALF
-        r1 = pochhammer(2 * alpha + n + p + 1, k + q - n - p)
-    r2 = pochhammer(alpha + k + q + 1, n + p - k - q)
-    top3 = alpha + p + _HALF * (k + n + 1)
-    r3 = pochhammer(top3 + (1 + q - p), p - q - 1)
-    return (pochhammer(p - q, h) * pref * r1 * r2 * r3
-            * Fraction(2) ** (p - q) / factorial(h))
 
 
 def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
@@ -478,12 +456,8 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
         value = Fraction(factorial(n + p), factorial(n + q)) if n == k else 0
     else:
         alpha, beta = spec.jacobi_parameters()
-        if f is Family.JACOBI:
-            core = _jacobi_connection_gamma(n, k, p, q, alpha, beta)
-        else:
-            core = _symmetric_connection_gamma(n, k, p, q, alpha)
-        value = (core * spec.normalization(n + p)
-                 / spec.normalization(k + q))
+        value = (_jacobi_connection_gamma(n, k, p, q, alpha, beta)
+                 * spec.normalization(n + p) / spec.normalization(k + q))
     return RATIONAL.make(value)
 
 

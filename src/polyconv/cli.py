@@ -215,22 +215,13 @@ class VerificationReport:
         return self.failures == 0
 
 
-def run_verification(max_degree: int = 6, families=None,
-                     perturb=None) -> VerificationReport:
-    """Desk-scale certification: closed forms vs. the exact oracle, the
-    family-agnostic formulas, zero regions, and symmetry scalings.
-
-    `perturb(label, m, n, j, value) -> value` lets a test harness inject a
-    fault into the closed-form values to check mismatch reporting.
-    """
+def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
+    """Desk-scale certification: the closed forms and the family-agnostic
+    formulas against the exact oracle, and the closed forms' zero bands."""
     families = default_verify_families() if families is None else families
     lines = []
     checks = failures = 0
     first = None
-
-    def closed(spec, label, m, n, j):
-        v = closed_forms.rho_closed(spec, m, n, j)
-        return perturb(label, m, n, j, v) if perturb is not None else v
 
     for spec in families:
         label = spec.label()
@@ -241,7 +232,7 @@ def run_verification(max_degree: int = 6, families=None,
                 truth = oracle.oracle_rho(spec, m, n)
                 generic = generic_conv.rho_vector(data, m, n)
                 for j in range(m + n + 2):
-                    got = closed(spec, label, m, n, j)
+                    got = closed_forms.rho_closed(spec, m, n, j)
                     fam_checks += 2
                     if got != truth[j]:
                         fam_failures += 1
@@ -260,7 +251,7 @@ def run_verification(max_degree: int = 6, families=None,
                     continue
                 for j in range(band[0], band[1] + 1):
                     fam_checks += 1
-                    got = closed(spec, label, m, n, j)
+                    got = closed_forms.rho_closed(spec, m, n, j)
                     if got != 0:
                         fam_failures += 1
                         if first is None:

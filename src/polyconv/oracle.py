@@ -7,6 +7,10 @@ basis by descending-degree elimination.  Nothing in this module touches the
 connection coefficients, rising factorials, hypergeometric sums, or any of
 the closed forms it certifies, so a shared bug cannot cancel.
 
+Each family's three-term recurrence (P_1 and the step coefficients) is
+written out once, in ``_recurrence``.  One loop runs it, once per call:
+``project_to_family`` takes every basis polynomial it eliminates from one run.
+
 Only ring operations on rationals are used; there is no tolerance anywhere.
 This is desk-scale machinery (O((m+n)^3) per pair with big rationals).
 """
@@ -18,6 +22,7 @@ from .basis import Family, FamilySpec
 from .scalars import RATIONAL, exact
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -68,104 +73,69 @@ class MonomialPoly:
         return MonomialPoly(out, new_shift)
 
 
-def _add_scaled(target: list, poly_coeffs, scale: Fraction) -> None:
-    for k, c in enumerate(poly_coeffs):
-        target[k] += scale * c
+def _recurrence(spec: FamilySpec):
+    """The family's three-term recurrence, written out here: P_1's
+    coefficients, and step(k) = (ax, b, c) with
+    P_k = (ax * x + b) P_{k-1} - c P_{k-2} for k >= 2."""
+    alpha, beta, lam = spec._exact
+    f = spec.family
+    if f is Family.GENERIC_MONIC:  # P_k = (x + 1) P_{k-1}
+        return [_ONE, _ONE], lambda k: (1, 1, 0)
+    if f is Family.LAGUERRE:
+        return [1 + alpha, -_ONE], lambda k: (
+            Fraction(-1, k), (2 * k - 1 + alpha) / k, (k - 1 + alpha) / k)
+    if f is Family.LEGENDRE:
+        return [_ZERO, _ONE], lambda k: (
+            Fraction(2 * k - 1, k), 0, Fraction(k - 1, k))
+    if f is Family.CHEBYSHEV:
+        return [_ZERO, _ONE], lambda k: (2, 0, 1)
+    if f is Family.GEGENBAUER:
+        return [_ZERO, 2 * lam], lambda k: (
+            2 * (k + lam - 1) / k, 0, (k + 2 * lam - 2) / k)
+    if f is Family.SYMMETRIC_JACOBI:
+        beta = alpha
+    s = alpha + beta
+
+    def step(k):
+        c1 = 2 * k * (k + s) * (2 * k + s - 2)
+        return ((2 * k + s - 1) * (2 * k + s) * (2 * k + s - 2) / c1,
+                (2 * k + s - 1) * (alpha - beta) * s / c1,
+                2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s) / c1)
+
+    return [(alpha + 1) - (s + 2) / 2, (s + 2) / 2], step
+
+
+def _family_polys(spec: FamilySpec, n: int) -> list:
+    """Monomial coefficient lists of P_0, ..., P_n from one run of the
+    family's recurrence; P_k has k+1 entries."""
+    p1, step = _recurrence(spec)
+    polys = [[_ONE], p1]
+    for k in range(2, n + 1):
+        ax, b, c = step(k)
+        out = [_ZERO] * (k + 1)
+        for i, v in enumerate(polys[-1]):
+            out[i + 1] += ax * v
+            out[i] += b * v
+        for i, v in enumerate(polys[-2]):
+            out[i] -= c * v
+        polys.append(out)
+    return polys[:n + 1]
 
 
 def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
-    """Exact monomial coefficients of the degree-n family polynomial,
-    obtained from the three-term recurrence on coefficient arrays."""
+    """Exact monomial coefficients of the degree-n family polynomial, the
+    last of one `_family_polys` run."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    f = spec.family
-
-    if f is Family.GENERIC_MONIC:
-        return MonomialPoly(_binomial_row(Fraction(1), n))
-
-    prev = [Fraction(1)]
-    if n == 0:
-        return MonomialPoly(prev)
-
-    if f is Family.LAGUERRE:
-        alpha = spec._exact[0]
-        cur = [1 + alpha, Fraction(-1)]
-        for k in range(2, n + 1):
-            nxt = _recurrence_step(cur, prev,
-                                   ax=Fraction(-1, k),
-                                   b=Fraction(2 * k - 1, k) + alpha / k,
-                                   c=Fraction(k - 1, k) + alpha / k)
-            prev, cur = cur, nxt
-        return MonomialPoly(cur)
-
-    if f is Family.LEGENDRE:
-        cur = [Fraction(0), Fraction(1)]
-        for k in range(2, n + 1):
-            nxt = _recurrence_step(cur, prev, ax=Fraction(2 * k - 1, k),
-                                   b=_ZERO, c=Fraction(k - 1, k))
-            prev, cur = cur, nxt
-        return MonomialPoly(cur)
-
-    if f is Family.CHEBYSHEV:
-        cur = [Fraction(0), Fraction(1)]
-        for _ in range(2, n + 1):
-            nxt = _recurrence_step(cur, prev, ax=Fraction(2), b=_ZERO,
-                                   c=Fraction(1))
-            prev, cur = cur, nxt
-        return MonomialPoly(cur)
-
-    if f is Family.GEGENBAUER:
-        lam = spec._exact[2]
-        cur = [Fraction(0), 2 * lam]
-        for k in range(2, n + 1):
-            nxt = _recurrence_step(cur, prev,
-                                   ax=Fraction(2) * (k + lam - 1) / k,
-                                   b=_ZERO, c=(k + 2 * lam - 2) / Fraction(k))
-            prev, cur = cur, nxt
-        return MonomialPoly(cur)
-
-    alpha, beta = spec.jacobi_parameters()
-    s = alpha + beta
-    cur = [(alpha + 1) - (s + 2) / 2, (s + 2) / 2]
-    for k in range(2, n + 1):
-        c1 = 2 * k * (k + s) * (2 * k + s - 2)
-        nxt = _recurrence_step(
-            cur, prev,
-            ax=(2 * k + s - 1) * (2 * k + s) * (2 * k + s - 2) / Fraction(c1),
-            b=(2 * k + s - 1) * (alpha - beta) * (alpha + beta) / Fraction(c1),
-            c=2 * (k + alpha - 1) * (k + beta - 1) * (2 * k + s) / Fraction(c1),
-        )
-        prev, cur = cur, nxt
-    return MonomialPoly(cur)
-
-
-def _recurrence_step(cur, prev, ax: Fraction, b: Fraction, c: Fraction):
-    """Next coefficient array for P_next = (ax * x + b) P_cur - c P_prev."""
-    out = [_ZERO] * (len(cur) + 1)
-    for k, v in enumerate(cur):
-        out[k + 1] += ax * v
-        out[k] += b * v
-    for k, v in enumerate(prev):
-        out[k] -= c * v
-    return out
-
-
-def _binomial_row(base: Fraction, n: int):
-    """Coefficients of (x + base)^n in plain powers of x."""
-    coeffs = [_ZERO] * (n + 1)
-    binom = Fraction(1)
-    for k in range(n, -1, -1):
-        coeffs[k] = binom * base ** (n - k)
-        binom = binom * k / (n - k + 1)
-    return coeffs
+    return MonomialPoly(_family_polys(spec, n)[n])
 
 
 def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
     """The integral of P_m(x-t) P_n(t) dt from -a to x+a, evaluated
     symbolically; returned in powers of (x + 2a)."""
     a = spec.domain_offset_a.as_fraction()
-    pm = to_monomial(spec, m).coeffs
-    pn = to_monomial(spec, n).coeffs
+    polys = _family_polys(spec, max(m, n))
+    pm, pn = polys[m], polys[n]
 
     # P_m(x - t) as polynomials in x, one per power of t
     in_x = [[_ZERO] * (m + 1) for _ in range(m + 1)]
@@ -183,7 +153,8 @@ def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
         for l, q in enumerate(pn):
             if q == 0:
                 continue
-            _add_scaled(prod[k + l], row, q)
+            for i, c in enumerate(row):
+                prod[k + l][i] += q * c
     anti = [[_ZERO] * (m + 1)] + [
         [c / (r + 1) for c in row] for r, row in enumerate(prod)
     ]
@@ -216,14 +187,12 @@ def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
     shift = exact(shift)
     residual = poly.recenter(shift).coeffs[:]
     out = [_ZERO] * len(residual)
-    basis_cache = {}
+    polys = _family_polys(spec, len(residual) - 1)
     for j in range(len(residual) - 1, -1, -1):
         c = residual[j]
         if c == 0:
             continue
-        if j not in basis_cache:
-            basis_cache[j] = to_monomial(spec, j).coeffs
-        pj = basis_cache[j]
+        pj = polys[j]
         ratio = c / pj[j]
         out[j] = ratio
         for k, v in enumerate(pj):

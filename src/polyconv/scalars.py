@@ -248,7 +248,7 @@ def as_integer(value):
 _ONE = Fraction(1)
 
 
-@lru_cache(maxsize=500_000)
+@lru_cache(maxsize=8192)
 def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
     (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order.
@@ -256,8 +256,12 @@ def pochhammer(z, n: int) -> Fraction:
     `z` is an int, Fraction, Scalar or rational string (equal keys share a
     cache entry); the result is an exact Fraction.  With z = p/q in lowest
     terms, (z)_n = prod_{k<n} (p + kq) / q^n: one integer product, and the
-    cache keeps only the (z, n) asked for.  Raises GammaPoleError when a
-    negative order hits a pole, that is when (z-t)_t vanishes.
+    cache keeps only the (z, n) asked for.  It keeps at most 8192 of them,
+    the most recently used, which bounds its memory for a long-lived
+    process (about 20 MB at degree 1000) and is above what one `verify`
+    run or a degree-1000 row of `monomial_expansion_b` asks for.  Raises
+    GammaPoleError when a negative order hits a pole, that is when
+    (z-t)_t vanishes.
     """
     z = exact(z)
     if n < 0:

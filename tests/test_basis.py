@@ -16,6 +16,7 @@ def all_families():
         basis.symmetric_jacobi(Fraction(5, 2)),
         basis.symmetric_jacobi(Fraction(-1, 2)),
         basis.gegenbauer(Fraction(3, 2)),
+        basis.gegenbauer(Fraction(-1, 3)),
         basis.legendre(),
         basis.chebyshev(),
         basis.laguerre(0),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import polyconv
-from polyconv import basis, convmat
+from polyconv import basis, closed_forms, convmat
 from polyconv.cli import main, read_series, run_verification, write_series
 from polyconv.errors import PolyconvError
 from polyconv.scalars import FloatBackend
@@ -373,13 +373,17 @@ class TestVerify:
         assert "checks passed" in out
         assert "FAILED" not in out
 
-    def test_injected_fault_is_reported(self):
-        def corrupt(label, m, n, j, value):
-            if label.startswith("legendre") and (m, n, j) == (1, 2, 0):
+    def test_injected_fault_is_reported(self, monkeypatch):
+        rho_closed = closed_forms.rho_closed
+
+        def corrupt(spec, m, n, j):
+            value = rho_closed(spec, m, n, j)
+            if spec.family is basis.Family.LEGENDRE and (m, n, j) == (1, 2, 0):
                 return value + 1
             return value
 
-        report = run_verification(max_degree=2, perturb=corrupt)
+        monkeypatch.setattr(closed_forms, "rho_closed", corrupt)
+        report = run_verification(max_degree=2)
         assert not report.ok
         label, m, n, j, got, want = report.first_mismatch
         assert (label, m, n, j) == ("legendre", 1, 2, 0)
@@ -389,7 +393,7 @@ class TestVerify:
     def test_cli_exit_code_reflects_failure(self, monkeypatch, capsys):
         import polyconv.cli as cli_mod
 
-        def failing(max_degree=6, families=None, perturb=None):
+        def failing(max_degree=6, families=None):
             return cli_mod.VerificationReport(["boom"], 1, 1,
                                               ("legendre", 0, 0, 0, "1", "0"))
 

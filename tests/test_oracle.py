@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -161,3 +163,22 @@ class TestOracleRho:
         direct = [c.as_fraction() for c in direct]
         direct += [Fraction(0)] * (len(combined) - len(direct))
         assert combined == direct
+
+
+class TestIndependence:
+    def test_package_imports_are_the_spec_and_exact_rationals(self):
+        # the oracle certifies the closed forms and the generic route, so it
+        # reads nothing of them (nor of basis beyond the spec it is given)
+        tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names |= {a.name for a in node.names
+                          if a.name.split(".")[0] == "polyconv"}
+            elif isinstance(node, ast.ImportFrom) and (
+                    node.level or node.module.split(".")[0] == "polyconv"):
+                module = (node.module or "").removeprefix("polyconv.")
+                names |= {f"{module}.{a.name}".lstrip(".")
+                          for a in node.names}
+        assert names == {"basis.Family", "basis.FamilySpec",
+                         "scalars.RATIONAL", "scalars.exact"}

@@ -136,6 +136,13 @@ class TestPochhammer:
             basis.endpoint_derivative(spec, 1000, k)
         assert pochhammer.cache_info().currsize <= 4 * 2 * len(ks)
 
+    def test_cache_is_capped(self):
+        # many distinct keys evict the oldest instead of growing without end
+        closed_forms.clear_caches()
+        for k in range(10_000):
+            pochhammer(Fraction(k, 7), 10)
+        assert pochhammer.cache_info().currsize <= 8192
+
     def test_sign_flip_identity(self):
         # (z)_n = (-1)^n (-z-n+1)_n
         for z in [Fraction(-3), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
