@@ -37,7 +37,7 @@ entry per (z, n) asked for, and the small hypergeometric factors of the
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -449,21 +449,23 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
 
 @dataclass
 class RhoTable:
-    """rho_{j,n}^m over a (j, n) grid for fixed m; values[j][n]."""
+    """rho_{j,n}^m for fixed m on the grid j <= jmax, n <= nmax, kept as
+    the exact columns of `rho_columns`.  `values[j][n]` makes every cell in
+    the family's backend on each read, so bind it once before a loop."""
 
     family: FamilySpec
     m: int
     jmax: int
     nmax: int
-    values: list
+    columns: list
+
+    @property
+    def values(self) -> list:
+        return _grid(self.columns, self.jmax + 1, self.family.backend.make)
 
     def to_backend(self, backend) -> "RhoTable":
-        """The table with every entry rounded to `backend`."""
-        if backend == self.family.backend:
-            return self
-        values = [[v.to_backend(backend) for v in row] for row in self.values]
-        return RhoTable(self.family.to_backend(backend), self.m, self.jmax,
-                        self.nmax, values)
+        """The table whose values are the exact ones rounded to `backend`."""
+        return replace(self, family=self.family.to_backend(backend))
 
 
 def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
@@ -553,19 +555,17 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
     return series_columns(spec, {m: Fraction(1)}, nmax)
 
 
-def _entry(cols: list, j: int, n: int) -> Fraction:
-    col = cols[n]
-    return col[j] if j < len(col) else Fraction(0)
+def _grid(cols: list, n_rows: int, make) -> list:
+    """The rows j < n_rows of the exact columns `cols` (each zero below its
+    end) as grid[j][n] = make(cols[n][j])."""
+    padded = [col[:n_rows] + [_ZERO] * (n_rows - len(col)) for col in cols]
+    return [[make(v) for v in row] for row in zip(*padded)]
 
 
 def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> RhoTable:
-    """rho_{j,n}^m on the grid, filled exactly by `rho_columns` and
-    rounded to the spec's backend entry by entry."""
-    cols = rho_columns(spec, m, nmax)
-    make = spec.backend.make
-    values = [[make(_entry(cols, j, n)) for n in range(nmax + 1)]
-              for j in range(jmax + 1)]
-    return RhoTable(spec, m, jmax, nmax, values)
+    """rho_{j,n}^m on the grid, filled exactly by `rho_columns`; a value is
+    rounded to the spec's backend only when it is read."""
+    return RhoTable(spec, m, jmax, nmax, rho_columns(spec, m, nmax))
 
 
 def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
@@ -592,15 +592,8 @@ def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
     """log10 |rho| on the grid; None marks exact zeros.  Every cell is
     computed exactly by `rho_columns`, so zeros are exact and the logarithm
     is taken of the exact value."""
-    cols = rho_columns(spec, m, nmax)
-    grid = []
-    for j in range(jmax + 1):
-        row = []
-        for n in range(nmax + 1):
-            value = _entry(cols, j, n)
-            row.append(None if value == 0 else log10_abs(value))
-        grid.append(row)
-    return grid
+    return _grid(rho_columns(spec, m, nmax), jmax + 1,
+                 lambda v: log10_abs(v) if v else None)
 
 
 def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:

@@ -2,7 +2,7 @@
 
 A finite series f = sum_m a_m P_m defines a convolution operator acting on
 series in the same basis.  Against a degree-N target the operator is the
-dense (M+N+2) x (N+1) matrix R with
+(M+N+2) x (N+1) matrix R with
 
     R[j][n] = sum_m a_m rho_{j,n}^m,
 
@@ -10,17 +10,17 @@ so the coefficients of f * g are c = R b.  Both R and f * g come from one
 exact run of ``closed_forms.series_columns``, whose recurrence is linear
 in the series: R weights it by the a_m, and ``convolve_series`` weights it
 by the factor of higher degree and stops at the other factor's degree.
-No closed form is evaluated.  Storage is dense on purpose: sparsity of R
-is an observation about its entries, not a format, at the desk scales
-this package targets.
+No closed form is evaluated.  R keeps the exact columns that run makes,
+column n zero below its end j = M + n + 1 and in its zero band, and both
+products are one exact combination of columns, `_combine`.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import _entry, _write_jn_rows, series_columns
+from .closed_forms import _grid, _write_jn_rows, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
@@ -59,18 +59,28 @@ class SeriesCoeffs:
 
 @dataclass
 class ConvMatrix:
-    """The operator matrix of convolution by a fixed series."""
+    """The operator matrix of convolution by a fixed series, kept as its
+    exact columns.  `entries[j][n]` makes every cell in the family's
+    backend on each read, so bind it once before a loop."""
 
     family: FamilySpec
     f_coeffs: SeriesCoeffs
-    n_cols: int
-    entries: list  # (M + n_cols + 1) rows of n_cols scalars
+    columns: list
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.columns)
 
     @property
     def n_rows(self) -> int:
-        return len(self.entries)
+        return self.f_coeffs.degree + self.n_cols + 1
+
+    @property
+    def entries(self) -> list:
+        return _grid(self.columns, self.n_rows, self.family.backend.make)
 
     def matvec(self, b: SeriesCoeffs) -> SeriesCoeffs:
+        """R b, computed exactly and rounded once to the family's backend."""
         if b.family != self.family:
             raise FamilyMismatchError(
                 f"matrix basis {_described(self.family)} does not match "
@@ -81,24 +91,13 @@ class ConvMatrix:
                 f"series has {len(b.coeffs)} coefficients but the matrix "
                 f"has {self.n_cols} columns"
             )
-        out = [Fraction(0)] * self.n_rows
-        for n, bn in enumerate(b.coeffs):
-            if bn == 0:
-                continue
-            bn = bn.as_fraction()
-            for j, row in enumerate(self.entries):
-                out[j] += row[n].as_fraction() * bn
-        return SeriesCoeffs(self.family, out)
+        return SeriesCoeffs(self.family,
+                            _combine(self.columns, _weights(b), self.n_rows))
 
     def to_backend(self, backend) -> "ConvMatrix":
-        """The matrix with every entry rounded to `backend`."""
-        if backend == self.family.backend:
-            return self
-        entries = [[v.to_backend(backend) for v in row]
-                   for row in self.entries]
-        return ConvMatrix(self.family.to_backend(backend),
-                          self.f_coeffs.to_backend(backend), self.n_cols,
-                          entries)
+        """The matrix with its exact entries rounded to `backend`."""
+        return replace(self, family=self.family.to_backend(backend),
+                       f_coeffs=self.f_coeffs.to_backend(backend))
 
 
 def _weights(series: SeriesCoeffs) -> dict:
@@ -107,22 +106,27 @@ def _weights(series: SeriesCoeffs) -> dict:
     return {m: c.as_fraction() for m, c in enumerate(series.coeffs) if c != 0}
 
 
+def _combine(cols: list, weights: dict, size: int) -> list:
+    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values."""
+    out = [Fraction(0)] * size
+    for n, w in weights.items():
+        for j, v in enumerate(cols[n]):
+            if v:
+                out[j] += w * v
+    return out
+
+
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
     """Assemble R for the operator `convolve with f` on N+1 = n_cols
     coefficient vectors; shape (M + N + 2) x (N + 1).
 
     The columns R[., n] = sum_m a_m rho^m_{., n}, n = 0..N, come from one
-    exact run of `series_columns` weighted by the a_m, and are rounded to
-    the series' backend only once, at the end."""
+    exact run of `series_columns` weighted by the a_m; an entry is rounded
+    to the series' backend only when it is read."""
     if n_cols < 1:
         raise ValueError("the matrix needs at least one column")
-    spec = f.family
-    rows = f.degree + n_cols + 1
-    cols = series_columns(spec, _weights(f), n_cols - 1)
-    make = spec.backend.make
-    entries = [[make(_entry(cols, j, n)) for n in range(n_cols)]
-               for j in range(rows)]
-    return ConvMatrix(spec, f, n_cols, entries)
+    return ConvMatrix(f.family, f,
+                      series_columns(f.family, _weights(f), n_cols - 1))
 
 
 def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
@@ -139,14 +143,9 @@ def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
     long, short = _weights(f), _weights(g)
     if max(short, default=-1) > max(long, default=-1):
         long, short = short, long
-    out = [Fraction(0)] * (f.degree + g.degree + 2)
-    if short:
-        cols = series_columns(f.family, long, max(short))
-        for n, bn in short.items():
-            for j, v in enumerate(cols[n]):
-                if v:
-                    out[j] += bn * v
-    return SeriesCoeffs(f.family, out)
+    cols = series_columns(f.family, long, max(short)) if short else []
+    return SeriesCoeffs(f.family,
+                        _combine(cols, short, f.degree + g.degree + 2))
 
 
 # ---------------------------------------------------------------------------

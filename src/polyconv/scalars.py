@@ -316,8 +316,13 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
 
 def log10_abs(value) -> float:
     """log10 |value| as a machine float for an exact value (int, Fraction
-    or Scalar); -inf for zero.  Exact-integer logs are used so huge
-    magnitudes cannot overflow."""
+    or Scalar); -inf for zero.  With |value| = N/D in lowest terms it is
+    log10 N - log10 D, each CPython's math.log10 of an int: past 2^1024,
+    N = m 2^e with m in [1/2, 1) rounded to 53 bits, and log10 m +
+    e log10 2, so no magnitude overflows.  With a C log10 good to 1 ulp,
+    the roundings of m, log10 2, the product and the sums keep the error
+    within 2^-51 (log10 N + log10 D) + ulp(result)/2.  It is not correctly
+    rounded."""
     v = abs(exact(value))
     if v == 0:
         return float("-inf")

@@ -1,5 +1,6 @@
 import io
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,14 +88,17 @@ class TestAlgebraicProperties:
         assert convolve_series(f, g).coeffs == convolve_series(g, f).coeffs
 
     def test_matrix_route_equals_direct(self):
-        random.seed(29)
-        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
-        f = SeriesCoeffs(spec, [Fraction(random.randint(-5, 5), 2)
-                                for _ in range(4)])
-        g = SeriesCoeffs(spec, [Fraction(random.randint(-5, 5), 3)
-                                for _ in range(5)])
-        mat = build_matrix(f, len(g.coeffs))
-        assert mat.matvec(g).coeffs == convolve_series(f, g).coeffs
+        # on a float family both routes round the exact R b once
+        for backend in (RATIONAL, FloatBackend(64)):
+            random.seed(29)
+            spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2), backend)
+            f = SeriesCoeffs(spec, [Fraction(random.randint(-5, 5), 2)
+                                    for _ in range(4)])
+            g = SeriesCoeffs(spec, [Fraction(random.randint(-5, 5), 3)
+                                    for _ in range(5)])
+            mat = build_matrix(f, len(g.coeffs))
+            assert mat.matvec(g).coeffs == convolve_series(f, g).coeffs, \
+                backend
 
     def test_family_mismatch_rejected(self):
         f = SeriesCoeffs(basis.legendre(), [1])
@@ -304,6 +308,25 @@ class TestHighDegree:
                         want += (am.as_fraction() * bn.as_fraction()
                                  * cf.rho_closed(spec, m, n, j).as_fraction())
                 assert c.coeffs[j] == want, (spec.label(), j)
+
+    def test_degree_300_matrix_route(self):
+        # R of a dense M = 15 series against degree 300 is built and
+        # applied, equals the direct product, and stays within 10 s (about
+        # 1 s on one 2.1 GHz Xeon core)
+        rng = random.Random(300)
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        f = SeriesCoeffs(spec, [Fraction(rng.randint(-99, 99) or 1,
+                                         rng.randint(1, 99))
+                                for _ in range(16)])
+        g = SeriesCoeffs(spec, [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                                for _ in range(301)])
+        start = time.perf_counter()
+        mat = build_matrix(f, 301)
+        got = mat.matvec(g).coeffs
+        elapsed = time.perf_counter() - start
+        assert (mat.n_rows, mat.n_cols) == (317, 301)
+        assert got == convolve_series(f, g).coeffs
+        assert elapsed < 10, elapsed
 
 
 class TestCaches:

@@ -101,6 +101,27 @@ def test_package_does_no_scalar_arithmetic(monkeypatch, work):
     assert len(calls) == 0
 
 
+def test_tables_make_no_scalar_until_read(monkeypatch):
+    # a table keeps the exact columns; a Scalar is made where a value
+    # leaves, here the matvec's output
+    legendre = basis.legendre()
+    f = convmat.SeriesCoeffs(legendre, [Fraction(1, 3), -2, Fraction(5, 7)])
+    g = _dense_series(legendre, 19, 4)
+    made = []
+    init = Scalar.__init__
+
+    def counted(self, backend, value):
+        made.append(value)
+        init(self, backend, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    matrix = convmat.build_matrix(f, 20)
+    cf.rho_table(legendre, 4, 20, 20)
+    assert len(made) == 0
+    matrix.matvec(g)
+    assert len(made) == matrix.n_rows
+
+
 def test_boundary_functions_return_scalars():
     gen = basis.GenericBasisData.from_family(JACOBI, 9)
     req = generic_conv.request(gen, 2, 4, 5)

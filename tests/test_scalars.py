@@ -10,7 +10,8 @@ from polyconv.errors import (
     GammaPoleError,
     NonTerminatingSeriesError,
 )
-from polyconv.scalars import RATIONAL, FloatBackend, hyp_pfq, pochhammer
+from polyconv.scalars import (RATIONAL, FloatBackend, hyp_pfq, log10_abs,
+                              pochhammer)
 
 
 def frac(s):
@@ -278,3 +279,22 @@ class TestChuVandermonde:
                                      * pochhammer(frac(b + 1), n - k)
                                      / math.factorial(n - k))
                     assert lhs == rhs
+
+
+def test_log10_abs_error_bound():
+    # the bound its docstring states, against mpmath at 60 digits, on
+    # seeded fractions with terms below and far past 2^1024
+    import mpmath
+
+    rng = random.Random(1024)
+    with mpmath.workdps(60):
+        for i in range(400):
+            top = 3000 if i % 2 else 300
+            v = Fraction(rng.randint(1, 10 ** rng.randint(1, top)),
+                         rng.randint(1, 10 ** rng.randint(1, top)))
+            n, d = v.numerator, v.denominator
+            got = log10_abs(-v if i % 3 else v)
+            err = abs(mpmath.mpf(got) - mpmath.log10(n) + mpmath.log10(d))
+            bound = (2.0 ** -51 * (math.log10(n) + math.log10(d))
+                     + math.ulp(got) / 2)
+            assert err <= bound, v
