@@ -217,52 +217,47 @@ class VerificationReport:
 
 def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     """Desk-scale certification: the closed forms and the family-agnostic
-    formulas against the exact oracle, and the closed forms' zero bands."""
+    formulas against the exact oracle, and the zero bands of the engine
+    every table command runs, `closed_forms.rho_columns`."""
     families = default_verify_families() if families is None else families
-    lines = []
-    checks = failures = 0
-    first = None
+    lines, mismatches = [], []
+    checks = 0
+
+    def check(m, n, j, got, want):
+        nonlocal checks
+        checks += 1
+        if got != want:
+            mismatches.append((label, m, n, j, str(got), str(want)))
 
     for spec in families:
         label = spec.label()
-        fam_checks = fam_failures = 0
+        checks_before, failures_before = checks, len(mismatches)
         data = GenericBasisData.from_family(spec, 2 * max_degree + 1)
         for m in range(max_degree + 1):
             for n in range(m, max_degree + 1):
                 truth = oracle.oracle_rho(spec, m, n)
                 generic = generic_conv.rho_vector(data, m, n)
                 for j in range(m + n + 2):
-                    got = closed_forms.rho_closed(spec, m, n, j)
-                    fam_checks += 2
-                    if got != truth[j]:
-                        fam_failures += 1
-                        if first is None:
-                            first = (label, m, n, j, str(got), str(truth[j]))
-                    if generic[j] != truth[j]:
-                        fam_failures += 1
-                        if first is None:
-                            first = (label, m, n, j, str(generic[j]),
-                                     str(truth[j]))
-        # zero bands, checked through the closed forms on a taller range
+                    check(m, n, j, closed_forms.rho_closed(spec, m, n, j),
+                          truth[j])
+                    check(m, n, j, generic[j], truth[j])
+        # zero bands, read from one engine run per m on a taller range
         for m in range(3):
+            cols = closed_forms.rho_columns(spec, m, 2 * m + 11)
             for n in range(2 * m + 2, 2 * m + 12):
                 band = closed_forms.zero_region(spec, m, n)
                 if band is None:
                     continue
                 for j in range(band[0], band[1] + 1):
-                    fam_checks += 1
-                    got = closed_forms.rho_closed(spec, m, n, j)
-                    if got != 0:
-                        fam_failures += 1
-                        if first is None:
-                            first = (label, m, n, j, str(got), "0")
+                    check(m, n, j, cols[n][j], 0)
+        fam_checks = checks - checks_before
+        fam_failures = len(mismatches) - failures_before
         status = "ok" if fam_failures == 0 else "FAILED"
         lines.append(f"{label}: {fam_checks - fam_failures}/{fam_checks} "
                      f"checks passed [{status}]")
-        checks += fam_checks
-        failures += fam_failures
 
-    if failures == 0:
+    first = mismatches[0] if mismatches else None
+    if first is None:
         lines.append(f"all {checks} checks passed")
     else:
         label, m, n, j, got, want = first
@@ -270,7 +265,7 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
             f"FIRST MISMATCH family={label} m={m} n={n} j={j} "
             f"closed={got} oracle={want}"
         )
-    return VerificationReport(lines, checks, failures, first)
+    return VerificationReport(lines, checks, len(mismatches), first)
 
 
 # ---------------------------------------------------------------------------

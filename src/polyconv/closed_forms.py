@@ -555,11 +555,16 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
     return series_columns(spec, {m: Fraction(1)}, nmax)
 
 
-def _grid(cols: list, n_rows: int, make) -> list:
-    """The rows j < n_rows of the exact columns `cols` (each zero below its
-    end) as grid[j][n] = make(cols[n][j])."""
+def _rows(cols: list, n_rows: int):
+    """Rows j < n_rows of the exact columns `cols`, each zero below its end:
+    the one walk over the column layout, for every grid and writer."""
     padded = [col[:n_rows] + [_ZERO] * (n_rows - len(col)) for col in cols]
-    return [[make(v) for v in row] for row in zip(*padded)]
+    return zip(*padded)
+
+
+def _grid(cols: list, n_rows: int, make) -> list:
+    """grid[j][n] = make(cols[n][j]) over the rows of `_rows`."""
+    return [[make(v) for v in row] for row in _rows(cols, n_rows)]
 
 
 def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> RhoTable:
@@ -600,24 +605,24 @@ def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
     """Write a coefficient table as `j,n,value` rows.  The `csv` format
     lists the whole grid; `triplet` keeps only nonzero entries for sparse
     inspection."""
-    _write_jn_rows(table.values, stream, nonzero_only=fmt == "triplet")
+    rows = _rows(table.columns, table.jmax + 1)
+    _write_jn_rows(rows, table.family.backend.format, stream, fmt == "triplet")
 
 
-def _write_jn_rows(rows: list, stream, nonzero_only: bool = True) -> None:
-    """Write the grid rows[j][n] as `j,n,value` rows, by default only its
-    nonzero cells (the triplet format)."""
+def _write_jn_rows(rows, fmt, stream, nonzero_only: bool = True,
+                   name: str = "value") -> None:
+    """Write rows[j][n] as `j,n,<name>` rows of fmt(cell), by default only
+    the nonzero cells (the triplet format), each tested before fmt runs; a
+    backend's `format` of an exact cell rounds it once."""
     writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["j", "n", "value"])
+    writer.writerow(["j", "n", name])
     for j, row in enumerate(rows):
         for n, v in enumerate(row):
-            if not nonzero_only or v != 0:
-                writer.writerow([j, n, str(v)])
+            if v or not nonzero_only:
+                writer.writerow([j, n, fmt(v)])
 
 
 def write_magnitude_csv(grid: list, stream) -> None:
     """Write figure data as `j,n,log10abs` with `-inf` for exact zeros."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["j", "n", "log10abs"])
-    for j, row in enumerate(grid):
-        for n, v in enumerate(row):
-            writer.writerow([j, n, "-inf" if v is None else repr(v)])
+    _write_jn_rows(grid, lambda v: "-inf" if v is None else repr(v), stream,
+                   nonzero_only=False, name="log10abs")

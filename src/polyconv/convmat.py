@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import _grid, _write_jn_rows, series_columns
+from .closed_forms import _grid, _rows, _write_jn_rows, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
@@ -59,21 +59,18 @@ class SeriesCoeffs:
 
 @dataclass
 class ConvMatrix:
-    """The operator matrix of convolution by a fixed series, kept as its
-    exact columns.  `entries[j][n]` makes every cell in the family's
-    backend on each read, so bind it once before a loop."""
+    """The operator matrix of convolution by a fixed series of degree M,
+    kept as its exact columns, n_rows = M + n_cols + 1, column n zero below
+    its end.  `entries[j][n]` makes every cell in the family's backend on
+    each read, so bind it once before a loop; the writers make none."""
 
     family: FamilySpec
-    f_coeffs: SeriesCoeffs
+    n_rows: int
     columns: list
 
     @property
     def n_cols(self) -> int:
         return len(self.columns)
-
-    @property
-    def n_rows(self) -> int:
-        return self.f_coeffs.degree + self.n_cols + 1
 
     @property
     def entries(self) -> list:
@@ -95,9 +92,8 @@ class ConvMatrix:
                             _combine(self.columns, _weights(b), self.n_rows))
 
     def to_backend(self, backend) -> "ConvMatrix":
-        """The matrix with its exact entries rounded to `backend`."""
-        return replace(self, family=self.family.to_backend(backend),
-                       f_coeffs=self.f_coeffs.to_backend(backend))
+        """The matrix whose entries are read rounded to `backend`."""
+        return replace(self, family=self.family.to_backend(backend))
 
 
 def _weights(series: SeriesCoeffs) -> dict:
@@ -125,7 +121,7 @@ def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
     to the series' backend only when it is read."""
     if n_cols < 1:
         raise ValueError("the matrix needs at least one column")
-    return ConvMatrix(f.family, f,
+    return ConvMatrix(f.family, f.degree + n_cols + 1,
                       series_columns(f.family, _weights(f), n_cols - 1))
 
 
@@ -154,13 +150,16 @@ def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
 
 
 def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
-    """Dense row-major CSV; the first line is `rows,cols`."""
+    """Dense row-major CSV of the exact entries in the family's backend;
+    the first line is `rows,cols`."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([matrix.n_rows, matrix.n_cols])
-    for row in matrix.entries:
-        writer.writerow([str(v) for v in row])
+    fmt = matrix.family.backend.format
+    for row in _rows(matrix.columns, matrix.n_rows):
+        writer.writerow(map(fmt, row))
 
 
 def write_matrix_triplet_csv(matrix: ConvMatrix, stream) -> None:
     """Sparse-inspection triplet format `j,n,value`, nonzero entries only."""
-    _write_jn_rows(matrix.entries, stream)
+    _write_jn_rows(_rows(matrix.columns, matrix.n_rows),
+                   matrix.family.backend.format, stream)

@@ -69,9 +69,9 @@ RATIONAL = RationalBackend()
 class FloatBackend(_Backend):
     """Rounding to binary floats of fixed precision (bits) for output.
 
-    `make` rounds the exact value to nearest at `precision` bits and tags
-    the result, whose exact dyadic value is kept; `str` of a tagged value
-    prints it in decimal with all its digits.
+    A value is rounded once, from the exact value, to the nearest float of
+    `precision` bits, ties to even (at 53 bits, CPython's `float()`); `make`
+    keeps its exact dyadic value, `format` prints it with all its digits.
     """
 
     def __init__(self, precision: int = 256):
@@ -83,23 +83,24 @@ class FloatBackend(_Backend):
     def name(self) -> str:
         return f"float:{self.precision}"
 
-    def _mpf(self, value):
-        """`value` as an mpmath float rounded to `precision` bits."""
-        import mpmath
+    def _round(self, value):
+        """The raw mpmath float (sign, mantissa, exponent, bit count)
+        nearest the exact `value`: one correctly rounded division."""
+        from mpmath.libmp import from_rational, round_nearest
 
-        with mpmath.workprec(self.precision):
-            return mpmath.mpf(value.numerator) / value.denominator
+        return from_rational(value.numerator, value.denominator,
+                             self.precision, round_nearest)
 
     def make(self, value) -> "Scalar":
         if isinstance(value, Scalar) and value.backend == self:
             return value
-        sign, man, exp, _ = self._mpf(exact(value))._mpf_
+        sign, man, exp, _ = self._round(exact(value))
         return Scalar(self, Fraction(-man if sign else man) * Fraction(2) ** exp)
 
     def format(self, value: Fraction) -> str:
-        import mpmath
+        from mpmath.libmp import to_str
 
-        return mpmath.nstr(self._mpf(value), int(self.precision * 0.30103) + 3)
+        return to_str(self._round(value), int(self.precision * 0.30103) + 3)
 
     def __eq__(self, other):
         return isinstance(other, FloatBackend) and other.precision == self.precision

@@ -390,6 +390,23 @@ class TestVerify:
         assert got != want
         assert any("FIRST MISMATCH" in ln for ln in report.lines)
 
+    def test_engine_zero_band_fault_is_reported(self, monkeypatch):
+        # the zero-band checks read the engine's columns, so a nonzero
+        # there fails, where a closed form returns its zero by branch
+        rho_columns = closed_forms.rho_columns
+
+        def corrupt(spec, m, nmax):
+            cols = rho_columns(spec, m, nmax)
+            if spec.family is basis.Family.LEGENDRE and m == 1:
+                cols[8][3] += 1
+            return cols
+
+        monkeypatch.setattr(closed_forms, "rho_columns", corrupt)
+        report = run_verification(2, [basis.legendre()])
+        assert not report.ok
+        assert report.failures == 1
+        assert report.first_mismatch == ("legendre", 1, 8, 3, "1", "0")
+
     def test_cli_exit_code_reflects_failure(self, monkeypatch, capsys):
         import polyconv.cli as cli_mod
 

@@ -3,6 +3,7 @@ runs, and values cross it with fixed types.  A deleted or renamed name
 fails here and not in a user's code.  Inside the package every exact value
 is an int or Fraction; a Scalar is made only where a value leaves it."""
 
+import io
 import os
 import random
 import re
@@ -16,7 +17,8 @@ import pytest
 import polyconv
 from polyconv import (basis, cli, clear_caches, closed_forms as cf, convmat,
                       generic_conv, oracle)
-from polyconv.scalars import RATIONAL, Scalar, hyp_pfq, pochhammer
+from polyconv.scalars import (RATIONAL, FloatBackend, Scalar, hyp_pfq,
+                              pochhammer)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +122,33 @@ def test_tables_make_no_scalar_until_read(monkeypatch):
     assert len(made) == 0
     matrix.matvec(g)
     assert len(made) == matrix.n_rows
+
+
+@pytest.mark.parametrize("backend", [RATIONAL, FloatBackend(128)],
+                         ids=["rational", "float128"])
+def test_writers_make_no_scalar(monkeypatch, backend):
+    # a writer prints each exact entry with backend.format; no cell
+    # becomes a Scalar on its way out
+    legendre = basis.legendre()
+    f = convmat.SeriesCoeffs(legendre, [Fraction(1, 3), -2, 0, Fraction(5, 7)])
+    matrix = convmat.build_matrix(f, 12).to_backend(backend)
+    table = cf.rho_table(legendre, 3, 12, 9).to_backend(backend)
+    made = []
+    init = Scalar.__init__
+
+    def counted(self, tag, value):
+        made.append(value)
+        init(self, tag, value)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    stream = io.StringIO()
+    cf.write_rho_csv(table, stream)
+    cf.write_rho_csv(table, stream, fmt="triplet")
+    convmat.write_matrix_dense_csv(matrix, stream)
+    convmat.write_matrix_triplet_csv(matrix, stream)
+    assert len(made) == 0
+    # the csv table alone has 13 x 10 cell lines, the dense matrix 16 rows
+    assert stream.getvalue().count("\n") > 13 * 10 + 16
 
 
 def test_boundary_functions_return_scalars():

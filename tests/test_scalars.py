@@ -18,6 +18,23 @@ def frac(s):
     return RATIONAL.make(s)
 
 
+def _nearest(v, bits):
+    """v rounded to `bits` significant bits, to nearest with ties to even,
+    in integers."""
+    if v == 0:
+        return v
+    a = abs(v)
+    e = a.numerator.bit_length() - a.denominator.bit_length()
+    if a < Fraction(2) ** e:
+        e -= 1
+    scale = Fraction(2) ** (bits - 1 - e)  # a * scale in [2^(bits-1), 2^bits)
+    y = a * scale
+    q, r = divmod(y.numerator, y.denominator)
+    if 2 * r > y.denominator or (2 * r == y.denominator and q % 2):
+        q += 1
+    return (q if v > 0 else -q) / scale
+
+
 class TestScalar:
     def test_decimal_strings_parse_exactly(self):
         assert frac("2.5") == Fraction(5, 2)
@@ -57,6 +74,26 @@ class TestScalar:
         err = abs(third.as_fraction() - Fraction(1, 3))
         assert err < Fraction(1, 2 ** 63)
         assert err > 0
+
+    @pytest.mark.parametrize("bits", [53, 64, 128, 256])
+    def test_float_backend_rounds_once_to_nearest(self, bits):
+        # numerators longer than the precision, where rounding the
+        # numerator before the division would round twice; at 53 bits the
+        # reference is CPython's int true division, elsewhere _nearest
+        rng = random.Random(bits)
+        f = FloatBackend(bits)
+        values = [Fraction(19506442873120733, 3),
+                  Fraction(2 ** bits + 1, 4), Fraction(-(2 ** bits + 3), 2)]
+        for _ in range(300):
+            num = rng.getrandbits(rng.randint(bits + 1, 4 * bits)) | 1
+            den = rng.randint(1, 2 ** rng.randint(1, 2 * bits))
+            values.append(Fraction(rng.choice((-1, 1)) * num, den))
+        for v in values:
+            want = _nearest(v, bits)
+            if bits == 53:
+                assert want == Fraction(float(v)), v
+            assert f.make(v).as_fraction() == want, v
+            assert _nearest(Fraction(f.format(v)), bits) == want, v
 
     def test_float_precision_floor(self):
         with pytest.raises(ValueError):
