@@ -28,6 +28,7 @@ parts of the literature this follows, but the parameters used
 formulas, not the label, are authoritative here.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -140,6 +141,18 @@ class FamilySpec:
         if row is None:
             raise ValueError(f"{self.family.value} has no Jacobi parameters")
         return tuple(Fraction(v) for v in row(*self._exact))
+
+    @cached_property
+    def _row_ints(self) -> tuple:
+        """The family's rational row over one common denominator d, as
+        ints: (d, d alpha, d beta, d p, d q) from `_jacobi_row` for an
+        interval family, (d, d alpha) for Laguerre."""
+        if self.family is Family.LAGUERRE:
+            row = self._exact[:1]
+        else:
+            row = self._jacobi_row
+        d = math.lcm(*(v.denominator for v in row))
+        return (d, *(v.numerator * (d // v.denominator) for v in row))
 
     def jacobi_parameters(self) -> tuple[Fraction, Fraction]:
         """The (alpha, beta) of the underlying Jacobi normalization."""
@@ -323,30 +336,69 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     return RATIONAL.make(value)
 
 
-def endpoint_values(spec: FamilySpec, n: int) -> list:
-    """[P_0(-a), ..., P_n(-a)] as exact Fractions for an interval family or
-    Laguerre: the p = 0 case of `endpoint_derivative`, one product per
-    degree and no Pochhammer cache.  P_{k+1}(-a) / P_k(-a) is
+def _lowest(num: int, den: int) -> tuple:
+    """num / den in lowest terms with a positive denominator."""
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
+    """P_{k+1}(-a) / P_k(-a) as an int pair in lowest terms:
     -(beta+k+1)/(k+1) * (p+k)/(q+k) for the row (alpha, beta, p, q) of an
-    interval family, and (alpha+k+1)/(k+1) for Laguerre."""
+    interval family, (alpha+k+1)/(k+1) for Laguerre, in `_row_ints`."""
+    if spec.family is Family.LAGUERRE:
+        d, alpha = spec._row_ints
+        num, den = alpha + d * (k + 1), d * (k + 1)
+    else:
+        d, _, beta, p, q = spec._row_ints
+        num, den = -(beta + d * (k + 1)), d * (k + 1)
+        if p != q:
+            num, den = num * (d * k + p), den * (d * k + q)
+    return _lowest(num, den)
+
+
+def endpoint_ints(spec: FamilySpec, n: int) -> tuple:
+    """(nums, den) with P_k(-a) = nums[k] / den for k = 0..n, den the least
+    common denominator, from the `_endpoint_ratio`s and no Pochhammer
+    cache.  P_n(-a) is one product of the ratios, kept in lowest terms, and
+    each numerator below follows from the one above it, nums[k] =
+    nums[k+1] / ratio_k, an exact division by a small int.
+
+    den is that of P_n(-a): each P_k(-a) is +-(c)_k / k! for a rational
+    c > -1 that is not an integer <= 0 (c = beta + 1, 2 lam or alpha + 1;
+    Chebyshev's is +-1), and the denominators of (c)_k / k! in lowest terms
+    divide one another as k grows.  For a prime l not dividing c's
+    denominator, the k factors of (c)_k meet every power of l no later than
+    1..k do, so l stays in the numerator; a prime that divides it only
+    gains powers."""
     if n < 0:
         raise IndexOutOfRangeError("degree must be nonnegative")
-    if spec.family is Family.LAGUERRE:
-        alpha = spec._exact[0]
-        ratios = ((alpha + k + 1) / (k + 1) for k in range(n))
-    else:
-        _, beta, p, q = spec._jacobi_row
-        ratios = (-(beta + k + 1) * (p + k) / ((k + 1) * (q + k))
-                  for k in range(n))
-    values = [_ONE]
-    for r in ratios:
-        values.append(values[-1] * r)
-    return values
+    ratios = [_endpoint_ratio(spec, k) for k in range(n)]
+    num, den = 1, 1
+    for rn, rd in ratios:
+        g, h = math.gcd(num, rd), math.gcd(rn, den)
+        num, den = (num // g) * (rn // h), (den // h) * (rd // g)
+    nums = [num]
+    for rn, rd in reversed(ratios):
+        nums.append(nums[-1] * rd // rn)
+    return nums[::-1], den
 
 
-def derivative_connection(spec: FamilySpec, n: int) -> tuple:
-    """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
-    in the family's own normalization (DLMF 18.9).
+def endpoint_values(spec: FamilySpec, n: int) -> list:
+    """[P_0(-a), ..., P_n(-a)] as exact Fractions for an interval family or
+    Laguerre: the p = 0 case of `endpoint_derivative`, read from
+    `endpoint_ints`."""
+    nums, den = endpoint_ints(spec, n)
+    return [Fraction(v, den) for v in nums]
+
+
+def connection_ints(spec: FamilySpec, n: int) -> tuple:
+    """(A_n, B_n, C_n) of `derivative_connection` as three int pairs
+    (numerator, denominator > 0) in lowest terms: the DLMF 18.9
+    coefficients in the row's integers `_row_ints`, d the common
+    denominator and s = d (alpha + beta).
 
     B_0, C_0 and C_1 multiply P'_0 = 0 or P'_{-1} and are set to 0; for
     C_1 this also avoids the 0/0 of the Jacobi display at alpha+beta = -1.
@@ -355,27 +407,34 @@ def derivative_connection(spec: FamilySpec, n: int) -> tuple:
         raise IndexOutOfRangeError("degree must be nonnegative")
     f = spec.family
     if f is Family.LAGUERRE:
-        return -_ONE, _ONE, _ZERO
+        return (-1, 1), (1, 1), (0, 1)
     if f is Family.GENERIC_MONIC:
         raise ValueError(
             "generic sequences have no derivative connection; use the "
             "family-agnostic formulas in polyconv.generic_conv"
         )
-    alpha, beta, p, q = spec._jacobi_row
+    d, alpha, beta, p, q = spec._row_ints
     s = alpha + beta
     if n == 0:
-        a, b, c = 2 / (s + 2), _ZERO, _ZERO
+        a, b, c = (2 * d, s + 2 * d), (0, 1), (0, 1)
     else:
-        a = 2 * (n + s + 1) / ((2 * n + s + 1) * (2 * n + s + 2))
-        b = 2 * (alpha - beta) / ((2 * n + s) * (2 * n + s + 2))
-        c = _ZERO if n == 1 else (-2 * (n + alpha) * (n + beta)
-                                  / ((n + s) * (2 * n + s) * (2 * n + s + 1)))
+        t = d * (2 * n) + s
+        a = (2 * d * (d * n + s + d), (t + d) * (t + 2 * d))
+        b = (2 * d * (alpha - beta), t * (t + 2 * d))
+        c = (0, 1) if n == 1 else (-2 * d * (d * n + alpha) * (d * n + beta),
+                                   (d * n + s) * t * (t + d))
     # P_n = c_n J_n, so A and C pick up the ratios c_{k+1}/c_k = (p+k)/(q+k)
     if p != q:
-        a = a * (q + n) / (p + n)
-        if c != 0:
-            c = c * (p + n - 1) / (q + n - 1)
-    return a, b, c
+        a = (a[0] * (d * n + q), a[1] * (d * n + p))
+        c = (c[0] * (d * (n - 1) + p), c[1] * (d * (n - 1) + q))
+    return _lowest(*a), _lowest(*b), _lowest(*c)
+
+
+def derivative_connection(spec: FamilySpec, n: int) -> tuple:
+    """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
+    in the family's own normalization (DLMF 18.9), as Fractions read from
+    `connection_ints`."""
+    return tuple(Fraction(*pair) for pair in connection_ints(spec, n))
 
 
 # ---------------------------------------------------------------------------

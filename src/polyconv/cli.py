@@ -119,12 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def write_series(series: convmat.SeriesCoeffs, stream) -> None:
+def write_series(series: convmat.SeriesCoeffs, stream, backend=None) -> None:
+    """Write a series file: the family header, then `index,value` rows of
+    each coefficient printed by `backend.format` (by default the series'
+    own backend), so an exact coefficient is rounded once."""
     config = series.family.to_config()
     header = " ".join(f"{k}={v}" for k, v in config.items())
+    fmt = (series.family.backend if backend is None else backend).format
     stream.write(f"# {header}\n")
     for idx, value in enumerate(series.coeffs):
-        stream.write(f"{idx},{value}\n")
+        stream.write(f"{idx},{fmt(value.as_fraction())}\n")
 
 
 def read_series(path: str) -> convmat.SeriesCoeffs:
@@ -218,16 +222,18 @@ class VerificationReport:
 def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     """Desk-scale certification: the closed forms and the family-agnostic
     formulas against the exact oracle, and the zero bands of the engine
-    every table command runs, `closed_forms.rho_columns`."""
+    every table command runs, `closed_forms.rho_columns`.  The report's
+    last line names the first mismatch and the route its value came from:
+    `closed=`, `generic=` or `engine=`."""
     families = default_verify_families() if families is None else families
     lines, mismatches = [], []
     checks = 0
 
-    def check(m, n, j, got, want):
+    def check(route, m, n, j, got, want):
         nonlocal checks
         checks += 1
         if got != want:
-            mismatches.append((label, m, n, j, str(got), str(want)))
+            mismatches.append((label, m, n, j, str(got), str(want), route))
 
     for spec in families:
         label = spec.label()
@@ -238,9 +244,9 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                 truth = oracle.oracle_rho(spec, m, n)
                 generic = generic_conv.rho_vector(data, m, n)
                 for j in range(m + n + 2):
-                    check(m, n, j, closed_forms.rho_closed(spec, m, n, j),
-                          truth[j])
-                    check(m, n, j, generic[j], truth[j])
+                    check("closed", m, n, j,
+                          closed_forms.rho_closed(spec, m, n, j), truth[j])
+                    check("generic", m, n, j, generic[j], truth[j])
         # zero bands, read from one engine run per m on a taller range
         for m in range(3):
             cols = closed_forms.rho_columns(spec, m, 2 * m + 11)
@@ -248,22 +254,23 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                 band = closed_forms.zero_region(spec, m, n)
                 if band is None:
                     continue
+                values = closed_forms._fractions(cols[n])
                 for j in range(band[0], band[1] + 1):
-                    check(m, n, j, cols[n][j], 0)
+                    check("engine", m, n, j, values[j], 0)
         fam_checks = checks - checks_before
         fam_failures = len(mismatches) - failures_before
         status = "ok" if fam_failures == 0 else "FAILED"
         lines.append(f"{label}: {fam_checks - fam_failures}/{fam_checks} "
                      f"checks passed [{status}]")
 
-    first = mismatches[0] if mismatches else None
+    first = mismatches[0][:6] if mismatches else None
     if first is None:
         lines.append(f"all {checks} checks passed")
     else:
-        label, m, n, j, got, want = first
+        label, m, n, j, got, want, route = mismatches[0]
         lines.append(
             f"FIRST MISMATCH family={label} m={m} n={n} j={j} "
-            f"closed={got} oracle={want}"
+            f"{route}={got} oracle={want}"
         )
     return VerificationReport(lines, checks, len(mismatches), first)
 
@@ -319,7 +326,7 @@ def cmd_matrix(args) -> int:
 def cmd_convolve(args) -> int:
     c = convmat.convolve_series(read_series(args.f), read_series(args.g))
     with _output(args.out) as stream:
-        write_series(c.to_backend(args.backend), stream)
+        write_series(c, stream, args.backend)
     return 0
 
 

@@ -23,11 +23,16 @@ Whole tables (``rho_table``, ``magnitude_grid``) and every series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
 columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
 it starts from the derivative connection, closes each column at j = 0 by
-the endpoint condition, whose values P_k(-a) come from
-``basis.endpoint_values``, and skips every product that is exactly zero.
-``rho_columns`` is its single-weight case.  The closed forms are off that
-path; they remain the reference that certifies it (``verify``, the tests
-and the benchmark's checks).
+the endpoint condition, and skips every row whose operands are zero.
+``rho_columns`` is its single-weight case.  The recurrence runs in ints:
+its coefficients and the values P_k(-a) are int pairs from
+``basis.connection_ints`` and ``basis.endpoint_ints``, and each column is
+kept as int numerators over one positive denominator, (nums, den), with
+its content divided out.  A ``Fraction`` in lowest terms is made only
+where a cell leaves: ``_rows``, the one walk over that layout, makes them
+for every grid and writer.  The closed forms are off that path; they
+remain the reference that certifies it (``verify``, the tests and the
+benchmark's checks).
 
 Everything here is a pure function of its inputs.  The rising factorials
 come from the one cached helper ``scalars.pochhammer`` (imported as
@@ -37,12 +42,13 @@ entry per (z, n) asked for, and the small hypergeometric factors of the
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import (Family, FamilySpec, chebyshev, derivative_connection,
-                    endpoint_values)
+from .basis import (Family, FamilySpec, chebyshev, connection_ints,
+                    endpoint_ints)
 from .errors import IndexContractError
 from .scalars import RATIONAL, Scalar, exact, factorial, hyp_pfq, log10_abs
 from .scalars import pochhammer as _poch
@@ -450,8 +456,9 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
 @dataclass
 class RhoTable:
     """rho_{j,n}^m for fixed m on the grid j <= jmax, n <= nmax, kept as
-    the exact columns of `rho_columns`.  `values[j][n]` makes every cell in
-    the family's backend on each read, so bind it once before a loop."""
+    the int columns (nums, den) of `rho_columns`.  `values[j][n]` makes
+    every cell in the family's backend on each read, so bind it once before
+    a loop."""
 
     family: FamilySpec
     m: int
@@ -469,10 +476,12 @@ class RhoTable:
 
 
 def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
-    """The columns R_{., n} = sum_m w_m rho^m_{., n}, n = 0..nmax, as exact
-    Fractions, where `weights` maps each degree m to its exact coefficient
-    w_m.  Column n holds j = 0..M+n+1, M the highest degree of nonzero
-    weight (0 when there is none).
+    """The columns R_{., n} = sum_m w_m rho^m_{., n}, n = 0..nmax, where
+    `weights` maps each degree m to its exact coefficient w_m.  Column n
+    holds j = 0..M+n+1, M the highest degree of nonzero weight (0 when
+    there is none), as a pair (nums, den): R_{j,n} = nums[j] / den, with
+    int numerators and one positive int denominator, the column's content
+    divided out (gcd(den, *nums) = 1).
 
     rho is linear in P_m and the recurrence below is linear in rho, so one
     run serves a whole series.  With the derivative connection
@@ -491,74 +500,124 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a).  Every
     column's j = 0 entry, column 0's included, closes it through
     sum_j R_{j,n} P_j(-a) = 0, since the convolution vanishes at x = -2a
-    (P_0 = 1).  The values P_k(-a) come from `basis.endpoint_values`, one
-    exact product per degree.  A product whose coefficient or operand is
-    exactly zero is skipped: the zero bands, B_j = B_n, C = 0 and sparse
-    weights cost nothing.  O(1) exact operations per nonzero entry.
+    (P_0 = 1).
+
+    The arithmetic is integer.  A, B and C are int pairs from
+    `basis.connection_ints`, and the values P_k(-a) int numerators over one
+    denominator from `basis.endpoint_ints`.  Row j's equation is weighted
+    by l_j, the lcm of the denominators of A_{j-1}, B_j and C_{j+1}, which
+    makes its row part an int combination of the column's numerators; the
+    terms of the column (B_n, C_n, E_n, 1/A_n and the denominators of the
+    columns they act on) share one denominator G.  A row's weight is
+    divided back out by its gcd with that row's numerator before the
+    column takes the lcm of what is left, so the lcm of the row weights
+    never multiplies the numerators: the new column's denominator is G
+    times a divisor of its true one, until one `math.gcd` over the column
+    removes its content.  A row whose operands are all zero is skipped, so
+    the zero bands and sparse weights cost nothing.  O(1) int operations
+    per nonzero entry.
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
         raise IndexContractError("degrees must be nonnegative")
     top_m = max(weights, default=0)
     top = top_m + nmax + 2
-    a, b, c = zip(*(derivative_connection(spec, k) for k in range(top + 1)))
-    ends = endpoint_values(spec, top)
-    zero = Fraction(0)
-    h = [zero] * (top + 1)
+    conn = [connection_ints(spec, k) for k in range(top + 1)]
+    ends, end_den = endpoint_ints(spec, top)
+    image = [_ZERO] * (top + 1)
     for m, w in weights.items():
-        for k, coeff in ((m + 1, a[m]), (m, b[m]), (m - 1, c[m])):
-            if k >= 1 and coeff:
-                h[k] += w * coeff
+        for k, (x, y) in ((m + 1, conn[m][0]), (m, conn[m][1]),
+                          (m - 1, conn[m][2])):
+            if k >= 1 and x:
+                image[k] += w * Fraction(x, y)
+    h, h_den = _column(image)
 
-    def close(col):
-        col[0] = -sum((col[k] * ends[k] for k in range(1, len(col)) if col[k]),
-                      zero)
-        return col
+    # row k of a new column: (l_k, l_k A_{k-1}, l_k B_k, l_k C_{k+1}) as ints
+    rows = [None]
+    for k in range(1, top):
+        pairs = (conn[k - 1][0], conn[k][1], conn[k + 1][2])
+        weight = math.lcm(*(y for _, y in pairs))
+        rows.append((weight, *(x * (weight // y) for x, y in pairs)))
 
-    cols = [close(h[:top_m + 2])]
+    def close(nums, den):
+        """Set nums[0] from sum_j R_j P_j(-a) = 0; divide out the content."""
+        total = sum(v * e for v, e in zip(nums[1:], ends[1:]) if v)
+        first = Fraction(-total, den * end_den)
+        scale = first.denominator // math.gcd(first.denominator, den)
+        if scale > 1:
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums[0] = first.numerator * (den // first.denominator)
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [v // g for v in nums]
+            den //= g
+        return nums, den
+
+    cols = [close(h[:top_m + 2], h_den)]
     for n in range(nmax):
         size = top_m + n + 3
-        cur = cols[n] + [zero, zero]
-        prev = cols[n - 1] + [zero, zero] if n else [zero] * size
-        an, bn, mcn = a[n], b[n], -c[n]
-        e = an * ends[n + 1] + bn * ends[n]
-        if n:
-            e += c[n] * ends[n - 1]
-        nxt = [zero] * size
+        cur, den = cols[n]
+        cur = cur + [0, 0]
+        prev, prev_den = cols[n - 1] if n else ([], 1)
+        prev = prev + [0] * (size - len(prev))
+        (an, ad), (bn, bd), (cn, cd) = conn[n]
+        # E_n times end_den; C_0 = 0, so n = 0 reads no P_{-1}(-a)
+        e = sum((Fraction(x * ends[k], y) for (x, y), k
+                 in zip(conn[n], (n + 1, n, n - 1)) if x), _ZERO)
+        # R_{., n+1} = [rows/l_k / den - B_n cur / den - C_n prev / prev_den
+        #               + E_n h / h_den] / A_n, the column terms over G
+        terms = [Fraction(ad, an * den), Fraction(-bn * ad, bd * an * den),
+                 Fraction(-cn * ad, cd * an * prev_den),
+                 e * Fraction(ad, an * h_den * end_den)]
+        g_den = math.lcm(*(t.denominator for t in terms))
+        u, vb, vc, w = (t.numerator * (g_den // t.denominator) for t in terms)
+        nxt, row_dens = [0] * size, [1] * size
         for k in range(1, size):
-            terms = []
-            x = cur[k - 1]
-            if x:
-                terms.append(a[k - 1] * x)
-            x = cur[k]
-            if x and b[k] != bn:
-                terms.append((b[k] - bn) * x)
-            x = cur[k + 1]
-            if x and c[k + 1]:
-                terms.append(c[k + 1] * x)
-            x = prev[k]
-            if x and mcn:
-                terms.append(mcn * x)
-            x = h[k]
-            if x and e:
-                terms.append(e * x)
-            if terms:
-                nxt[k] = sum(terms[1:], terms[0]) / an
-        cols.append(close(nxt))
+            x0, x1, x2, y, z = cur[k - 1], cur[k], cur[k + 1], prev[k], h[k]
+            if not (x0 or x1 or x2 or y or z):
+                continue
+            weight, ra, rb, rc = rows[k]
+            t = u * (ra * x0 + rb * x1 + rc * x2) + weight * (vb * x1 + vc * y
+                                                              + w * z)
+            if weight > 1:
+                g = math.gcd(t, weight)
+                t //= g
+                row_dens[k] = weight // g
+            nxt[k] = t
+        scale = math.lcm(*row_dens)
+        nxt = [v * (scale // d) if v else 0 for v, d in zip(nxt, row_dens)]
+        cols.append(close(nxt, g_den * scale))
     return cols
 
 
 def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
-    """The columns rho^m_{., n} for n = 0..nmax as exact Fractions, column
-    n holding j = 0..m+n+1: `series_columns` with the single weight
-    w_m = 1."""
+    """The columns rho^m_{., n} for n = 0..nmax in the layout of
+    `series_columns`, column n holding j = 0..m+n+1: `series_columns` with
+    the single weight w_m = 1."""
     return series_columns(spec, {m: Fraction(1)}, nmax)
 
 
+def _column(values: list) -> tuple:
+    """Exact values as one column (nums, den), den their least common
+    denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _fractions(col: tuple) -> list:
+    """The exact values of one column (nums, den), each a Fraction in
+    lowest terms: made only where a cell leaves the engine."""
+    nums, den = col
+    return [Fraction(v, den) if v else _ZERO for v in nums]
+
+
 def _rows(cols: list, n_rows: int):
-    """Rows j < n_rows of the exact columns `cols`, each zero below its end:
-    the one walk over the column layout, for every grid and writer."""
-    padded = [col[:n_rows] + [_ZERO] * (n_rows - len(col)) for col in cols]
+    """Rows j < n_rows of the columns `cols`, each zero below its end, as
+    Fractions: the one walk over the column layout, for every grid and
+    writer."""
+    padded = [_fractions((nums[:n_rows], den)) + [_ZERO] * (n_rows - len(nums))
+              for nums, den in cols]
     return zip(*padded)
 
 
@@ -606,23 +665,27 @@ def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
     lists the whole grid; `triplet` keeps only nonzero entries for sparse
     inspection."""
     rows = _rows(table.columns, table.jmax + 1)
-    _write_jn_rows(rows, table.family.backend.format, stream, fmt == "triplet")
+    form = table.family.backend.format
+    _write_jn_rows(rows, form, stream,
+                   None if fmt == "triplet" else form(_ZERO))
 
 
-def _write_jn_rows(rows, fmt, stream, nonzero_only: bool = True,
-                   name: str = "value") -> None:
-    """Write rows[j][n] as `j,n,<name>` rows of fmt(cell), by default only
-    the nonzero cells (the triplet format), each tested before fmt runs; a
-    backend's `format` of an exact cell rounds it once."""
+def _write_jn_rows(rows, fmt, stream, zero=None, name: str = "value") -> None:
+    """Write rows[j][n] as `j,n,<name>` rows: a nonzero cell as fmt(cell),
+    tested before fmt runs, so a backend's `format` rounds it once; a zero
+    cell as the text `zero`, made once by the caller, or not at all when
+    `zero` is None (the triplet format)."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["j", "n", name])
     for j, row in enumerate(rows):
         for n, v in enumerate(row):
-            if v or not nonzero_only:
+            if v:
                 writer.writerow([j, n, fmt(v)])
+            elif zero is not None:
+                writer.writerow([j, n, zero])
 
 
 def write_magnitude_csv(grid: list, stream) -> None:
     """Write figure data as `j,n,log10abs` with `-inf` for exact zeros."""
-    _write_jn_rows(grid, lambda v: "-inf" if v is None else repr(v), stream,
-                   nonzero_only=False, name="log10abs")
+    text = ([None if v is None else repr(v) for v in row] for row in grid)
+    _write_jn_rows(text, str, stream, "-inf", name="log10abs")

@@ -10,12 +10,16 @@ so the coefficients of f * g are c = R b.  Both R and f * g come from one
 exact run of ``closed_forms.series_columns``, whose recurrence is linear
 in the series: R weights it by the a_m, and ``convolve_series`` weights it
 by the factor of higher degree and stops at the other factor's degree.
-No closed form is evaluated.  R keeps the exact columns that run makes,
-column n zero below its end j = M + n + 1 and in its zero band, and both
-products are one exact combination of columns, `_combine`.
+No closed form is evaluated.  R keeps the columns that run makes, each
+int numerators over one positive denominator (nums, den), column n zero
+below its end j = M + n + 1 and in its zero band.  Both products are one
+combination of columns, `_combine`: int numerators summed over one common
+denominator, with a Fraction in lowest terms made per entry only at the
+end, where `SeriesCoeffs` rounds it once.
 """
 
 import csv
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -60,9 +64,10 @@ class SeriesCoeffs:
 @dataclass
 class ConvMatrix:
     """The operator matrix of convolution by a fixed series of degree M,
-    kept as its exact columns, n_rows = M + n_cols + 1, column n zero below
-    its end.  `entries[j][n]` makes every cell in the family's backend on
-    each read, so bind it once before a loop; the writers make none."""
+    kept as its int columns (nums, den), n_rows = M + n_cols + 1, column n
+    zero below its end.  `entries[j][n]` makes every cell in the family's
+    backend on each read, so bind it once before a loop; the writers make
+    none."""
 
     family: FamilySpec
     n_rows: int
@@ -103,13 +108,18 @@ def _weights(series: SeriesCoeffs) -> dict:
 
 
 def _combine(cols: list, weights: dict, size: int) -> list:
-    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values."""
-    out = [Fraction(0)] * size
-    for n, w in weights.items():
-        for j, v in enumerate(cols[n]):
+    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values: the
+    columns' int numerators summed over one common denominator, and a
+    Fraction made per entry only at the end."""
+    factors = {n: w / cols[n][1] for n, w in weights.items()}
+    den = math.lcm(*(f.denominator for f in factors.values()))
+    out = [0] * size
+    for n, f in factors.items():
+        scale = f.numerator * (den // f.denominator)
+        for j, v in enumerate(cols[n][0]):
             if v:
-                out[j] += w * v
-    return out
+                out[j] += scale * v
+    return [Fraction(v, den) for v in out]
 
 
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
@@ -155,8 +165,9 @@ def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow([matrix.n_rows, matrix.n_cols])
     fmt = matrix.family.backend.format
+    zero = fmt(Fraction(0))
     for row in _rows(matrix.columns, matrix.n_rows):
-        writer.writerow(map(fmt, row))
+        writer.writerow([fmt(v) if v else zero for v in row])
 
 
 def write_matrix_triplet_csv(matrix: ConvMatrix, stream) -> None:

@@ -398,7 +398,9 @@ class TestVerify:
         def corrupt(spec, m, nmax):
             cols = rho_columns(spec, m, nmax)
             if spec.family is basis.Family.LEGENDRE and m == 1:
-                cols[8][3] += 1
+                values = closed_forms._fractions(cols[8])
+                values[3] += 1
+                cols[8] = closed_forms._column(values)
             return cols
 
         monkeypatch.setattr(closed_forms, "rho_columns", corrupt)
@@ -406,6 +408,8 @@ class TestVerify:
         assert not report.ok
         assert report.failures == 1
         assert report.first_mismatch == ("legendre", 1, 8, 3, "1", "0")
+        assert report.lines[-1] == ("FIRST MISMATCH family=legendre m=1 n=8 "
+                                    "j=3 engine=1 oracle=0")
 
     def test_cli_exit_code_reflects_failure(self, monkeypatch, capsys):
         import polyconv.cli as cli_mod

@@ -263,7 +263,8 @@ class TestAgainstClosedForms:
     def test_empty_weights(self):
         spec = basis.legendre()
         for weights in ({}, {3: Fraction(0)}):
-            assert cf.series_columns(spec, weights, 2) == \
+            cols = cf.series_columns(spec, weights, 2)
+            assert [cf._fractions(col) for col in cols] == \
                 [[0] * 2, [0] * 3, [0] * 4]
 
     def test_float_series_is_the_exact_result_rounded_once(self):
@@ -280,6 +281,57 @@ class TestAgainstClosedForms:
             got = convolve_series(f, g).coeffs
             assert [(v.as_fraction(), v.backend) for v in got] == \
                 [(fb.make(v).as_fraction(), fb) for v in want], spec.label()
+
+
+class TestIntegerApply:
+    """`_combine` sums int numerators over one denominator; it must equal
+    the same sum taken in Fractions, and round once at a float family."""
+
+    @staticmethod
+    def reference(cols, weights, size):
+        out = [Fraction(0)] * size
+        for n, w in weights.items():
+            for j, v in enumerate(cf._fractions(cols[n])):
+                out[j] += w * v
+        return out
+
+    def test_matvec_and_convolve_equal_fraction_sums(self):
+        rng = random.Random(71)
+
+        def dense(spec, degree):
+            return SeriesCoeffs(spec, [Fraction(rng.randint(-99, 99),
+                                                rng.randint(1, 99))
+                                       for _ in range(degree + 1)])
+
+        for spec in certificate_families():
+            f, g = dense(spec, 9), dense(spec, 12)
+            mat = build_matrix(f, 13)
+            weights = convmat._weights(g)
+            want = self.reference(mat.columns, weights, mat.n_rows)
+            assert as_fractions(mat.matvec(g).coeffs) == want, spec.label()
+            cols = cf.series_columns(spec, weights, f.degree)
+            want = self.reference(cols, convmat._weights(f), 9 + 12 + 2)
+            assert as_fractions(convolve_series(f, g).coeffs) == want, \
+                spec.label()
+
+    def test_float_matvec_rounds_once(self):
+        fb = FloatBackend(128)
+        rng = random.Random(72)
+        spec = basis.jacobi(Fraction(1, 3), Fraction(1, 5))
+        coeffs = [Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                  for _ in range(16)]
+        b = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+             for _ in range(9)]
+        exact = build_matrix(SeriesCoeffs(spec, coeffs), 9)
+        got = exact.to_backend(fb).matvec(
+            SeriesCoeffs(spec.to_backend(fb), b)).coeffs
+        # b's entries round to 128 bits first: compare with the rational
+        # product of the rounded b, rounded once
+        rounded_b = SeriesCoeffs(spec.to_backend(fb), b)
+        want = self.reference(exact.columns, convmat._weights(rounded_b),
+                              exact.n_rows)
+        assert [(v.as_fraction(), v.backend) for v in got] == \
+            [(fb.make(v).as_fraction(), fb) for v in want]
 
 
 class TestHighDegree:

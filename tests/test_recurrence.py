@@ -8,6 +8,7 @@ random parameters, and the endpoint values P_k(-a) the recurrence closes
 its columns with must equal the endpoint derivatives of order 0.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -31,11 +32,25 @@ def edge_families():
     ]
 
 
+def assert_canonical(cols, top_m):
+    """Column n is (nums, den): m + n + 2 int numerators over one positive
+    int denominator with no common factor, and zero below its end."""
+    for n, (nums, den) in enumerate(cols):
+        assert type(den) is int and den > 0
+        assert [type(v) for v in nums] == [int] * (top_m + n + 2)
+        assert math.gcd(den, *nums) == 1, n
+    rows = list(cf._rows(cols, top_m + len(cols) + 3))
+    for n in range(len(cols)):
+        assert all(row[n] == 0 for row in rows[top_m + n + 2:]), n
+
+
 def assert_matches_closed_forms(spec, m, nmax):
     cols = cf.rho_columns(spec, m, nmax)
     assert len(cols) == nmax + 1
+    assert_canonical(cols, m)
     for n, col in enumerate(cols):
-        assert col == cf.rho_closed_vector(spec, m, n), (spec.label(), m, n)
+        assert cf._fractions(col) == cf.rho_closed_vector(spec, m, n), \
+            (spec.label(), m, n)
 
 
 class TestAgainstClosedForms:
@@ -138,6 +153,34 @@ def test_random_one_parameter_families_certified_by_the_oracle(alpha):
     assert_certified(basis.laguerre(alpha))
     if alpha != Fraction(-1, 2):
         assert_certified(basis.gegenbauer(alpha + Fraction(1, 2)))
+
+
+class TestIntegerColumns:
+    def test_weighted_columns_are_canonical(self):
+        rng = random.Random(13)
+        for spec in acceptance_families() + edge_families():
+            weights = {m: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
+                       for m in range(7)}
+            cols = cf.series_columns(spec, weights, 30)
+            assert_canonical(cols, max(m for m, w in weights.items() if w))
+            # one weighted run is the weighted sum of the single-weight runs
+            singles = {m: [cf._fractions(col) for col in
+                           cf.rho_columns(spec, m, 30)] for m in weights}
+            for n, col in enumerate(cols):
+                want = [sum((w * singles[m][n][j] for m, w in weights.items()
+                             if j < len(singles[m][n])), Fraction(0))
+                        for j in range(len(col[0]))]
+                assert cf._fractions(col) == want, (spec.label(), n)
+
+    def test_connection_and_endpoint_ints_in_lowest_terms(self):
+        # the values themselves are certified by the oracle and by the
+        # endpoint derivatives; here, that the ints carry no common factor
+        for spec in acceptance_families() + edge_families():
+            for n in range(12):
+                for num, den in basis.connection_ints(spec, n):
+                    assert den > 0 and math.gcd(num, den) == 1
+            nums, den = basis.endpoint_ints(spec, 30)
+            assert den > 0 and math.gcd(den, *nums) == 1, spec.label()
 
 
 class TestEndpointValues:
