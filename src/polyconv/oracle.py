@@ -8,13 +8,20 @@ connection coefficients, rising factorials, hypergeometric sums, or any of
 the closed forms it certifies, so a shared bug cannot cancel.
 
 Each family's three-term recurrence (P_1 and the step coefficients) is
-written out once, in ``_recurrence``.  One loop runs it, once per call:
-``project_to_family`` takes every basis polynomial it eliminates from one run.
+written out once, in ``_recurrence``.  One loop, ``_family_polys``, runs it
+for the shifted polynomials P_k(y - delta), the shift folded into the step's
+constant term, as int numerators over one denominator per polynomial.  Each
+function runs it once per call, in the coordinates it works in:
+``convolve_exact`` in s = t + a and y = x + 2a, where the limits are 0 and
+y, and ``project_to_family`` in the powers its input is written in.  Nothing
+is cached between calls.
 
 Only ring operations on rationals are used; there is no tolerance anywhere.
-This is desk-scale machinery (O((m+n)^3) per pair with big rationals).
+The sums run over ints, and a Fraction is made once per coefficient that
+leaves.  This is desk-scale machinery: O((m+n)^3) int operations per pair.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -105,20 +112,39 @@ def _recurrence(spec: FamilySpec):
     return [(alpha + 1) - (s + 2) / 2, (s + 2) / 2], step
 
 
-def _family_polys(spec: FamilySpec, n: int) -> list:
-    """Monomial coefficient lists of P_0, ..., P_n from one run of the
-    family's recurrence; P_k has k+1 entries."""
+def _over_lcm(values) -> tuple:
+    """Rationals as (int numerators, the lcm of their denominators): in
+    lowest terms, since the numerator over the largest power of each prime
+    in the lcm is prime to it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _family_polys(spec: FamilySpec, n: int, delta=0) -> list:
+    """P_0(y - delta), ..., P_n(y - delta) in powers of y from one run of
+    the family's recurrence, each as (int numerators, one positive
+    denominator) in lowest terms; P_k has k+1 numerators.  The shift is
+    folded into the recurrence: P_k(y - delta) = (ax y + b - ax delta)
+    P_{k-1}(y - delta) - c P_{k-2}(y - delta)."""
     p1, step = _recurrence(spec)
-    polys = [[_ONE], p1]
+    delta = Fraction(delta)
+    polys = [([1], 1), _over_lcm([p1[0] - p1[1] * delta, p1[1]])]
     for k in range(2, n + 1):
         ax, b, c = step(k)
-        out = [_ZERO] * (k + 1)
-        for i, v in enumerate(polys[-1]):
+        (ax, b, c), e = _over_lcm([ax, b - ax * delta, c])
+        (n1, d1), (n2, d2) = polys[-1], polys[-2]
+        den = math.lcm(d1, d2)
+        u1, u2 = den // d1, c * (den // d2)
+        out = [0] * (k + 1)
+        for i, v in enumerate(n1):
+            v *= u1
             out[i + 1] += ax * v
             out[i] += b * v
-        for i, v in enumerate(polys[-2]):
-            out[i] -= c * v
-        polys.append(out)
+        for i, v in enumerate(n2):
+            out[i] -= u2 * v
+        den *= e
+        g = math.gcd(den, *out)
+        polys.append(([v // g for v in out], den // g))
     return polys[:n + 1]
 
 
@@ -127,77 +153,82 @@ def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
     last of one `_family_polys` run."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return MonomialPoly(_family_polys(spec, n)[n])
+    nums, den = _family_polys(spec, n)[n]
+    return MonomialPoly([Fraction(v, den) for v in nums])
 
 
 def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
     """The integral of P_m(x-t) P_n(t) dt from -a to x+a, evaluated
-    symbolically; returned in powers of (x + 2a)."""
+    symbolically; returned in powers of (x + 2a).
+
+    With s = t + a and y = x + 2a it is the integral of Q_m(y-s) Q_n(s) ds
+    from 0 to y, Q_k(y) = P_k(y - a): the lower limit contributes nothing.
+    The sums run over ints, over the denominators of Q_m and Q_n times
+    lcm(1, ..., m+n+1) for the antiderivative."""
+    if m < 0 or n < 0:
+        raise ValueError("degree must be nonnegative")
     a = spec.domain_offset_a.as_fraction()
-    polys = _family_polys(spec, max(m, n))
-    pm, pn = polys[m], polys[n]
+    polys = _family_polys(spec, max(m, n), a)
+    (qm, dm), (qn, dn) = polys[m], polys[n]
 
-    # P_m(x - t) as polynomials in x, one per power of t
-    in_x = [[_ZERO] * (m + 1) for _ in range(m + 1)]
-    for i, c in enumerate(pm):
-        binom = Fraction(1)
-        for k in range(i + 1):  # (x-t)^i term: C(i,k) x^(i-k) (-t)^k
-            sign = -binom if k % 2 else binom
-            in_x[k][i - k] += c * sign
-            binom = binom * (i - k) / (k + 1)
+    # Q_m(y - s) as polynomials in y, one per power of s
+    in_y = [[0] * (m + 1 - k) for k in range(m + 1)]
+    for i, c in enumerate(qm):
+        for k in range(i + 1):  # (y-s)^i term: C(i,k) y^(i-k) (-s)^k
+            in_y[k][i - k] += (-1) ** k * math.comb(i, k) * c
 
-    # multiply by P_n(t), then antidifferentiate in t
-    prod = [[_ZERO] * (m + 1) for _ in range(m + n + 1)]
-    for k in range(m + 1):
-        row = in_x[k]
-        for l, q in enumerate(pn):
+    # multiply by Q_n(s); s^r has y powers up to m - (r - n) at most
+    prod = [[0] * (m + 1 - max(0, r - n)) for r in range(m + n + 1)]
+    for k, row in enumerate(in_y):
+        for l, q in enumerate(qn):
             if q == 0:
                 continue
+            out = prod[k + l]
             for i, c in enumerate(row):
-                prod[k + l][i] += q * c
-    anti = [[_ZERO] * (m + 1)] + [
-        [c / (r + 1) for c in row] for r, row in enumerate(prod)
-    ]
+                out[i] += q * c
 
-    # evaluate at t = x+a and t = -a; cross terms x^i (x+a)^k overshoot the
-    # final degree m+n+1 before cancellation, so size for the worst case
-    result = [_ZERO] * (2 * m + n + 3)
-    shift_pow = [Fraction(1)]  # (x+a)^r coefficients in x
-    for r, row in enumerate(anti):
-        if r > 0:
-            nxt = [_ZERO] * (r + 1)
-            for k, c in enumerate(shift_pow):
-                nxt[k + 1] += c
-                nxt[k] += c * a
-            shift_pow = nxt
-        lower = (-a) ** r
+    # antidifferentiate s^r to s^(r+1) / (r+1) over lcm(1..m+n+1), and
+    # evaluate at s = y
+    lcm = math.lcm(*range(1, m + n + 2))
+    result = [0] * (m + n + 2)
+    for r, row in enumerate(prod):
+        weight = lcm // (r + 1)
         for i, c in enumerate(row):
-            if c == 0:
-                continue
-            for k, s in enumerate(shift_pow):
-                result[i + k] += c * s
-            result[i] -= c * lower
+            result[i + r + 1] += weight * c
 
-    return MonomialPoly(result).recenter(2 * a)
+    den = dm * dn * lcm
+    return MonomialPoly([Fraction(v, den) for v in result], 2 * a)
 
 
 def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
     """Coefficients c_j with poly = sum_j c_j P_j(x + shift), found by
-    repeatedly eliminating the highest remaining degree; exact."""
-    shift = exact(shift)
-    residual = poly.recenter(shift).coeffs[:]
+    repeatedly eliminating the highest remaining degree; exact.
+
+    The elimination runs in poly's own powers of v = x + poly.shift, against
+    P_j(v - delta) with delta = poly.shift - shift, over ints: the residual
+    is int numerators over one denominator, its content divided out once per
+    step."""
+    delta = exact(poly.shift) - exact(shift)
+    residual, den = _over_lcm(poly.coeffs)
+    polys = _family_polys(spec, len(residual) - 1, delta)
     out = [_ZERO] * len(residual)
-    polys = _family_polys(spec, len(residual) - 1)
     for j in range(len(residual) - 1, -1, -1):
         c = residual[j]
         if c == 0:
             continue
-        pj = polys[j]
-        ratio = c / pj[j]
-        out[j] = ratio
-        for k, v in enumerate(pj):
-            residual[k] -= ratio * v
-    assert all(v == 0 for v in residual)
+        pj, dj = polys[j]
+        lead = pj[j]
+        out[j] = Fraction(c * dj, den * lead)
+        # residual - out[j] P_j, scaled by lead / gcd(c, lead)
+        g = math.gcd(c, lead)
+        c, lead = c // g, lead // g
+        for k, v in enumerate(pj):  # entries above j are already zero
+            residual[k] = residual[k] * lead - c * v
+        den *= lead
+        g = math.gcd(den, *residual[:j])
+        residual[:j] = [v // g for v in residual[:j]]
+        den //= g
+    assert not any(residual)
     return [RATIONAL.make(v) for v in out]
 
 

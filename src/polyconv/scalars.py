@@ -246,9 +246,6 @@ def as_integer(value):
 # rising factorials
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-
-
 @lru_cache(maxsize=8192)
 def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
@@ -281,12 +278,15 @@ def pochhammer(z, n: int) -> Fraction:
 
 
 def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
-    """Sum a terminating pFq term by term with a running-term ratio, as an
-    exact Fraction; the parameters are ints, Fractions or Scalars.
+    """Sum a terminating pFq as an exact Fraction; the parameters are ints,
+    Fractions or Scalars.
 
     The series must terminate: some numerator parameter is a nonpositive
     integer -t, and the sum runs over k = 0..t.  A denominator parameter
-    hitting zero before termination raises DenominatorPoleError.
+    hitting zero before termination raises DenominatorPoleError.  The sum is
+    an integer Horner loop from the last term, S <- 1 + r(k) S with the term
+    ratio r(k) an int numerator and denominator, and one Fraction is made at
+    the end.
     """
     x = exact(argument)
     nums = [exact(a) for a in numerator_params]
@@ -304,15 +304,23 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
                 f"denominator parameter {b} vanishes at k = {-ib} <= {t - 1}"
             )
 
-    term = total = _ONE
-    for k in range(t):
+    # term k+1 / term k = r(k) = prod (a+k) / prod (b+k) * x / (k+1); with
+    # each parameter p/q, r(k) = prod (p+kq) / prod (p'+kq') * scale, so the
+    # sum 1 + r(0) (1 + r(1) (... (1 + r(t-1)))) is N/D over ints
+    scale_num, scale_den = x.numerator, x.denominator
+    for a in nums:
+        scale_den *= a.denominator
+    for b in dens:
+        scale_num *= b.denominator
+    num = den = 1
+    for k in range(t - 1, -1, -1):
+        r_num, r_den = scale_num, scale_den * (k + 1)
         for a in nums:
-            term = term * (a + k)
+            r_num *= a.numerator + k * a.denominator
         for b in dens:
-            term = term / (b + k)
-        term = term * x / (k + 1)
-        total = total + term
-    return total
+            r_den *= b.numerator + k * b.denominator
+        num, den = r_den * den + r_num * num, r_den * den
+    return Fraction(num, den)
 
 
 def log10_abs(value) -> float:

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from polyconv import basis, oracle
@@ -109,6 +110,28 @@ class TestProjection:
                 for x in [Fraction(2, 3), Fraction(-1, 4)]:
                     assert recombined.evaluate(x) == poly.evaluate(x)
 
+    def test_round_trip_with_fractional_shifts(self):
+        # the poly's own shift and the target shift are both non-integer, so
+        # the shift folded into the recurrence is too
+        random.seed(29)
+        for spec in [basis.legendre(),
+                     basis.jacobi(Fraction(1, 2), Fraction(-1, 3)),
+                     basis.gegenbauer(Fraction(-1, 3)),
+                     basis.laguerre(Fraction(-2, 7)), basis.generic_monic()]:
+            for poly_shift, target in [(Fraction(-1, 3), Fraction(5, 2)),
+                                       (Fraction(7, 4), Fraction(-2, 9))]:
+                coeffs = [Fraction(random.randint(-20, 20), random.randint(1, 9))
+                          for _ in range(6)]
+                poly = MonomialPoly(coeffs, shift=poly_shift)
+                proj = oracle.project_to_family(poly, spec, target)
+                assert len(proj) == len(poly.coeffs)
+                basis_polys = [oracle.to_monomial(spec, j)
+                               for j in range(len(proj))]
+                for x in [Fraction(2, 3), Fraction(-1, 4), Fraction(11, 5)]:
+                    recombined = sum(c.as_fraction() * pj.evaluate(x + target)
+                                     for c, pj in zip(proj, basis_polys))
+                    assert recombined == poly.evaluate(x)
+
 
 class TestOracleRho:
     def test_laguerre_zero_pair(self):
@@ -163,6 +186,75 @@ class TestOracleRho:
         direct = [c.as_fraction() for c in direct]
         direct += [Fraction(0)] * (len(combined) - len(direct))
         assert combined == direct
+
+    @pytest.mark.parametrize("call", [
+        lambda: oracle.oracle_rho(basis.legendre(), -1, 3),
+        lambda: oracle.convolve_exact(basis.jacobi(Fraction(1, 2), 2), 2, -1),
+        lambda: oracle.to_monomial(basis.laguerre(0), -1),
+    ])
+    def test_negative_degree_rejected(self, call):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            call()
+
+
+def _random_families(seed):
+    """Families with seeded random rational parameters, weighted to the
+    edges: alpha = -1/2, alpha + beta = -1, Laguerre alpha in (-1, 0)."""
+    rng = random.Random(seed)
+
+    def ratio(lo, hi):  # a rational in (lo, hi) with a small denominator
+        q = rng.randint(2, 9)
+        return Fraction(rng.randint(lo * q + 1, hi * q - 1), q)
+
+    alpha = ratio(-1, 0)
+    return [
+        basis.jacobi(Fraction(-1, 2), ratio(-1, 4)),
+        basis.jacobi(alpha, -1 - alpha),
+        basis.jacobi(ratio(-1, 4), ratio(-1, 4)),
+        basis.gegenbauer(ratio(0, 3) - Fraction(1, 2)),
+        basis.laguerre(ratio(-1, 0)),
+    ]
+
+
+def _mp_family(spec, n, x):
+    """P_n(x) from mpmath's own special functions, not from polyconv."""
+    alpha, beta, lam = (None if v is None
+                        else mpmath.mpf(v.numerator) / v.denominator
+                        for v in spec._exact)
+    if spec.family is basis.Family.LAGUERRE:
+        return mpmath.laguerre(n, alpha, x)
+    if spec.family is basis.Family.GEGENBAUER:
+        return mpmath.gegenbauer(n, lam, x)
+    if spec.family is basis.Family.LEGENDRE:  # gegenbauer(1/2)
+        return mpmath.legendre(n, x)
+    if spec.family is basis.Family.CHEBYSHEV:  # gegenbauer(0)
+        return mpmath.chebyt(n, x)
+    return mpmath.jacobi(n, alpha, beta, x)
+
+
+class TestAgainstQuadrature:
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_series_matches_quadrature(self, seed):
+        # sum_j oracle_rho[j] P_j(x+a) against the integral of P_m(x-t)
+        # P_n(t) dt from -a to x+a, numerically integrated at 40 digits
+        with mpmath.workdps(40):
+            for spec in _random_families(seed):
+                a = mpmath.mpf(int(spec.domain_offset_a.as_fraction()))
+                for m in range(5):
+                    for n in range(5):
+                        rho = [c.as_fraction()
+                               for c in oracle.oracle_rho(spec, m, n)]
+                        for x in [mpmath.mpf("-0.37"), mpmath.mpf("1.3")]:
+                            lhs = mpmath.quad(
+                                lambda t: (_mp_family(spec, m, x - t)
+                                           * _mp_family(spec, n, t)),
+                                [-a, x + a], method="gauss-legendre")
+                            rhs = mpmath.fsum(
+                                mpmath.mpf(r.numerator) / r.denominator
+                                * _mp_family(spec, j, x + a)
+                                for j, r in enumerate(rho) if r)
+                            assert abs(lhs - rhs) < mpmath.mpf("1e-30") \
+                                * max(1, abs(rhs)), (spec.label(), m, n, x)
 
 
 class TestIndependence:

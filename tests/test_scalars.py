@@ -300,6 +300,55 @@ class TestHypPfq:
                     rhs = whipple_closed_form(m, j, nu_)
                     assert lhs == rhs, (m, j, nu_)
 
+    def test_matches_termwise_reference(self):
+        # seeded parameter sets with negative rationals and arguments other
+        # than 1, up to t = 600 terms
+        rng = random.Random(37)
+
+        def ratio():
+            return Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+
+        for t in [0, 1, 2, 3, 9, 40, 150, 600, 600]:
+            for _ in range(4):
+                nums = [-t] + [ratio() for _ in range(rng.randint(0, 3))]
+                dens = [b for b in (ratio() for _ in range(rng.randint(0, 3)))
+                        if not (b.denominator == 1 and -t < b <= 0)]
+                x = rng.choice([Fraction(-1), Fraction(2), Fraction(-5, 2),
+                                Fraction(3, 7), ratio() or Fraction(1, 3)])
+                rng.shuffle(nums)
+                assert hyp_pfq(nums, dens, x) == _pfq_termwise(nums, dens, x)
+
+    def test_poles_and_non_termination_still_raised(self):
+        rng = random.Random(41)
+        for _ in range(20):
+            t = rng.randint(1, 600)
+            # odd over even is never an integer, so the series ends at t
+            nums = [-t, Fraction(2 * rng.randint(-60, 60) + 1,
+                                 2 * rng.randint(1, 6))]
+            with pytest.raises(DenominatorPoleError):
+                hyp_pfq(nums, [Fraction(7, 3), -rng.randint(0, t - 1)],
+                        Fraction(-2, 3))
+            # a positive integer and an odd multiple of 1/2: no end
+            nums = [rng.randint(1, 50),
+                    Fraction(2 * rng.randint(-50, 50) + 1, 2)]
+            with pytest.raises(NonTerminatingSeriesError):
+                hyp_pfq(nums, [Fraction(-1, 2)], Fraction(3, 5))
+
+
+def _pfq_termwise(nums, dens, x):
+    """sum_k prod (a)_k / prod (b)_k x^k / k!, term by term in Fractions,
+    up to the first numerator parameter that is a nonpositive integer."""
+    t = int(min(-a for a in nums if a.denominator == 1 and a <= 0))
+    term = total = Fraction(1)
+    for k in range(t):
+        for a in nums:
+            term *= a + k
+        for b in dens:
+            term /= b + k
+        term *= x / (k + 1)
+        total += term
+    return total
+
 
 class TestChuVandermonde:
     def test_identity_exact(self):
