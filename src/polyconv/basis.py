@@ -29,6 +29,7 @@ formulas, not the label, are authoritative here.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
@@ -560,9 +561,15 @@ class GenericBasisData:
         return cls(spec.domain_offset_a, max_degree, b, d, spec.backend)
 
     def b(self, n: int, k: int) -> Fraction:
+        if n < 0 or k < 0:
+            raise IndexOutOfRangeError(
+                f"b-coefficient index out of range: n={n}, k={k}")
         return _lookup(self.b_coeffs, (n, k), "b-coefficient")
 
     def deriv(self, n: int, p: int) -> Fraction:
+        if n < 0 or p < 0:
+            raise IndexOutOfRangeError(
+                f"endpoint derivative index out of range: n={n}, p={p}")
         if p > n:
             return _ZERO
         return _lookup(self.endpoint_derivs, (n, p), "endpoint derivative")
@@ -577,6 +584,65 @@ def _lookup(table: dict, key: tuple, what: str) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(exact(value))
 
 
+# The integer kernel of the family-agnostic formulas.  Every sum of
+# `gamma_from_b` and `generic_conv` is a column of b_{q,j}/q! dotted with
+# int weights made from endpoint derivatives.  Each entry is read once,
+# through `data.b` or `data.deriv`; the entries of a column or of a
+# derivative row are put over one common denominator, and each sum makes
+# one Fraction.  Nothing is kept between calls.
+
+
+def _over_lcm(nums: list, dens: list) -> tuple:
+    """(scaled, den) with nums[i] / dens[i] = scaled[i] / den, den the lcm
+    of dens."""
+    den = math.lcm(*dens)
+    return [a * (den // d) for a, d in zip(nums, dens)], den
+
+
+def _deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
+    """(nums, den) with d^p P_n |_{x=-a} = nums[p - lo] / den for
+    p = lo..hi."""
+    row = [data.deriv(n, p) for p in range(lo, hi + 1)]
+    return _over_lcm([v.numerator for v in row], [v.denominator for v in row])
+
+
+def deriv_products(data: GenericBasisData, m: int, n: int, m_lo: int,
+                   n_lo: int, t_lo: int, t_hi: int) -> tuple:
+    """(sums, den) with
+
+        sum_{a+b=t} d^a P_m * d^b P_n |_{x=-a} = sums[t - t_lo] / den
+
+    for t = t_lo..t_hi, reading d^a P_m for a = m_lo..m and then d^b P_n
+    for b = n_lo..n.  Terms with a < m_lo or b < n_lo are left out, so a
+    caller sets the bounds where those terms have no partner."""
+    dm, den_m = _deriv_ints(data, m, m_lo, m)
+    dn, den_n = _deriv_ints(data, n, n_lo, n)
+    sums = []
+    for t in range(t_lo, t_hi + 1):
+        a_lo, a_hi = max(m_lo, t - n), min(m, t - n_lo)
+        sums.append(sum(dm[a - m_lo] * dn[t - a - n_lo]
+                        for a in range(a_lo, a_hi + 1)))
+    return sums, den_m * den_n
+
+
+def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
+               weights: list, den: int) -> Fraction:
+    """sum_{q=lo}^{hi} b_{q,j}/q! * weights[q - lo] / den for int weights.
+
+    Reads b_{lo,j}, ..., b_{hi,j} in that order, so a table that stops
+    short names the first entry of the column it lacks."""
+    nums, dens = [], []
+    f = factorial(lo)
+    for q in range(lo, hi + 1):
+        if q > lo:
+            f *= q
+        v = data.b(q, j)
+        nums.append(v.numerator)
+        dens.append(v.denominator * f)
+    scaled, b_den = _over_lcm(nums, dens)
+    return Fraction(sum(map(operator.mul, scaled, weights)), b_den * den)
+
+
 def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
                  s: int) -> Scalar:
     """gamma_{n-r,k}^(r,s) assembled from b-coefficients and endpoint
@@ -584,13 +650,17 @@ def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
 
         sum_{sigma=0}^{n-(r+k)} b_{sigma+k+s, k+s} / (sigma+k+s)!
                                 * d^{r+k+sigma} P_n |_{x=-a}
-    """
+
+    computed by the integer kernel: the derivatives d^{r+k..n} P_n and the
+    column b_{k+s..n-r+s, k+s} / q! are each read once and put over one
+    denominator, and the sum is one Fraction."""
+    if r < 0 or s < 0:
+        raise IndexOutOfRangeError(
+            f"derivative orders must be nonnegative, got r={r}, s={s}")
     if n < r:
         raise IndexOutOfRangeError(f"need n >= r, got n={n}, r={r}")
     if k < 0 or k > n - r:
         raise IndexOutOfRangeError(f"need 0 <= k <= n-r, got k={k}")
-    total = 0
-    for sigma in range(n - r - k + 1):
-        total += (data.b(sigma + k + s, k + s) / factorial(sigma + k + s)
-                  * data.deriv(n, r + k + sigma))
-    return RATIONAL.make(total)
+    weights, den = _deriv_ints(data, n, r + k, n)
+    return RATIONAL.make(column_sum(data, k + s, k + s, n - r + s,
+                                    weights, den))

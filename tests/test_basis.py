@@ -287,6 +287,24 @@ class TestGenericBasisData:
         with pytest.raises(MissingDataError):
             basis.gamma_from_b(data, 4, 0, 0, 3)
 
+    def test_negative_index_is_out_of_range_not_missing(self):
+        # a negative index is a caller's error whatever the table holds;
+        # an in-range key the table lacks is missing data
+        data = GenericBasisData.from_family(basis.legendre(), 4)
+        for call in [lambda: basis.gamma_from_b(data, 3, 0, -1, 0),
+                     lambda: basis.gamma_from_b(data, 3, 0, 0, -1),
+                     lambda: data.b(-1, 0), lambda: data.b(2, -1),
+                     lambda: data.b(-1, -1),
+                     lambda: data.deriv(-1, 0), lambda: data.deriv(3, -1),
+                     lambda: data.deriv(-1, -1)]:
+            with pytest.raises(IndexOutOfRangeError):
+                call()
+        with pytest.raises(MissingDataError, match=r"\(5, 0\)"):
+            data.b(5, 0)
+        with pytest.raises(MissingDataError, match=r"\(5, 0\)"):
+            data.deriv(5, 0)
+        assert data.deriv(3, 4) == 0
+
     def test_leading_b_must_not_vanish(self):
         with pytest.raises(MissingDataError):
             GenericBasisData(RATIONAL.one(), 1,

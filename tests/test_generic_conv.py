@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -8,6 +9,7 @@ from polyconv import basis, generic_conv, oracle
 from polyconv.basis import GenericBasisData
 from polyconv.errors import IndexContractError, MissingDataError
 from polyconv.generic_conv import RhoRequest, request
+from polyconv.scalars import RATIONAL, Scalar
 
 
 DEGREE = 5
@@ -127,6 +129,239 @@ class TestContracts:
         data = data_for(basis.legendre(), max_degree=4)
         with pytest.raises(MissingDataError):
             generic_conv.rho_taylor(data, request(data, 2, 3, 0))
+
+
+# Term-by-term Fraction references for the integer kernel: one Fraction
+# operation per term, each table entry read where the printed formula
+# reads it.
+
+
+def ref_gamma_from_b(data, n, k, r, s):
+    total = Fraction(0)
+    for sigma in range(n - r - k + 1):
+        total += (data.b(sigma + k + s, k + s) / math.factorial(sigma + k + s)
+                  * data.deriv(n, r + k + sigma))
+    return total
+
+
+def ref_taylor(data, m, n, j):
+    total = Fraction(0)
+    for p in range(j, m + n + 2):
+        inner = 0
+        for nu in range(max(1, p - m), min(p, n + 1) + 1):
+            inner += data.deriv(m, p - nu) * data.deriv(n, nu - 1)
+        total += data.b(p, j) / math.factorial(p) * inner
+    return total
+
+
+def ref_highj(data, m, n, j):
+    total = Fraction(0)
+    for nu in range(max(1, j - n), m + 2):
+        total += (ref_gamma_from_b(data, n, 0, j - nu, j)
+                  * data.deriv(m, nu - 1))
+    return total
+
+
+def ref_lowj(data, m, n, j):
+    total = Fraction(0)
+    for nu in range(1, j + 1):
+        total += ref_gamma_from_b(data, m, 0, j - nu, j) * data.deriv(n, nu - 1)
+    for nu in range(j + 1, n + 2):
+        inner = 0
+        for p in range(m + 1):
+            inner += (data.b(p + nu, j) / math.factorial(p + nu)
+                      * data.deriv(m, p))
+        total += data.deriv(n, nu - 1) * inner
+    return total
+
+
+def ref_vector(data, m, n):
+    if m > n:
+        m, n = n, m
+    return [ref_lowj(data, m, n, j) if j <= m else ref_highj(data, m, n, j)
+            for j in range(m + n + 2)]
+
+
+def _routes(m, n, j):
+    """(name, kernel call, reference call) for every route at (m, n, j)."""
+    req = RhoRequest(m, n, j)
+    out = [("rho_taylor", lambda d: generic_conv.rho_taylor(d, req),
+            lambda d: ref_taylor(d, m, n, j))]
+    if j <= m:
+        out.append(("rho_lowj", lambda d: generic_conv.rho_lowj(d, req),
+                    lambda d: ref_lowj(d, m, n, j)))
+    else:
+        out.append(("rho_highj", lambda d: generic_conv.rho_highj(d, req),
+                    lambda d: ref_highj(d, m, n, j)))
+    if j == 0:
+        out.append(("rho_vector", lambda d: generic_conv.rho_vector(d, m, n),
+                    lambda d: ref_vector(d, m, n)))
+    return out
+
+
+def _gamma_routes(n, top):
+    """(name, kernel call, reference call) of gamma_from_b for every
+    (k, r, s) whose column stays within degree `top`."""
+    out = []
+    for r in range(n + 1):
+        for k in range(n - r + 1):
+            for s in range(top - n + r + 1):
+                out.append((
+                    f"gamma_from_b{(n, k, r, s)}",
+                    lambda d, k=k, r=r, s=s: basis.gamma_from_b(d, n, k, r, s),
+                    lambda d, k=k, r=r, s=s: ref_gamma_from_b(d, n, k, r, s)))
+    return out
+
+
+def _all_routes(top):
+    """Every route and argument the kernel serves, m and n up to top // 2
+    (both orders), so that m + n + 1 <= top + 1."""
+    out = []
+    half = top // 2
+    for m in range(half + 1):
+        for n in range(half + 1):
+            for j in range(m + n + 2):
+                out.extend(_routes(m, n, j))
+    for n in range(half + 1):
+        out.extend(_gamma_routes(n, top))
+    return out
+
+
+def _as_values(result):
+    if isinstance(result, list):
+        return [v.as_fraction() for v in result]
+    return result.as_fraction()
+
+
+def _with_entries(data, convert, b_table=dict, d_table=dict):
+    """A copy of `data` with every table entry passed through `convert`,
+    held in tables of type `b_table` and `d_table`."""
+    return GenericBasisData(
+        data.domain_offset_a, data.max_degree,
+        b_table({key: convert(v) for key, v in data.b_coeffs.items()}),
+        d_table({key: convert(v) for key, v in data.endpoint_derivs.items()}),
+        data.backend)
+
+
+def _random_jacobi_params(count, seed):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        alpha = Fraction(rng.randint(-11, 40), rng.randint(1, 12))
+        beta = Fraction(rng.randint(-11, 40), rng.randint(1, 12))
+        if alpha > -1 and beta > -1:
+            out.append((alpha, beta))
+    return out
+
+
+KERNEL_FAMILIES = (
+    [basis.jacobi(a, b) for a, b in _random_jacobi_params(4, 2026)]
+    + [basis.jacobi(Fraction(-1, 2), Fraction(5, 3)),
+       basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
+       basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+       basis.jacobi(Fraction(-1, 5), Fraction(-4, 5)),
+       basis.gegenbauer(Fraction(-1, 3)),
+       basis.laguerre(Fraction(-1, 2)), basis.laguerre(Fraction(-5, 7)),
+       basis.laguerre(Fraction(-1, 9)), basis.generic_monic()]
+)
+
+
+class _Recording(dict):
+    """A table that records the keys read from it, like the lazy tables of
+    the benchmark's gate."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def take(self) -> set:
+        read, self.read = self.read, set()
+        return read
+
+
+class TestKernelAgainstReference:
+    """The integer kernel against the term-by-term Fraction loops: equal
+    values on every route, the same table keys read, and the same entry
+    named when the table stops short."""
+
+    TOP = 9
+
+    @pytest.mark.parametrize("spec", KERNEL_FAMILIES, ids=lambda s: s.label())
+    def test_values_match_reference(self, spec):
+        data = GenericBasisData.from_family(spec, self.TOP)
+        for name, kernel, reference in _all_routes(self.TOP):
+            assert _as_values(kernel(data)) == reference(data), name
+
+    @pytest.mark.parametrize("convert", [
+        int, Fraction, RATIONAL.make,
+        lambda v: RATIONAL.make(v) if v.denominator % 2 else v,
+    ], ids=["int", "Fraction", "Scalar", "mixed"])
+    def test_entry_types_give_equal_values(self, convert):
+        if convert is int:
+            spec = basis.generic_monic()   # the family whose tables are ints
+        else:
+            spec = basis.jacobi(Fraction(-1, 2), Fraction(1, 3))
+        data = _with_entries(GenericBasisData.from_family(spec, 7), convert)
+        for name, kernel, reference in _all_routes(7):
+            got = kernel(data)
+            assert _as_values(got) == reference(data), name
+            results = got if isinstance(got, list) else [got]
+            assert all(type(v) is Scalar for v in results)
+
+    @pytest.mark.parametrize("spec", [
+        basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        basis.laguerre(Fraction(-1, 2)), basis.generic_monic(),
+    ], ids=lambda s: s.label())
+    def test_reads_the_reference_keys(self, spec):
+        data = _with_entries(GenericBasisData.from_family(spec, 9), Fraction,
+                             _Recording, _Recording)
+        for name, kernel, reference in _all_routes(9):
+            kernel(data)
+            got = data.b_coeffs.take(), data.endpoint_derivs.take()
+            reference(data)
+            want = data.b_coeffs.take(), data.endpoint_derivs.take()
+            assert got == want, name
+
+    @pytest.mark.parametrize("spec", [
+        basis.legendre(), basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+        basis.laguerre(Fraction(-1, 2)),
+    ], ids=lambda s: s.label())
+    def test_truncated_table_names_the_reference_key(self, spec):
+        # the table has every derivative row and stops short in b
+        top = 5
+        data = GenericBasisData.from_family(spec, top)
+        raised = 0
+        for name, kernel, reference in _all_routes(2 * top):
+            try:
+                reference(data)
+            except MissingDataError as exc:
+                want = str(exc)
+            else:
+                want = None
+            if want is None:
+                kernel(data)
+                continue
+            with pytest.raises(MissingDataError) as exc:
+                kernel(data)
+            assert str(exc.value) == want, name
+            raised += 1
+        assert raised > 100
+
+    def test_missing_derivative_row_reported(self):
+        data = GenericBasisData.from_family(basis.legendre(), 9)
+        for p in range(4):
+            del data.endpoint_derivs[(3, p)]
+        for name, kernel, reference in _routes(2, 3, 0) + _routes(2, 3, 5) \
+                + _gamma_routes(3, 9):
+            with pytest.raises(MissingDataError, match="endpoint derivative"):
+                reference(data)
+            with pytest.raises(MissingDataError,
+                               match=r"endpoint derivative \(3, \d\)"):
+                kernel(data)
 
 
 def _mp_eval(coeffs, x):
