@@ -42,7 +42,8 @@ from .closed_forms import (
 )
 from .convmat import ConvMatrix, SeriesCoeffs, build_matrix, convolve_series
 from .generic_conv import RhoRequest, rho_highj, rho_lowj, rho_taylor, rho_vector
-from .oracle import MonomialPoly, convolve_exact, oracle_rho, project_to_family, to_monomial
+from .oracle import (MonomialPoly, convolve_exact, oracle_rho, oracle_table,
+                     project_to_family, to_monomial)
 from .scalars import (
     RATIONAL,
     FloatBackend,
@@ -87,6 +88,7 @@ __all__ = [
     "magnitude_grid",
     "monomial_expansion_b",
     "oracle_rho",
+    "oracle_table",
     "pochhammer",
     "project_to_family",
     "rho_closed",

@@ -17,10 +17,10 @@ P_n = (p)_n / (q)_n * P_n^(alpha,beta) (DLMF 18.7), and states its row
 symmetric Jacobi (alpha, alpha, 1, 1), Gegenbauer C_n^(lam)
 (lam-1/2, lam-1/2, 2 lam, lam+1/2), Legendre (0, 0, 1, 1) and Chebyshev
 T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the normalization c_n,
-the derivative connection, the recurrence of ``eval_polys`` and
-``endpoint_values`` all read that row.  Jacobi is normalized by
-P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by L_n^(alpha)(0) =
-(1+alpha)_n / n!.
+the derivative connection ``connection_ints``, the recurrence of
+``eval_polys`` and the endpoint values ``endpoint_ints`` all read that
+row.  Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
+L_n^(alpha)(0) = (1+alpha)_n / n!.
 
 Note: the Chebyshev family here is sometimes labelled "second kind" in
 parts of the literature this follows, but the parameters used
@@ -387,19 +387,12 @@ def endpoint_ints(spec: FamilySpec, n: int) -> tuple:
     return nums[::-1], den
 
 
-def endpoint_values(spec: FamilySpec, n: int) -> list:
-    """[P_0(-a), ..., P_n(-a)] as exact Fractions for an interval family or
-    Laguerre: the p = 0 case of `endpoint_derivative`, read from
-    `endpoint_ints`."""
-    nums, den = endpoint_ints(spec, n)
-    return [Fraction(v, den) for v in nums]
-
-
 def connection_ints(spec: FamilySpec, n: int) -> tuple:
-    """(A_n, B_n, C_n) of `derivative_connection` as three int pairs
-    (numerator, denominator > 0) in lowest terms: the DLMF 18.9
-    coefficients in the row's integers `_row_ints`, d the common
-    denominator and s = d (alpha + beta).
+    """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
+    in the family's own normalization, as three int pairs (numerator,
+    denominator > 0) in lowest terms: the DLMF 18.9 coefficients in the
+    row's integers `_row_ints`, d the common denominator and
+    s = d (alpha + beta).
 
     B_0, C_0 and C_1 multiply P'_0 = 0 or P'_{-1} and are set to 0; for
     C_1 this also avoids the 0/0 of the Jacobi display at alpha+beta = -1.
@@ -429,13 +422,6 @@ def connection_ints(spec: FamilySpec, n: int) -> tuple:
         a = (a[0] * (d * n + q), a[1] * (d * n + p))
         c = (c[0] * (d * (n - 1) + p), c[1] * (d * (n - 1) + q))
     return _lowest(*a), _lowest(*b), _lowest(*c)
-
-
-def derivative_connection(spec: FamilySpec, n: int) -> tuple:
-    """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
-    in the family's own normalization (DLMF 18.9), as Fractions read from
-    `connection_ints`."""
-    return tuple(Fraction(*pair) for pair in connection_ints(spec, n))
 
 
 # ---------------------------------------------------------------------------

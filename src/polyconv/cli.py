@@ -239,9 +239,10 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
         label = spec.label()
         checks_before, failures_before = checks, len(mismatches)
         data = GenericBasisData.from_family(spec, 2 * max_degree + 1)
+        truths = oracle.oracle_table(spec, max_degree)
         for m in range(max_degree + 1):
             for n in range(m, max_degree + 1):
-                truth = oracle.oracle_rho(spec, m, n)
+                truth = truths[(m, n)]
                 generic = generic_conv.rho_vector(data, m, n)
                 for j in range(m + n + 2):
                     check("closed", m, n, j,

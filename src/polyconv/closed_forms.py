@@ -9,15 +9,27 @@ splits into three index regimes (assuming m <= n, free by commutativity):
   ``d`` terms.
 
 Laguerre collapses to an explicit piecewise rational expression.  The
-interval families take their varpi and d terms from one table, ``_TERMS``,
-and their parameters from ``FamilySpec.jacobi_parameters``.
+interval families take their varpi and d sums from one table, ``_SUMS``,
+and their parameters from the Jacobi row over one common denominator,
+``FamilySpec._row_ints``.  Each sum is evaluated from its printed display
+by term ratios: the first term is one product of rising factorials, each
+later term is the one before times a low-degree rational function of nu,
+and the sum is one integer Horner loop (``_ratio_sum``) over a running
+denominator, times that first term, with one ``Fraction`` made per cell.
+A sum of n terms costs O(n) int steps, plus one short terminating pFq per
+term where the display has one.  The displays whose terms vanish for odd
+n+nu-j (symmetric, Legendre and Chebyshev varpi) step nu by 2, and so
+does the Legendre d sum, once per parity, since its gamma quotient gains
+a half-integer shift at each single step.
+
 Every rescaling comes from ``FamilySpec.normalization`` (P_n = c_n J_n, J
 the Jacobi polynomial): Gegenbauer sums the symmetric-Jacobi terms at
 alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
 simplified forms in the T normalization, whose n = 0 case takes the same
 factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
-symmetric-parameter displays have removable singularities at alpha = -1/2,
-where the equivalent general-parameter forms are used instead.
+symmetric varpi display has a removable singularity at alpha = -1/2, where
+the equivalent general-parameter form is used instead; the symmetric d
+sum is the general display at beta = alpha, with its own 4F3.
 
 Whole tables (``rho_table``, ``magnitude_grid``) and every series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
@@ -35,10 +47,14 @@ remain the reference that certifies it (``verify``, the tests and the
 benchmark's checks).
 
 Everything here is a pure function of its inputs.  The rising factorials
-come from the one cached helper ``scalars.pochhammer`` (imported as
-``_poch``; a negative order is a gamma quotient), whose cache keeps one
-entry per (z, n) asked for, and the small hypergeometric factors of the
-``d`` terms are memoized across calls; ``clear_caches`` empties both.
+and pFq sums come from the integer cores ``scalars.pochhammer_ints``
+(imported as ``_rising``; a negative order is a gamma quotient) and
+``scalars.hyp_pfq_ints``, uncached.  Two things are memoized across calls:
+the 4F3 factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
+``_cheb_d_f43``), which cells of the same m and j share, and the Fractions
+of the cached ``scalars.pochhammer`` (imported as ``_poch``) that Laguerre,
+the symmetry factors and the Bateman tensor read.  ``clear_caches``
+empties them.
 """
 
 import csv
@@ -47,13 +63,14 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import (Family, FamilySpec, chebyshev, connection_ints,
+from .basis import (Family, FamilySpec, _lowest, chebyshev, connection_ints,
                     endpoint_ints)
 from .errors import IndexContractError
-from .scalars import RATIONAL, Scalar, exact, factorial, hyp_pfq, log10_abs
+from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq,
+                      hyp_pfq_ints, log10_abs)
 from .scalars import pochhammer as _poch
+from .scalars import pochhammer_ints as _rising
 
-_HALF = Fraction(1, 2)
 _ZERO = Fraction(0)
 _CHEBYSHEV = chebyshev()
 
@@ -62,57 +79,155 @@ def _sign(k: int) -> int:
     return -1 if k % 2 else 1
 
 
+def _times(*pairs) -> tuple:
+    """The product of int pairs (numerator, denominator)."""
+    return math.prod(p for p, _ in pairs), math.prod(q for _, q in pairs)
+
+
+def _over_rising(p: int, q: int, n: int) -> tuple:
+    """1 / (p/q)_n as an int pair; (p/q)_n is nonzero wherever it is used."""
+    num, den = _rising(p, q, n)
+    return den, num
+
+
+def _ratio_sum(nus: range, term, ratio, factor=None) -> tuple:
+    """sum over nu in `nus` of term(nu) * factor(nu), as an int pair.
+
+    term(nu) is the display's term as an int pair and ratio(nu) = (a, b),
+    two ints with term(nu') = term(nu) * a / b for nu' the next nu in
+    `nus`; factor(nu), when given, is a short pFq as an int pair, and 1
+    when None.  The sum is a Horner loop from the last nu,
+    H <- factor(nu) + (a / b) H, over one running denominator with its
+    common factor divided out at each step (the b's telescope against the
+    a's, so the running pair would otherwise grow many times past the
+    sum's own size), times one direct first term.  A ratio with a zero
+    factor is never divided through: the sum restarts from a direct term at
+    the next nu, and a run that starts at a zero term, zero throughout,
+    costs that one term and no loop.
+    """
+    if not nus:
+        return 0, 1
+    ratios = [ratio(nu) for nu in nus[:-1]]
+    starts = [0] + [i + 1 for i, (a, b) in enumerate(ratios) if not (a and b)]
+    num, den, end = 0, 1, len(nus)
+    for start in reversed(starts):
+        tn, td = term(nus[start])
+        if tn:
+            hn, hd = (1, 1) if factor is None else factor(nus[end - 1])
+            for i in range(end - 2, start - 1, -1):
+                a, b = ratios[i]
+                fn, fd = (1, 1) if factor is None else factor(nus[i])
+                hn, hd = fn * b * hd + a * fd * hn, fd * b * hd
+                g = math.gcd(hn, hd)
+                hn, hd = hn // g, hd // g
+            tn, td = tn * hn, td * hd
+            num, den = num * td + tn * den, den * td
+        end = start
+    return num, den
+
+
+def _parity_range(lo: int, hi: int, k: int) -> range:
+    """nu = lo..hi with k + nu even, the nonzero terms of a display that
+    vanishes for odd k + nu, in steps of 2."""
+    return range(lo + (k + lo) % 2, hi + 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # general Jacobi parameters
 # ---------------------------------------------------------------------------
+#
+# Every interval family's sums take its Jacobi row over one common
+# denominator, (d, d alpha, d beta) from `FamilySpec._row_ints`, and
+# s = alpha + beta.  Each display below is written as its nu-th term,
+# then the quotient of consecutive terms, read off the rising factorials.
 
 
-def jacobi_varpi(m: int, n: int, j: int, nu: int, alpha: Fraction,
-                 beta: Fraction) -> Fraction:
-    """Inner-sum term of the j >= max(m+1, n-m-1) regime for general
-    (alpha, beta)."""
-    s = alpha + beta
-    num = (2 * _sign(m + nu - 1)
-           * _poch(alpha + (j - nu + 1), n - j + nu)
-           * _poch(s + (n + 1), j - nu)
-           * _poch(beta + nu, m - nu + 1)
-           * _poch(s + (m + 1), nu - 1))
-    den = (_poch(s + (j + 1), j) * factorial(m + 1 - nu)
-           * factorial(n - j + nu))
-    f = hyp_pfq(
-        [j - n - nu, alpha + (j + 1), s + (n + j - nu + 1)],
-        [alpha + (j - nu + 1), s + (2 * j + 2)],
-        1,
-    )
-    return num / den * f
+def _jacobi_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
+                      row: tuple) -> tuple:
+    """sum_{nu=lo}^{hi} of the inner-sum terms of the j >= max(m+1, n-m-1)
+    regime for general (alpha, beta):
+
+        varpi_nu = 2 (-1)^(m+nu-1) (alpha+j-nu+1)_(n-j+nu) (s+n+1)_(j-nu)
+                   (beta+nu)_(m-nu+1) (s+m+1)_(nu-1)
+                   / ((s+j+1)_j (m+1-nu)! (n-j+nu)!)
+                   * 3F2(j-n-nu, alpha+j+1, s+n+j-nu+1;
+                         alpha+j-nu+1, s+2j+2; 1)
+
+    and, apart from the 3F2, varpi_(nu+1) / varpi_nu =
+    -(alpha+j-nu)(s+m+nu)(m+1-nu) / ((s+n+j-nu)(beta+nu)(n-j+nu+1))."""
+    d, a, b = row
+    s = a + b
+
+    def term(nu):
+        return _times((2 * _sign(m + nu - 1),
+                       factorial(m + 1 - nu) * factorial(n - j + nu)),
+                      _rising(a + (j - nu + 1) * d, d, n - j + nu),
+                      _rising(s + (n + 1) * d, d, j - nu),
+                      _rising(b + nu * d, d, m - nu + 1),
+                      _rising(s + (m + 1) * d, d, nu - 1),
+                      _over_rising(s + (j + 1) * d, d, j))
+
+    def ratio(nu):
+        return (-(a + (j - nu) * d) * (s + (m + nu) * d) * (m + 1 - nu),
+                (s + (n + j - nu) * d) * (b + nu * d) * (n - j + nu + 1))
+
+    def factor(nu):
+        return hyp_pfq_ints(
+            [(j - n - nu, 1), (a + (j + 1) * d, d),
+             (s + (n + j - nu + 1) * d, d)],
+            [(a + (j - nu + 1) * d, d), (s + (2 * j + 2) * d, d)], (1, 1))
+
+    return _ratio_sum(range(lo, hi + 1), term, ratio, factor)
 
 
 @lru_cache(maxsize=200_000)
-def _jacobi_d_f43(m: int, nu: int, j: int, alpha: Fraction,
-                  beta: Fraction) -> Fraction:
-    s = alpha + beta
-    return hyp_pfq(
-        [1, -m, beta + (nu + 1), s + (m + 1)],
-        [nu - j + 1, beta + 1, s + (j + nu + 2)],
-        1,
-    )
+def _jacobi_d_f43(m: int, nu: int, j: int, d: int, a: int, b: int) -> tuple:
+    """4F3(1, -m, beta+nu+1, s+m+1; nu-j+1, beta+1, s+j+nu+2; 1) in lowest
+    terms, (alpha, beta) = (a/d, b/d)."""
+    s = a + b
+    return _lowest(*hyp_pfq_ints(
+        [(1, 1), (-m, 1), (b + (nu + 1) * d, d), (s + (m + 1) * d, d)],
+        [(nu - j + 1, 1), (b + d, d), (s + (j + nu + 2) * d, d)], (1, 1)))
 
 
-def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Fraction,
-             beta: Fraction) -> Fraction:
-    """Second-sum term of the j <= m regime for general (alpha, beta)."""
-    s = alpha + beta
-    num = (2 * _sign(m + n + 1 + nu) * (beta + nu)
-           * _poch(beta + (j + 1), m - j)
-           * _poch(beta + 1, n)
-           * _poch(s + (n + 1), nu - 1))
-    den = factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
-    if j == 0 and s + 1 == 0:
-        # (s+2j+1) / (s+j+1)_(nu+1) is 0/0 here; its limit in s is 1/nu!
-        ratio = Fraction(1, factorial(nu))
-    else:
-        ratio = (s + (2 * j + 1)) / _poch(s + (j + 1), nu + 1)
-    return num / den * ratio * _jacobi_d_f43(m, nu, j, alpha, beta)
+def _jacobi_d_sum(m: int, n: int, j: int, row: tuple, f43=None) -> tuple:
+    """sum_{nu=j+1}^{n+1} of the second-sum terms of the j <= m regime for
+    general (alpha, beta):
+
+        d_nu = 2 (-1)^(m+n+1+nu) (beta+nu) (beta+j+1)_(m-j) (beta+1)_n
+               (s+n+1)_(nu-1) / (m! (n+1-nu)! (nu-j)!)
+               * (s+2j+1) / (s+j+1)_(nu+1) * f43(nu)
+
+    and, apart from the 4F3 `f43` (`_jacobi_d_f43` unless given),
+    d_(nu+1) / d_nu = -(beta+nu+1)(s+n+nu)(n+1-nu)
+    / ((beta+nu)(nu+1-j)(s+j+nu+2)).  At j = 0, (s+1) / (s+1)_(nu+1) is
+    written 1 / (s+2)_nu: the same number for s != -1, and at s = -1,
+    where the display is 0/0, its limit."""
+    d, a, b = row
+    s = a + b
+    if f43 is None:
+        def f43(nu):
+            return _jacobi_d_f43(m, nu, j, d, a, b)
+
+    def term(nu):
+        if j == 0:
+            quotient = _over_rising(s + 2 * d, d, nu)
+        else:
+            quotient = _times((s + (2 * j + 1) * d, d),
+                              _over_rising(s + (j + 1) * d, d, nu + 1))
+        return _times((2 * _sign(m + n + 1 + nu) * (b + nu * d),
+                       d * factorial(m) * factorial(n + 1 - nu)
+                       * factorial(nu - j)),
+                      _rising(b + (j + 1) * d, d, m - j),
+                      _rising(b + d, d, n),
+                      _rising(s + (n + 1) * d, d, nu - 1),
+                      quotient)
+
+    def ratio(nu):
+        return (-(b + (nu + 1) * d) * (s + (n + nu) * d) * (n + 1 - nu),
+                (b + nu * d) * (nu + 1 - j) * (s + (j + nu + 2) * d))
+
+    return _ratio_sum(range(j + 1, n + 2), term, ratio, f43)
 
 
 # ---------------------------------------------------------------------------
@@ -120,51 +235,67 @@ def jacobi_d(nu: int, j: int, n: int, m: int, alpha: Fraction,
 # ---------------------------------------------------------------------------
 
 
-def sym_jacobi_varpi(m: int, n: int, j: int, nu: int,
-                     alpha: Fraction) -> Fraction:
-    """Symmetric-parameter varpi; zero for odd n+nu-j.  At alpha = -1/2 the
-    parity display is indeterminate (0/0) and the general form is used."""
-    if (n + nu - j) % 2:
-        return _ZERO
-    if alpha == -_HALF:
-        return jacobi_varpi(m, n, j, nu, alpha, alpha)
-    h = (n + nu - j) // 2
-    num = (2 * _sign(m + nu + 1)
-           * _poch(alpha + nu, m + 1 - nu)
-           * _poch(2 * alpha + (m + 1), nu - 1)
-           * _poch(2 * alpha + (n + 1), j - nu)
-           * _poch(-nu, h)
-           * _poch(alpha + (j - nu) + _HALF, h)
-           * _poch(alpha + (j - nu + 1), n + nu - j))
-    den = (factorial(m - nu + 1) * factorial(h)
-           * _poch(2 * alpha + (j + 1), j)
-           * _poch(alpha + j + Fraction(3, 2), h)
-           * _poch(2 * alpha + (2 * j - 2 * nu + 1), n + nu - j))
-    return num / den
+def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
+                   row: tuple) -> tuple:
+    """The symmetric-parameter varpi sum, zero for odd n+nu-j, so in steps
+    of 2 over h = (n+nu-j)/2:
+
+        varpi_nu = 2 (-1)^(m+nu+1) (alpha+nu)_(m+1-nu) (2alpha+m+1)_(nu-1)
+                   (2alpha+n+1)_(j-nu) (-nu)_h (alpha+j-nu+1/2)_h
+                   (alpha+j-nu+1)_(n+nu-j)
+                   / ((m-nu+1)! h! (2alpha+j+1)_j (alpha+j+3/2)_h
+                      (2alpha+2j-2nu+1)_(n+nu-j)),
+
+        varpi_(nu+2) / varpi_nu = (m+1-nu)(m-nu)(2alpha+m+nu)
+            (2alpha+m+nu+1)(nu+1)(nu+2) / ((alpha+nu)(alpha+nu+1)(n-j-nu-2)
+            (2alpha+n+j-nu-1)(n-j+nu+2)(2alpha+n+j+nu+3)).
+
+    At alpha = -1/2 the display is indeterminate (0/0) and the general form
+    is used."""
+    d, a, _ = row
+    if 2 * a == -d:
+        return _jacobi_varpi_sum(m, n, j, lo, hi, (d, a, a))
+
+    def term(nu):
+        h = (n + nu - j) // 2
+        return _times((2 * _sign(m + nu + 1),
+                       factorial(m - nu + 1) * factorial(h)),
+                      _rising(a + nu * d, d, m + 1 - nu),
+                      _rising(2 * a + (m + 1) * d, d, nu - 1),
+                      _rising(2 * a + (n + 1) * d, d, j - nu),
+                      _rising(-nu, 1, h),
+                      _rising(2 * a + (2 * (j - nu) + 1) * d, 2 * d, h),
+                      _rising(a + (j - nu + 1) * d, d, n + nu - j),
+                      _over_rising(2 * a + (j + 1) * d, d, j),
+                      _over_rising(2 * a + (2 * j + 3) * d, 2 * d, h),
+                      _over_rising(2 * a + (2 * (j - nu) + 1) * d, d,
+                                   n + nu - j))
+
+    def ratio(nu):
+        return ((m + 1 - nu) * (m - nu) * (2 * a + (m + nu) * d)
+                * (2 * a + (m + nu + 1) * d) * (nu + 1) * (nu + 2) * d * d,
+                (a + nu * d) * (a + (nu + 1) * d) * (n - j - nu - 2)
+                * (2 * a + (n + j - nu - 1) * d) * (n - j + nu + 2)
+                * (2 * a + (n + j + nu + 3) * d))
+
+    return _ratio_sum(_parity_range(lo, hi, n - j), term, ratio)
 
 
 @lru_cache(maxsize=200_000)
-def _sym_d_f43(m: int, nu: int, j: int, alpha: Fraction) -> Fraction:
-    return hyp_pfq(
-        [1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
-        [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)],
-        1,
-    )
+def _sym_d_f43(m: int, nu: int, j: int, d: int, a: int) -> tuple:
+    """4F3(1, -m, alpha+nu+1, 2alpha+m+1; nu-j+1, alpha+1, 2alpha+j+nu+2;
+    1) in lowest terms, alpha = a/d."""
+    return _lowest(*hyp_pfq_ints(
+        [(1, 1), (-m, 1), (a + (nu + 1) * d, d), (2 * a + (m + 1) * d, d)],
+        [(nu - j + 1, 1), (a + d, d), (2 * a + (j + nu + 2) * d, d)], (1, 1)))
 
 
-def sym_jacobi_d(nu: int, j: int, n: int, m: int,
-                 alpha: Fraction) -> Fraction:
-    """Symmetric-parameter d term; alpha = -1/2 reroutes through the
-    general form, whose j = 0 branch takes the required limit."""
-    if alpha == -_HALF:
-        return jacobi_d(nu, j, n, m, alpha, alpha)
-    num = (2 * _sign(m + n + 1 + nu) * (2 * alpha + (2 * j + 1)) * (alpha + nu)
-           * _poch(alpha + (j + 1), m - j)
-           * _poch(alpha + 1, n)
-           * _poch(2 * alpha + (n + 1), nu - 1))
-    den = (factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
-           * _poch(2 * alpha + (j + 1), nu + 1))
-    return num / den * _sym_d_f43(m, nu, j, alpha)
+def _sym_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
+    """The symmetric-parameter d sum: the general display at beta = alpha,
+    alpha = -1/2 and its j = 0 limit included, with the symmetric 4F3."""
+    d, a, _ = row
+    return _jacobi_d_sum(m, n, j, (d, a, a),
+                         lambda nu: _sym_d_f43(m, nu, j, d, a))
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +303,35 @@ def sym_jacobi_d(nu: int, j: int, n: int, m: int,
 # ---------------------------------------------------------------------------
 
 
-def legendre_varpi(m: int, n: int, j: int, nu: int) -> Fraction:
-    if (n + nu - j) % 2:
-        return _ZERO
-    h = (n - j + nu) // 2
-    num = (_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1)
-           * _poch(-nu, h))
-    den = (4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
-           * factorial(h)
-           * _poch(Fraction(n + j - nu + 1, 2), nu + 1))
-    return num / den
+def _legendre_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
+                        row: tuple) -> tuple:
+    """The Legendre varpi sum, zero for odd n+nu-j, with h = (n-j+nu)/2:
+
+        varpi_nu = (-1)^(m+nu+1) (2j+1) (m+nu-1)! (-nu)_h
+                   / (4^nu (nu-1)! (m-nu+1)! h! ((n+j-nu+1)/2)_(nu+1)),
+
+        varpi_(nu+2) / varpi_nu = (m+nu)(m+nu+1)(nu+2)(m+1-nu)(m-nu)
+            / (nu (n-j-nu-2)(n-j+nu+2)(n+j-nu-1)(n+j+nu+3))."""
+
+    def term(nu):
+        h = (n - j + nu) // 2
+        return _times((_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1),
+                       4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
+                       * factorial(h)),
+                      _rising(-nu, 1, h),
+                      _over_rising(n + j - nu + 1, 2, nu + 1))
+
+    def ratio(nu):
+        return ((m + nu) * (m + nu + 1) * (nu + 2) * (m + 1 - nu) * (m - nu),
+                nu * (n - j - nu - 2) * (n - j + nu + 2) * (n + j - nu - 1)
+                * (n + j + nu + 3))
+
+    return _ratio_sum(_parity_range(lo, hi, n - j), term, ratio)
 
 
-def _sqrt_pi_over_gammas(a2: int, b2: int) -> Fraction:
+def _sqrt_pi_over_gammas(a2: int, b2: int) -> tuple:
     """sqrt(pi) / (Gamma(a2/2) Gamma(b2/2)) for positive half-arguments,
-    exactly one of which is a half-integer; exact rational."""
+    exactly one of which is a half-integer, as an int pair."""
     if a2 % 2 == 1:
         t = (a2 - 1) // 2
         other = b2 // 2
@@ -194,20 +339,41 @@ def _sqrt_pi_over_gammas(a2: int, b2: int) -> Fraction:
         t = (b2 - 1) // 2
         other = a2 // 2
     # Gamma(t + 1/2) = (2t)! / (4^t t!) sqrt(pi)
-    return Fraction(4 ** t * factorial(t),
-                    factorial(2 * t) * factorial(other - 1))
+    return 4 ** t * factorial(t), factorial(2 * t) * factorial(other - 1)
 
 
-def legendre_d(nu: int, j: int, n: int, m: int) -> Fraction:
-    num = (_sign(m + nu + n + 1) * (2 * j + 1) * nu
-           * Fraction(2) ** (j + m - nu)
-           * factorial(n + nu - 1)
-           * _poch(Fraction(-j - m + nu + 1, 2), j + m)
-           * _poch(Fraction(j - m + nu + 2, 2), m))
-    den = factorial(n - nu + 1) * factorial(j + m + nu)
-    # twice the two gamma arguments
-    gam = _sqrt_pi_over_gammas(-j + m + nu + 2, j + m + nu + 3)
-    return num / den * gam
+def _legendre_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
+    """The Legendre d sum.  With the gamma quotient
+    G_nu = sqrt(pi) / (Gamma((m-j+nu+2)/2) Gamma((j+m+nu+3)/2)),
+
+        d_nu = (-1)^(m+nu+n+1) (2j+1) nu 2^(j+m-nu) (n+nu-1)!
+               ((nu+1-j-m)/2)_(j+m) ((j-m+nu+2)/2)_m
+               / ((n-nu+1)! (j+m+nu)!) * G_nu.
+
+    Exactly one of G's arguments is a half-integer, and which one flips
+    with nu, so the sum runs as two sums in steps of 2, one per parity:
+
+        d_(nu+2) / d_nu = (nu+2)(n+nu)(n+nu+1)(n+1-nu)(n-nu)
+            / (nu (nu+1-j-m)(nu+2+j-m)(nu+2+m-j)(nu+3+j+m))."""
+
+    def term(nu):
+        e = j + m - nu
+        return _times((_sign(m + nu + n + 1) * (2 * j + 1) * nu
+                       * factorial(n + nu - 1),
+                       factorial(n - nu + 1) * factorial(j + m + nu)),
+                      (2 ** e, 1) if e >= 0 else (1, 2 ** -e),
+                      _rising(nu + 1 - j - m, 2, j + m),
+                      _rising(j - m + nu + 2, 2, m),
+                      _sqrt_pi_over_gammas(m - j + nu + 2, j + m + nu + 3))
+
+    def ratio(nu):
+        return ((nu + 2) * (n + nu) * (n + nu + 1) * (n + 1 - nu) * (n - nu),
+                nu * (nu + 1 - j - m) * (nu + 2 + j - m) * (nu + 2 + m - j)
+                * (nu + 3 + j + m))
+
+    (pn, pd), (qn, qd) = (_ratio_sum(range(first, n + 2, 2), term, ratio)
+                          for first in (j + 1, j + 2))
+    return pn * qd + qn * pd, pd * qd
 
 
 # ---------------------------------------------------------------------------
@@ -215,36 +381,72 @@ def legendre_d(nu: int, j: int, n: int, m: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def chebyshev_varpi(m: int, n: int, j: int, nu: int) -> Fraction:
-    """T-normalized varpi.  The simplified display carries a factor n and
-    degenerates at n = 0; that case is rescaled from the general form."""
-    if (n + nu - j) % 2:
-        return _ZERO
+def _chebyshev_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
+                         row: tuple) -> tuple:
+    """The T-normalized varpi sum, zero for odd n+nu-j, with
+    h = (n+nu-j)/2:
+
+        varpi_nu = (-1)^m 2^(1-2nu) n (-m)_(nu-1) (m)_(nu-1) (-nu)_h
+                   ((n+nu-j+2)/2)_(j-nu-1) / ((1/2)_(nu-1) ((n+nu+j)/2)!),
+
+        varpi_(nu+2) / varpi_nu = 4 (m+1-nu)(m-nu)(m+nu-1)(m+nu)(nu+1)(nu+2)
+            / ((n-j-nu-2)(n-j+nu+2)(n+j-nu-2)(2nu-1)(2nu+1)(n+j+nu+2)).
+
+    The display carries a factor n and degenerates at n = 0; that case is
+    rescaled from the general form."""
     if n == 0:
-        return (_rescale(_CHEBYSHEV, m, n, j)
-                * jacobi_varpi(m, n, j, nu, -_HALF, -_HALF))
-    h = (n + nu - j) // 2
-    num = (_sign(m) * Fraction(2) ** (1 - 2 * nu) * n
-           * _poch(-m, nu - 1)
-           * _poch(m, nu - 1)
-           * _poch(-nu, h)
-           * _poch(Fraction(n + nu - j + 2, 2), j - nu - 1))
-    den = (_poch(_HALF, nu - 1)
-           * factorial((n + nu + j) // 2))
-    return num / den
+        scale = _rescale(_CHEBYSHEV, m, n, j)
+        return _times((scale.numerator, scale.denominator),
+                      _jacobi_varpi_sum(m, n, j, lo, hi, row))
+
+    def term(nu):
+        h = (n + nu - j) // 2
+        return _times((_sign(m) * 2 * n,
+                       4 ** nu * factorial((n + nu + j) // 2)),
+                      _rising(-m, 1, nu - 1),
+                      _rising(m, 1, nu - 1),
+                      _rising(-nu, 1, h),
+                      _rising(n + nu - j + 2, 2, j - nu - 1),
+                      _over_rising(1, 2, nu - 1))
+
+    def ratio(nu):
+        return (4 * (m + 1 - nu) * (m - nu) * (m + nu - 1) * (m + nu)
+                * (nu + 1) * (nu + 2),
+                (n - j - nu - 2) * (n - j + nu + 2) * (n + j - nu - 2)
+                * (2 * nu - 1) * (2 * nu + 1) * (n + j + nu + 2))
+
+    return _ratio_sum(_parity_range(lo, hi, n - j), term, ratio)
 
 
 @lru_cache(maxsize=200_000)
-def _cheb_d_f43(m: int, nu: int, j: int) -> Fraction:
-    return hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
+def _cheb_d_f43(m: int, nu: int, j: int) -> tuple:
+    """4F3(1, -m, m, nu+1/2; 1/2, nu-j+1, j+nu+1; 1) in lowest terms."""
+    return _lowest(*hyp_pfq_ints(
+        [(1, 1), (-m, 1), (m, 1), (2 * nu + 1, 2)],
+        [(1, 2), (nu - j + 1, 1), (j + nu + 1, 1)], (1, 1)))
 
 
-def chebyshev_d(nu: int, j: int, n: int, m: int) -> Fraction:
-    lead = 2 if j == 0 else 4
-    num = (lead * _sign(m + n) * _poch(-n, nu - 1)
-           * _poch(n, nu - 1) * (nu - _HALF))
-    den = factorial(nu - j) * factorial(j + nu)
-    return num / den * _cheb_d_f43(m, nu, j)
+def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
+    """The T-normalized d sum, with lead = 2 at j = 0 and 4 otherwise:
+
+        d_nu = lead (-1)^(m+n) (-n)_(nu-1) (n)_(nu-1) (nu-1/2)
+               / ((nu-j)! (j+nu)!) * 4F3(nu),
+
+    and, apart from the 4F3 `_cheb_d_f43`, d_(nu+1) / d_nu =
+    (nu-1-n)(n+nu-1)(2nu+1) / ((2nu-1)(nu+1-j)(nu+1+j))."""
+
+    def term(nu):
+        return _times(((2 if j == 0 else 4) * _sign(m + n) * (2 * nu - 1),
+                       2 * factorial(nu - j) * factorial(j + nu)),
+                      _rising(-n, 1, nu - 1),
+                      _rising(n, 1, nu - 1))
+
+    def ratio(nu):
+        return ((nu - 1 - n) * (n + nu - 1) * (2 * nu + 1),
+                (2 * nu - 1) * (nu + 1 - j) * (nu + 1 + j))
+
+    return _ratio_sum(range(j + 1, n + 2), term, ratio,
+                      lambda nu: _cheb_d_f43(m, nu, j))
 
 
 # ---------------------------------------------------------------------------
@@ -283,15 +485,14 @@ def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# Interval family -> (varpi, d, how many of `spec.jacobi_parameters()` the
-# terms take, whether the terms are in the Jacobi normalization rather than
-# the family's own).
-_TERMS = {
-    Family.JACOBI: (jacobi_varpi, jacobi_d, 2, False),
-    Family.SYMMETRIC_JACOBI: (sym_jacobi_varpi, sym_jacobi_d, 1, False),
-    Family.GEGENBAUER: (sym_jacobi_varpi, sym_jacobi_d, 1, True),
-    Family.LEGENDRE: (legendre_varpi, legendre_d, 0, False),
-    Family.CHEBYSHEV: (chebyshev_varpi, chebyshev_d, 0, False),
+# Interval family -> (varpi sum, d sum, whether the sums are in the Jacobi
+# normalization rather than the family's own).
+_SUMS = {
+    Family.JACOBI: (_jacobi_varpi_sum, _jacobi_d_sum, False),
+    Family.SYMMETRIC_JACOBI: (_sym_varpi_sum, _sym_d_sum, False),
+    Family.GEGENBAUER: (_sym_varpi_sum, _sym_d_sum, True),
+    Family.LEGENDRE: (_legendre_varpi_sum, _legendre_d_sum, False),
+    Family.CHEBYSHEV: (_chebyshev_varpi_sum, _chebyshev_d_sum, False),
 }
 
 
@@ -322,17 +523,16 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     elif m + 1 <= j <= n - m - 2:
         total = _ZERO
     else:
-        varpi, d, count, jacobi_normalized = _TERMS[f]
-        params = spec.jacobi_parameters()[:count]
-        total = _ZERO
+        varpi, d_sum, jacobi_normalized = _SUMS[f]
+        row = spec._row_ints[:3]
         if j >= max(m + 1, n - m - 1):
-            for nu in range(max(1, abs(j - n)), m + 2):
-                total += varpi(m, n, j, nu, *params)
+            num, den = varpi(m, n, j, max(1, abs(j - n)), m + 1, row)
         else:
-            for nu in range(1, j + 1):
-                total += varpi(n, m, j, nu, *params)
-            for nu in range(j + 1, n + 2):
-                total += d(nu, j, n, m, *params)
+            # the varpi sum with the degrees' roles swapped, then the d sum
+            (vn, vd), (dn, dd) = (varpi(n, m, j, 1, j, row),
+                                  d_sum(m, n, j, row))
+            num, den = vn * dd + dn * vd, vd * dd
+        total = Fraction(num, den)
         if jacobi_normalized:
             total *= _rescale(spec, m, n, j)
     return RATIONAL.make(total)
@@ -345,8 +545,8 @@ def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
 
 def clear_caches() -> None:
     """Empty the memo caches of `scalars.pochhammer` and of the d terms'
-    hypergeometric factors.  No result depends on them; this only frees
-    the memory they hold."""
+    4F3 factors.  No result depends on them; this only frees the memory
+    they hold."""
     for cache in (_poch, _jacobi_d_f43, _sym_d_f43, _cheb_d_f43):
         cache.cache_clear()
 

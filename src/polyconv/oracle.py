@@ -13,7 +13,9 @@ for the shifted polynomials P_k(y - delta), the shift folded into the step's
 constant term, as int numerators over one denominator per polynomial.  Each
 function runs it once per call, in the coordinates it works in:
 ``convolve_exact`` in s = t + a and y = x + 2a, where the limits are 0 and
-y, and ``project_to_family`` in the powers its input is written in.  Nothing
+y, and ``project_to_family`` in the powers its input is written in.  Those
+are the same polynomials, P_k(y - a), so ``oracle_table`` runs the
+recurrence once for every pair of a family up to a maximum degree.  Nothing
 is cached between calls.
 
 Only ring operations on rationals are used; there is no tolerance anywhere.
@@ -157,18 +159,11 @@ def to_monomial(spec: FamilySpec, n: int) -> MonomialPoly:
     return MonomialPoly([Fraction(v, den) for v in nums])
 
 
-def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
-    """The integral of P_m(x-t) P_n(t) dt from -a to x+a, evaluated
-    symbolically; returned in powers of (x + 2a).
-
-    With s = t + a and y = x + 2a it is the integral of Q_m(y-s) Q_n(s) ds
-    from 0 to y, Q_k(y) = P_k(y - a): the lower limit contributes nothing.
-    The sums run over ints, over the denominators of Q_m and Q_n times
-    lcm(1, ..., m+n+1) for the antiderivative."""
-    if m < 0 or n < 0:
-        raise ValueError("degree must be nonnegative")
-    a = spec.domain_offset_a.as_fraction()
-    polys = _family_polys(spec, max(m, n), a)
+def _convolve_ints(polys: list, m: int, n: int) -> tuple:
+    """The integral of Q_m(y-s) Q_n(s) ds from 0 to y in powers of y, as
+    (int numerators, one denominator), Q_k = polys[k] a `_family_polys`
+    run.  The sums run over ints, over the denominators of Q_m and Q_n
+    times lcm(1, ..., m+n+1) for the antiderivative."""
     (qm, dm), (qn, dn) = polys[m], polys[n]
 
     # Q_m(y - s) as polynomials in y, one per power of s
@@ -195,22 +190,29 @@ def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
         weight = lcm // (r + 1)
         for i, c in enumerate(row):
             result[i + r + 1] += weight * c
-
-    den = dm * dn * lcm
-    return MonomialPoly([Fraction(v, den) for v in result], 2 * a)
+    return result, dm * dn * lcm
 
 
-def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
-    """Coefficients c_j with poly = sum_j c_j P_j(x + shift), found by
-    repeatedly eliminating the highest remaining degree; exact.
+def convolve_exact(spec: FamilySpec, m: int, n: int) -> MonomialPoly:
+    """The integral of P_m(x-t) P_n(t) dt from -a to x+a, evaluated
+    symbolically; returned in powers of (x + 2a).
 
-    The elimination runs in poly's own powers of v = x + poly.shift, against
-    P_j(v - delta) with delta = poly.shift - shift, over ints: the residual
-    is int numerators over one denominator, its content divided out once per
-    step."""
-    delta = exact(poly.shift) - exact(shift)
-    residual, den = _over_lcm(poly.coeffs)
-    polys = _family_polys(spec, len(residual) - 1, delta)
+    With s = t + a and y = x + 2a it is the integral of Q_m(y-s) Q_n(s) ds
+    from 0 to y, Q_k(y) = P_k(y - a): the lower limit contributes nothing.
+    """
+    if m < 0 or n < 0:
+        raise ValueError("degree must be nonnegative")
+    a = spec.domain_offset_a.as_fraction()
+    nums, den = _convolve_ints(_family_polys(spec, max(m, n), a), m, n)
+    return MonomialPoly([Fraction(v, den) for v in nums], 2 * a)
+
+
+def _project_ints(residual: list, den: int, polys: list) -> list:
+    """Coefficients c_j, as Fractions, with sum_k residual[k] / den v^k =
+    sum_j c_j polys[j](v), polys a `_family_polys` run in the same powers
+    of v: the highest remaining degree eliminated at each step, over ints,
+    the residual's content divided out once per step.  `residual` is
+    consumed."""
     out = [_ZERO] * len(residual)
     for j in range(len(residual) - 1, -1, -1):
         c = residual[j]
@@ -229,7 +231,25 @@ def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
         residual[:j] = [v // g for v in residual[:j]]
         den //= g
     assert not any(residual)
-    return [RATIONAL.make(v) for v in out]
+    return out
+
+
+def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
+    """Coefficients c_j with poly = sum_j c_j P_j(x + shift), found by
+    repeatedly eliminating the highest remaining degree; exact.
+
+    The elimination runs in poly's own powers of v = x + poly.shift, against
+    P_j(v - delta) with delta = poly.shift - shift."""
+    delta = exact(poly.shift) - exact(shift)
+    residual, den = _over_lcm(poly.coeffs)
+    polys = _family_polys(spec, len(residual) - 1, delta)
+    return [RATIONAL.make(v) for v in _project_ints(residual, den, polys)]
+
+
+def _padded(rho: list, m: int, n: int) -> list:
+    """The coefficients rho_j as Scalars for j = 0..m+n+1."""
+    rho = rho + [_ZERO] * (m + n + 2 - len(rho))
+    return [RATIONAL.make(v) for v in rho[: m + n + 2]]
 
 
 def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
@@ -238,5 +258,25 @@ def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
     a = spec.domain_offset_a
     h = convolve_exact(spec, m, n)
     rho = project_to_family(h, spec, a)
-    rho = rho + [RATIONAL.zero()] * (m + n + 2 - len(rho))
-    return rho[: m + n + 2]
+    return _padded(rho, m, n)
+
+
+def oracle_table(spec: FamilySpec, max_degree: int) -> dict:
+    """`oracle_rho(spec, m, n)` for every pair 0 <= m <= n <= max_degree,
+    keyed (m, n), from one run of the family recurrence.
+
+    `convolve_exact` integrates against Q_k(y) = P_k(y - a), and the
+    re-projection of its output, in powers of y = x + 2a onto P_j(x + a),
+    runs against P_j(y - delta) with delta = 2a - a = a: the same
+    polynomials, so P_0(y - a), ..., P_(2 max_degree + 1)(y - a) serve
+    every pair, and the convolution goes to the projection as ints."""
+    if max_degree < 0:
+        raise ValueError("degree must be nonnegative")
+    a = spec.domain_offset_a.as_fraction()
+    polys = _family_polys(spec, 2 * max_degree + 1, a)
+    table = {}
+    for m in range(max_degree + 1):
+        for n in range(m, max_degree + 1):
+            rho = _project_ints(*_convolve_ints(polys, m, n), polys)
+            table[(m, n)] = _padded(rho, m, n)
+    return table

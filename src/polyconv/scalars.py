@@ -11,10 +11,13 @@ on first use, so a rational run never loads it.  Scalar arithmetic, for
 callers, never rounds: its result is a rational scalar whatever backends
 its operands carry.  :func:`exact` reads any of these types back.
 
-The primitives every coefficient formula is built from return exact
-``Fraction``s: rising factorials (Pochhammer symbols) from one cached
-helper, :func:`pochhammer`, whose negative orders stand for gamma
-quotients, and terminating generalized hypergeometric sums.
+The primitives every coefficient formula is built from are rising
+factorials (Pochhammer symbols), whose negative orders stand for gamma
+quotients, and terminating generalized hypergeometric sums.  Each is one
+integer core on int pairs, :func:`pochhammer_ints` and
+:func:`hyp_pfq_ints`, which the closed forms call directly, and a thin
+wrapper returning an exact ``Fraction``, :func:`pochhammer` (cached) and
+:func:`hyp_pfq`.
 """
 
 import math
@@ -246,30 +249,37 @@ def as_integer(value):
 # rising factorials
 # ---------------------------------------------------------------------------
 
+def pochhammer_ints(p: int, q: int, n: int) -> tuple:
+    """(p/q)_n as an int pair (numerator, denominator > 0), q > 0 and p/q
+    not necessarily in lowest terms: prod_{k<n} (p + kq) / q^n for n >= 0,
+    and (z)_{-t} = 1/(z-t)_t for a negative order, which raises
+    GammaPoleError when (z-t)_t vanishes.  The one rising factorial every
+    formula is built from; nothing is cached."""
+    if n < 0:
+        den, num = pochhammer_ints(p + n * q, q, -n)
+        if den == 0:
+            raise GammaPoleError(f"pochhammer pole: ({Fraction(p, q)})_{n} "
+                                 "has a zero denominator")
+        return (num, den) if den > 0 else (-num, -den)
+    return math.prod(range(p, p + n * q, q)), q ** n
+
+
 @lru_cache(maxsize=8192)
 def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
-    (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order.
+    (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order, as an
+    exact Fraction read from `pochhammer_ints`.
 
     `z` is an int, Fraction, Scalar or rational string (equal keys share a
-    cache entry); the result is an exact Fraction.  With z = p/q in lowest
-    terms, (z)_n = prod_{k<n} (p + kq) / q^n: one integer product, and the
-    cache keeps only the (z, n) asked for.  It keeps at most 8192 of them,
-    the most recently used, which bounds its memory for a long-lived
-    process (about 20 MB at degree 1000) and is above what one `verify`
-    run or a degree-1000 row of `monomial_expansion_b` asks for.  Raises
-    GammaPoleError when a negative order hits a pole, that is when
+    cache entry).  The cache keeps only the (z, n) asked for, and at most
+    8192 of them, the most recently used, which bounds its memory for a
+    long-lived process (about 20 MB at degree 1000) and is above what one
+    `verify` run or a degree-1000 row of `monomial_expansion_b` asks for.
+    Raises GammaPoleError when a negative order hits a pole, that is when
     (z-t)_t vanishes.
     """
     z = exact(z)
-    if n < 0:
-        den = pochhammer(z + n, -n)
-        if den == 0:
-            raise GammaPoleError(f"pochhammer pole: ({z})_{n} has a zero "
-                                 "denominator")
-        return 1 / den
-    p, q = z.numerator, z.denominator
-    return Fraction(math.prod(range(p, p + n * q, q)), q ** n)
+    return Fraction(*pochhammer_ints(z.numerator, z.denominator, n))
 
 
 # ---------------------------------------------------------------------------
@@ -277,50 +287,60 @@ def pochhammer(z, n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
-    """Sum a terminating pFq as an exact Fraction; the parameters are ints,
-    Fractions or Scalars.
+def hyp_pfq_ints(numerator_params, denominator_params, argument) -> tuple:
+    """A terminating pFq as an int pair (numerator, denominator), every
+    parameter and the argument an int pair (p, q) with q > 0, not
+    necessarily in lowest terms.
 
     The series must terminate: some numerator parameter is a nonpositive
     integer -t, and the sum runs over k = 0..t.  A denominator parameter
     hitting zero before termination raises DenominatorPoleError.  The sum is
     an integer Horner loop from the last term, S <- 1 + r(k) S with the term
-    ratio r(k) an int numerator and denominator, and one Fraction is made at
-    the end.
+    ratio r(k) an int numerator and denominator; the pair is not reduced.
     """
-    x = exact(argument)
-    nums = [exact(a) for a in numerator_params]
-    dens = [exact(b) for b in denominator_params]
-
-    ends = [-i for i in map(as_integer, nums) if i is not None and i <= 0]
+    ends = [-(p // q) for p, q in numerator_params if p <= 0 and p % q == 0]
     if not ends:
         raise NonTerminatingSeriesError("no numerator parameter is a "
                                         "nonpositive integer")
     t = min(ends)
-    for b in dens:
-        ib = as_integer(b)
-        if ib is not None and ib <= 0 and -ib <= t - 1:
+    for p, q in denominator_params:
+        if p <= 0 and p % q == 0 and -(p // q) <= t - 1:
             raise DenominatorPoleError(
-                f"denominator parameter {b} vanishes at k = {-ib} <= {t - 1}"
+                f"denominator parameter {Fraction(p, q)} vanishes at "
+                f"k = {-(p // q)} <= {t - 1}"
             )
 
     # term k+1 / term k = r(k) = prod (a+k) / prod (b+k) * x / (k+1); with
     # each parameter p/q, r(k) = prod (p+kq) / prod (p'+kq') * scale, so the
     # sum 1 + r(0) (1 + r(1) (... (1 + r(t-1)))) is N/D over ints
-    scale_num, scale_den = x.numerator, x.denominator
-    for a in nums:
-        scale_den *= a.denominator
-    for b in dens:
-        scale_num *= b.denominator
+    scale_num, scale_den = argument
+    for _, q in numerator_params:
+        scale_den *= q
+    for _, q in denominator_params:
+        scale_num *= q
     num = den = 1
     for k in range(t - 1, -1, -1):
         r_num, r_den = scale_num, scale_den * (k + 1)
-        for a in nums:
-            r_num *= a.numerator + k * a.denominator
-        for b in dens:
-            r_den *= b.numerator + k * b.denominator
+        for p, q in numerator_params:
+            r_num *= p + k * q
+        for p, q in denominator_params:
+            r_den *= p + k * q
         num, den = r_den * den + r_num * num, r_den * den
-    return Fraction(num, den)
+    return num, den
+
+
+def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
+    """Sum a terminating pFq as an exact Fraction; the parameters are ints,
+    Fractions or Scalars.  `hyp_pfq_ints` on their int pairs, with its
+    termination and pole checks, and one Fraction made at the end."""
+
+    def pair(v):
+        v = exact(v)
+        return v.numerator, v.denominator
+
+    return Fraction(*hyp_pfq_ints([pair(a) for a in numerator_params],
+                                  [pair(b) for b in denominator_params],
+                                  pair(argument)))
 
 
 def log10_abs(value) -> float:

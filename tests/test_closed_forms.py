@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 
 from polyconv import basis, closed_forms as cf, generic_conv, oracle
-from polyconv.basis import GenericBasisData
+from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexContractError
-from polyconv.scalars import RATIONAL, FloatBackend, pochhammer
+from polyconv.scalars import (RATIONAL, FloatBackend, factorial, hyp_pfq,
+                              pochhammer)
 
 
 DEGREE = 5
@@ -61,42 +62,50 @@ class TestOracleEquivalence:
 
 class TestInnerTerms:
     def test_varpi_sum_matches_oracle_row(self):
-        # (m, n, j) = (1, 5, 7): single regime, compare the full sum
+        # (m, n, j) = (1, 5, 7): single regime, compare the full sum, term
+        # by term and by ratios
         spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
         want = oracle.oracle_rho(spec, 1, 5)[7]
-        total = RATIONAL.zero()
+        total = Fraction(0)
         for nu in range(max(1, abs(7 - 5)), 3):
-            total = total + cf.jacobi_varpi(1, 5, 7, nu, spec.alpha, spec.beta)
+            total += ref_jacobi_varpi(1, 5, 7, nu, spec.alpha, spec.beta)
         assert total == want
+        row = spec._row_ints[:3]
+        assert Fraction(*cf._jacobi_varpi_sum(1, 5, 7, 2, 2, row)) == want
 
     def test_varpi_symmetric_parity_zero(self):
-        alpha = RATIONAL.make(Fraction(5, 2))
+        alpha = Fraction(5, 2)
         # odd n + nu - j vanishes
-        assert cf.sym_jacobi_varpi(2, 5, 4, 2, alpha) == 0
-        assert cf.sym_jacobi_varpi(2, 5, 4, 3, alpha) != 0
+        assert ref_sym_varpi(2, 5, 4, 2, alpha) == 0
+        assert ref_sym_varpi(2, 5, 4, 3, alpha) != 0
+        # so the ratio sum steps over the odd terms
+        assert list(cf._parity_range(1, 3, 5 - 4)) == [1, 3]
 
     def test_varpi_branch_matches_generic_highj(self):
         spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
         data = GenericBasisData.from_family(spec, 13)
+        row = spec._row_ints[:3]
         for m, n in [(2, 5), (1, 4), (3, 3)]:
             for j in range(max(m + 1, n - m - 1), m + n + 2):
-                total = RATIONAL.zero()
-                for nu in range(max(1, abs(j - n)), m + 2):
-                    total = total + cf.jacobi_varpi(m, n, j, nu, spec.alpha,
-                                                    spec.beta)
+                total = cf._jacobi_varpi_sum(m, n, j, max(1, abs(j - n)),
+                                             m + 1, row)
                 req = generic_conv.request(data, m, n, j)
-                assert total == generic_conv.rho_highj(data, req)
+                assert Fraction(*total) == generic_conv.rho_highj(data, req)
 
     def test_d_term_with_constant_first_factor(self):
         # m = 0 terminates the 4F3 at its first term
-        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
-        assert cf._jacobi_d_f43(0, 1, 0, spec.alpha, spec.beta) == 1
+        d, a, b = basis.jacobi(Fraction(5, 2), Fraction(3, 2))._row_ints[:3]
+        assert cf._jacobi_d_f43(0, 1, 0, d, a, b) == (1, 1)
+        assert ref_jacobi_d_f43(0, 1, 0, Fraction(5, 2), Fraction(3, 2)) == 1
 
     def test_legendre_d_reduces_rationally(self):
-        v = cf.legendre_d(2, 0, 1, 0)
+        v = ref_legendre_d(2, 0, 1, 0)
         assert v == Fraction(2, 3)
-        v = cf.legendre_d(1, 0, 1, 0)
+        v = ref_legendre_d(1, 0, 1, 0)
         assert v == -1
+        # the same two terms through the ratio sum: one per parity class
+        assert Fraction(*cf._legendre_d_sum(0, 1, 0, None)) == \
+            Fraction(2, 3) - 1
 
 
 class TestLaguerre:
@@ -411,3 +420,270 @@ class TestPochhammer:
         assert value != 0
         assert value == (cf.symmetry_factor(spec, 1, 2000, 2002)
                          * cf.rho_closed(spec, 1, 2000, 2002))
+
+
+# Term-by-term Fraction references for the closed forms' ratio sums: each
+# display as printed, one term per nu, its rising factorials from the
+# cached `pochhammer` and its pFq from `hyp_pfq`, summed in Fractions.
+
+_HALF = Fraction(1, 2)
+_poch = pochhammer
+
+
+def _sign(k):
+    return -1 if k % 2 else 1
+
+
+def ref_jacobi_varpi(m, n, j, nu, alpha, beta):
+    s = alpha + beta
+    num = (2 * _sign(m + nu - 1)
+           * _poch(alpha + (j - nu + 1), n - j + nu)
+           * _poch(s + (n + 1), j - nu)
+           * _poch(beta + nu, m - nu + 1)
+           * _poch(s + (m + 1), nu - 1))
+    den = (_poch(s + (j + 1), j) * factorial(m + 1 - nu)
+           * factorial(n - j + nu))
+    f = hyp_pfq([j - n - nu, alpha + (j + 1), s + (n + j - nu + 1)],
+                [alpha + (j - nu + 1), s + (2 * j + 2)], 1)
+    return num / den * f
+
+
+def ref_jacobi_d_f43(m, nu, j, alpha, beta):
+    s = alpha + beta
+    return hyp_pfq([1, -m, beta + (nu + 1), s + (m + 1)],
+                   [nu - j + 1, beta + 1, s + (j + nu + 2)], 1)
+
+
+def ref_jacobi_d(nu, j, n, m, alpha, beta):
+    s = alpha + beta
+    num = (2 * _sign(m + n + 1 + nu) * (beta + nu)
+           * _poch(beta + (j + 1), m - j)
+           * _poch(beta + 1, n)
+           * _poch(s + (n + 1), nu - 1))
+    den = factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
+    if j == 0 and s + 1 == 0:
+        # (s+2j+1) / (s+j+1)_(nu+1) is 0/0 here; its limit in s is 1/nu!
+        ratio = Fraction(1, factorial(nu))
+    else:
+        ratio = (s + (2 * j + 1)) / _poch(s + (j + 1), nu + 1)
+    return num / den * ratio * ref_jacobi_d_f43(m, nu, j, alpha, beta)
+
+
+def ref_sym_varpi(m, n, j, nu, alpha):
+    if (n + nu - j) % 2:
+        return Fraction(0)
+    if alpha == -_HALF:
+        return ref_jacobi_varpi(m, n, j, nu, alpha, alpha)
+    h = (n + nu - j) // 2
+    num = (2 * _sign(m + nu + 1)
+           * _poch(alpha + nu, m + 1 - nu)
+           * _poch(2 * alpha + (m + 1), nu - 1)
+           * _poch(2 * alpha + (n + 1), j - nu)
+           * _poch(-nu, h)
+           * _poch(alpha + (j - nu) + _HALF, h)
+           * _poch(alpha + (j - nu + 1), n + nu - j))
+    den = (factorial(m - nu + 1) * factorial(h)
+           * _poch(2 * alpha + (j + 1), j)
+           * _poch(alpha + j + Fraction(3, 2), h)
+           * _poch(2 * alpha + (2 * j - 2 * nu + 1), n + nu - j))
+    return num / den
+
+
+def ref_sym_d(nu, j, n, m, alpha):
+    if alpha == -_HALF:
+        return ref_jacobi_d(nu, j, n, m, alpha, alpha)
+    num = (2 * _sign(m + n + 1 + nu) * (2 * alpha + (2 * j + 1))
+           * (alpha + nu)
+           * _poch(alpha + (j + 1), m - j)
+           * _poch(alpha + 1, n)
+           * _poch(2 * alpha + (n + 1), nu - 1))
+    den = (factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
+           * _poch(2 * alpha + (j + 1), nu + 1))
+    f43 = hyp_pfq([1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
+                  [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)], 1)
+    return num / den * f43
+
+
+def ref_legendre_varpi(m, n, j, nu):
+    if (n + nu - j) % 2:
+        return Fraction(0)
+    h = (n - j + nu) // 2
+    num = (_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1)
+           * _poch(-nu, h))
+    den = (4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
+           * factorial(h) * _poch(Fraction(n + j - nu + 1, 2), nu + 1))
+    return num / den
+
+
+def ref_sqrt_pi_over_gammas(a2, b2):
+    if a2 % 2 == 1:
+        t, other = (a2 - 1) // 2, b2 // 2
+    else:
+        t, other = (b2 - 1) // 2, a2 // 2
+    return Fraction(4 ** t * factorial(t),
+                    factorial(2 * t) * factorial(other - 1))
+
+
+def ref_legendre_d(nu, j, n, m):
+    num = (_sign(m + nu + n + 1) * (2 * j + 1) * nu
+           * Fraction(2) ** (j + m - nu)
+           * factorial(n + nu - 1)
+           * _poch(Fraction(-j - m + nu + 1, 2), j + m)
+           * _poch(Fraction(j - m + nu + 2, 2), m))
+    den = factorial(n - nu + 1) * factorial(j + m + nu)
+    gam = ref_sqrt_pi_over_gammas(-j + m + nu + 2, j + m + nu + 3)
+    return num / den * gam
+
+
+def ref_chebyshev_varpi(m, n, j, nu):
+    if (n + nu - j) % 2:
+        return Fraction(0)
+    if n == 0:
+        c = basis.chebyshev().normalization
+        return (c(m) * c(n) / c(j)
+                * ref_jacobi_varpi(m, n, j, nu, -_HALF, -_HALF))
+    h = (n + nu - j) // 2
+    num = (_sign(m) * Fraction(2) ** (1 - 2 * nu) * n
+           * _poch(-m, nu - 1) * _poch(m, nu - 1) * _poch(-nu, h)
+           * _poch(Fraction(n + nu - j + 2, 2), j - nu - 1))
+    den = _poch(_HALF, nu - 1) * factorial((n + nu + j) // 2)
+    return num / den
+
+
+def ref_chebyshev_d(nu, j, n, m):
+    lead = 2 if j == 0 else 4
+    num = (lead * _sign(m + n) * _poch(-n, nu - 1)
+           * _poch(n, nu - 1) * (nu - _HALF))
+    den = factorial(nu - j) * factorial(j + nu)
+    f43 = hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
+    return num / den * f43
+
+
+# family -> (varpi term, d term, how many Jacobi parameters they take)
+REF_TERMS = {
+    Family.JACOBI: (ref_jacobi_varpi, ref_jacobi_d, 2),
+    Family.SYMMETRIC_JACOBI: (ref_sym_varpi, ref_sym_d, 1),
+    Family.GEGENBAUER: (ref_sym_varpi, ref_sym_d, 1),
+    Family.LEGENDRE: (ref_legendre_varpi, ref_legendre_d, 0),
+    Family.CHEBYSHEV: (ref_chebyshev_varpi, ref_chebyshev_d, 0),
+}
+
+
+def sums_and_references(spec, m, n, j):
+    """(name, the package's sum as a Fraction, the term-by-term sum) for
+    every sum rho_{j,n}^m (m <= n, j outside the zero band) is made of,
+    in the Jacobi normalization for Gegenbauer."""
+    varpi, d_term, count = REF_TERMS[spec.family]
+    params = spec.jacobi_parameters()[:count]
+    varpi_sum, d_sum, _ = cf._SUMS[spec.family]
+    row = spec._row_ints[:3]
+    if j >= max(m + 1, n - m - 1):
+        lo = max(1, abs(j - n))
+        return [("varpi", varpi_sum(m, n, j, lo, m + 1, row),
+                 sum(varpi(m, n, j, nu, *params) for nu in range(lo, m + 2)))]
+    return [("swapped varpi", varpi_sum(n, m, j, 1, j, row),
+             sum(varpi(n, m, j, nu, *params) for nu in range(1, j + 1))),
+            ("d", d_sum(m, n, j, row),
+             sum(d_term(nu, j, n, m, *params) for nu in range(j + 1, n + 2)))]
+
+
+def _random_interval_families(draws, seed):
+    """Seeded random rational parameters for every interval family, and
+    for each draw the edges alpha = -1/2 and alpha + beta = -1 beside it."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        alpha = Fraction(rng.randint(-11, 60), rng.randint(1, 12))
+        beta = Fraction(rng.randint(-11, 60), rng.randint(1, 12))
+        out += [basis.jacobi(alpha, beta), basis.symmetric_jacobi(alpha),
+                basis.jacobi(-_HALF, beta)]
+        if alpha != 0:  # lam = 1/2 is Legendre
+            out.append(basis.gegenbauer(alpha + _HALF))
+        if alpha < 0:
+            out.append(basis.jacobi(alpha, -1 - alpha))
+    return out
+
+
+RATIO_FAMILIES = [
+    basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+    basis.jacobi(0, 0),
+    basis.jacobi(1, 2),
+    basis.symmetric_jacobi(Fraction(5, 2)),
+    basis.symmetric_jacobi(1),
+    basis.gegenbauer(Fraction(3, 2)),
+    basis.gegenbauer(1),
+    basis.legendre(),
+    basis.chebyshev(),
+    # alpha = -1/2: the symmetric displays are 0/0 and the general forms
+    # are summed
+    basis.symmetric_jacobi(Fraction(-1, 2)),
+    basis.jacobi(Fraction(-1, 2), Fraction(1, 2)),
+    basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
+    basis.gegenbauer(Fraction(-1, 4)),
+    # alpha + beta = -1: the j = 0 d terms take their limit
+    basis.jacobi(Fraction(-1, 4), Fraction(-3, 4)),
+    basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+] + _random_interval_families(4, seed=2016)
+
+
+class TestRatioSumsAgainstReference:
+    """Every varpi and d sum, in both regimes, against its display summed
+    term by term: m <= n <= 8, every j outside the zero band.  The grid
+    takes in the limits: Chebyshev's n = 0 cell, the alpha = -1/2
+    reroutes, and the j = 0 d sums at alpha + beta = -1."""
+
+    TOP = 8
+
+    @pytest.mark.parametrize("spec", RATIO_FAMILIES, ids=lambda s: s.label())
+    def test_every_sum_matches(self, spec):
+        for m in range(self.TOP + 1):
+            for n in range(m, self.TOP + 1):
+                for j in range(m + n + 2):
+                    if m + 1 <= j <= n - m - 2:
+                        continue
+                    for name, got, want in sums_and_references(spec, m, n,
+                                                                j):
+                        assert Fraction(*got) == want, (name, m, n, j)
+
+    def test_restart_at_a_vanishing_ratio(self):
+        # term(nu) = nu - 2 on nu = 0..5: the ratio (nu-1)/(nu-2) out of
+        # the zero term divides by zero, so the sum restarts there from a
+        # direct term; a run from a zero term is zero throughout
+        def term(nu):
+            return nu - 2, 1
+
+        def ratio(nu):
+            return nu - 1, nu - 2
+
+        assert Fraction(*cf._ratio_sum(range(6), term, ratio)) == 3
+        assert Fraction(*cf._ratio_sum(range(2, 6), term, ratio)) == 6
+        assert cf._ratio_sum(range(3, 3), term, ratio) == (0, 1)
+        # with a factor: sum (nu - 2) / (nu + 1)
+        got = cf._ratio_sum(range(6), term, ratio, lambda nu: (1, nu + 1))
+        assert Fraction(*got) == sum(Fraction(nu - 2, nu + 1)
+                                     for nu in range(6))
+
+
+class TestDepthAgainstEngine:
+    """rho_closed, hypergeometric sums by term ratios, against rho_columns,
+    the recurrence in n: two independent routes, on sampled low-j (j <= m)
+    and high-j cells at n = 300."""
+
+    @pytest.mark.parametrize("spec", [
+        basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        basis.symmetric_jacobi(Fraction(5, 2)),
+        basis.gegenbauer(Fraction(3, 2)),
+        basis.legendre(),
+        basis.chebyshev(),
+        basis.symmetric_jacobi(Fraction(-1, 2)),
+        basis.jacobi(Fraction(-1, 4), Fraction(-3, 4)),
+    ], ids=lambda s: s.label())
+    def test_sampled_cells_at_n_300(self, spec):
+        m, n = 6, 300
+        column = cf._fractions(cf.rho_columns(spec, m, n)[n])
+        rng = random.Random(300)
+        low = [0, 1, m] + rng.sample(range(2, m), 2)
+        high = ([n - m - 1, n, m + n + 1]
+                + rng.sample(range(n - m, m + n + 1), 3))
+        for j in low + high:
+            assert cf.rho_closed(spec, m, n, j).as_fraction() == column[j], j

@@ -197,6 +197,41 @@ class TestOracleRho:
             call()
 
 
+class TestOracleTable:
+    @pytest.mark.parametrize("spec", [
+        basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),
+        basis.gegenbauer(Fraction(3, 2)),
+        basis.chebyshev(),
+        basis.laguerre(Fraction(5, 2)),
+        basis.generic_monic(),
+    ], ids=lambda s: s.label())
+    def test_every_pair_equals_oracle_rho(self, spec):
+        table = oracle.oracle_table(spec, 5)
+        assert sorted(table) == [(m, n) for m in range(6)
+                                 for n in range(m, 6)]
+        for (m, n), rho in table.items():
+            assert rho == oracle.oracle_rho(spec, m, n), (m, n)
+            assert [type(v) for v in rho] == [type(rho[0])] * (m + n + 2)
+
+    def test_one_recurrence_run_per_family(self, monkeypatch):
+        runs = []
+        family_polys = oracle._family_polys
+
+        def counted(*args):
+            runs.append(args[1:])
+            return family_polys(*args)
+
+        monkeypatch.setattr(oracle, "_family_polys", counted)
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        oracle.oracle_table(spec, 6)
+        assert runs == [(13, spec.domain_offset_a.as_fraction())]
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValueError, match="degree must be nonnegative"):
+            oracle.oracle_table(basis.legendre(), -1)
+
+
 def _random_families(seed):
     """Families with seeded random rational parameters, weighted to the
     edges: alpha = -1/2, alpha + beta = -1, Laguerre alpha in (-1, 0)."""

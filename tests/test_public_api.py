@@ -18,7 +18,7 @@ import polyconv
 from polyconv import (basis, cli, clear_caches, closed_forms as cf, convmat,
                       generic_conv, oracle)
 from polyconv.scalars import (RATIONAL, FloatBackend, Scalar, hyp_pfq,
-                              pochhammer)
+                              hyp_pfq_ints, pochhammer, pochhammer_ints)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,12 +195,8 @@ def test_internals_return_fractions():
              basis.gegenbauer(Fraction(3, 2)), basis.laguerre(2)]
     values = [pochhammer(3, 0), pochhammer(3, 3), pochhammer(3, -2),
               pochhammer(Fraction(1, 2), 3),
-              hyp_pfq([-2, 3], [5], 1), hyp_pfq([0], [], 2),
-              cf.legendre_d(2, 0, 1, 0)]
+              hyp_pfq([-2, 3], [5], 1), hyp_pfq([0], [], 2)]
     for spec in specs:
-        for n in range(3):
-            values += basis.derivative_connection(spec, n)
-        values += basis.endpoint_values(spec, 3)
         values += basis.eval_polys(spec, 3, 2)
         if spec.family is not basis.Family.LAGUERRE:
             values.append(spec.normalization(0))
@@ -208,6 +204,25 @@ def test_internals_return_fractions():
     # an int / int slipped into a formula makes a float that compares equal
     # to a dyadic Fraction, so the type is what is checked
     assert [type(v) for v in values] == [Fraction] * len(values)
+
+
+def test_integer_cores_return_ints():
+    # the int pairs the engine and the closed forms' sums are built from
+    pairs = [pochhammer_ints(1, 2, 3), pochhammer_ints(3, 1, -2),
+             hyp_pfq_ints([(-2, 1), (3, 2)], [(5, 3)], (1, 1)),
+             cf._jacobi_d_f43(2, 1, 0, 2, 5, 3),
+             cf._sym_d_f43(2, 1, 0, 2, 5), cf._cheb_d_f43(2, 1, 0)]
+    for spec in [JACOBI, basis.legendre(), basis.chebyshev(),
+                 basis.gegenbauer(Fraction(3, 2))]:
+        varpi_sum, d_sum, _ = cf._SUMS[spec.family]
+        row = spec._row_ints[:3]
+        pairs += [varpi_sum(2, 5, 6, 1, 3, row), varpi_sum(5, 2, 1, 1, 1, row),
+                  d_sum(2, 5, 1, row)]
+        for n in range(3):
+            pairs += basis.connection_ints(spec, n)
+        nums, den = basis.endpoint_ints(spec, 3)
+        pairs += [(v, den) for v in nums]
+    assert all(type(v) is int for pair in pairs for v in pair)
 
 
 @pytest.mark.parametrize("scalar_first", [True, False])

@@ -74,7 +74,8 @@ class TestAgainstClosedForms:
 
         for spec in acceptance_families() + edge_families():
             for n in range(8):
-                a, b, c = basis.derivative_connection(spec, n)
+                a, b, c = (Fraction(*pair)
+                           for pair in basis.connection_ints(spec, n))
                 rhs = [0] * (n + 2)
                 for weight, k in ((a, n + 1), (b, n), (c, n - 1)):
                     if k < 0:
@@ -186,8 +187,9 @@ class TestIntegerColumns:
 class TestEndpointValues:
     def test_equal_endpoint_derivatives_and_recurrence(self):
         for spec in acceptance_families() + edge_families():
-            values = basis.endpoint_values(spec, 40)
-            assert all(type(v) is Fraction for v in values)
+            nums, den = basis.endpoint_ints(spec, 40)
+            assert all(type(v) is int for v in nums + [den])
+            values = [Fraction(v, den) for v in nums]
             assert values == [basis.endpoint_derivative(spec, k, 0)
                               for k in range(41)], spec.label()
             assert values == basis.eval_polys(
