@@ -16,10 +16,13 @@ P_n = (p)_n / (q)_n * P_n^(alpha,beta) (DLMF 18.7), and states its row
 (alpha, beta, p, q) once, in ``_JACOBI_ROWS``: Jacobi (alpha, beta, 1, 1),
 symmetric Jacobi (alpha, alpha, 1, 1), Gegenbauer C_n^(lam)
 (lam-1/2, lam-1/2, 2 lam, lam+1/2), Legendre (0, 0, 1, 1) and Chebyshev
-T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the normalization c_n,
-the derivative connection ``connection_ints``, the recurrence of
-``eval_polys`` and the endpoint values ``endpoint_ints`` all read that
-row.  Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
+T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the recurrence of
+``eval_polys`` and every formula read that row, the formulas over one
+common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
+the endpoint derivatives, b_{n,k} and gamma are each a product of int
+rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
+per value, uncached; ``connection_ints`` and ``endpoint_ints`` are int pairs.
+Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
 L_n^(alpha)(0) = (1+alpha)_n / n!.
 
 Note: the Chebyshev family here is sometimes labelled "second kind" in
@@ -29,14 +32,17 @@ formulas, not the label, are authoritative here.
 """
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
-from .scalars import RATIONAL, Scalar, exact, factorial, hyp_pfq, pochhammer
+from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
+                      lowest, over_lcm, over_rising, sign, times)
+# unused here: the benchmark's trace (bench/tracing.py) wraps this name
+from .scalars import hyp_pfq  # noqa: F401
+from .scalars import pochhammer_ints as _rising
 
 
 class Family(Enum):
@@ -159,10 +165,16 @@ class FamilySpec:
         """The (alpha, beta) of the underlying Jacobi normalization."""
         return self._jacobi_row[:2]
 
+    def _normalization_ints(self, n: int) -> tuple:
+        """c_n = (p)_n / (q)_n as an int pair read off `_row_ints`."""
+        if self._jacobi_row[2] == self._jacobi_row[3]:  # raises for Laguerre
+            return 1, 1
+        d, _, _, p, q = self._row_ints
+        return times(_rising(p, d, n), over_rising(q, d, n))
+
     def normalization(self, n: int) -> Fraction:
         """c_n = (p)_n / (q)_n with FamilyPoly_n = c_n * P_n^(alpha, beta)."""
-        _, _, p, q = self._jacobi_row
-        return _ONE if p == q else pochhammer(p, n) / pochhammer(q, n)
+        return Fraction(*self._normalization_ints(n))
 
     def to_backend(self, backend) -> "FamilySpec":
         """The same family with output rounded to `backend`."""
@@ -307,42 +319,33 @@ def eval_poly(spec: FamilySpec, n: int, x) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _jacobi_endpoint_derivative(n: int, p: int, alpha: Fraction,
-                                beta: Fraction) -> Fraction:
-    # d^p/dx^p P_n^(alpha,beta) at x = -1:
-    #   2^-p (-1)^(n+p) (p+beta+1)_(n-p) (n+alpha+beta+1)_p / (n-p)!
-    sign = -1 if (n + p) % 2 else 1
-    num = pochhammer(beta + p + 1, n - p) * pochhammer(alpha + beta + n + 1, p)
-    return sign * num / (2 ** p * factorial(n - p))
-
-
 def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     """d^p/dx^p of the degree-n family polynomial at x = -a (the lower end
-    of the convolution domain); 0 when p > n."""
+    of the convolution domain); 0 when p > n.  For an interval family,
+    c_n times
+
+        d^p P_n^(alpha,beta) |_{x=-1}
+            = (-1)^(n+p) (beta+p+1)_(n-p) (s+n+1)_p / (2^p (n-p)!),
+
+    s = alpha + beta; for Laguerre (-1)^p (alpha+p+1)_(n-p) / (n-p)!."""
     if n < 0 or p < 0:
         raise IndexOutOfRangeError("degree and order must be nonnegative")
     f = spec.family
     if p > n:
-        value = 0
-    elif f is Family.LAGUERRE:
-        sign = -1 if p % 2 else 1
-        value = (sign * pochhammer(spec._exact[0] + p + 1, n - p)
-                 / factorial(n - p))
+        value = 0, 1
     elif f is Family.GENERIC_MONIC:
-        value = factorial(n) if p == n else 0
+        value = factorial(n) if p == n else 0, 1
+    elif f is Family.LAGUERRE:
+        d, a = spec._row_ints
+        value = times((sign(p), factorial(n - p)),
+                      _rising(a + (p + 1) * d, d, n - p))
     else:
-        alpha, beta = spec.jacobi_parameters()
-        value = (spec.normalization(n)
-                 * _jacobi_endpoint_derivative(n, p, alpha, beta))
-    return RATIONAL.make(value)
-
-
-def _lowest(num: int, den: int) -> tuple:
-    """num / den in lowest terms with a positive denominator."""
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return num // g, den // g
+        d, a, b, _, _ = spec._row_ints
+        value = times((sign(n + p), 2 ** p * factorial(n - p)),
+                      _rising(b + (p + 1) * d, d, n - p),
+                      _rising(a + b + (n + 1) * d, d, p),
+                      spec._normalization_ints(n))
+    return RATIONAL.make(Fraction(*value))
 
 
 def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
@@ -357,7 +360,7 @@ def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
         num, den = -(beta + d * (k + 1)), d * (k + 1)
         if p != q:
             num, den = num * (d * k + p), den * (d * k + q)
-    return _lowest(num, den)
+    return lowest(num, den)
 
 
 def endpoint_ints(spec: FamilySpec, n: int) -> tuple:
@@ -421,90 +424,87 @@ def connection_ints(spec: FamilySpec, n: int) -> tuple:
     if p != q:
         a = (a[0] * (d * n + q), a[1] * (d * n + p))
         c = (c[0] * (d * (n - 1) + p), c[1] * (d * (n - 1) + q))
-    return _lowest(*a), _lowest(*b), _lowest(*c)
+    return lowest(*a), lowest(*b), lowest(*c)
 
 
 # ---------------------------------------------------------------------------
-# monomial expansion coefficients b_{n,k}
+# connection coefficients: b_{n,k} and gamma_{n,k}^(p,q)
 # ---------------------------------------------------------------------------
-
-
-def _jacobi_b(n: int, k: int, alpha: Fraction, beta: Fraction) -> Fraction:
-    # (x+1)^n = sum_k b_{n,k} P_k^(alpha,beta)(x) with
-    #   b_{n,k} = 2^n n! (beta+1)_n (alpha+beta+2k+1) Gamma(alpha+beta+k+1)
-    #             / ((beta+1)_k Gamma(alpha+beta+n+k+2) (n-k)!).
-    # At k = 0 the prefactor and the leading gamma merge so the formula
-    # stays finite when alpha + beta + 1 = 0.
-    s = alpha + beta
-    common = 2 ** n * factorial(n) * pochhammer(beta + 1, n)
-    if k == 0:
-        # (s+1) Gamma(s+1) / Gamma(s+n+2) = Gamma(s+2) / Gamma(s+n+2)
-        return common * pochhammer(s + 2 + n, -n) / factorial(n)
-    ratio = pochhammer(s + k + n + 2, -(n + 1))
-    return (common * (s + 2 * k + 1) * ratio
-            / (pochhammer(beta + 1, k) * factorial(n - k)))
 
 
 def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
-    """b_{n,k} with (x+a)^n = sum_k b_{n,k} P_k(x) in the family basis."""
+    """b_{n,k} with (x+a)^n = sum_k b_{n,k} P_k(x) in the family basis.
+
+    For an interval family, with s = alpha + beta and P_k = c_k J_k,
+
+        b_{n,k} = 2^n n! (beta+k+1)_(n-k) (s+2k+1)
+                  / ((s+k+1)_(n+1) (n-k)!) / c_k,
+
+    and at k = 0, where the display's (s+1) / (s+1)_(n+1) is 0/0 for
+    s = -1, its limit b_{n,0} = 2^n (beta+1)_n / (s+2)_n.  For Laguerre
+    x^n = sum_k b_{n,k} L_k^(alpha), b_{n,k} = (-n)_k (alpha+k+1)_(n-k)."""
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRangeError(f"b-coefficient index out of range: n={n}, k={k}")
     f = spec.family
-    if f is Family.LAGUERRE:
-        # x^n = sum_k b_{n,k} L_k^(alpha), b_{n,k} = (-n)_k (k+alpha+1)_(n-k)
-        value = pochhammer(-n, k) * pochhammer(spec._exact[0] + k + 1, n - k)
-    elif f is Family.GENERIC_MONIC:
-        value = 1 if n == k else 0
+    if f is Family.GENERIC_MONIC:
+        value = 1 if n == k else 0, 1
+    elif f is Family.LAGUERRE:
+        d, a = spec._row_ints
+        value = times(_rising(-n, 1, k), _rising(a + (k + 1) * d, d, n - k))
     else:
-        alpha, beta = spec.jacobi_parameters()
-        value = _jacobi_b(n, k, alpha, beta) / spec.normalization(k)
-    return RATIONAL.make(value)
-
-
-# ---------------------------------------------------------------------------
-# connection coefficients between derivative sequences
-# ---------------------------------------------------------------------------
-
-
-def _jacobi_connection_gamma(n: int, k: int, p: int, q: int,
-                             alpha: Fraction, beta: Fraction) -> Fraction:
-    # gamma_{n,k}^(p,q): d^p/dx^p P_{n+p} = sum_k gamma d^q/dx^q P_{k+q},
-    # a terminating 3F2 at unit argument.  Pole-free for alpha, beta > -1,
-    # so it serves every interval family, alpha = beta = -1/2 included.  For
-    # alpha = beta and odd n-k the 3F2 sums to 0.
-    s = alpha + beta
-    num = (pochhammer(alpha + k + p + 1, n - k)
-           * pochhammer(s + n + p + 1, p)
-           * pochhammer(s + n + 2 * p + 1, k))
-    den = (Fraction(2) ** (p - q) * factorial(n - k)
-           * pochhammer(s + k + q + 1, q)
-           * pochhammer(s + k + 2 * q + 1, k))
-    f = hyp_pfq(
-        [k - n, alpha + k + q + 1, s + k + n + 2 * p + 1],
-        [alpha + k + p + 1, s + 2 * k + 2 * q + 2],
-        1,
-    )
-    return num / den * f
+        d, a, b, _, _ = spec._row_ints
+        s = a + b
+        if k == 0:
+            tail = over_rising(s + 2 * d, d, n)
+        else:
+            tail = times((factorial(n) * (s + (2 * k + 1) * d),
+                          d * factorial(n - k)),
+                         over_rising(s + (k + 1) * d, d, n + 1))
+        value = times((2 ** n, 1), _rising(b + (k + 1) * d, d, n - k), tail,
+                      spec._normalization_ints(k)[::-1])
+    return RATIONAL.make(Fraction(*value))
 
 
 def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
                      q: int) -> Scalar:
-    """gamma_{n,k}^(p,q) linking d^p P_{n+p} to the d^q P_{k+q} basis."""
+    """gamma_{n,k}^(p,q): d^p P_{n+p} = sum_k gamma_{n,k}^(p,q) d^q P_{k+q}.
+    For an interval family, with s = alpha + beta, c_{n+p} / c_{k+q} times
+    the terminating 3F2 at unit argument
+
+        (alpha+k+p+1)_(n-k) (s+n+p+1)_p (s+n+2p+1)_k
+        / (2^(p-q) (n-k)! (s+k+q+1)_q (s+k+2q+1)_k)
+        * 3F2(k-n, alpha+k+q+1, s+k+n+2p+1; alpha+k+p+1, s+2k+2q+2; 1),
+
+    pole-free for alpha, beta > -1, alpha = beta = -1/2 included; for
+    alpha = beta and odd n-k the 3F2 sums to 0.  For Laguerre
+    (-1)^(p+q) (p-q)_(n-k) / (n-k)!."""
     if k < 0 or k > n:
         raise IndexOutOfRangeError(f"connection index out of range: n={n}, k={k}")
     if p < 0 or q < 0:
         raise IndexOutOfRangeError("derivative orders must be nonnegative")
     f = spec.family
     if f is Family.LAGUERRE:
-        sign = -1 if (p + q) % 2 else 1
-        value = sign * pochhammer(p - q, n - k) / factorial(n - k)
+        value = times((sign(p + q), factorial(n - k)),
+                      _rising(p - q, 1, n - k))
     elif f is Family.GENERIC_MONIC:
-        value = Fraction(factorial(n + p), factorial(n + q)) if n == k else 0
+        value = (factorial(n + p), factorial(n + q)) if n == k else (0, 1)
     else:
-        alpha, beta = spec.jacobi_parameters()
-        value = (_jacobi_connection_gamma(n, k, p, q, alpha, beta)
-                 * spec.normalization(n + p) / spec.normalization(k + q))
-    return RATIONAL.make(value)
+        d, a, b, _, _ = spec._row_ints
+        s = a + b
+        value = times(
+            (2 ** max(q - p, 0), 2 ** max(p - q, 0) * factorial(n - k)),
+            _rising(a + (k + p + 1) * d, d, n - k),
+            _rising(s + (n + p + 1) * d, d, p),
+            _rising(s + (n + 2 * p + 1) * d, d, k),
+            over_rising(s + (k + q + 1) * d, d, q),
+            over_rising(s + (k + 2 * q + 1) * d, d, k),
+            hyp_pfq_ints([(k - n, 1), (a + (k + q + 1) * d, d),
+                          (s + (k + n + 2 * p + 1) * d, d)],
+                         [(a + (k + p + 1) * d, d),
+                          (s + (2 * k + 2 * q + 2) * d, d)], (1, 1)),
+            spec._normalization_ints(n + p),
+            spec._normalization_ints(k + q)[::-1])
+    return RATIONAL.make(Fraction(*value))
 
 
 # ---------------------------------------------------------------------------
@@ -538,12 +538,9 @@ class GenericBasisData:
 
     @classmethod
     def from_family(cls, spec: FamilySpec, max_degree: int) -> "GenericBasisData":
-        b = {}
-        d = {}
-        for n in range(max_degree + 1):
-            for k in range(n + 1):
-                b[(n, k)] = monomial_expansion_b(spec, n, k).as_fraction()
-                d[(n, k)] = endpoint_derivative(spec, n, k).as_fraction()
+        keys = [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
+        b = {nk: monomial_expansion_b(spec, *nk).as_fraction() for nk in keys}
+        d = {nk: endpoint_derivative(spec, *nk).as_fraction() for nk in keys}
         return cls(spec.domain_offset_a, max_degree, b, d, spec.backend)
 
     def b(self, n: int, k: int) -> Fraction:
@@ -578,18 +575,10 @@ def _lookup(table: dict, key: tuple, what: str) -> Fraction:
 # one Fraction.  Nothing is kept between calls.
 
 
-def _over_lcm(nums: list, dens: list) -> tuple:
-    """(scaled, den) with nums[i] / dens[i] = scaled[i] / den, den the lcm
-    of dens."""
-    den = math.lcm(*dens)
-    return [a * (den // d) for a, d in zip(nums, dens)], den
-
-
 def _deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
     """(nums, den) with d^p P_n |_{x=-a} = nums[p - lo] / den for
     p = lo..hi."""
-    row = [data.deriv(n, p) for p in range(lo, hi + 1)]
-    return _over_lcm([v.numerator for v in row], [v.denominator for v in row])
+    return over_lcm([data.deriv(n, p) for p in range(lo, hi + 1)])
 
 
 def deriv_products(data: GenericBasisData, m: int, n: int, m_lo: int,
@@ -617,16 +606,12 @@ def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
 
     Reads b_{lo,j}, ..., b_{hi,j} in that order, so a table that stops
     short names the first entry of the column it lacks."""
-    nums, dens = [], []
-    f = factorial(lo)
-    for q in range(lo, hi + 1):
-        if q > lo:
-            f *= q
-        v = data.b(q, j)
-        nums.append(v.numerator)
-        dens.append(v.denominator * f)
-    scaled, b_den = _over_lcm(nums, dens)
-    return Fraction(sum(map(operator.mul, scaled, weights)), b_den * den)
+    column, b_den = over_lcm([data.b(q, j) for q in range(lo, hi + 1)])
+    total, f = 0, 1
+    for q in range(hi, lo - 1, -1):  # f = hi!/q!
+        total += column[q - lo] * weights[q - lo] * f
+        f *= q
+    return Fraction(total, b_den * factorial(hi) * den)
 
 
 def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,

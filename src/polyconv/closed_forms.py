@@ -22,8 +22,9 @@ n+nu-j (symmetric, Legendre and Chebyshev varpi) step nu by 2, and so
 does the Legendre d sum, once per parity, since its gamma quotient gains
 a half-integer shift at each single step.
 
-Every rescaling comes from ``FamilySpec.normalization`` (P_n = c_n J_n, J
-the Jacobi polynomial): Gegenbauer sums the symmetric-Jacobi terms at
+Every rescaling comes from the family's normalization c_n = (p)_n / (q)_n
+(P_n = c_n J_n, J the Jacobi polynomial), two int rising factorials of
+its row: Gegenbauer sums the symmetric-Jacobi terms at
 alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
 simplified forms in the T normalization, whose n = 0 case takes the same
 factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
@@ -46,15 +47,15 @@ for every grid and writer.  The closed forms are off that path; they
 remain the reference that certifies it (``verify``, the tests and the
 benchmark's checks).
 
-Everything here is a pure function of its inputs.  The rising factorials
-and pFq sums come from the integer cores ``scalars.pochhammer_ints``
-(imported as ``_rising``; a negative order is a gamma quotient) and
-``scalars.hyp_pfq_ints``, uncached.  Two things are memoized across calls:
-the 4F3 factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
-``_cheb_d_f43``), which cells of the same m and j share, and the Fractions
-of the cached ``scalars.pochhammer`` (imported as ``_poch``) that Laguerre,
-the symmetry factors and the Bateman tensor read.  ``clear_caches``
-empties them.
+Everything here is a pure function of its inputs.  Every formula, Laguerre,
+the symmetry factors and the Bateman tensor included, is a product of int
+pairs: rising factorials from ``scalars.pochhammer_ints`` (imported as
+``_rising``; a negative order is a gamma quotient) and pFq sums from
+``scalars.hyp_pfq_ints``, with one ``Fraction`` per value.  Only the 4F3
+factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
+``_cheb_d_f43``), which cells of the same m and j share, are memoized.
+``clear_caches`` empties them and the cache of ``scalars.pochhammer``
+(imported as ``_poch``), which no package path calls.
 """
 
 import csv
@@ -63,31 +64,18 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .basis import (Family, FamilySpec, _lowest, chebyshev, connection_ints,
+from .basis import (Family, FamilySpec, chebyshev, connection_ints,
                     endpoint_ints)
 from .errors import IndexContractError
-from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq,
-                      hyp_pfq_ints, log10_abs)
+from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
+                      log10_abs, lowest, over_lcm, over_rising, sign, times)
+# unused here: bench/tracing.py wraps `hyp_pfq`, bench/job.py reads `_poch`
+from .scalars import hyp_pfq  # noqa: F401
 from .scalars import pochhammer as _poch
 from .scalars import pochhammer_ints as _rising
 
 _ZERO = Fraction(0)
 _CHEBYSHEV = chebyshev()
-
-
-def _sign(k: int) -> int:
-    return -1 if k % 2 else 1
-
-
-def _times(*pairs) -> tuple:
-    """The product of int pairs (numerator, denominator)."""
-    return math.prod(p for p, _ in pairs), math.prod(q for _, q in pairs)
-
-
-def _over_rising(p: int, q: int, n: int) -> tuple:
-    """1 / (p/q)_n as an int pair; (p/q)_n is nonzero wherever it is used."""
-    num, den = _rising(p, q, n)
-    return den, num
 
 
 def _ratio_sum(nus: range, term, ratio, factor=None) -> tuple:
@@ -159,13 +147,13 @@ def _jacobi_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
     s = a + b
 
     def term(nu):
-        return _times((2 * _sign(m + nu - 1),
-                       factorial(m + 1 - nu) * factorial(n - j + nu)),
-                      _rising(a + (j - nu + 1) * d, d, n - j + nu),
-                      _rising(s + (n + 1) * d, d, j - nu),
-                      _rising(b + nu * d, d, m - nu + 1),
-                      _rising(s + (m + 1) * d, d, nu - 1),
-                      _over_rising(s + (j + 1) * d, d, j))
+        return times((2 * sign(m + nu - 1),
+                      factorial(m + 1 - nu) * factorial(n - j + nu)),
+                     _rising(a + (j - nu + 1) * d, d, n - j + nu),
+                     _rising(s + (n + 1) * d, d, j - nu),
+                     _rising(b + nu * d, d, m - nu + 1),
+                     _rising(s + (m + 1) * d, d, nu - 1),
+                     over_rising(s + (j + 1) * d, d, j))
 
     def ratio(nu):
         return (-(a + (j - nu) * d) * (s + (m + nu) * d) * (m + 1 - nu),
@@ -185,7 +173,7 @@ def _jacobi_d_f43(m: int, nu: int, j: int, d: int, a: int, b: int) -> tuple:
     """4F3(1, -m, beta+nu+1, s+m+1; nu-j+1, beta+1, s+j+nu+2; 1) in lowest
     terms, (alpha, beta) = (a/d, b/d)."""
     s = a + b
-    return _lowest(*hyp_pfq_ints(
+    return lowest(*hyp_pfq_ints(
         [(1, 1), (-m, 1), (b + (nu + 1) * d, d), (s + (m + 1) * d, d)],
         [(nu - j + 1, 1), (b + d, d), (s + (j + nu + 2) * d, d)], (1, 1)))
 
@@ -211,17 +199,17 @@ def _jacobi_d_sum(m: int, n: int, j: int, row: tuple, f43=None) -> tuple:
 
     def term(nu):
         if j == 0:
-            quotient = _over_rising(s + 2 * d, d, nu)
+            quotient = over_rising(s + 2 * d, d, nu)
         else:
-            quotient = _times((s + (2 * j + 1) * d, d),
-                              _over_rising(s + (j + 1) * d, d, nu + 1))
-        return _times((2 * _sign(m + n + 1 + nu) * (b + nu * d),
-                       d * factorial(m) * factorial(n + 1 - nu)
-                       * factorial(nu - j)),
-                      _rising(b + (j + 1) * d, d, m - j),
-                      _rising(b + d, d, n),
-                      _rising(s + (n + 1) * d, d, nu - 1),
-                      quotient)
+            quotient = times((s + (2 * j + 1) * d, d),
+                             over_rising(s + (j + 1) * d, d, nu + 1))
+        return times((2 * sign(m + n + 1 + nu) * (b + nu * d),
+                      d * factorial(m) * factorial(n + 1 - nu)
+                      * factorial(nu - j)),
+                     _rising(b + (j + 1) * d, d, m - j),
+                     _rising(b + d, d, n),
+                     _rising(s + (n + 1) * d, d, nu - 1),
+                     quotient)
 
     def ratio(nu):
         return (-(b + (nu + 1) * d) * (s + (n + nu) * d) * (n + 1 - nu),
@@ -258,18 +246,18 @@ def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 
     def term(nu):
         h = (n + nu - j) // 2
-        return _times((2 * _sign(m + nu + 1),
-                       factorial(m - nu + 1) * factorial(h)),
-                      _rising(a + nu * d, d, m + 1 - nu),
-                      _rising(2 * a + (m + 1) * d, d, nu - 1),
-                      _rising(2 * a + (n + 1) * d, d, j - nu),
-                      _rising(-nu, 1, h),
-                      _rising(2 * a + (2 * (j - nu) + 1) * d, 2 * d, h),
-                      _rising(a + (j - nu + 1) * d, d, n + nu - j),
-                      _over_rising(2 * a + (j + 1) * d, d, j),
-                      _over_rising(2 * a + (2 * j + 3) * d, 2 * d, h),
-                      _over_rising(2 * a + (2 * (j - nu) + 1) * d, d,
-                                   n + nu - j))
+        return times((2 * sign(m + nu + 1),
+                      factorial(m - nu + 1) * factorial(h)),
+                     _rising(a + nu * d, d, m + 1 - nu),
+                     _rising(2 * a + (m + 1) * d, d, nu - 1),
+                     _rising(2 * a + (n + 1) * d, d, j - nu),
+                     _rising(-nu, 1, h),
+                     _rising(2 * a + (2 * (j - nu) + 1) * d, 2 * d, h),
+                     _rising(a + (j - nu + 1) * d, d, n + nu - j),
+                     over_rising(2 * a + (j + 1) * d, d, j),
+                     over_rising(2 * a + (2 * j + 3) * d, 2 * d, h),
+                     over_rising(2 * a + (2 * (j - nu) + 1) * d, d,
+                                 n + nu - j))
 
     def ratio(nu):
         return ((m + 1 - nu) * (m - nu) * (2 * a + (m + nu) * d)
@@ -285,7 +273,7 @@ def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 def _sym_d_f43(m: int, nu: int, j: int, d: int, a: int) -> tuple:
     """4F3(1, -m, alpha+nu+1, 2alpha+m+1; nu-j+1, alpha+1, 2alpha+j+nu+2;
     1) in lowest terms, alpha = a/d."""
-    return _lowest(*hyp_pfq_ints(
+    return lowest(*hyp_pfq_ints(
         [(1, 1), (-m, 1), (a + (nu + 1) * d, d), (2 * a + (m + 1) * d, d)],
         [(nu - j + 1, 1), (a + d, d), (2 * a + (j + nu + 2) * d, d)], (1, 1)))
 
@@ -315,11 +303,11 @@ def _legendre_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 
     def term(nu):
         h = (n - j + nu) // 2
-        return _times((_sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1),
-                       4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
-                       * factorial(h)),
-                      _rising(-nu, 1, h),
-                      _over_rising(n + j - nu + 1, 2, nu + 1))
+        return times((sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1),
+                      4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
+                      * factorial(h)),
+                     _rising(-nu, 1, h),
+                     over_rising(n + j - nu + 1, 2, nu + 1))
 
     def ratio(nu):
         return ((m + nu) * (m + nu + 1) * (nu + 2) * (m + 1 - nu) * (m - nu),
@@ -358,13 +346,13 @@ def _legendre_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
 
     def term(nu):
         e = j + m - nu
-        return _times((_sign(m + nu + n + 1) * (2 * j + 1) * nu
-                       * factorial(n + nu - 1),
-                       factorial(n - nu + 1) * factorial(j + m + nu)),
-                      (2 ** e, 1) if e >= 0 else (1, 2 ** -e),
-                      _rising(nu + 1 - j - m, 2, j + m),
-                      _rising(j - m + nu + 2, 2, m),
-                      _sqrt_pi_over_gammas(m - j + nu + 2, j + m + nu + 3))
+        return times((sign(m + nu + n + 1) * (2 * j + 1) * nu
+                      * factorial(n + nu - 1),
+                      factorial(n - nu + 1) * factorial(j + m + nu)),
+                     (2 ** e, 1) if e >= 0 else (1, 2 ** -e),
+                     _rising(nu + 1 - j - m, 2, j + m),
+                     _rising(j - m + nu + 2, 2, m),
+                     _sqrt_pi_over_gammas(m - j + nu + 2, j + m + nu + 3))
 
     def ratio(nu):
         return ((nu + 2) * (n + nu) * (n + nu + 1) * (n + 1 - nu) * (n - nu),
@@ -395,19 +383,18 @@ def _chebyshev_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
     The display carries a factor n and degenerates at n = 0; that case is
     rescaled from the general form."""
     if n == 0:
-        scale = _rescale(_CHEBYSHEV, m, n, j)
-        return _times((scale.numerator, scale.denominator),
-                      _jacobi_varpi_sum(m, n, j, lo, hi, row))
+        return times(_rescale(_CHEBYSHEV, m, n, j),
+                     _jacobi_varpi_sum(m, n, j, lo, hi, row))
 
     def term(nu):
         h = (n + nu - j) // 2
-        return _times((_sign(m) * 2 * n,
-                       4 ** nu * factorial((n + nu + j) // 2)),
-                      _rising(-m, 1, nu - 1),
-                      _rising(m, 1, nu - 1),
-                      _rising(-nu, 1, h),
-                      _rising(n + nu - j + 2, 2, j - nu - 1),
-                      _over_rising(1, 2, nu - 1))
+        return times((sign(m) * 2 * n,
+                      4 ** nu * factorial((n + nu + j) // 2)),
+                     _rising(-m, 1, nu - 1),
+                     _rising(m, 1, nu - 1),
+                     _rising(-nu, 1, h),
+                     _rising(n + nu - j + 2, 2, j - nu - 1),
+                     over_rising(1, 2, nu - 1))
 
     def ratio(nu):
         return (4 * (m + 1 - nu) * (m - nu) * (m + nu - 1) * (m + nu)
@@ -421,7 +408,7 @@ def _chebyshev_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 @lru_cache(maxsize=200_000)
 def _cheb_d_f43(m: int, nu: int, j: int) -> tuple:
     """4F3(1, -m, m, nu+1/2; 1/2, nu-j+1, j+nu+1; 1) in lowest terms."""
-    return _lowest(*hyp_pfq_ints(
+    return lowest(*hyp_pfq_ints(
         [(1, 1), (-m, 1), (m, 1), (2 * nu + 1, 2)],
         [(1, 2), (nu - j + 1, 1), (j + nu + 1, 1)], (1, 1)))
 
@@ -436,10 +423,10 @@ def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
     (nu-1-n)(n+nu-1)(2nu+1) / ((2nu-1)(nu+1-j)(nu+1+j))."""
 
     def term(nu):
-        return _times(((2 if j == 0 else 4) * _sign(m + n) * (2 * nu - 1),
-                       2 * factorial(nu - j) * factorial(j + nu)),
-                      _rising(-n, 1, nu - 1),
-                      _rising(n, 1, nu - 1))
+        return times(((2 if j == 0 else 4) * sign(m + n) * (2 * nu - 1),
+                      2 * factorial(nu - j) * factorial(j + nu)),
+                     _rising(-n, 1, nu - 1),
+                     _rising(n, 1, nu - 1))
 
     def ratio(nu):
         return ((nu - 1 - n) * (n + nu - 1) * (2 * nu + 1),
@@ -455,29 +442,28 @@ def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
 
 
 def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
-    """Piecewise closed form, m <= n assumed; j in [0, m+n+1]."""
+    """Piecewise closed form, m <= n assumed; j in [0, m+n+1].  With
+    t_j = (alpha-1)_(m+n+1-j) / (m+n+1-j)!, it is -t_j for j > n, t_j for
+    j < m, and (alpha)_(m+1) / (m+1)! + (alpha)_m / m!, written
+    (alpha)_m (alpha+2m+1) / (m+1)!, at j = m = n.  For m < n it is
+    (alpha)_m / m! at j = n, (alpha)_(n+1) / (n+1)! at j = m, 0 between."""
+    alpha = exact(alpha)
+    a, d = alpha.numerator, alpha.denominator
 
-    def tail(idx: int) -> Fraction:
-        # (alpha - 1)_(m+n+1-idx) / (m+n+1-idx)!
-        k = m + n + 1 - idx
-        return _poch(alpha - 1, k) / factorial(k)
+    def term(p, k, scale=(1, 1)):
+        """(p/d)_k / k! times the int pair `scale`."""
+        num, den = times(_rising(p, d, k), scale)
+        return Fraction(num, den * factorial(k))
 
-    if n == m:
-        if j >= m + 1:
-            return -tail(j)
-        if j == m:
-            return (_poch(alpha, m + 1) / factorial(m + 1)
-                    + _poch(alpha, m) / factorial(m))
-        return tail(j)
-    if j >= n + 1:
-        return -tail(j)
+    if j > n:
+        return term(a - d, m + n + 1 - j, (-1, 1))
+    if j < m:
+        return term(a - d, m + n + 1 - j)
+    if m == n:
+        return term(a, m, (a + (2 * m + 1) * d, d * (m + 1)))
     if j == n:
-        return _poch(alpha, m) / factorial(m)
-    if j >= m + 1:
-        return _ZERO
-    if j == m:
-        return _poch(alpha, n + 1) / factorial(n + 1)
-    return tail(j)
+        return term(a, m)
+    return term(a, n + 1) if j == m else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -496,11 +482,11 @@ _SUMS = {
 }
 
 
-def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> Fraction:
-    """c_m c_n / c_j for c = `spec.normalization`: the factor taking
+def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> tuple:
+    """c_m c_n / c_j as an int pair (P_k = c_k J_k): the factor taking
     rho_{j,n}^m from the Jacobi normalization to the family's own."""
-    c = spec.normalization
-    return c(m) * c(n) / c(j)
+    c = spec._normalization_ints
+    return times(c(m), c(n), c(j)[::-1])
 
 
 def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
@@ -532,9 +518,9 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
             (vn, vd), (dn, dd) = (varpi(n, m, j, 1, j, row),
                                   d_sum(m, n, j, row))
             num, den = vn * dd + dn * vd, vd * dd
-        total = Fraction(num, den)
         if jacobi_normalized:
-            total *= _rescale(spec, m, n, j)
+            num, den = times((num, den), _rescale(spec, m, n, j))
+        total = Fraction(num, den)
     return RATIONAL.make(total)
 
 
@@ -544,9 +530,9 @@ def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
 
 
 def clear_caches() -> None:
-    """Empty the memo caches of `scalars.pochhammer` and of the d terms'
-    4F3 factors.  No result depends on them; this only frees the memory
-    they hold."""
+    """Empty the memo caches of the d terms' 4F3 factors and of
+    `scalars.pochhammer`, which no package path calls.  No result depends
+    on them; this only frees the memory they hold."""
     for cache in (_poch, _jacobi_d_f43, _sym_d_f43, _cheb_d_f43):
         cache.cache_clear()
 
@@ -576,11 +562,14 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """Factor F with rho_{n,j}^m = F * rho_{j,n}^m.
 
     Valid for j, n >= m+1 in every interval family and for all j, n in the
-    Legendre case.  Laguerre has no such relation.  F is the Jacobi factor
-    times (c_j / c_n)^2, with (s+1)_n / (s+1)_j written as
-    (s+2)_(n-1) / (s+2)_(j-1) so that it holds at s = alpha + beta = -1
-    too.
-    """
+    Legendre case.  Laguerre has no such relation.  With s = alpha + beta,
+
+        F = (-1)^(n+j) (s+2n+1) (alpha+1)_j (beta+1)_j
+            / ((s+2j+1) (alpha+1)_n (beta+1)_n)
+            * ((s+2)_(n-1) / (s+2)_(j-1) * c_j / c_n)^2,
+
+    the Jacobi factor times (c_j / c_n)^2, (s+1)_n / (s+1)_j written as
+    above so that it holds at s = -1 too."""
     f = spec.family
     if f is Family.LAGUERRE or f is Family.GENERIC_MONIC:
         raise IndexContractError(f"{f.value} has no symmetry scaling")
@@ -588,14 +577,15 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
         raise IndexContractError(
             f"symmetry scaling needs j, n >= m+1; got j={j}, n={n}, m={m}"
         )
-    alpha, beta = spec.jacobi_parameters()
-    s = alpha + beta
-    c = spec.normalization
-    num = ((s + (2 * n + 1)) * _poch(alpha + 1, j) * _poch(beta + 1, j)
-           * (_poch(s + 2, n - 1) * c(j)) ** 2)
-    den = ((s + (2 * j + 1)) * _poch(alpha + 1, n) * _poch(beta + 1, n)
-           * (_poch(s + 2, j - 1) * c(n)) ** 2)
-    return RATIONAL.make(_sign(n + j) * num / den)
+    d, a, b, _, _ = spec._row_ints
+    s, c = a + b, spec._normalization_ints
+    squared = times(_rising(s + 2 * d, d, n - 1),
+                    over_rising(s + 2 * d, d, j - 1), c(j), c(n)[::-1])
+    value = times((sign(n + j) * (s + (2 * n + 1) * d), s + (2 * j + 1) * d),
+                  _rising(a + d, d, j), _rising(b + d, d, j),
+                  over_rising(a + d, d, n), over_rising(b + d, d, n),
+                  squared, squared)
+    return RATIONAL.make(Fraction(*value))
 
 
 # ---------------------------------------------------------------------------
@@ -623,28 +613,36 @@ class BatemanTensor:
 
 def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
     """Tensor-product expansion coefficients of the shifted difference
-    kernel for exact Jacobi parameters (alpha, beta), kept as given."""
-    a, b = exact(alpha), exact(beta)
+    kernel for exact Jacobi parameters (alpha, beta), kept as given:
+
+        c_{m-k,j} = sum_{nu=k}^{m-j} (-1)^nu (s+2k+1) (beta+k+1)_(nu-k)
+            (alpha+j+nu+1)_(m-nu-j) (s+m+1)_nu (s+m+nu+1)_j * 3F2(j-m+nu,
+            alpha+j+1, s+j+m+nu+1; alpha+j+nu+1, s+2j+2; 1)
+            / ((s+k+1)_(nu+1) (nu-k)! (m-nu-j)! (s+j+1)_j),
+
+    s = alpha + beta, each term an int pair, one Fraction per entry."""
+    (a, b), d = over_lcm([exact(alpha), exact(beta)])
     s = a + b
     coeffs = {}
     for k in range(m + 1):
         for j in range(m - k + 1):
-            total = _ZERO
+            num, den = 0, 1
             for nu in range(k, m - j + 1):
-                pref = (_sign(nu) * (s + (2 * k + 1))
-                        * _poch(b + (k + 1), nu - k)
-                        / (_poch(s + (k + 1), nu + 1) * factorial(nu - k)))
-                mid = (_poch(a + (j + nu + 1), m - nu - j)
-                       * _poch(s + (m + 1), nu)
-                       * _poch(s + (m + nu + 1), j)
-                       / (factorial(m - nu - j) * _poch(s + (j + 1), j)))
-                f = hyp_pfq(
-                    [j - m + nu, a + (j + 1), s + (j + m + nu + 1)],
-                    [a + (j + nu + 1), s + (2 * j + 2)],
-                    1,
-                )
-                total += pref * mid * f
-            coeffs[(k, j)] = total
+                tn, td = times(
+                    (sign(nu) * (s + (2 * k + 1) * d),
+                     d * factorial(nu - k) * factorial(m - nu - j)),
+                    _rising(b + (k + 1) * d, d, nu - k),
+                    over_rising(s + (k + 1) * d, d, nu + 1),
+                    _rising(a + (j + nu + 1) * d, d, m - nu - j),
+                    _rising(s + (m + 1) * d, d, nu),
+                    _rising(s + (m + nu + 1) * d, d, j),
+                    over_rising(s + (j + 1) * d, d, j),
+                    hyp_pfq_ints([(j - m + nu, 1), (a + (j + 1) * d, d),
+                                  (s + (j + m + nu + 1) * d, d)],
+                                 [(a + (j + nu + 1) * d, d),
+                                  (s + (2 * j + 2) * d, d)], (1, 1)))
+                num, den = num * td + tn * den, den * td
+            coeffs[(k, j)] = Fraction(num, den)
     return BatemanTensor(m, alpha, beta, coeffs)
 
 
@@ -730,7 +728,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
                           (m - 1, conn[m][2])):
             if k >= 1 and x:
                 image[k] += w * Fraction(x, y)
-    h, h_den = _column(image)
+    h, h_den = over_lcm(image)
 
     # row k of a new column: (l_k, l_k A_{k-1}, l_k B_k, l_k C_{k+1}) as ints
     rows = [None]
@@ -796,13 +794,6 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
     `series_columns`, column n holding j = 0..m+n+1: `series_columns` with
     the single weight w_m = 1."""
     return series_columns(spec, {m: Fraction(1)}, nmax)
-
-
-def _column(values: list) -> tuple:
-    """Exact values as one column (nums, den), den their least common
-    denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _fractions(col: tuple) -> list:

@@ -14,9 +14,9 @@ constant term, as int numerators over one denominator per polynomial.  Each
 function runs it once per call, in the coordinates it works in:
 ``convolve_exact`` in s = t + a and y = x + 2a, where the limits are 0 and
 y, and ``project_to_family`` in the powers its input is written in.  Those
-are the same polynomials, P_k(y - a), so ``oracle_table`` runs the
-recurrence once for every pair of a family up to a maximum degree.  Nothing
-is cached between calls.
+are the same polynomials, P_k(y - a): ``oracle_rho`` runs the recurrence
+once for its pair and ``oracle_table`` once for every pair of a family up
+to a maximum degree, in ints throughout.  Nothing is cached between calls.
 
 Only ring operations on rationals are used; there is no tolerance anywhere.
 The sums run over ints, and a Fraction is made once per coefficient that
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import Family, FamilySpec
-from .scalars import RATIONAL, exact
+from .scalars import RATIONAL, exact, over_lcm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -114,14 +114,6 @@ def _recurrence(spec: FamilySpec):
     return [(alpha + 1) - (s + 2) / 2, (s + 2) / 2], step
 
 
-def _over_lcm(values) -> tuple:
-    """Rationals as (int numerators, the lcm of their denominators): in
-    lowest terms, since the numerator over the largest power of each prime
-    in the lcm is prime to it."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _family_polys(spec: FamilySpec, n: int, delta=0) -> list:
     """P_0(y - delta), ..., P_n(y - delta) in powers of y from one run of
     the family's recurrence, each as (int numerators, one positive
@@ -130,10 +122,10 @@ def _family_polys(spec: FamilySpec, n: int, delta=0) -> list:
     P_{k-1}(y - delta) - c P_{k-2}(y - delta)."""
     p1, step = _recurrence(spec)
     delta = Fraction(delta)
-    polys = [([1], 1), _over_lcm([p1[0] - p1[1] * delta, p1[1]])]
+    polys = [([1], 1), over_lcm([p1[0] - p1[1] * delta, p1[1]])]
     for k in range(2, n + 1):
         ax, b, c = step(k)
-        (ax, b, c), e = _over_lcm([ax, b - ax * delta, c])
+        (ax, b, c), e = over_lcm([ax, b - ax * delta, c])
         (n1, d1), (n2, d2) = polys[-1], polys[-2]
         den = math.lcm(d1, d2)
         u1, u2 = den // d1, c * (den // d2)
@@ -241,7 +233,7 @@ def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
     The elimination runs in poly's own powers of v = x + poly.shift, against
     P_j(v - delta) with delta = poly.shift - shift."""
     delta = exact(poly.shift) - exact(shift)
-    residual, den = _over_lcm(poly.coeffs)
+    residual, den = over_lcm(poly.coeffs)
     polys = _family_polys(spec, len(residual) - 1, delta)
     return [RATIONAL.make(v) for v in _project_ints(residual, den, polys)]
 
@@ -254,11 +246,12 @@ def _padded(rho: list, m: int, n: int) -> list:
 
 def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
     """All convolution coefficients rho_j for the (m, n) pair, as a vector
-    of length m+n+2 in the family basis shifted by a."""
-    a = spec.domain_offset_a
-    h = convolve_exact(spec, m, n)
-    rho = project_to_family(h, spec, a)
-    return _padded(rho, m, n)
+    of length m+n+2 in the family basis shifted by a: `oracle_table`'s
+    route for one pair, one run of the family recurrence to degree m+n+1."""
+    if m < 0 or n < 0:
+        raise ValueError("degree must be nonnegative")
+    polys = _family_polys(spec, m + n + 1, spec.domain_offset_a.as_fraction())
+    return _padded(_project_ints(*_convolve_ints(polys, m, n), polys), m, n)
 
 
 def oracle_table(spec: FamilySpec, max_degree: int) -> dict:

@@ -14,10 +14,13 @@ its operands carry.  :func:`exact` reads any of these types back.
 The primitives every coefficient formula is built from are rising
 factorials (Pochhammer symbols), whose negative orders stand for gamma
 quotients, and terminating generalized hypergeometric sums.  Each is one
-integer core on int pairs, :func:`pochhammer_ints` and
-:func:`hyp_pfq_ints`, which the closed forms call directly, and a thin
-wrapper returning an exact ``Fraction``, :func:`pochhammer` (cached) and
-:func:`hyp_pfq`.
+integer core on int pairs (numerator, denominator), :func:`pochhammer_ints`
+and :func:`hyp_pfq_ints`, which every formula in the package calls, next
+to the int-pair operations the formulas share (:func:`sign`, :func:`times`,
+:func:`over_rising`, :func:`lowest`, :func:`over_lcm`); a formula makes
+one ``Fraction`` per value.  :func:`pochhammer` (cached) and
+:func:`hyp_pfq` are thin ``Fraction`` wrappers for callers outside the
+package; no package path calls them.
 """
 
 import math
@@ -268,18 +271,43 @@ def pochhammer_ints(p: int, q: int, n: int) -> tuple:
 def pochhammer(z, n: int) -> Fraction:
     """Rising factorial (z)_n = z (z+1) ... (z+n-1), with (z)_0 = 1, and
     (z)_{-t} = 1/(z-t)_t = Gamma(z-t)/Gamma(z) for negative order, as an
-    exact Fraction read from `pochhammer_ints`.
+    exact Fraction read from `pochhammer_ints`; GammaPoleError when
+    (z-t)_t vanishes.  `z` is an int, Fraction, Scalar or rational string.
 
-    `z` is an int, Fraction, Scalar or rational string (equal keys share a
-    cache entry).  The cache keeps only the (z, n) asked for, and at most
-    8192 of them, the most recently used, which bounds its memory for a
-    long-lived process (about 20 MB at degree 1000) and is above what one
-    `verify` run or a degree-1000 row of `monomial_expansion_b` asks for.
-    Raises GammaPoleError when a negative order hits a pole, that is when
-    (z-t)_t vanishes.
-    """
+    For callers outside the package; no package path calls it.  Its cache
+    (equal keys share an entry) stays for them and for the benchmark,
+    which reads its statistics; it keeps the 8192 most recently used
+    (z, n), which bounds its memory in a long-lived process."""
     z = exact(z)
     return Fraction(*pochhammer_ints(z.numerator, z.denominator, n))
+
+
+def over_rising(p: int, q: int, n: int) -> tuple:
+    """1 / (p/q)_n as an int pair, its denominator 0 where (p/q)_n is."""
+    return pochhammer_ints(p, q, n)[::-1]
+
+
+def sign(k: int) -> int:
+    """(-1)^k."""
+    return -1 if k % 2 else 1
+
+
+def times(*pairs) -> tuple:
+    """The product of int pairs (numerator, denominator), not reduced."""
+    return math.prod(p for p, _ in pairs), math.prod(q for _, q in pairs)
+
+
+def lowest(num: int, den: int) -> tuple:
+    """num / den in lowest terms with a positive denominator."""
+    g = -math.gcd(num, den) if den < 0 else math.gcd(num, den)
+    return num // g, den // g
+
+
+def over_lcm(values) -> tuple:
+    """Exact rationals as (int numerators, the lcm of their denominators),
+    in lowest terms as a whole."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +360,8 @@ def hyp_pfq_ints(numerator_params, denominator_params, argument) -> tuple:
 def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
     """Sum a terminating pFq as an exact Fraction; the parameters are ints,
     Fractions or Scalars.  `hyp_pfq_ints` on their int pairs, with its
-    termination and pole checks, and one Fraction made at the end."""
+    termination and pole checks, and one Fraction made at the end; for
+    callers outside the package."""
 
     def pair(v):
         v = exact(v)

@@ -6,7 +6,8 @@ import pytest
 from polyconv import basis, oracle
 from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexOutOfRangeError, MissingDataError
-from polyconv.scalars import RATIONAL, FloatBackend, pochhammer
+from polyconv.scalars import RATIONAL, FloatBackend, hyp_pfq, pochhammer
+from conftest import ref_normalization, reference_families
 
 
 def all_families():
@@ -312,3 +313,111 @@ class TestGenericBasisData:
                               (1, 0): RATIONAL.one(),
                               (1, 1): RATIONAL.zero()},
                              {(0, 0): RATIONAL.one()})
+
+
+# Fraction references for the int formulas: each display as it was first
+# written, its rising factorials from the cached `pochhammer` and its 3F2
+# from `hyp_pfq`, multiplied out in Fractions.
+
+def ref_jacobi_endpoint_derivative(n, p, alpha, beta):
+    # d^p/dx^p P_n^(alpha,beta) at x = -1:
+    #   2^-p (-1)^(n+p) (p+beta+1)_(n-p) (n+alpha+beta+1)_p / (n-p)!
+    sign = -1 if (n + p) % 2 else 1
+    num = pochhammer(beta + p + 1, n - p) * pochhammer(alpha + beta + n + 1, p)
+    return sign * num / (2 ** p * math.factorial(n - p))
+
+
+def ref_endpoint_derivative(spec, n, p):
+    if p > n:
+        return Fraction(0)
+    if spec.family is Family.LAGUERRE:
+        sign = -1 if p % 2 else 1
+        return (sign * pochhammer(spec._exact[0] + p + 1, n - p)
+                / math.factorial(n - p))
+    alpha, beta = spec.jacobi_parameters()
+    return (ref_normalization(spec, n)
+            * ref_jacobi_endpoint_derivative(n, p, alpha, beta))
+
+
+def ref_jacobi_b(n, k, alpha, beta):
+    # b_{n,k} = 2^n n! (beta+1)_n (alpha+beta+2k+1) Gamma(alpha+beta+k+1)
+    #           / ((beta+1)_k Gamma(alpha+beta+n+k+2) (n-k)!),
+    # the k = 0 prefactor and leading gamma merged, finite at s = -1
+    s = alpha + beta
+    common = 2 ** n * math.factorial(n) * pochhammer(beta + 1, n)
+    if k == 0:
+        return common * pochhammer(s + 2 + n, -n) / math.factorial(n)
+    ratio = pochhammer(s + k + n + 2, -(n + 1))
+    return (common * (s + 2 * k + 1) * ratio
+            / (pochhammer(beta + 1, k) * math.factorial(n - k)))
+
+
+def ref_monomial_expansion_b(spec, n, k):
+    if spec.family is Family.LAGUERRE:
+        return pochhammer(-n, k) * pochhammer(spec._exact[0] + k + 1, n - k)
+    alpha, beta = spec.jacobi_parameters()
+    return ref_jacobi_b(n, k, alpha, beta) / ref_normalization(spec, k)
+
+
+def ref_jacobi_connection_gamma(n, k, p, q, alpha, beta):
+    s = alpha + beta
+    num = (pochhammer(alpha + k + p + 1, n - k)
+           * pochhammer(s + n + p + 1, p)
+           * pochhammer(s + n + 2 * p + 1, k))
+    den = (Fraction(2) ** (p - q) * math.factorial(n - k)
+           * pochhammer(s + k + q + 1, q)
+           * pochhammer(s + k + 2 * q + 1, k))
+    f = hyp_pfq([k - n, alpha + k + q + 1, s + k + n + 2 * p + 1],
+                [alpha + k + p + 1, s + 2 * k + 2 * q + 2], 1)
+    return num / den * f
+
+
+def ref_connection_gamma(spec, n, k, p, q):
+    if spec.family is Family.LAGUERRE:
+        sign = -1 if (p + q) % 2 else 1
+        return sign * pochhammer(p - q, n - k) / math.factorial(n - k)
+    alpha, beta = spec.jacobi_parameters()
+    return (ref_jacobi_connection_gamma(n, k, p, q, alpha, beta)
+            * ref_normalization(spec, n + p) / ref_normalization(spec, k + q))
+
+
+REFERENCE_FAMILIES = reference_families()
+
+
+class TestFormulasAgainstFractionReference:
+    """Each int formula equals its Fraction reference exactly for n <= 12
+    and every k and p (p, q <= 3 for gamma), on the acceptance families,
+    p != q, both parameter edges, Laguerre alpha < 0 and random rows."""
+
+    TOP = 12
+
+    @pytest.mark.parametrize("spec", [
+        s for s in REFERENCE_FAMILIES if s.family is not Family.LAGUERRE],
+        ids=lambda s: s.label())
+    def test_normalization(self, spec):
+        for n in range(self.TOP + 1):
+            got = spec.normalization(n)
+            assert type(got) is Fraction
+            assert got == ref_normalization(spec, n), n
+
+    @pytest.mark.parametrize("spec", REFERENCE_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_endpoint_derivative_and_b(self, spec):
+        for n in range(self.TOP + 1):
+            for k in range(n + 2):
+                got = basis.endpoint_derivative(spec, n, k)
+                assert got == ref_endpoint_derivative(spec, n, k), (n, k)
+                if k <= n:
+                    got = basis.monomial_expansion_b(spec, n, k)
+                    assert got == ref_monomial_expansion_b(spec, n, k), (n, k)
+
+    @pytest.mark.parametrize("spec", REFERENCE_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_connection_gamma(self, spec):
+        for n in range(self.TOP + 1):
+            for k in range(n + 1):
+                for p in range(4):
+                    for q in range(4):
+                        got = basis.connection_gamma(spec, n, k, p, q)
+                        want = ref_connection_gamma(spec, n, k, p, q)
+                        assert got == want, (n, k, p, q)

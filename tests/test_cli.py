@@ -11,7 +11,7 @@ import polyconv
 from polyconv import basis, closed_forms, convmat
 from polyconv.cli import main, read_series, run_verification, write_series
 from polyconv.errors import PolyconvError
-from polyconv.scalars import FloatBackend
+from polyconv.scalars import FloatBackend, over_lcm
 
 JACOBI_F = "# family=jacobi alpha=1/3 beta=1/5\n0,1/3\n1,-2\n2,0.1\n3,5/7\n"
 JACOBI_G = "# family=jacobi alpha=1/3 beta=1/5\n" + "".join(
@@ -400,7 +400,7 @@ class TestVerify:
             if spec.family is basis.Family.LEGENDRE and m == 1:
                 values = closed_forms._fractions(cols[8])
                 values[3] += 1
-                cols[8] = closed_forms._column(values)
+                cols[8] = over_lcm(values)
             return cols
 
         monkeypatch.setattr(closed_forms, "rho_columns", corrupt)

@@ -9,6 +9,7 @@ from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexContractError
 from polyconv.scalars import (RATIONAL, FloatBackend, factorial, hyp_pfq,
                               pochhammer)
+from conftest import ref_normalization, reference_families
 
 
 DEGREE = 5
@@ -687,3 +688,112 @@ class TestDepthAgainstEngine:
                 + rng.sample(range(n - m, m + n + 1), 3))
         for j in low + high:
             assert cf.rho_closed(spec, m, n, j).as_fraction() == column[j], j
+
+
+# Fraction references for the Laguerre pieces, the symmetry factors and the
+# Bateman tensor, as first written: cached `pochhammer`, `hyp_pfq` and
+# Fraction arithmetic.
+
+def ref_laguerre_rho(alpha, m, n, j):
+    def tail(idx):
+        k = m + n + 1 - idx
+        return _poch(alpha - 1, k) / factorial(k)
+
+    if n == m:
+        if j >= m + 1:
+            return -tail(j)
+        if j == m:
+            return (_poch(alpha, m + 1) / factorial(m + 1)
+                    + _poch(alpha, m) / factorial(m))
+        return tail(j)
+    if j >= n + 1:
+        return -tail(j)
+    if j == n:
+        return _poch(alpha, m) / factorial(m)
+    if j >= m + 1:
+        return Fraction(0)
+    if j == m:
+        return _poch(alpha, n + 1) / factorial(n + 1)
+    return tail(j)
+
+
+def ref_symmetry_factor(spec, m, n, j):
+    alpha, beta = spec.jacobi_parameters()
+    s = alpha + beta
+    c = lambda k: ref_normalization(spec, k)  # noqa: E731
+    num = ((s + (2 * n + 1)) * _poch(alpha + 1, j) * _poch(beta + 1, j)
+           * (_poch(s + 2, n - 1) * c(j)) ** 2)
+    den = ((s + (2 * j + 1)) * _poch(alpha + 1, n) * _poch(beta + 1, n)
+           * (_poch(s + 2, j - 1) * c(n)) ** 2)
+    return _sign(n + j) * num / den
+
+
+def ref_bateman_tensor(m, a, b):
+    s = a + b
+    coeffs = {}
+    for k in range(m + 1):
+        for j in range(m - k + 1):
+            total = Fraction(0)
+            for nu in range(k, m - j + 1):
+                pref = (_sign(nu) * (s + (2 * k + 1))
+                        * _poch(b + (k + 1), nu - k)
+                        / (_poch(s + (k + 1), nu + 1) * factorial(nu - k)))
+                mid = (_poch(a + (j + nu + 1), m - nu - j)
+                       * _poch(s + (m + 1), nu)
+                       * _poch(s + (m + nu + 1), j)
+                       / (factorial(m - nu - j) * _poch(s + (j + 1), j)))
+                f = hyp_pfq([j - m + nu, a + (j + 1), s + (j + m + nu + 1)],
+                            [a + (j + nu + 1), s + (2 * j + 2)], 1)
+                total += pref * mid * f
+            coeffs[(k, j)] = total
+    return coeffs
+
+
+REFERENCE_FAMILIES = reference_families()
+LAGUERRE_ALPHAS = [s._exact[0] for s in REFERENCE_FAMILIES
+                   if s.family is Family.LAGUERRE]
+INTERVAL_FAMILIES = [s for s in REFERENCE_FAMILIES
+                     if s.family is not Family.LAGUERRE]
+
+
+class TestFormulasAgainstFractionReference:
+    """The int Laguerre pieces, symmetry factors and Bateman tensor equal
+    their Fraction references exactly, on the acceptance families, p != q,
+    both parameter edges, Laguerre alpha < 0 and random rows."""
+
+    @pytest.mark.parametrize("alpha", LAGUERRE_ALPHAS, ids=str)
+    def test_laguerre_rho(self, alpha):
+        for m in range(13):
+            for n in range(m, 13):
+                for j in range(m + n + 2):
+                    got = cf.laguerre_rho(alpha, m, n, j)
+                    assert type(got) is Fraction
+                    assert got == ref_laguerre_rho(alpha, m, n, j), (m, n, j)
+
+    @pytest.mark.parametrize("spec", INTERVAL_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_symmetry_factor(self, spec):
+        legendre = spec.family is Family.LEGENDRE
+        for m in range(5):
+            low = 0 if legendre else m + 1
+            for n in range(low, 13):
+                for j in range(low, 13):
+                    got = cf.symmetry_factor(spec, m, n, j)
+                    assert got == ref_symmetry_factor(spec, m, n, j), \
+                        (m, n, j)
+
+    @pytest.mark.parametrize("spec", INTERVAL_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_bateman_tensor(self, spec):
+        alpha, beta = spec.jacobi_parameters()
+        for m in range(7):
+            if alpha + beta == -1:
+                # the k = 0 terms are 0/0 there, in both
+                with pytest.raises(ZeroDivisionError):
+                    ref_bateman_tensor(m, alpha, beta)
+                with pytest.raises(ZeroDivisionError):
+                    cf.bateman_tensor(m, alpha, beta)
+                continue
+            got = cf.bateman_tensor(m, RATIONAL.make(alpha), beta).coeffs
+            assert all(type(v) is Fraction for v in got.values())
+            assert got == ref_bateman_tensor(m, alpha, beta), m

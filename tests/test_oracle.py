@@ -295,7 +295,8 @@ class TestAgainstQuadrature:
 class TestIndependence:
     def test_package_imports_are_the_spec_and_exact_rationals(self):
         # the oracle certifies the closed forms and the generic route, so it
-        # reads nothing of them (nor of basis beyond the spec it is given)
+        # reads nothing of them (nor of basis beyond the spec it is given);
+        # of scalars it reads exact rationals and the lcm of denominators
         tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
         names = set()
         for node in ast.walk(tree):
@@ -308,4 +309,5 @@ class TestIndependence:
                 names |= {f"{module}.{a.name}".lstrip(".")
                           for a in node.names}
         assert names == {"basis.Family", "basis.FamilySpec",
-                         "scalars.RATIONAL", "scalars.exact"}
+                         "scalars.RATIONAL", "scalars.exact",
+                         "scalars.over_lcm"}

@@ -20,6 +20,8 @@ from polyconv import (basis, cli, clear_caches, closed_forms as cf, convmat,
 from polyconv.scalars import (RATIONAL, FloatBackend, Scalar, hyp_pfq,
                               hyp_pfq_ints, pochhammer, pochhammer_ints)
 
+from conftest import reference_families
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -101,6 +103,65 @@ def test_package_does_no_scalar_arithmetic(monkeypatch, work):
     clear_caches()
     work()
     assert len(calls) == 0
+
+
+def test_package_calls_no_fraction_wrapper(monkeypatch, tmp_path, capsys):
+    # every formula reads the int cores; the cached Fraction wrappers
+    # `pochhammer` and `hyp_pfq` are for callers outside the package.  Each
+    # module name bound to them raises when called, and keeps its
+    # attributes, so `clear_caches` still reaches the cache
+    from polyconv import scalars
+
+    calls = []
+
+    class Forbidden:
+        def __init__(self, name, func):
+            self.name, self.func = name, func
+
+        def __call__(self, *args, **kwargs):
+            calls.append(self.name)
+            raise AssertionError(f"a package path called {self.name}")
+
+        def __getattr__(self, attr):
+            return getattr(self.func, attr)
+
+    wrappers, guarded = (scalars.pochhammer, scalars.hyp_pfq), set()
+    for module in (scalars, basis, cf, convmat, generic_conv, oracle, cli):
+        for name, value in list(vars(module).items()):
+            if any(value is w for w in wrappers):
+                label = f"{module.__name__.split('.')[-1]}.{name}"
+                monkeypatch.setattr(module, name, Forbidden(label, value))
+                guarded.add(label)
+    assert guarded >= {"scalars.pochhammer", "scalars.hyp_pfq",
+                       "basis.hyp_pfq", "closed_forms.hyp_pfq",
+                       "closed_forms._poch"}
+    clear_caches()
+
+    assert cli.run_verification(3).ok
+    for spec in reference_families():
+        cf.rho_closed_vector(spec, 3, 8)
+        cf.rho_closed_vector(spec, 5, 4)
+        basis.GenericBasisData.from_family(spec, 7)
+        for n in range(5):
+            for k in range(n + 1):
+                basis.connection_gamma(spec, n, k, 1, 2)
+        if spec.family is not basis.Family.LAGUERRE:
+            cf.symmetry_factor(spec, 1, 4, 6)
+    cf.bateman_tensor(4, JACOBI.alpha, JACOBI.beta)
+
+    f, g = tmp_path / "f.csv", tmp_path / "g.csv"
+    f.write_text("# family=jacobi alpha=5/2 beta=3/2\n0,1/3\n1,-2\n3,7/5\n")
+    g.write_text("# family=jacobi alpha=5/2 beta=3/2\n0,2\n2,-1/9\n")
+    for argv in (["coeffs", "--family", "legendre", "--m", "3", "--jmax",
+                  "9", "--nmax", "9"],
+                 ["figure", "--family", "chebyshev", "--m", "3", "--jmax",
+                  "9", "--nmax", "9"],
+                 ["matrix", "--f", str(f), "--N", "6"],
+                 ["convolve", "--f", str(f), "--g", str(g)],
+                 ["verify", "--max-degree", "2"]):
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()
+    assert calls == []
 
 
 def test_tables_make_no_scalar_until_read(monkeypatch):
