@@ -41,11 +41,13 @@ the endpoint condition, and skips every row whose operands are zero.
 its coefficients and the values P_k(-a) are int pairs from
 ``basis.connection_ints`` and ``basis.endpoint_ints``, and each column is
 kept as int numerators over one positive denominator, (nums, den), with
-its content divided out.  A ``Fraction`` in lowest terms is made only
-where a cell leaves: ``_rows``, the one walk over that layout, makes them
-for every grid and writer.  The closed forms are off that path; they
-remain the reference that certifies it (``verify``, the tests and the
-benchmark's checks).
+its content divided out.  A cell leaves that layout in one of two ways.
+``magnitude_grid`` reads log10 |rho| straight off each column's ints
+(``scalars.log10_abs_ints``), with no ``Fraction`` made.  Every other grid
+and writer walks the rows of ``_rows``, which makes a ``Fraction`` in
+lowest terms per cell as it leaves.  The closed forms are off both paths;
+they remain the reference that certifies them (``verify``, the tests and
+the benchmark's checks).
 
 Everything here is a pure function of its inputs.  Every formula, Laguerre,
 the symmetry factors and the Bateman tensor included, is a product of int
@@ -58,7 +60,6 @@ factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
 (imported as ``_poch``), which no package path calls.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -68,9 +69,11 @@ from .basis import (Family, FamilySpec, chebyshev, connection_ints,
                     endpoint_ints)
 from .errors import IndexContractError
 from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
-                      log10_abs, lowest, over_lcm, over_rising, sign, times)
-# unused here: bench/tracing.py wraps `hyp_pfq`, bench/job.py reads `_poch`
-from .scalars import hyp_pfq  # noqa: F401
+                      log10_abs_ints, lowest, over_lcm, over_rising, sign,
+                      times)
+# unused here: bench/tracing.py wraps `hyp_pfq` and `log10_abs`,
+# bench/job.py reads `_poch`
+from .scalars import hyp_pfq, log10_abs  # noqa: F401
 from .scalars import pochhammer as _poch
 from .scalars import pochhammer_ints as _rising
 
@@ -805,8 +808,8 @@ def _fractions(col: tuple) -> list:
 
 def _rows(cols: list, n_rows: int):
     """Rows j < n_rows of the columns `cols`, each zero below its end, as
-    Fractions: the one walk over the column layout, for every grid and
-    writer."""
+    Fractions: the walk over the column layout for the tables' values and
+    their writers."""
     padded = [_fractions((nums[:n_rows], den)) + [_ZERO] * (n_rows - len(nums))
               for nums, den in cols]
     return zip(*padded)
@@ -844,11 +847,19 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
 
 
 def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
-    """log10 |rho| on the grid; None marks exact zeros.  Every cell is
-    computed exactly by `rho_columns`, so zeros are exact and the logarithm
-    is taken of the exact value."""
-    return _grid(rho_columns(spec, m, nmax), jmax + 1,
-                 lambda v: log10_abs(v) if v else None)
+    """log10 |rho| on the grid, as rows grid[j][n]; None marks exact zeros.
+    Every cell is computed exactly by `rho_columns`, so zeros are exact, and
+    the logarithm is taken of the exact value, read straight off its
+    column's int numerator and denominator by `log10_abs_ints`: the grid
+    starts as all None and only the nonzero cells are filled, with no
+    Fraction made."""
+    cols = rho_columns(spec, m, nmax)
+    grid = [[None] * (nmax + 1) for _ in range(jmax + 1)]
+    for n, (nums, den) in enumerate(cols):
+        for row, v in zip(grid, nums):
+            if v:
+                row[n] = log10_abs_ints(v, den)
+    return grid
 
 
 def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
@@ -862,21 +873,22 @@ def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
 
 
 def _write_jn_rows(rows, fmt, stream, zero=None, name: str = "value") -> None:
-    """Write rows[j][n] as `j,n,<name>` rows: a nonzero cell as fmt(cell),
-    tested before fmt runs, so a backend's `format` rounds it once; a zero
-    cell as the text `zero`, made once by the caller, or not at all when
-    `zero` is None (the triplet format)."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["j", "n", name])
+    """Write rows[j][n] as `j,n,<name>` lines, each row's lines as one
+    joined string: a nonzero cell as fmt(cell), tested before fmt runs, so
+    a backend's `format` rounds it once; a zero cell as the text `zero`,
+    made once by the caller, or not at all when `zero` is None (the triplet
+    format).  No field ever holds a comma, quote or newline, so the lines
+    are the ones a `csv.writer` would write, unquoted."""
+    stream.write(f"j,n,{name}\n")
     for j, row in enumerate(rows):
-        for n, v in enumerate(row):
-            if v:
-                writer.writerow([j, n, fmt(v)])
-            elif zero is not None:
-                writer.writerow([j, n, zero])
+        stream.write("".join([f"{j},{n},{fmt(v) if v else zero}\n"
+                              for n, v in enumerate(row)
+                              if v or zero is not None]))
 
 
 def write_magnitude_csv(grid: list, stream) -> None:
-    """Write figure data as `j,n,log10abs` with `-inf` for exact zeros."""
+    """Write figure data as `j,n,log10abs` with `-inf` for exact zeros.
+    Each cell is its repr text before the writer tests it, so a 0.0 cell
+    (|rho| = 1) prints `0.0`, not `-inf`."""
     text = ([None if v is None else repr(v) for v in row] for row in grid)
     _write_jn_rows(text, str, stream, "-inf", name="log10abs")

@@ -20,7 +20,9 @@ to the int-pair operations the formulas share (:func:`sign`, :func:`times`,
 :func:`over_rising`, :func:`lowest`, :func:`over_lcm`); a formula makes
 one ``Fraction`` per value.  :func:`pochhammer` (cached) and
 :func:`hyp_pfq` are thin ``Fraction`` wrappers for callers outside the
-package; no package path calls them.
+package; no package path calls them.  :func:`log10_abs_ints` and its
+wrapper :func:`log10_abs` follow the same pattern for the figure's
+magnitudes.
 """
 
 import math
@@ -372,16 +374,26 @@ def hyp_pfq(numerator_params, denominator_params, argument) -> Fraction:
                                   pair(argument)))
 
 
+def log10_abs_ints(num: int, den: int) -> float:
+    """log10 |num / den| as a machine float for int num != 0 and den > 0,
+    not necessarily in lowest terms.  With |num| / den = N / D in lowest
+    terms it is log10 N - log10 D, each CPython's math.log10 of an int:
+    past 2^1024, N = m 2^e with m in [1/2, 1) rounded to 53 bits, and
+    log10 m + e log10 2, so no magnitude overflows.  With a C log10 good to
+    1 ulp, the roundings of m, log10 2, the product and the sums keep the
+    error within 2^-51 (log10 N + log10 D) + ulp(result)/2.  It is not
+    correctly rounded.  The one core the figure grid reads its cells
+    through, straight off an engine column; no Fraction is made."""
+    g = math.gcd(num, den)
+    return math.log10(abs(num) // g) - math.log10(den // g)
+
+
 def log10_abs(value) -> float:
     """log10 |value| as a machine float for an exact value (int, Fraction
-    or Scalar); -inf for zero.  With |value| = N/D in lowest terms it is
-    log10 N - log10 D, each CPython's math.log10 of an int: past 2^1024,
-    N = m 2^e with m in [1/2, 1) rounded to 53 bits, and log10 m +
-    e log10 2, so no magnitude overflows.  With a C log10 good to 1 ulp,
-    the roundings of m, log10 2, the product and the sums keep the error
-    within 2^-51 (log10 N + log10 D) + ulp(result)/2.  It is not correctly
-    rounded."""
-    v = abs(exact(value))
+    or Scalar); -inf for zero.  `log10_abs_ints` on its numerator and
+    denominator, with the same value and error bound; for callers outside
+    the package."""
+    v = exact(value)
     if v == 0:
         return float("-inf")
-    return math.log10(v.numerator) - math.log10(v.denominator)
+    return log10_abs_ints(v.numerator, v.denominator)

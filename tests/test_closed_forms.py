@@ -1,14 +1,15 @@
+import csv
 import io
 import random
 from fractions import Fraction
 
 import pytest
 
-from polyconv import basis, closed_forms as cf, generic_conv, oracle
+from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
 from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexContractError
 from polyconv.scalars import (RATIONAL, FloatBackend, factorial, hyp_pfq,
-                              pochhammer)
+                              log10_abs, pochhammer)
 from conftest import ref_normalization, reference_families
 
 
@@ -389,19 +390,18 @@ class TestFloatBackend:
 
 
 class TestPochhammer:
-    def test_cold_cache_large_order(self):
-        # a cold cache must not cost one stack frame per order: these
-        # orders lie far beyond the default recursion limit
-        cf._poch.cache_clear()
+    def test_orders_past_the_recursion_limit(self):
+        # a cell's rising factorials must not cost one stack frame per
+        # order: these orders lie far beyond the default recursion limit
+        # (the scalars.pochhammer wrapper's own order-3000 case is in
+        # tests/test_scalars.py)
+        cf.clear_caches()
         spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
         value = cf.rho_closed(spec, 3, 500, 503)
         assert value != 0
-        cf._poch.cache_clear()
+        cf.clear_caches()
         assert cf.rho_closed(basis.jacobi(Fraction(1, 2), Fraction(1, 3)),
                              1, 1100, 1102) != 0
-        cf._poch.cache_clear()
-        z = RATIONAL.make(Fraction(1, 3))
-        assert cf._poch(z, 3000) == cf._poch(z, 2999) * (z + 2999)
 
     @pytest.mark.parametrize("make", [
         lambda: basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
@@ -413,10 +413,10 @@ class TestPochhammer:
     ], ids=["jacobi", "symmetric_jacobi", "gegenbauer", "legendre",
             "chebyshev", "jacobi_half_edge"])
     def test_cold_cache_degree_2000(self, make):
-        # degrees in the thousands work from a cold cache, and the two
+        # degrees in the thousands work from cold caches, and the two
         # cells that the symmetry scaling links agree
         spec = make()
-        cf._poch.cache_clear()
+        cf.clear_caches()
         value = cf.rho_closed(spec, 1, 2002, 2000)
         assert value != 0
         assert value == (cf.symmetry_factor(spec, 1, 2000, 2002)
@@ -797,3 +797,90 @@ class TestFormulasAgainstFractionReference:
             got = cf.bateman_tensor(m, RATIONAL.make(alpha), beta).coeffs
             assert all(type(v) is Fraction for v in got.values())
             assert got == ref_bateman_tensor(m, alpha, beta), m
+
+
+# The figure grid and the j,n,value writers as first written: every cell a
+# Fraction from `_rows`, its magnitude through `log10_abs`, and one
+# `csv.writer` row per cell.
+
+def ref_magnitude_grid(spec, m, jmax, nmax):
+    return [[log10_abs(v) if v else None for v in row]
+            for row in cf._rows(cf.rho_columns(spec, m, nmax), jmax + 1)]
+
+
+def ref_write_jn_rows(rows, fmt, stream, zero=None, name="value"):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow(["j", "n", name])
+    for j, row in enumerate(rows):
+        for n, v in enumerate(row):
+            if v:
+                writer.writerow([j, n, fmt(v)])
+            elif zero is not None:
+                writer.writerow([j, n, zero])
+
+
+def ref_write_rho_csv(table, stream, fmt="csv"):
+    form = table.family.backend.format
+    ref_write_jn_rows(cf._rows(table.columns, table.jmax + 1), form, stream,
+                      None if fmt == "triplet" else form(Fraction(0)))
+
+
+def ref_write_magnitude_csv(grid, stream):
+    text = ([None if v is None else repr(v) for v in row] for row in grid)
+    ref_write_jn_rows(text, str, stream, "-inf", name="log10abs")
+
+
+def written(write, *args, **kwargs):
+    stream = io.StringIO()
+    write(*args, stream, **kwargs)
+    return stream.getvalue()
+
+
+class TestFigureAndWritersAgainstReference:
+    """`magnitude_grid`, read off the int columns, equals its Fraction
+    reference float for float (equal reprs), and the joined-row writers
+    equal their `csv.writer` references byte for byte, on the acceptance
+    families, p != q, both parameter edges, Laguerre alpha < 0 and random
+    rows."""
+
+    # (m, jmax, nmax): jmax cutting columns short of their end m + n + 1,
+    # and running past every column's end
+    SHAPES = [(0, 3, 10), (3, 5, 12), (3, 20, 12), (6, 30, 9)]
+
+    @pytest.mark.parametrize("spec", REFERENCE_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_magnitude_grid(self, spec):
+        for m, jmax, nmax in self.SHAPES:
+            got = cf.magnitude_grid(spec, m, jmax, nmax)
+            assert [len(row) for row in got] == [nmax + 1] * (jmax + 1)
+            assert repr(got) == repr(ref_magnitude_grid(spec, m, jmax, nmax)), \
+                (m, jmax, nmax)
+
+    @pytest.mark.parametrize("spec", REFERENCE_FAMILIES,
+                             ids=lambda s: s.label())
+    def test_writers(self, spec):
+        grid = cf.magnitude_grid(spec, 3, 20, 12)
+        assert written(cf.write_magnitude_csv, grid) == \
+            written(ref_write_magnitude_csv, grid)
+        for backend in (RATIONAL, FloatBackend(128)):
+            table = cf.rho_table(spec, 3, 12, 9).to_backend(backend)
+            for fmt in ("csv", "triplet"):
+                assert written(cf.write_rho_csv, table, fmt=fmt) == \
+                    written(ref_write_rho_csv, table, fmt=fmt), \
+                    (backend, fmt)
+            f = convmat.SeriesCoeffs(spec.to_backend(backend),
+                                     [Fraction(1, 3), -2, 0, Fraction(5, 7)])
+            matrix = convmat.build_matrix(f, 8)
+            assert written(convmat.write_matrix_triplet_csv, matrix) == \
+                written(ref_write_jn_rows,
+                        cf._rows(matrix.columns, matrix.n_rows),
+                        matrix.family.backend.format), backend
+
+    def test_unit_magnitude_prints_zero(self):
+        # Laguerre(0), m = 2: rho_{5,3} = 1 and rho_{6,3} = -1, so
+        # log10 |rho| = 0.0 there, a float that tests false but is no
+        # exact zero
+        grid = cf.magnitude_grid(basis.laguerre(0), 2, 6, 3)
+        assert (grid[5][3], grid[6][3], grid[4][3]) == (0.0, 0.0, None)
+        lines = written(cf.write_magnitude_csv, grid).splitlines()
+        assert {"5,3,0.0", "6,3,0.0", "4,3,-inf"} <= set(lines)

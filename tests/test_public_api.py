@@ -164,6 +164,31 @@ def test_package_calls_no_fraction_wrapper(monkeypatch, tmp_path, capsys):
     assert calls == []
 
 
+def test_figure_path_makes_no_fraction_cells(monkeypatch, tmp_path):
+    # the figure grid reads log10 |rho| straight off the engine's int
+    # columns and its writer joins each row: the Fraction row walk, the
+    # Fraction column and the Fraction log10 each raise when called
+    from polyconv import scalars
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"the figure path called {name}")
+        return call
+
+    for module, name in ((cf, "_rows"), (cf, "_fractions"),
+                         (cf, "log10_abs"), (scalars, "log10_abs")):
+        label = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, forbidden(label))
+
+    for spec in reference_families():
+        grid = cf.magnitude_grid(spec, 4, 14, 12)
+        cf.write_magnitude_csv(grid, io.StringIO())
+    out = tmp_path / "fig.csv"
+    assert cli.main(["figure", "--family", "legendre", "--m", "15",
+                     "--jmax", "66", "--nmax", "66", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").count("\n") == 1 + 67 * 67
+
+
 def test_tables_make_no_scalar_until_read(monkeypatch):
     # a table keeps the exact columns; a Scalar is made where a value
     # leaves, here the matvec's output

@@ -11,7 +11,7 @@ from polyconv.errors import (
     NonTerminatingSeriesError,
 )
 from polyconv.scalars import (RATIONAL, FloatBackend, hyp_pfq, log10_abs,
-                              pochhammer)
+                              log10_abs_ints, pochhammer)
 
 
 def frac(s):
@@ -160,6 +160,10 @@ class TestPochhammer:
         pochhammer.cache_clear()
         assert pochhammer(z, 3000) == want
         assert pochhammer(z, 3000) == want
+        # one step of the recurrence at an order far past the default
+        # recursion limit, from a cold cache
+        pochhammer.cache_clear()
+        assert pochhammer(z, 3000) == pochhammer(z, 2999) * (z + 2999)
 
     def test_closed_forms_share_the_helper(self):
         assert closed_forms._poch is pochhammer
@@ -384,3 +388,23 @@ def test_log10_abs_error_bound():
             bound = (2.0 ** -51 * (math.log10(n) + math.log10(d))
                      + math.ulp(got) / 2)
             assert err <= bound, v
+
+
+def test_log10_abs_ints_matches_the_fraction_route():
+    # pairs not in lowest terms, negative numerators, and terms below and
+    # far past 2^1024: the same float, bit for bit, as `log10_abs` of the
+    # Fraction and as log10 N - log10 D of its lowest terms
+    rng = random.Random(1025)
+    pairs = [(7, 7), (-5, 5), (2 ** 1100, 2 ** 1100 * 3),
+             (-(10 ** 400) * 6, 10 ** 400 * 4)]
+    for i in range(300):
+        top = 3000 if i % 2 else 300
+        g = rng.randint(1, 10 ** rng.randint(0, 400))
+        num = rng.randint(1, 10 ** rng.randint(1, top)) * g
+        pairs.append((-num if i % 3 else num,
+                      rng.randint(1, 10 ** rng.randint(1, top)) * g))
+    for num, den in pairs:
+        v = abs(Fraction(num, den))
+        want = math.log10(v.numerator) - math.log10(v.denominator)
+        got = log10_abs_ints(num, den)
+        assert got.hex() == want.hex() == log10_abs(Fraction(num, den)).hex()
