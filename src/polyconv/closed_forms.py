@@ -36,7 +36,8 @@ Whole tables (``rho_table``, ``magnitude_grid``) and every series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
 columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
 it starts from the derivative connection, closes each column at j = 0 by
-the endpoint condition, and skips every row whose operands are zero.
+the endpoint condition, and skips every row whose operands are zero,
+making connection data only for the rows a column can reach.
 ``rho_columns`` is its single-weight case.  The recurrence runs in ints:
 its coefficients and the values P_k(-a) are int pairs from
 ``basis.connection_ints`` and ``basis.endpoint_ints``, and each column is
@@ -45,9 +46,9 @@ its content divided out.  A cell leaves that layout in one of two ways.
 ``magnitude_grid`` reads log10 |rho| straight off each column's ints
 (``scalars.log10_abs_ints``), with no ``Fraction`` made.  Every other grid
 and writer walks the rows of ``_rows``, which makes a ``Fraction`` in
-lowest terms per cell as it leaves.  The closed forms are off both paths;
-they remain the reference that certifies them (``verify``, the tests and
-the benchmark's checks).
+lowest terms per cell as it leaves, one row at a time as it is read.  The
+closed forms are off both paths; they remain the reference that certifies
+them (``verify``, the tests and the benchmark's checks).
 
 Everything here is a pure function of its inputs.  Every formula, Laguerre,
 the symmetry factors and the Bateman tensor included, is a product of int
@@ -64,6 +65,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .basis import (Family, FamilySpec, chebyshev, connection_ints,
                     endpoint_ints)
@@ -714,31 +716,45 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     column takes the lcm of what is left, so the lcm of the row weights
     never multiplies the numerators: the new column's denominator is G
     times a divisor of its true one, until one `math.gcd` over the column
-    removes its content.  A row whose operands are all zero is skipped, so
-    the zero bands and sparse weights cost nothing.  O(1) int operations
-    per nonzero entry.
+    removes its content.  A row whose operands are all zero is skipped.
+    Column n + 1 can be nonzero only within n + 2 rows of row 0 or of a
+    degree m of nonzero weight, so the connection data and row weights are
+    made only for the rows within nmax + 1 of those, O(nmax) rows per
+    weight, in a table local to the call: the zero band between two
+    weights costs one test per row and column and no set-up, and a row in
+    it costs O(1) int operations per nonzero entry.  The endpoint values
+    P_k(-a), k <= top = M + nmax + 2, are still made for every k, O(top)
+    once per call, since the closing sum needs the common denominator of
+    P_top(-a).
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
         raise IndexContractError("degrees must be nonnegative")
     top_m = max(weights, default=0)
     top = top_m + nmax + 2
-    conn = [connection_ints(spec, k) for k in range(top + 1)]
     ends, end_den = endpoint_ints(spec, top)
-    image = [_ZERO] * (top + 1)
-    for m, w in weights.items():
-        for k, (x, y) in ((m + 1, conn[m][0]), (m, conn[m][1]),
-                          (m - 1, conn[m][2])):
-            if k >= 1 and x:
-                image[k] += w * Fraction(x, y)
-    h, h_den = over_lcm(image)
-
-    # row k of a new column: (l_k, l_k A_{k-1}, l_k B_k, l_k C_{k+1}) as ints
-    rows = [None]
-    for k in range(1, top):
+    # the rows a column can reach, and row k's (l_k, l_k A_{k-1}, l_k B_k,
+    # l_k C_{k+1}) as ints
+    visits = {k for m in (0, *weights)
+              for k in range(max(1, m - nmax - 1), min(top, m + nmax + 2))}
+    conn = {k: connection_ints(spec, k) for k in
+            {0, *weights, *(i for k in visits for i in (k - 1, k, k + 1))}}
+    rows = [None] * top
+    for k in visits:
         pairs = (conn[k - 1][0], conn[k][1], conn[k + 1][2])
         weight = math.lcm(*(y for _, y in pairs))
-        rows.append((weight, *(x * (weight // y) for x, y in pairs)))
+        rows[k] = (weight, *(x * (weight // y) for x, y in pairs))
+
+    image = {}
+    for m, w in weights.items():
+        a, b, c = conn[m]
+        for k, (x, y) in ((m + 1, a), (m, b), (m - 1, c)):
+            if k >= 1 and x:
+                image[k] = image.get(k, _ZERO) + w * Fraction(x, y)
+    h = [0] * (top + 1)
+    image_nums, h_den = over_lcm(image.values())
+    for k, v in zip(image, image_nums):
+        h[k] = v
 
     def close(nums, den):
         """Set nums[0] from sum_j R_j P_j(-a) = 0; divide out the content."""
@@ -802,17 +818,24 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
 def _fractions(col: tuple) -> list:
     """The exact values of one column (nums, den), each a Fraction in
     lowest terms: made only where a cell leaves the engine."""
+    return list(_cells(col, len(col[0])))
+
+
+def _cells(col: tuple, n_rows: int):
+    """Cells j < n_rows of the column (nums, den), zero below its end, each
+    a Fraction in lowest terms made when it is read."""
     nums, den = col
-    return [Fraction(v, den) if v else _ZERO for v in nums]
+    for v in nums[:n_rows]:
+        yield Fraction(v, den) if v else _ZERO
+    yield from repeat(_ZERO, n_rows - len(nums))
 
 
 def _rows(cols: list, n_rows: int):
-    """Rows j < n_rows of the columns `cols`, each zero below its end, as
-    Fractions: the walk over the column layout for the tables' values and
-    their writers."""
-    padded = [_fractions((nums[:n_rows], den)) + [_ZERO] * (n_rows - len(nums))
-              for nums, den in cols]
-    return zip(*padded)
+    """Rows j < n_rows of the columns `cols`, as Fractions: the walk over
+    the column layout for the tables' values and their writers.  One
+    `_cells` generator per column, zipped, so row j's Fractions are made
+    only when row j is read."""
+    return zip(*(_cells(col, n_rows) for col in cols))
 
 
 def _grid(cols: list, n_rows: int, make) -> list:

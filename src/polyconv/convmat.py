@@ -13,9 +13,11 @@ by the factor of higher degree and stops at the other factor's degree.
 No closed form is evaluated.  R keeps the columns that run makes, each
 int numerators over one positive denominator (nums, den), column n zero
 below its end j = M + n + 1 and in its zero band.  Both products are one
-combination of columns, `_combine`: int numerators summed over one common
-denominator, with a Fraction in lowest terms made per entry only at the
-end, where `SeriesCoeffs` rounds it once.
+combination of columns, `_combine`: each weight over its column's
+denominator an int pair in lowest terms, the int numerators summed over
+one common denominator, and at the end a Fraction in lowest terms made
+per nonzero entry and one shared zero for the rest.  `SeriesCoeffs` wraps
+each as it is at the rational backend, or rounds it once at a float one.
 """
 
 import csv
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import _grid, _rows, _write_jn_rows, series_columns
+from .closed_forms import _ZERO, _grid, _rows, _write_jn_rows, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError
@@ -104,22 +106,28 @@ class ConvMatrix:
 def _weights(series: SeriesCoeffs) -> dict:
     """The nonzero coefficients of `series` by degree, as exact Fractions
     (a float coefficient counts as its exact binary value)."""
-    return {m: c.as_fraction() for m, c in enumerate(series.coeffs) if c != 0}
+    return {m: c.value for m, c in enumerate(series.coeffs) if c.value}
 
 
 def _combine(cols: list, weights: dict, size: int) -> list:
-    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values: the
-    columns' int numerators summed over one common denominator, and a
-    Fraction made per entry only at the end."""
-    factors = {n: w / cols[n][1] for n, w in weights.items()}
-    den = math.lcm(*(f.denominator for f in factors.values()))
+    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values.  Each
+    factor w_n / den_n is an int pair in lowest terms, one gcd each; the
+    columns' int numerators are summed over the lcm of the factors'
+    denominators, and a Fraction in lowest terms is made per nonzero sum
+    only at the end.  Every zero sum is one shared zero."""
+    factors = []
+    for n, w in weights.items():
+        p, q = w.numerator, w.denominator * cols[n][1]
+        g = math.gcd(p, q)
+        factors.append((n, p // g, q // g))
+    den = math.lcm(*(q for _, _, q in factors))
     out = [0] * size
-    for n, f in factors.items():
-        scale = f.numerator * (den // f.denominator)
+    for n, p, q in factors:
+        scale = p * (den // q)
         for j, v in enumerate(cols[n][0]):
             if v:
                 out[j] += scale * v
-    return [Fraction(v, den) for v in out]
+    return [Fraction(v, den) if v else _ZERO for v in out]
 
 
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:

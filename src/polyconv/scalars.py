@@ -54,6 +54,11 @@ class RationalBackend(_Backend):
     name = "rational"
 
     def make(self, value) -> "Scalar":
+        """`value` as a rational Scalar.  A Fraction is wrapped as it is,
+        not rebuilt; a Fraction subclass, an int, a string or a Scalar of
+        another backend goes through `exact` to a plain Fraction."""
+        if type(value) is Fraction:
+            return Scalar(self, value)
         if isinstance(value, Scalar) and value.backend == self:
             return value
         return Scalar(self, Fraction(exact(value)))

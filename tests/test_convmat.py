@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from polyconv import basis, clear_caches, closed_forms as cf, convmat, oracle
+from polyconv import (basis, clear_caches, closed_forms as cf, convmat,
+                      generic_conv, oracle)
 from polyconv.convmat import SeriesCoeffs, build_matrix, convolve_series
 from polyconv.errors import FamilyMismatchError
 from polyconv.scalars import RATIONAL, FloatBackend
@@ -332,6 +333,47 @@ class TestIntegerApply:
                               exact.n_rows)
         assert [(v.as_fraction(), v.backend) for v in got] == \
             [(fb.make(v).as_fraction(), fb) for v in want]
+
+
+class TestExactBoundary:
+    """A sparse product of high degree, as the benchmark's `deep` pairs are,
+    made once per output: every coefficient, the zero band's included,
+    against the family-agnostic route, and the same on a repeated call."""
+
+    @staticmethod
+    def deep_pair(spec, rng):
+        a, b1, b2 = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 99),
+                              rng.randint(1, 99)) for _ in range(3))
+        g = [0] * 67
+        g[60], g[66] = b1, b2
+        return (SeriesCoeffs(spec, [0, 0, 0, 0, a]), SeriesCoeffs(spec, g),
+                (a, b1, b2))
+
+    def test_sparse_product_against_the_generic_route(self):
+        rng = random.Random(91)
+        for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                     basis.chebyshev(), basis.laguerre(Fraction(5, 2))):
+            f, g, (a, b1, b2) = self.deep_pair(spec, rng)
+            data = basis.GenericBasisData.from_family(spec, 71)
+            low, high = (as_fractions(generic_conv.rho_vector(data, 4, n))
+                         for n in (60, 66))
+            low += [Fraction(0)] * (len(high) - len(low))
+            want = [a * (b1 * u + b2 * v) for u, v in zip(low, high)]
+            got = convolve_series(f, g).coeffs
+            assert [v.value for v in got] == want, spec.label()
+            assert sum(1 for v in want if v == 0) > 40
+            assert all(type(v.value) is Fraction and v.backend == RATIONAL
+                       for v in got)
+
+    def test_repeated_call_gives_the_same_result(self):
+        rng = random.Random(92)
+        spec = basis.legendre()
+        f, g, _ = self.deep_pair(spec, rng)
+        first = as_fractions(convolve_series(f, g).coeffs)
+        other, _, _ = self.deep_pair(basis.laguerre(1), rng)
+        convolve_series(other, other)
+        assert as_fractions(convolve_series(f, g).coeffs) == first
+        assert as_fractions(convolve_series(g, f).coeffs) == first
 
 
 class TestHighDegree:

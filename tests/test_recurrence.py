@@ -173,6 +173,49 @@ class TestIntegerColumns:
                         for j in range(len(col[0]))]
                 assert cf._fractions(col) == want, (spec.label(), n)
 
+    def test_sparse_weights_are_the_sum_of_single_weights(self):
+        # two far-apart weights, as a sparse series of high degree gives:
+        # the rows between them are never visited, yet every cell, zero
+        # band and endpoint closure included, is the weighted sum of the
+        # single-weight columns
+        rng = random.Random(19)
+        families = acceptance_families() + [
+            basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),  # alpha+beta=-1
+        ]
+        for spec in families:
+            for lo, hi in ((2, 90), (84, 90)):
+                weights = {lo: Fraction(rng.randint(1, 99), rng.randint(1, 99)),
+                           hi: Fraction(-rng.randint(1, 99), rng.randint(1, 99))}
+                cols = cf.series_columns(spec, weights, 6)
+                assert_canonical(cols, hi)
+                singles = {m: cf.rho_columns(spec, m, 6) for m in weights}
+                for n, col in enumerate(cols):
+                    size = len(col[0])
+                    want = [weights[lo] * a + weights[hi] * b for a, b in zip(
+                        cf._cells(singles[lo][n], size),
+                        cf._cells(singles[hi][n], size))]
+                    assert cf._fractions(col) == want, (spec.label(), lo, n)
+
+    def test_set_up_tracks_the_rows_visited(self, monkeypatch):
+        # connection data is made once per row a column can reach, so a
+        # single weight at degree 400 or 4000 against nmax = 4 needs O(nmax)
+        # rows of it, not one per row below the top (405 when all were made)
+        calls = []
+
+        def counted(spec, k):
+            calls.append(k)
+            return basis.connection_ints(spec, k)
+
+        monkeypatch.setattr(cf, "connection_ints", counted)
+        for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                     basis.legendre(), basis.laguerre(Fraction(5, 2))):
+            for m in (400, 4000):
+                calls.clear()
+                cols = cf.series_columns(spec, {m: Fraction(3, 7)}, 4)
+                assert len(cols) == 5
+                assert len(calls) == len(set(calls)) <= 4 * (4 + 2), \
+                    (spec.label(), m, sorted(calls))
+
     def test_connection_and_endpoint_ints_in_lowest_terms(self):
         # the values themselves are certified by the oracle and by the
         # endpoint derivatives; here, that the ints carry no common factor

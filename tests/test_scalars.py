@@ -111,6 +111,38 @@ class TestScalar:
             x.value = 1
         assert hash(frac("5/2")) == hash(x)
 
+    def test_rational_make_wraps_a_fraction_as_it_is(self):
+        x = Fraction(-7, 3)
+        assert RATIONAL.make(x).value is x
+        assert RATIONAL.make(x).backend == RATIONAL
+
+    def test_rational_make_reads_other_inputs_through_exact(self):
+        class Tagged(Fraction):
+            pass
+
+        f = FloatBackend(64)
+        rational = RATIONAL.make(Fraction(5, 4))
+        rounded = f.make(Fraction(1, 3))
+        cases = [(4, Fraction(4)), ("-6/8", Fraction(-3, 4)),
+                 (rational, Fraction(5, 4)),
+                 (rounded, rounded.as_fraction()),
+                 (Tagged(2, 6), Fraction(1, 3))]
+        for value, want in cases:
+            got = RATIONAL.make(value)
+            assert type(got.value) is Fraction, value
+            assert got.value == want and got.backend == RATIONAL, value
+        assert RATIONAL.make(rational) is rational
+        with pytest.raises(TypeError):
+            RATIONAL.make(0.5)
+
+    def test_float_make_still_rounds_a_fraction(self):
+        f = FloatBackend(53)
+        x = Fraction(1, 3)
+        got = f.make(x)
+        assert got.value is not x
+        assert got.value == Fraction(1 / 3) and got.backend == f
+        assert f.make(got) is got
+
 
 class TestPochhammer:
     def test_empty_product(self):
