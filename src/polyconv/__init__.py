@@ -30,17 +30,16 @@ from .basis import (
 )
 from .closed_forms import (
     BatemanTensor,
-    RhoTable,
     bateman_tensor,
     clear_caches,
     magnitude_grid,
     rho_closed,
     rho_closed_vector,
-    rho_table,
     symmetry_factor,
     zero_region,
 )
-from .convmat import ConvMatrix, SeriesCoeffs, build_matrix, convolve_series
+from .convmat import (ConvMatrix, SeriesCoeffs, build_matrix,
+                      convolve_series, rho_table)
 from .generic_conv import RhoRequest, rho_highj, rho_lowj, rho_taylor, rho_vector
 from .oracle import (MonomialPoly, convolve_exact, oracle_rho, oracle_table,
                      project_to_family, to_monomial)
@@ -66,7 +65,6 @@ __all__ = [
     "RATIONAL",
     "RationalBackend",
     "RhoRequest",
-    "RhoTable",
     "Scalar",
     "SeriesCoeffs",
     "bateman_tensor",

@@ -27,27 +27,42 @@ from .errors import PolyconvError
 from .scalars import RATIONAL, FloatBackend
 
 
+def _integer(text: str) -> int:
+    """`text` as an int.  argparse prints the message of an
+    ArgumentTypeError; any other error from a type function it prints as
+    `invalid <function name> value`, naming no reason."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer: {text!r}") from None
+
+
 def _parse_backend(text: str):
     if text == "rational":
         return RATIONAL
     if text == "float":
         return FloatBackend(256)
     if text.startswith("float:"):
-        return FloatBackend(int(text.split(":", 1)[1]))
+        bits = _integer(text.split(":", 1)[1])
+        try:
+            return FloatBackend(bits)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(
         f"unknown backend {text!r}; use 'rational' or 'float:<bits>'"
     )
 
 
 def _nonnegative(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
     return value
 
 
 def _positive(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -298,10 +313,10 @@ def _spec(args) -> FamilySpec:
 
 
 def cmd_coeffs(args) -> int:
-    table = closed_forms.rho_table(_spec(args), args.m, args.jmax,
-                                   args.nmax).to_backend(args.backend)
+    table = convmat.rho_table(_spec(args), args.m, args.jmax,
+                              args.nmax).to_backend(args.backend)
     with _output(args.out) as stream:
-        closed_forms.write_rho_csv(table, stream, fmt=args.fmt)
+        convmat.write_rho_csv(table, stream, fmt=args.fmt)
     return 0
 
 
@@ -320,7 +335,7 @@ def cmd_matrix(args) -> int:
         if args.fmt == "csv":
             convmat.write_matrix_dense_csv(matrix, stream)
         else:
-            convmat.write_matrix_triplet_csv(matrix, stream)
+            convmat.write_rho_csv(matrix, stream, fmt="triplet")
     return 0
 
 

@@ -32,7 +32,7 @@ symmetric varpi display has a removable singularity at alpha = -1/2, where
 the equivalent general-parameter form is used instead; the symmetric d
 sum is the general display at beta = alpha, with its own 4F3.
 
-Whole tables (``rho_table``, ``magnitude_grid``) and every series product
+The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
 columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
 it starts from the derivative connection, closes each column at j = 0 by
@@ -44,11 +44,13 @@ its coefficients and the values P_k(-a) are int pairs from
 kept as int numerators over one positive denominator, (nums, den), with
 its content divided out.  A cell leaves that layout in one of two ways.
 ``magnitude_grid`` reads log10 |rho| straight off each column's ints
-(``scalars.log10_abs_ints``), with no ``Fraction`` made.  Every other grid
-and writer walks the rows of ``_rows``, which makes a ``Fraction`` in
-lowest terms per cell as it leaves, one row at a time as it is read.  The
-closed forms are off both paths; they remain the reference that certifies
-them (``verify``, the tests and the benchmark's checks).
+(``scalars.log10_abs_ints``), with no ``Fraction`` made.  The tables in
+``convmat``, their entries and writers walk the rows of ``_rows``, which
+makes a ``Fraction`` in lowest terms per cell as it leaves, one row at a
+time as it is read; ``_write_jn_rows`` writes the ``j,n,value`` lines of
+those tables and of the figure.  The closed forms are off both paths;
+they remain the reference that certifies them (``verify``, the tests and
+the benchmark's checks).
 
 Everything here is a pure function of its inputs.  Every formula, Laguerre,
 the symmetry factors and the Bateman tensor included, is a product of int
@@ -62,7 +64,7 @@ factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -652,30 +654,8 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
 
 
 # ---------------------------------------------------------------------------
-# coefficient tables and figure data
+# the column engine and figure data
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RhoTable:
-    """rho_{j,n}^m for fixed m on the grid j <= jmax, n <= nmax, kept as
-    the int columns (nums, den) of `rho_columns`.  `values[j][n]` makes
-    every cell in the family's backend on each read, so bind it once before
-    a loop."""
-
-    family: FamilySpec
-    m: int
-    jmax: int
-    nmax: int
-    columns: list
-
-    @property
-    def values(self) -> list:
-        return _grid(self.columns, self.jmax + 1, self.family.backend.make)
-
-    def to_backend(self, backend) -> "RhoTable":
-        """The table whose values are the exact ones rounded to `backend`."""
-        return replace(self, family=self.family.to_backend(backend))
 
 
 def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
@@ -784,11 +764,10 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
                  in zip(conn[n], (n + 1, n, n - 1)) if x), _ZERO)
         # R_{., n+1} = [rows/l_k / den - B_n cur / den - C_n prev / prev_den
         #               + E_n h / h_den] / A_n, the column terms over G
-        terms = [Fraction(ad, an * den), Fraction(-bn * ad, bd * an * den),
-                 Fraction(-cn * ad, cd * an * prev_den),
-                 e * Fraction(ad, an * h_den * end_den)]
-        g_den = math.lcm(*(t.denominator for t in terms))
-        u, vb, vc, w = (t.numerator * (g_den // t.denominator) for t in terms)
+        (u, vb, vc, w), g_den = over_lcm([
+            Fraction(ad, an * den), Fraction(-bn * ad, bd * an * den),
+            Fraction(-cn * ad, cd * an * prev_den),
+            e * Fraction(ad, an * h_den * end_den)])
         nxt, row_dens = [0] * size, [1] * size
         for k in range(1, size):
             x0, x1, x2, y, z = cur[k - 1], cur[k], cur[k + 1], prev[k], h[k]
@@ -832,21 +811,10 @@ def _cells(col: tuple, n_rows: int):
 
 def _rows(cols: list, n_rows: int):
     """Rows j < n_rows of the columns `cols`, as Fractions: the walk over
-    the column layout for the tables' values and their writers.  One
+    the column layout for the tables' entries and their writers.  One
     `_cells` generator per column, zipped, so row j's Fractions are made
     only when row j is read."""
     return zip(*(_cells(col, n_rows) for col in cols))
-
-
-def _grid(cols: list, n_rows: int, make) -> list:
-    """grid[j][n] = make(cols[n][j]) over the rows of `_rows`."""
-    return [[make(v) for v in row] for row in _rows(cols, n_rows)]
-
-
-def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> RhoTable:
-    """rho_{j,n}^m on the grid, filled exactly by `rho_columns`; a value is
-    rounded to the spec's backend only when it is read."""
-    return RhoTable(spec, m, jmax, nmax, rho_columns(spec, m, nmax))
 
 
 def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
@@ -883,16 +851,6 @@ def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
             if v:
                 row[n] = log10_abs_ints(v, den)
     return grid
-
-
-def write_rho_csv(table: RhoTable, stream, fmt: str = "csv") -> None:
-    """Write a coefficient table as `j,n,value` rows.  The `csv` format
-    lists the whole grid; `triplet` keeps only nonzero entries for sparse
-    inspection."""
-    rows = _rows(table.columns, table.jmax + 1)
-    form = table.family.backend.format
-    _write_jn_rows(rows, form, stream,
-                   None if fmt == "triplet" else form(_ZERO))
 
 
 def _write_jn_rows(rows, fmt, stream, zero=None, name: str = "value") -> None:

@@ -1,4 +1,4 @@
-"""Convolution matrices and series convolution.
+"""Convolution matrices, coefficient tables and series convolution.
 
 A finite series f = sum_m a_m P_m defines a convolution operator acting on
 series in the same basis.  Against a degree-N target the operator is the
@@ -6,30 +6,34 @@ series in the same basis.  Against a degree-N target the operator is the
 
     R[j][n] = sum_m a_m rho_{j,n}^m,
 
-so the coefficients of f * g are c = R b.  Both R and f * g come from one
-exact run of ``closed_forms.series_columns``, whose recurrence is linear
-in the series: R weights it by the a_m, and ``convolve_series`` weights it
-by the factor of higher degree and stops at the other factor's degree.
-No closed form is evaluated.  R keeps the columns that run makes, each
-int numerators over one positive denominator (nums, den), column n zero
-below its end j = M + n + 1 and in its zero band.  Both products are one
-combination of columns, `_combine`: each weight over its column's
-denominator an int pair in lowest terms, the int numerators summed over
-one common denominator, and at the end a Fraction in lowest terms made
-per nonzero entry and one shared zero for the rest.  `SeriesCoeffs` wraps
-each as it is at the rational backend, or rounds it once at a float one.
+so the coefficients of f * g are c = R b.  The coefficient table of fixed
+m is the one-term case f = P_m: its entries are rho^m_{j,n}, and
+`rho_table` keeps its rows j <= jmax.  `ConvMatrix` is the one table type
+for both.  R, the tables and f * g all come from one exact run of
+``closed_forms.series_columns``, whose recurrence is linear in the series:
+R weights it by the a_m, a table by the single weight 1 at m, and
+``convolve_series`` by the factor of higher degree, stopping at the other
+factor's degree.  No closed form is evaluated.  A table keeps the columns
+that run makes, each int numerators over one positive denominator
+(nums, den), cut to its rows and zero below its end and in its zero band.
+Both products are one combination of columns, `_combine`: each weight
+over its column's denominator an int pair in lowest terms, the int
+numerators summed over one common denominator, and at the end a Fraction
+in lowest terms made per nonzero entry and one shared zero for the rest.
+`SeriesCoeffs` wraps each as it is at the rational backend, or rounds it
+once at a float one.  The writers print each row as one joined string.
 """
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import _ZERO, _grid, _rows, _write_jn_rows, series_columns
+from .closed_forms import (_ZERO, _rows, _write_jn_rows, rho_columns,
+                           series_columns)
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
-from .errors import FamilyMismatchError
+from .errors import FamilyMismatchError, IndexContractError
 
 
 def _described(spec: FamilySpec) -> str:
@@ -56,18 +60,14 @@ class SeriesCoeffs:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def to_backend(self, backend) -> "SeriesCoeffs":
-        """The series with every coefficient rounded to `backend`."""
-        if backend == self.family.backend:
-            return self
-        return SeriesCoeffs(self.family.to_backend(backend), self.coeffs)
-
 
 @dataclass
 class ConvMatrix:
-    """The operator matrix of convolution by a fixed series of degree M,
-    kept as its int columns (nums, den), n_rows = M + n_cols + 1, column n
-    zero below its end.  `entries[j][n]` makes every cell in the family's
+    """The matrix of convolution by a fixed series, its rows j < n_rows,
+    kept as its int columns (nums, den), each cut to those rows and zero
+    below its end.  `build_matrix` keeps every row, n_rows = M + n_cols + 1
+    for a series of degree M; `rho_table` keeps the rows j <= jmax of the
+    one-term series P_m.  `entries[j][n]` makes every cell in the family's
     backend on each read, so bind it once before a loop; the writers make
     none."""
 
@@ -81,10 +81,13 @@ class ConvMatrix:
 
     @property
     def entries(self) -> list:
-        return _grid(self.columns, self.n_rows, self.family.backend.make)
+        make = self.family.backend.make
+        return [[make(v) for v in row]
+                for row in _rows(self.columns, self.n_rows)]
 
     def matvec(self, b: SeriesCoeffs) -> SeriesCoeffs:
-        """R b, computed exactly and rounded once to the family's backend."""
+        """R b on the matrix's rows, computed exactly and rounded once to
+        the family's backend."""
         if b.family != self.family:
             raise FamilyMismatchError(
                 f"matrix basis {_described(self.family)} does not match "
@@ -143,6 +146,20 @@ def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
                       series_columns(f.family, _weights(f), n_cols - 1))
 
 
+def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> ConvMatrix:
+    """rho^m_{j,n} for j <= jmax, n <= nmax: the matrix of convolution by
+    P_m on its rows j <= jmax, filled exactly by `rho_columns`, each column
+    cut to those rows when the table is made (rows past a column's end
+    m + n + 1 read as zero); an entry is rounded to the spec's backend only
+    when it is read."""
+    if jmax < 0:
+        raise IndexContractError("jmax must be nonnegative")
+    cols = rho_columns(spec, m, nmax)
+    for nums, _ in cols:
+        del nums[jmax + 1:]
+    return ConvMatrix(spec, jmax + 1, cols)
+
+
 def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
     """Coefficients of the convolution f * g, length M + N + 2, computed
     exactly and rounded once to the series' backend.
@@ -169,16 +186,21 @@ def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
 
 def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
     """Dense row-major CSV of the exact entries in the family's backend;
-    the first line is `rows,cols`."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow([matrix.n_rows, matrix.n_cols])
+    the first line is `rows,cols`.  Each row is one joined string: a
+    nonzero cell rounded once by the backend's `format`, a zero cell the
+    text made once per write.  No field ever holds a comma, quote or
+    newline, so the lines are the ones a `csv.writer` would write."""
+    stream.write(f"{matrix.n_rows},{matrix.n_cols}\n")
     fmt = matrix.family.backend.format
-    zero = fmt(Fraction(0))
+    zero = fmt(_ZERO)
     for row in _rows(matrix.columns, matrix.n_rows):
-        writer.writerow([fmt(v) if v else zero for v in row])
+        stream.write(",".join([fmt(v) if v else zero for v in row]) + "\n")
 
 
-def write_matrix_triplet_csv(matrix: ConvMatrix, stream) -> None:
-    """Sparse-inspection triplet format `j,n,value`, nonzero entries only."""
-    _write_jn_rows(_rows(matrix.columns, matrix.n_rows),
-                   matrix.family.backend.format, stream)
+def write_rho_csv(matrix: ConvMatrix, stream, fmt: str = "csv") -> None:
+    """Write a table as `j,n,value` rows.  The `csv` format lists every
+    cell; `triplet` keeps only the nonzero entries for sparse
+    inspection."""
+    form = matrix.family.backend.format
+    _write_jn_rows(_rows(matrix.columns, matrix.n_rows), form, stream,
+                   None if fmt == "triplet" else form(_ZERO))

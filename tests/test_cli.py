@@ -18,6 +18,10 @@ JACOBI_G = "# family=jacobi alpha=1/3 beta=1/5\n" + "".join(
     f"{i},{(-1) ** i}/{i + 2}\n" for i in range(10))
 
 
+LEGENDRE_TABLE = ["coeffs", "--family", "legendre", "--jmax", "2",
+                  "--nmax", "2"]
+
+
 def write_file(path, text):
     if isinstance(text, bytes):
         path.write_bytes(text)
@@ -66,6 +70,26 @@ class TestCoeffsCommand:
     def test_unknown_family_is_usage_error(self):
         assert main(["coeffs", "--family", "hermite", "--m", "0",
                      "--jmax", "1", "--nmax", "1"]) == 2
+
+    @pytest.mark.parametrize("argv,reason", [
+        ([*LEGENDRE_TABLE, "--m", "1", "--backend", "float:52"],
+         "argument --backend: float backend precision must be at least 53 "
+         "bits"),
+        ([*LEGENDRE_TABLE, "--m", "1", "--backend", "float:x"],
+         "argument --backend: not an integer: 'x'"),
+        ([*LEGENDRE_TABLE, "--m", "x"], "argument --m: not an integer: 'x'"),
+        (["coeffs", "--family", "legendre", "--m", "1", "--jmax", "2.5",
+          "--nmax", "2"], "argument --jmax: not an integer: '2.5'"),
+        (["matrix", "--f", "f.csv", "--N", "x"],
+         "argument --N: not an integer: 'x'"),
+        (["verify", "--max-degree", "1e3"],
+         "argument --max-degree: not an integer: '1e3'"),
+    ], ids=["low_precision", "bits_not_integer", "m", "jmax", "N",
+            "max_degree"])
+    def test_usage_error_names_the_reason(self, capsys, argv, reason):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {reason}\n"), err
 
     @pytest.mark.parametrize("command", ["coeffs", "figure"])
     def test_generic_monic_is_usage_error(self, command):
@@ -295,6 +319,24 @@ class TestMatrixAndConvolve:
         lines = (tmp_path / "R.csv").read_text().strip().splitlines()
         assert lines[0] == "j,n,value"
         assert len(lines) == 1 + 6
+
+    @pytest.mark.parametrize("backend", ["rational", "float:128"])
+    def test_triplet_of_p_m_is_its_coefficient_table(self, tmp_path,
+                                                     backend):
+        # the matrix of convolution by P_15 is the m = 15 table whose rows
+        # reach m + N + 1
+        f = tmp_path / "p15.csv"
+        write_file(f, "# family=jacobi alpha=5/2 beta=3/2\n15,1\n")
+        table, matrix = tmp_path / "table.csv", tmp_path / "matrix.csv"
+        assert main(["coeffs", "--family", "jacobi", "--alpha", "5/2",
+                     "--beta", "3/2", "--m", "15", "--jmax", "36",
+                     "--nmax", "20", "--format", "triplet", "--backend",
+                     backend, "--out", str(table)]) == 0
+        assert main(["matrix", "--f", str(f), "--N", "20", "--format",
+                     "triplet", "--backend", backend,
+                     "--out", str(matrix)]) == 0
+        assert table.read_bytes() == matrix.read_bytes()
+        assert table.read_text().count("\n") > 100
 
 
 class TestDeterminism:

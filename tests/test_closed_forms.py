@@ -342,9 +342,9 @@ class TestTablesAndGrids:
 
     def test_rho_table_and_csv(self):
         spec = basis.laguerre(0)
-        table = cf.rho_table(spec, 2, 6, 3)
+        table = convmat.rho_table(spec, 2, 6, 3)
         buf = io.StringIO()
-        cf.write_rho_csv(table, buf)
+        convmat.write_rho_csv(table, buf)
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "j,n,value"
         assert len(lines) == 1 + 7 * 4
@@ -356,9 +356,9 @@ class TestTablesAndGrids:
 
     def test_rho_triplet_keeps_nonzeros_only(self):
         spec = basis.laguerre(0)
-        table = cf.rho_table(spec, 2, 6, 3)
+        table = convmat.rho_table(spec, 2, 6, 3)
         buf = io.StringIO()
-        cf.write_rho_csv(table, buf, fmt="triplet")
+        convmat.write_rho_csv(table, buf, fmt="triplet")
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "j,n,value"
         assert len(lines) == 1 + 2 * 4  # two nonzeros per column
@@ -799,9 +799,9 @@ class TestFormulasAgainstFractionReference:
             assert got == ref_bateman_tensor(m, alpha, beta), m
 
 
-# The figure grid and the j,n,value writers as first written: every cell a
+# The figure grid and the table writers as first written: every cell a
 # Fraction from `_rows`, its magnitude through `log10_abs`, and one
-# `csv.writer` row per cell.
+# `csv.writer` row per cell or per dense matrix row.
 
 def ref_magnitude_grid(spec, m, jmax, nmax):
     return [[log10_abs(v) if v else None for v in row]
@@ -821,8 +821,17 @@ def ref_write_jn_rows(rows, fmt, stream, zero=None, name="value"):
 
 def ref_write_rho_csv(table, stream, fmt="csv"):
     form = table.family.backend.format
-    ref_write_jn_rows(cf._rows(table.columns, table.jmax + 1), form, stream,
+    ref_write_jn_rows(cf._rows(table.columns, table.n_rows), form, stream,
                       None if fmt == "triplet" else form(Fraction(0)))
+
+
+def ref_write_matrix_dense_csv(matrix, stream):
+    writer = csv.writer(stream, lineterminator="\n")
+    writer.writerow([matrix.n_rows, matrix.n_cols])
+    fmt = matrix.family.backend.format
+    zero = fmt(Fraction(0))
+    for row in cf._rows(matrix.columns, matrix.n_rows):
+        writer.writerow([fmt(v) if v else zero for v in row])
 
 
 def ref_write_magnitude_csv(grid, stream):
@@ -862,19 +871,19 @@ class TestFigureAndWritersAgainstReference:
         grid = cf.magnitude_grid(spec, 3, 20, 12)
         assert written(cf.write_magnitude_csv, grid) == \
             written(ref_write_magnitude_csv, grid)
-        for backend in (RATIONAL, FloatBackend(128)):
-            table = cf.rho_table(spec, 3, 12, 9).to_backend(backend)
-            for fmt in ("csv", "triplet"):
-                assert written(cf.write_rho_csv, table, fmt=fmt) == \
-                    written(ref_write_rho_csv, table, fmt=fmt), \
-                    (backend, fmt)
+        for backend in (RATIONAL, FloatBackend(53), FloatBackend(128),
+                        FloatBackend(256)):
+            table = convmat.rho_table(spec, 3, 12, 9).to_backend(backend)
             f = convmat.SeriesCoeffs(spec.to_backend(backend),
                                      [Fraction(1, 3), -2, 0, Fraction(5, 7)])
             matrix = convmat.build_matrix(f, 8)
-            assert written(convmat.write_matrix_triplet_csv, matrix) == \
-                written(ref_write_jn_rows,
-                        cf._rows(matrix.columns, matrix.n_rows),
-                        matrix.family.backend.format), backend
+            for fmt in ("csv", "triplet"):
+                for t in (table, matrix):
+                    assert written(convmat.write_rho_csv, t, fmt=fmt) == \
+                        written(ref_write_rho_csv, t, fmt=fmt), (backend, fmt)
+            for t in (table, matrix):
+                assert written(convmat.write_matrix_dense_csv, t) == \
+                    written(ref_write_matrix_dense_csv, t), backend
 
     def test_unit_magnitude_prints_zero(self):
         # Laguerre(0), m = 2: rho_{5,3} = 1 and rho_{6,3} = -1, so

@@ -8,10 +8,10 @@ import pytest
 from polyconv import (basis, clear_caches, closed_forms as cf, convmat,
                       generic_conv, oracle)
 from polyconv.convmat import SeriesCoeffs, build_matrix, convolve_series
-from polyconv.errors import FamilyMismatchError
+from polyconv.errors import FamilyMismatchError, IndexContractError
 from polyconv.scalars import RATIONAL, FloatBackend
 
-from conftest import acceptance_families
+from conftest import acceptance_families, reference_families
 
 
 def unit_series(spec, degree, length=None):
@@ -235,6 +235,42 @@ def as_fractions(values):
     return [v.as_fraction() for v in values]
 
 
+class TestTableIsTheMatrixOfPm:
+    """The coefficient table of fixed m is the matrix of convolution by the
+    one-term series P_m: `rho_table` is `build_matrix` of that series cut
+    or padded to rows j <= jmax, and its matvec is the product by P_m on
+    those rows.  jmax runs below, at and above the last row m + nmax + 1
+    of the matrix."""
+
+    @pytest.mark.parametrize("spec", reference_families(),
+                             ids=lambda s: s.label())
+    def test_rho_table_is_the_matrix_of_p_m(self, spec):
+        rng = random.Random(23)
+        for m, nmax in ((0, 6), (3, 5), (7, 4)):
+            end = m + nmax + 1
+            p_m = unit_series(spec, m)
+            matrix = build_matrix(p_m, nmax + 1)
+            rows = [as_fractions(row) for row in matrix.entries]
+            g = SeriesCoeffs(spec, [Fraction(rng.randint(-9, 9),
+                                             rng.randint(1, 9))
+                                    for _ in range(nmax + 1)])
+            product = as_fractions(convolve_series(p_m, g).coeffs)
+            for jmax in (0, end - 2, end, end + 3):
+                table = convmat.rho_table(spec, m, jmax, nmax)
+                assert (table.n_rows, table.n_cols) == (jmax + 1, nmax + 1)
+                assert table.columns == [(nums[:jmax + 1], den)
+                                         for nums, den in matrix.columns]
+                padding = [[0] * (nmax + 1)] * (jmax - end)
+                assert [as_fractions(row) for row in table.entries] == \
+                    (rows + padding)[:jmax + 1], (m, jmax)
+                assert as_fractions(table.matvec(g).coeffs) == \
+                    (product + [0] * (jmax - end))[:jmax + 1], (m, jmax)
+
+    def test_negative_jmax_is_rejected(self):
+        with pytest.raises(IndexContractError):
+            convmat.rho_table(basis.legendre(), 2, -2, 3)
+
+
 class TestAgainstClosedForms:
     def test_convolve_series(self):
         for spec in certificate_families():
@@ -448,7 +484,7 @@ class TestCaches:
                  basis.laguerre(Fraction(5, 2)), basis.legendre()]
         clear_caches()
         for spec in specs:
-            cf.rho_table(spec, 4, 12, 9)
+            convmat.rho_table(spec, 4, 12, 9)
             cf.magnitude_grid(spec, 4, 12, 9)
             f = SeriesCoeffs(spec, [Fraction(1, 2), 0, 3, Fraction(-1, 7)])
             g = SeriesCoeffs(spec, [2, Fraction(5, 3), 0, 0, 1])
@@ -474,7 +510,7 @@ class TestExports:
         spec = basis.laguerre(0)
         mat = build_matrix(unit_series(spec, 0), 3)
         buf = io.StringIO()
-        convmat.write_matrix_triplet_csv(mat, buf)
+        convmat.write_rho_csv(mat, buf, fmt="triplet")
         lines = buf.getvalue().strip().splitlines()
         assert lines[0] == "j,n,value"
         assert len(lines) == 1 + 2 * 3

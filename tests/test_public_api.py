@@ -62,7 +62,7 @@ def _products():
 
 
 def _tables():
-    cf.rho_table(basis.legendre(), 6, 14, 14)
+    convmat.rho_table(basis.legendre(), 6, 14, 14)
     cf.magnitude_grid(basis.legendre(), 6, 14, 14)
 
 
@@ -204,7 +204,7 @@ def test_tables_make_no_scalar_until_read(monkeypatch):
 
     monkeypatch.setattr(Scalar, "__init__", counted)
     matrix = convmat.build_matrix(f, 20)
-    cf.rho_table(legendre, 4, 20, 20)
+    convmat.rho_table(legendre, 4, 20, 20)
     assert len(made) == 0
     matrix.matvec(g)
     assert len(made) == matrix.n_rows
@@ -218,7 +218,7 @@ def test_writers_make_no_scalar(monkeypatch, backend):
     legendre = basis.legendre()
     f = convmat.SeriesCoeffs(legendre, [Fraction(1, 3), -2, 0, Fraction(5, 7)])
     matrix = convmat.build_matrix(f, 12).to_backend(backend)
-    table = cf.rho_table(legendre, 3, 12, 9).to_backend(backend)
+    table = convmat.rho_table(legendre, 3, 12, 9).to_backend(backend)
     made = []
     init = Scalar.__init__
 
@@ -228,10 +228,10 @@ def test_writers_make_no_scalar(monkeypatch, backend):
 
     monkeypatch.setattr(Scalar, "__init__", counted)
     stream = io.StringIO()
-    cf.write_rho_csv(table, stream)
-    cf.write_rho_csv(table, stream, fmt="triplet")
+    convmat.write_rho_csv(table, stream)
+    convmat.write_rho_csv(table, stream, fmt="triplet")
     convmat.write_matrix_dense_csv(matrix, stream)
-    convmat.write_matrix_triplet_csv(matrix, stream)
+    convmat.write_rho_csv(matrix, stream, fmt="triplet")
     assert len(made) == 0
     # the csv table alone has 13 x 10 cell lines, the dense matrix 16 rows
     assert stream.getvalue().count("\n") > 13 * 10 + 16
@@ -242,7 +242,7 @@ def test_boundary_functions_return_scalars():
     req = generic_conv.request(gen, 2, 4, 5)
     low = generic_conv.request(gen, 2, 4, 1)
     f = _dense_series(JACOBI, 3, 3)
-    table = cf.rho_table(JACOBI, 2, 4, 4)
+    table = convmat.rho_table(JACOBI, 2, 4, 4)
     geg = basis.gegenbauer(Fraction(3, 2))
     values = {
         "alpha": JACOBI.alpha,
@@ -267,7 +267,7 @@ def test_boundary_functions_return_scalars():
         "project_to_family": oracle.project_to_family(
             oracle.to_monomial(JACOBI, 3), JACOBI, 0)[2],
         "SeriesCoeffs": f.coeffs[1],
-        "RhoTable": table.values[3][2],
+        "rho_table": table.entries[3][2],
         "ConvMatrix": convmat.build_matrix(f, 3).entries[2][1],
         "convolve_series": convmat.convolve_series(f, f).coeffs[4],
         "matvec": convmat.build_matrix(f, 4).matvec(f).coeffs[2],

@@ -242,20 +242,20 @@ class TestEndpointValues:
 class TestTables:
     def test_rho_table_equals_closed_forms(self):
         spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
-        table = cf.rho_table(spec, 4, 14, 9)
+        entries = convmat.rho_table(spec, 4, 14, 9).entries
         for j in range(15):
             for n in range(10):
-                assert table.values[j][n] == cf.rho_closed(spec, 4, n, j)
+                assert entries[j][n] == cf.rho_closed(spec, 4, n, j)
 
     def test_float_spec_table_rounds_the_exact_table(self):
         fb = FloatBackend(256)
         exact = basis.jacobi(Fraction(1, 3), Fraction(1, 5))
-        table = cf.rho_table(exact.to_backend(fb), 15, 66, 66)
-        want = cf.rho_table(exact, 15, 66, 66)
+        table = convmat.rho_table(exact.to_backend(fb), 15, 66, 66)
+        want = convmat.rho_table(exact, 15, 66, 66)
         assert [[(v.as_fraction(), v.backend) for v in row]
-                for row in table.values] == \
+                for row in table.entries] == \
             [[(fb.make(v).as_fraction(), fb) for v in row]
-             for row in want.values]
+             for row in want.entries]
 
     def test_float_matrix_agrees_with_rational(self):
         random.seed(41)
