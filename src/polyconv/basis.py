@@ -21,7 +21,11 @@ T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the recurrence of
 common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
 the endpoint derivatives, b_{n,k} and gamma are each a product of int
 rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
-per value, uncached; ``connection_ints`` and ``endpoint_ints`` are int pairs.
+per value, uncached; ``connection_ints`` and ``endpoint_runs`` are int
+pairs.  ``endpoint_runs`` makes the values P_k(-a) only on the runs of k a
+caller reads, over the denominator of the highest one, each run from one
+such product stepped by term ratios; ``endpoint_ints`` is its one run
+0..n.
 Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
 L_n^(alpha)(0) = (1+alpha)_n / n!.
 
@@ -328,66 +332,78 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
             = (-1)^(n+p) (beta+p+1)_(n-p) (s+n+1)_p / (2^p (n-p)!),
 
     s = alpha + beta; for Laguerre (-1)^p (alpha+p+1)_(n-p) / (n-p)!."""
+    return RATIONAL.make(Fraction(*_endpoint_derivative_ints(spec, n, p)))
+
+
+def _endpoint_derivative_ints(spec: FamilySpec, n: int, p: int) -> tuple:
+    """`endpoint_derivative` as an int pair, not reduced: one product of
+    rising factorials of the family's row."""
     if n < 0 or p < 0:
         raise IndexOutOfRangeError("degree and order must be nonnegative")
     f = spec.family
     if p > n:
-        value = 0, 1
-    elif f is Family.GENERIC_MONIC:
-        value = factorial(n) if p == n else 0, 1
-    elif f is Family.LAGUERRE:
+        return 0, 1
+    if f is Family.GENERIC_MONIC:
+        return factorial(n) if p == n else 0, 1
+    if f is Family.LAGUERRE:
         d, a = spec._row_ints
-        value = times((sign(p), factorial(n - p)),
-                      _rising(a + (p + 1) * d, d, n - p))
-    else:
-        d, a, b, _, _ = spec._row_ints
-        value = times((sign(n + p), 2 ** p * factorial(n - p)),
-                      _rising(b + (p + 1) * d, d, n - p),
-                      _rising(a + b + (n + 1) * d, d, p),
-                      spec._normalization_ints(n))
-    return RATIONAL.make(Fraction(*value))
+        return times((sign(p), factorial(n - p)),
+                     _rising(a + (p + 1) * d, d, n - p))
+    d, a, b, _, _ = spec._row_ints
+    return times((sign(n + p), 2 ** p * factorial(n - p)),
+                 _rising(b + (p + 1) * d, d, n - p),
+                 _rising(a + b + (n + 1) * d, d, p),
+                 spec._normalization_ints(n))
 
 
 def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
-    """P_{k+1}(-a) / P_k(-a) as an int pair in lowest terms:
+    """P_{k+1}(-a) / P_k(-a) as an int pair, not reduced:
     -(beta+k+1)/(k+1) * (p+k)/(q+k) for the row (alpha, beta, p, q) of an
     interval family, (alpha+k+1)/(k+1) for Laguerre, in `_row_ints`."""
     if spec.family is Family.LAGUERRE:
         d, alpha = spec._row_ints
-        num, den = alpha + d * (k + 1), d * (k + 1)
-    else:
-        d, _, beta, p, q = spec._row_ints
-        num, den = -(beta + d * (k + 1)), d * (k + 1)
-        if p != q:
-            num, den = num * (d * k + p), den * (d * k + q)
-    return lowest(num, den)
+        return alpha + d * (k + 1), d * (k + 1)
+    d, _, beta, p, q = spec._row_ints
+    if p == q:
+        return -(beta + d * (k + 1)), d * (k + 1)
+    return -(beta + d * (k + 1)) * (d * k + p), d * (k + 1) * (d * k + q)
+
+
+def endpoint_runs(spec: FamilySpec, runs, n: int) -> tuple:
+    """(nums, den) with P_k(-a) = nums[k] / den for every k in the runs
+    [lo, hi) of `runs`, disjoint and within 0..n, and nums[k] = 0 for the
+    other k <= n; den is the denominator of P_n(-a) in lowest terms.
+
+    den is the least common denominator of every P_k(-a), k <= n: each
+    P_k(-a) is +-(c)_k / k! for a rational c > -1 that is not an integer
+    <= 0 (c = beta + 1, 2 lam or alpha + 1; Chebyshev's is +-1), and the
+    denominators of (c)_k / k! in lowest terms divide one another as k
+    grows.  For a prime l not dividing c's denominator, the k factors of
+    (c)_k meet every power of l no later than 1..k do, so l stays in the
+    numerator; a prime that divides it only gains powers.  So den is one
+    product of rising factorials and one gcd, each run starts from one
+    such product at its first k, and each value after it is the one before
+    times the `_endpoint_ratio`, nums[k+1] = nums[k] * ratio_k, an exact
+    division by a small int: one step per k in the runs, none for the k
+    between them.  The products are not stepped: den's has O(n) factors
+    and each run start's O(lo), and nums is allocated at full length."""
+    den = lowest(*_endpoint_derivative_ints(spec, n, 0))[1]
+    nums = [0] * (n + 1)
+    for lo, hi in runs:
+        num, num_den = _endpoint_derivative_ints(spec, lo, 0)
+        v = num * den // num_den
+        nums[lo] = v
+        for k in range(lo, hi - 1):
+            rn, rd = _endpoint_ratio(spec, k)
+            v = v * rn // rd
+            nums[k + 1] = v
+    return nums, den
 
 
 def endpoint_ints(spec: FamilySpec, n: int) -> tuple:
     """(nums, den) with P_k(-a) = nums[k] / den for k = 0..n, den the least
-    common denominator, from the `_endpoint_ratio`s and no Pochhammer
-    cache.  P_n(-a) is one product of the ratios, kept in lowest terms, and
-    each numerator below follows from the one above it, nums[k] =
-    nums[k+1] / ratio_k, an exact division by a small int.
-
-    den is that of P_n(-a): each P_k(-a) is +-(c)_k / k! for a rational
-    c > -1 that is not an integer <= 0 (c = beta + 1, 2 lam or alpha + 1;
-    Chebyshev's is +-1), and the denominators of (c)_k / k! in lowest terms
-    divide one another as k grows.  For a prime l not dividing c's
-    denominator, the k factors of (c)_k meet every power of l no later than
-    1..k do, so l stays in the numerator; a prime that divides it only
-    gains powers."""
-    if n < 0:
-        raise IndexOutOfRangeError("degree must be nonnegative")
-    ratios = [_endpoint_ratio(spec, k) for k in range(n)]
-    num, den = 1, 1
-    for rn, rd in ratios:
-        g, h = math.gcd(num, rd), math.gcd(rn, den)
-        num, den = (num // g) * (rn // h), (den // h) * (rd // g)
-    nums = [num]
-    for rn, rd in reversed(ratios):
-        nums.append(nums[-1] * rd // rn)
-    return nums[::-1], den
+    common denominator: `endpoint_runs` over the one run 0..n."""
+    return endpoint_runs(spec, [(0, n + 1)], n)
 
 
 def connection_ints(spec: FamilySpec, n: int) -> tuple:

@@ -12,10 +12,16 @@ Exit codes: 0 success, 1 computation or verification failure or a
 malformed input file, 2 usage error.  Series files are CSV with a family
 header comment and exact `index,value` rows, so rational runs round-trip
 byte for byte.  Every command computes exactly; `--backend float:<bits>`
-rounds the written values only.
+rounds the written values only.  `main` and `read_series` lift CPython's
+limit on int <-> str conversion (4,300 digits) while they run, and
+restore it after; `--out` is written to a temporary file next to it and
+renamed over it only when the command succeeds (`_output` names the
+paths written in place).
 """
 
 import argparse
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -134,10 +140,43 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's limit on the digits of an int <-> str conversion
+    (4,300 by default since 3.11, 3.10.7 and 3.9.14) for the block, and
+    restore it after.  An exact value of a high-degree product has more
+    digits than that.  Without `sys.set_int_max_str_digits` there is no
+    limit, and nothing to do.  The limit is process-wide, so a thread
+    converting meanwhile sees it lifted too."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    set_limit(0)
+    try:
+        yield
+    finally:
+        set_limit(limit)
+
+
+def _malformed(path: str, no: int, line: str, cause: str) -> PolyconvError:
+    """The error for a series row that does not parse: its file, line and
+    cause, and the row quoted, cut to its first 80 characters, with its
+    length, when it is longer."""
+    got = repr(line) if len(line) <= 80 else (
+        f"{line[:80]!r}... ({len(line)} characters)")
+    return PolyconvError(f"{path}:{no}: expected 'index,value' with an "
+                         f"integer index and a rational value, got {got}: "
+                         f"{cause}")
+
+
 def write_series(series: convmat.SeriesCoeffs, stream, backend=None) -> None:
     """Write a series file: the family header, then `index,value` rows of
     each coefficient printed by `backend.format` (by default the series'
-    own backend), so an exact coefficient is rounded once."""
+    own backend), so an exact coefficient is rounded once.  Outside `main`,
+    a value of more digits than CPython's int <-> str limit raises its
+    ValueError."""
     config = series.family.to_config()
     header = " ".join(f"{k}={v}" for k, v in config.items())
     fmt = (series.family.backend if backend is None else backend).format
@@ -152,8 +191,10 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
     twice, or generic_monic: it has no closed form to convolve with), a
     header with no rows, a row that is not `index,value` with an integer
     index and a rational value, a negative index, an index given twice, or
-    a byte that is not UTF-8.  A UTF-8 byte-order mark is skipped.  Indices
-    left out are zero."""
+    a byte that is not UTF-8; a row is echoed cut to 80 characters.  A
+    UTF-8 byte-order mark is skipped.  Indices left out are zero.  A value
+    may have any number of digits: CPython's int <-> str limit is lifted
+    while the file is parsed."""
     # an undecodable byte b is read as the lone surrogate U+DC00 + b
     with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         lines = [(no, ln.strip()) for no, ln in enumerate(fh, 1) if ln.strip()]
@@ -183,19 +224,27 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
         raise PolyconvError(f"{path}:{header_no}: bad family header: "
                             "generic_monic has no closed-form convolution")
     entries = {}
-    for no, ln in lines[1:]:
-        idx_text, _, value_text = ln.partition(",")
-        try:
-            idx, value = int(idx_text), Fraction(value_text)
-        except (ValueError, ZeroDivisionError):
-            raise PolyconvError(
-                f"{path}:{no}: expected 'index,value' with an integer index "
-                f"and a rational value, got {ln!r}") from None
-        if idx < 0:
-            raise PolyconvError(f"{path}:{no}: negative index {idx}")
-        if idx in entries:
-            raise PolyconvError(f"{path}:{no}: index {idx} given twice")
-        entries[idx] = value
+    with _unlimited_int_digits():
+        for no, ln in lines[1:]:
+            idx_text, _, value_text = ln.partition(",")
+            try:
+                idx = int(idx_text)
+            except ValueError:
+                raise _malformed(path, no, ln,
+                                 "the index is not an integer") from None
+            try:
+                value = Fraction(value_text)
+            except ValueError:
+                raise _malformed(path, no, ln,
+                                 "the value is not a rational number") from None
+            except ZeroDivisionError:
+                raise _malformed(path, no, ln,
+                                 "the value has a zero denominator") from None
+            if idx < 0:
+                raise PolyconvError(f"{path}:{no}: negative index {idx}")
+            if idx in entries:
+                raise PolyconvError(f"{path}:{no}: index {idx} given twice")
+            entries[idx] = value
     if not entries:
         raise PolyconvError(f"{path}:{header_no}: header has no "
                             "coefficient rows")
@@ -298,12 +347,44 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
 
 @contextmanager
 def _output(path):
-    """The `--out` stream: the named file, or stdout when none is given."""
+    """The `--out` stream, or stdout when no path is given.  A regular
+    file (or a new one) is written as a temporary file in its directory,
+    renamed over it, with its mode, only when the block succeeds: a failed
+    command leaves the file as it was and no temporary file behind.  The
+    rename makes a new file, so the old one's other hard links and its
+    owner do not carry over.  A symlink is followed, so the file it names
+    is replaced.  A path that exists but is no regular file, such as
+    /dev/stdout, or a file in a directory that refuses the temporary file,
+    is written in place."""
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    target = os.path.realpath(path) if os.path.islink(path) else path
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    fh = None
+    if mode is None or stat.S_ISREG(mode):
+        try:
+            fh = open(temp, "x", encoding="utf-8")
+        except OSError as exc:  # name the file asked for, not the temporary one
+            if mode is None or not isinstance(exc, PermissionError):
+                raise OSError(exc.errno, exc.strerror, path) from None
+    if fh is None:
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
+        return
+    try:
+        with fh:
+            yield fh
+        if mode is not None:
+            os.chmod(temp, stat.S_IMODE(mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _spec(args) -> FamilySpec:
@@ -367,7 +448,8 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        with _unlimited_int_digits():
+            return handlers[args.command](args)
     except (PolyconvError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

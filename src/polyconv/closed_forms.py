@@ -36,13 +36,17 @@ The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
 columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
 it starts from the derivative connection, closes each column at j = 0 by
-the endpoint condition, and skips every row whose operands are zero,
-making connection data only for the rows a column can reach.
-``rho_columns`` is its single-weight case.  The recurrence runs in ints:
-its coefficients and the values P_k(-a) are int pairs from
-``basis.connection_ints`` and ``basis.endpoint_ints``, and each column is
-kept as int numerators over one positive denominator, (nums, den), with
-its content divided out.  A cell leaves that layout in one of two ways.
+the endpoint condition, and skips every row whose operands are zero.  It
+works only on the rows a column can reach, fixed once per call as runs:
+its set-up, endpoint steps and every per-row pass over a column skip the
+zero band between two far-apart degrees; the column lists and the
+rising-factorial products behind the endpoint values still grow with the
+top degree.  ``rho_columns`` is its
+single-weight case.  The recurrence runs in ints: its coefficients and
+the values P_k(-a) are int pairs from ``basis.connection_ints`` and
+``basis.endpoint_runs``, and each column is kept as int numerators over
+one positive denominator, (nums, den), with its content divided out.  A
+cell leaves that layout in one of two ways.
 ``magnitude_grid`` reads log10 |rho| straight off each column's ints
 (``scalars.log10_abs_ints``), with no ``Fraction`` made.  The tables in
 ``convmat``, their entries and writers walk the rows of ``_rows``, which
@@ -70,7 +74,7 @@ from functools import lru_cache
 from itertools import repeat
 
 from .basis import (Family, FamilySpec, chebyshev, connection_ints,
-                    endpoint_ints)
+                    endpoint_runs)
 from .errors import IndexContractError
 from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
                       log10_abs_ints, lowest, over_lcm, over_rising, sign,
@@ -687,7 +691,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
 
     The arithmetic is integer.  A, B and C are int pairs from
     `basis.connection_ints`, and the values P_k(-a) int numerators over one
-    denominator from `basis.endpoint_ints`.  Row j's equation is weighted
+    denominator from `basis.endpoint_runs`.  Row j's equation is weighted
     by l_j, the lcm of the denominators of A_{j-1}, B_j and C_{j+1}, which
     makes its row part an int combination of the column's numerators; the
     terms of the column (B_n, C_n, E_n, 1/A_n and the denominators of the
@@ -697,26 +701,38 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     never multiplies the numerators: the new column's denominator is G
     times a divisor of its true one, until one `math.gcd` over the column
     removes its content.  A row whose operands are all zero is skipped.
+
     Column n + 1 can be nonzero only within n + 2 rows of row 0 or of a
-    degree m of nonzero weight, so the connection data and row weights are
-    made only for the rows within nmax + 1 of those, O(nmax) rows per
-    weight, in a table local to the call: the zero band between two
-    weights costs one test per row and column and no set-up, and a row in
-    it costs O(1) int operations per nonzero entry.  The endpoint values
-    P_k(-a), k <= top = M + nmax + 2, are still made for every k, O(top)
-    once per call, since the closing sum needs the common denominator of
-    P_top(-a).
+    degree m of nonzero weight, so the call fixes once the rows within
+    nmax + 1 of those, as disjoint runs, and does all its work on them
+    alone: the connection data and row weights, in a table local to the
+    call; the endpoint values P_k(-a), whose common denominator, that of
+    P_top(-a) with top = M + nmax + 2, is one product; and, per column,
+    the row loop, the rescale by the row weights, the closing sum and the
+    division by the content.  So each weight costs O(nmax) rows of set-up
+    and of every per-row step, and no row between two weights is visited.
+    Some O(top) work remains: the endpoint denominator is a product of
+    O(top) factors and each run's first value one of O(lo) factors, and
+    the endpoint list and each column are allocated at full length.
+    Dense input is one run over every row.
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
         raise IndexContractError("degrees must be nonnegative")
     top_m = max(weights, default=0)
     top = top_m + nmax + 2
-    ends, end_den = endpoint_ints(spec, top)
-    # the rows a column can reach, and row k's (l_k, l_k A_{k-1}, l_k B_k,
-    # l_k C_{k+1}) as ints
-    visits = {k for m in (0, *weights)
-              for k in range(max(1, m - nmax - 1), min(top, m + nmax + 2))}
+    # the rows a column can reach, as disjoint runs [lo, hi) in increasing
+    # order: every pass below walks these, and row 0 opens the first
+    runs = []
+    for m in sorted({0, *weights}):
+        lo, hi = max(0, m - nmax - 1), min(top, m + nmax + 2)
+        if runs and lo <= runs[-1][1]:
+            runs[-1] = runs[-1][0], hi
+        else:
+            runs.append((lo, hi))
+    ends, end_den = endpoint_runs(spec, runs, top)
+    # row k's (l_k, l_k A_{k-1}, l_k B_k, l_k C_{k+1}) as ints, k >= 1
+    visits = [k for lo, hi in runs for k in range(lo or 1, hi)]
     conn = {k: connection_ints(spec, k) for k in
             {0, *weights, *(i for k in visits for i in (k - 1, k, k + 1))}}
     rows = [None] * top
@@ -737,17 +753,24 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         h[k] = v
 
     def close(nums, den):
-        """Set nums[0] from sum_j R_j P_j(-a) = 0; divide out the content."""
-        total = sum(v * e for v, e in zip(nums[1:], ends[1:]) if v)
+        """Set nums[0], 0 until then, from sum_j R_j P_j(-a) = 0; divide
+        out the content.  Changes `nums` in place."""
+        total = 0
+        for lo, hi in runs:
+            total += sum(v * e for v, e in zip(nums[lo:hi], ends[lo:hi]) if v)
         first = Fraction(-total, den * end_den)
         scale = first.denominator // math.gcd(first.denominator, den)
         if scale > 1:
-            nums = [v * scale for v in nums]
+            for lo, hi in runs:
+                nums[lo:hi] = [v * scale for v in nums[lo:hi]]
             den *= scale
         nums[0] = first.numerator * (den // first.denominator)
-        g = math.gcd(den, *nums)
+        g = den
+        for lo, hi in runs:
+            g = math.gcd(g, *nums[lo:hi])
         if g > 1:
-            nums = [v // g for v in nums]
+            for lo, hi in runs:
+                nums[lo:hi] = [v // g for v in nums[lo:hi]]
             den //= g
         return nums, den
 
@@ -768,21 +791,29 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
             Fraction(ad, an * den), Fraction(-bn * ad, bd * an * den),
             Fraction(-cn * ad, cd * an * prev_den),
             e * Fraction(ad, an * h_den * end_den)])
-        nxt, row_dens = [0] * size, [1] * size
-        for k in range(1, size):
-            x0, x1, x2, y, z = cur[k - 1], cur[k], cur[k + 1], prev[k], h[k]
-            if not (x0 or x1 or x2 or y or z):
-                continue
-            weight, ra, rb, rc = rows[k]
-            t = u * (ra * x0 + rb * x1 + rc * x2) + weight * (vb * x1 + vc * y
-                                                              + w * z)
-            if weight > 1:
-                g = math.gcd(t, weight)
-                t //= g
-                row_dens[k] = weight // g
-            nxt[k] = t
-        scale = math.lcm(*row_dens)
-        nxt = [v * (scale // d) if v else 0 for v, d in zip(nxt, row_dens)]
+        nxt, row_dens = [0] * size, []
+        for lo, hi in runs:
+            for k in range(lo or 1, min(hi, size)):
+                x0, x1, x2, y, z = cur[k - 1], cur[k], cur[k + 1], prev[k], h[k]
+                if not (x0 or x1 or x2 or y or z):
+                    continue
+                weight, ra, rb, rc = rows[k]
+                t = u * (ra * x0 + rb * x1 + rc * x2) + weight * (
+                    vb * x1 + vc * y + w * z)
+                if weight > 1:
+                    g = math.gcd(t, weight)
+                    if g < weight:
+                        row_dens.append((k, weight // g))
+                    t //= g
+                nxt[k] = t
+        # the rows left over a divisor d > 1 of their weight, and the rest,
+        # over the lcm of those d
+        scale = math.lcm(*(d for _, d in row_dens))
+        if scale > 1:
+            for lo, hi in runs:
+                nxt[lo:hi] = [v * scale for v in nxt[lo:hi]]
+            for k, d in row_dens:
+                nxt[k] //= d
         cols.append(close(nxt, g_den * scale))
     return cols
 

@@ -46,7 +46,10 @@ def _described(spec: FamilySpec) -> str:
 class SeriesCoeffs:
     """Coefficients of a finite expansion in a family basis; index =
     degree.  Each coefficient is made in the family's backend, so a float
-    backend rounds it."""
+    backend rounds it.  The exact products' zero, the shared `_ZERO` that
+    fills most of a sparse product, becomes one Scalar per series, made
+    when it is first met and shared, which is safe since a Scalar is
+    immutable."""
 
     family: FamilySpec
     coeffs: list
@@ -54,7 +57,16 @@ class SeriesCoeffs:
     def __post_init__(self):
         if not self.coeffs:
             raise ValueError("a series needs at least one coefficient")
-        self.coeffs = [self.family.backend.make(c) for c in self.coeffs]
+        make = self.family.backend.make
+        coeffs, zero = [], None
+        for c in self.coeffs:
+            if c is not _ZERO:
+                coeffs.append(make(c))
+            else:
+                if zero is None:
+                    zero = make(_ZERO)
+                coeffs.append(zero)
+        self.coeffs = coeffs
 
     @property
     def degree(self) -> int:

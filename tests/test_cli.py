@@ -1,4 +1,5 @@
 import io
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import polyconv
-from polyconv import basis, closed_forms, convmat
+from polyconv import basis, cli, closed_forms, convmat
 from polyconv.cli import main, read_series, run_verification, write_series
 from polyconv.errors import PolyconvError
 from polyconv.scalars import FloatBackend, over_lcm
@@ -20,6 +21,11 @@ JACOBI_G = "# family=jacobi alpha=1/3 beta=1/5\n" + "".join(
 
 LEGENDRE_TABLE = ["coeffs", "--family", "legendre", "--jmax", "2",
                   "--nmax", "2"]
+
+
+def _int_digit_limit():
+    """CPython's int <-> str digit limit, None where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
 
 
 def write_file(path, text):
@@ -203,14 +209,23 @@ class TestSeriesIO:
         ("# family=legendre\n0,1\n1,2\n\n0,3\n", 5, "index 0 given twice"),
         ("# family=legendre\n0,1\n-1,2\n", 3, "negative index -1"),
         ("# family=legendre\n\n", 1, "no coefficient rows"),
-        ("# family=legendre\n0,1\n1,\n", 3, "got '1,'"),
+        ("# family=legendre\n0,1\n1,\n", 3,
+         "got '1,': the value is not a rational number"),
+        ("# family=legendre\n0,1\nx,1\n", 3,
+         "got 'x,1': the index is not an integer"),
+        ("# family=legendre\n0,1/0\n", 2,
+         "got '0,1/0': the value has a zero denominator"),
+        ("# family=legendre\n0,1\n1,2/" + "3" * 1000 + "x\n", 3,
+         "got '1,2/" + "3" * 76 + "'... (1005 characters): the value is "
+         "not a rational number"),
         ("\n# family=jacobi alpha=1/3\n0,1\n", 2, "parameter 'beta'"),
         ("# family=generic_monic\n0,1\n", 1, "generic_monic"),
         (b"# family=legendre\n0,1\n1,1/\xff\n", 3, "0xff is not UTF-8"),
         ("# family=jacobi alpha=1 beta=1 alpha=2\n0,1\n", 1,
          "bad family header: parameter 'alpha' given twice"),
     ], ids=["duplicate_index", "negative_index", "no_rows", "empty_value",
-            "bad_header", "generic_monic", "not_utf8", "repeated_key"])
+            "bad_index", "zero_denominator", "long_value", "bad_header",
+            "generic_monic", "not_utf8", "repeated_key"])
     def test_malformed_series_names_file_and_line(self, tmp_path, capsys,
                                                   text, line, detail):
         path = tmp_path / "bad.csv"
@@ -219,8 +234,22 @@ class TestSeriesIO:
             read_series(str(path))
         assert str(info.value).startswith(f"{path}:{line}: ")
         assert detail in str(info.value)
+        # a row is echoed cut to 80 characters, never whole
+        assert len(str(info.value)) < len(str(path)) + 250
         assert main(["convolve", "--f", str(path), "--g", str(path)]) == 1
         assert f"{path}:{line}: " in capsys.readouterr().err
+
+    def test_value_past_the_int_digit_limit(self, tmp_path):
+        # CPython refuses int <-> str conversions past 4,300 digits unless
+        # the limit is lifted; read_series lifts it while it parses and
+        # restores it after
+        limit = _int_digit_limit()
+        path = tmp_path / "big.csv"
+        write_file(path, "# family=legendre\n0," + "3" * 5000 + "/7\n")
+        series = read_series(str(path))
+        assert series.coeffs[0].as_fraction() == Fraction(
+            (10 ** 5000 - 1) // 3, 7)
+        assert _int_digit_limit() == limit
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
@@ -270,6 +299,93 @@ class TestMatrixAndConvolve:
         c = read_series(str(tmp_path / "c.csv"))
         nz = {k: v.as_fraction() for k, v in enumerate(c.coeffs) if v != 0}
         assert nz == {5: 1, 6: -1}
+
+    def test_convolve_past_the_int_digit_limit(self, tmp_path):
+        # 7/3 P_3 times 1/3 P_8000 in Jacobi(5/2, 3/2): its exact values
+        # have more digits than CPython converts by default, so main lifts
+        # the limit while it runs, restores it, and the file reads back
+        limit = _int_digit_limit()
+        f, g, out = (tmp_path / name for name in ("f.csv", "g.csv", "c.csv"))
+        write_file(f, "# family=jacobi alpha=5/2 beta=3/2\n3,7/3\n")
+        write_file(g, "# family=jacobi alpha=5/2 beta=3/2\n8000,1/3\n")
+        assert main(["convolve", "--f", str(f), "--g", str(g),
+                     "--out", str(out)]) == 0
+        assert _int_digit_limit() == limit
+        c = read_series(str(out))
+        assert len(c.coeffs) == 8005
+        assert max(v.as_fraction().denominator.bit_length()
+                   for v in c.coeffs) > 4300 * math.log2(10)
+        for j in (7996, 8000, 8004):
+            want = closed_forms.rho_closed(c.family, 3, 8000, j).as_fraction()
+            assert c.coeffs[j].as_fraction() == Fraction(7, 9) * want, j
+
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["existing", "new"])
+    def test_failed_command_leaves_out_untouched(self, tmp_path, monkeypatch,
+                                                 existing):
+        # --out is written to a temporary file renamed over it on success:
+        # a writer failing partway leaves the target as it was, and no
+        # temporary file behind
+        f, g, out = (tmp_path / name for name in ("f.csv", "g.csv", "c.csv"))
+        write_file(f, JACOBI_F)
+        write_file(g, JACOBI_G)
+        if existing:
+            write_file(out, "kept\n")
+
+        def failing(series, stream, backend=None):
+            stream.write("# partial\n0,1\n")
+            raise ValueError("writer failed partway")
+
+        monkeypatch.setattr(cli, "write_series", failing)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["convolve", "--f", str(f), "--g", str(g),
+                     "--out", str(out)]) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (out.read_text() == "kept\n") if existing else not out.exists()
+
+    def test_out_replaces_the_file_and_keeps_its_mode(self, tmp_path):
+        f, g, out = (tmp_path / name for name in ("f.csv", "g.csv", "c.csv"))
+        write_file(f, JACOBI_F)
+        write_file(g, JACOBI_G)
+        write_file(out, "old\n")
+        out.chmod(0o640)
+        assert main(["convolve", "--f", str(f), "--g", str(g),
+                     "--out", str(out)]) == 0
+        assert out.read_text().startswith("# family=jacobi")
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["c.csv", "f.csv", "g.csv"]
+
+    @pytest.mark.parametrize("existing", [True, False],
+                             ids=["existing", "new"])
+    def test_out_where_no_temporary_file_can_be_made(self, tmp_path,
+                                                     monkeypatch, capsys,
+                                                     existing):
+        # a directory that refuses the temporary file: a file there that
+        # exists is written in place, as before the rename; a new one
+        # fails with the path asked for
+        f, g, out = (tmp_path / name for name in ("f.csv", "g.csv", "c.csv"))
+        write_file(f, JACOBI_F)
+        write_file(g, JACOBI_G)
+        if existing:
+            write_file(out, "old\n")
+
+        def refusing(file, mode="r", **kwargs):
+            if "x" in mode:
+                raise PermissionError(13, "Permission denied", file)
+            return open(file, mode, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing, raising=False)
+        code = main(["convolve", "--f", str(f), "--g", str(g),
+                     "--out", str(out)])
+        assert {p.name for p in tmp_path.iterdir()} == \
+            {"f.csv", "g.csv", *(["c.csv"] if existing else [])}
+        if existing:
+            assert code == 0
+            assert out.read_text().startswith("# family=jacobi")
+        else:
+            assert code == 1
+            assert f"Permission denied: '{out}'" in capsys.readouterr().err
 
     def test_family_mismatch_exits_one(self, tmp_path, capsys):
         f = tmp_path / "f.csv"

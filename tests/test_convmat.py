@@ -297,6 +297,19 @@ class TestAgainstClosedForms:
         assert (mat.n_rows, mat.n_cols) == (6, 3)
         assert all(v == 0 for row in mat.entries for v in row)
 
+    def test_zero_coefficients_share_one_scalar(self):
+        # a sparse product is mostly zeros: they are one zero of the
+        # series' backend, not a Scalar each, which is safe as a Scalar is
+        # immutable
+        for backend in (RATIONAL, FloatBackend(128)):
+            spec = basis.jacobi(Fraction(5, 2),
+                                Fraction(3, 2)).to_backend(backend)
+            c = convolve_series(unit_series(spec, 3), unit_series(spec, 60))
+            zeros = [v for v in c.coeffs if not v]
+            assert len(zeros) > 40 and len({id(v) for v in zeros}) == 1
+            assert zeros[0].backend == backend
+            assert zeros[0].as_fraction() == 0
+
     def test_empty_weights(self):
         spec = basis.legendre()
         for weights in ({}, {3: Fraction(0)}):

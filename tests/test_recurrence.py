@@ -174,27 +174,29 @@ class TestIntegerColumns:
                 assert cf._fractions(col) == want, (spec.label(), n)
 
     def test_sparse_weights_are_the_sum_of_single_weights(self):
-        # two far-apart weights, as a sparse series of high degree gives:
-        # the rows between them are never visited, yet every cell, zero
-        # band and endpoint closure included, is the weighted sum of the
-        # single-weight columns
+        # far-apart weights, as a sparse series of high degree gives: the
+        # rows between them are never visited, yet every cell, zero band
+        # and endpoint closure included, is the weighted sum of the
+        # single-weight columns, whether the weights' runs of rows are
+        # apart, overlap or meet, two or three of them
         rng = random.Random(19)
         families = acceptance_families() + [
             basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)),  # alpha+beta=-1
         ]
         for spec in families:
-            for lo, hi in ((2, 90), (84, 90)):
-                weights = {lo: Fraction(rng.randint(1, 99), rng.randint(1, 99)),
-                           hi: Fraction(-rng.randint(1, 99), rng.randint(1, 99))}
+            for degrees in ((2, 90), (84, 90), (2, 300, 700), (2, 16, 30)):
+                weights = {m: Fraction(rng.randint(-99, 99) or 1,
+                                       rng.randint(1, 99)) for m in degrees}
                 cols = cf.series_columns(spec, weights, 6)
-                assert_canonical(cols, hi)
+                assert_canonical(cols, max(degrees))
                 singles = {m: cf.rho_columns(spec, m, 6) for m in weights}
                 for n, col in enumerate(cols):
                     size = len(col[0])
-                    want = [weights[lo] * a + weights[hi] * b for a, b in zip(
-                        cf._cells(singles[lo][n], size),
-                        cf._cells(singles[hi][n], size))]
-                    assert cf._fractions(col) == want, (spec.label(), lo, n)
+                    want = [sum(w * v for w, v in zip(weights.values(), row))
+                            for row in cf._rows([singles[m][n]
+                                                 for m in weights], size)]
+                    assert cf._fractions(col) == want, (spec.label(), degrees,
+                                                        n)
 
     def test_set_up_tracks_the_rows_visited(self, monkeypatch):
         # connection data is made once per row a column can reach, so a
@@ -216,6 +218,28 @@ class TestIntegerColumns:
                 assert len(calls) == len(set(calls)) <= 4 * (4 + 2), \
                     (spec.label(), m, sorted(calls))
 
+    def test_endpoint_values_track_the_rows_visited(self, monkeypatch):
+        # the values P_k(-a) are made only on the runs of rows a column can
+        # reach: a single weight at degree 400 or 4000 against nmax = 4
+        # makes O(nmax) endpoint steps, not one per row below the top
+        calls = []
+        ratio = basis._endpoint_ratio
+
+        def counted(spec, k):
+            calls.append(k)
+            return ratio(spec, k)
+
+        monkeypatch.setattr(basis, "_endpoint_ratio", counted)
+        for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                     basis.gegenbauer(Fraction(3, 2)),
+                     basis.laguerre(Fraction(5, 2))):
+            for m in (400, 4000):
+                calls.clear()
+                cols = cf.series_columns(spec, {m: Fraction(3, 7)}, 4)
+                assert len(cols) == 5
+                assert len(calls) == len(set(calls)) <= 4 * (4 + 2), \
+                    (spec.label(), m, sorted(calls))
+
     def test_connection_and_endpoint_ints_in_lowest_terms(self):
         # the values themselves are certified by the oracle and by the
         # endpoint derivatives; here, that the ints carry no common factor
@@ -227,7 +251,41 @@ class TestIntegerColumns:
             assert den > 0 and math.gcd(den, *nums) == 1, spec.label()
 
 
+def assert_endpoint_runs(spec, runs, n):
+    """`endpoint_runs` equals `endpoint_ints` on its runs and is zero off
+    them, over the same denominator."""
+    nums, den = basis.endpoint_runs(spec, runs, n)
+    full, full_den = basis.endpoint_ints(spec, n)
+    assert den == full_den and len(nums) == n + 1, spec.label()
+    on = {k for lo, hi in runs for k in range(lo, hi)}
+    assert nums == [v if k in on else 0 for k, v in enumerate(full)], \
+        (spec.label(), runs)
+
+
+@settings(max_examples=20, deadline=None)
+@given(jacobi_parameters(), st.lists(st.integers(0, 60), min_size=0,
+                                     max_size=6, unique=True))
+def test_random_endpoint_runs(params, cuts):
+    cuts = sorted(cuts + [61])
+    runs = list(zip(cuts[:-1:2], cuts[1::2]))
+    alpha, beta = params
+    assert_endpoint_runs(basis.jacobi(alpha, beta), runs, 60)
+    assert_endpoint_runs(basis.laguerre(alpha), runs, 60)
+    lam = alpha + Fraction(1, 2)
+    if lam > Fraction(-1, 2) and lam != 0:
+        assert_endpoint_runs(basis.gegenbauer(lam), runs, 60)
+
+
 class TestEndpointValues:
+    def test_runs_equal_endpoint_ints(self):
+        # the values at visited rows and their denominator, that of the
+        # top value, for runs at the bottom, in the middle and at the top,
+        # and for none
+        for spec in acceptance_families() + edge_families():
+            for runs in ([(0, 7), (40, 52), (95, 101)], [(0, 101)],
+                         [(3, 4)], []):
+                assert_endpoint_runs(spec, runs, 100)
+
     def test_equal_endpoint_derivatives_and_recurrence(self):
         for spec in acceptance_families() + edge_families():
             nums, den = basis.endpoint_ints(spec, 40)
