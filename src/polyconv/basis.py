@@ -23,9 +23,10 @@ the endpoint derivatives, b_{n,k} and gamma are each a product of int
 rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
 per value, uncached; ``connection_ints`` and ``endpoint_runs`` are int
 pairs.  ``endpoint_runs`` makes the values P_k(-a) only on the runs of k a
-caller reads, over the denominator of the highest one, each run from one
-such product stepped by term ratios; ``endpoint_ints`` is its one run
-0..n.
+caller reads, over the denominator of the highest one, which is a closed
+form (``_endpoint_den``: Legendre's formula for the prime powers of n!),
+each run from one such product stepped by term ratios; ``endpoint_ints``
+is its one run 0..n.
 Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
 L_n^(alpha)(0) = (1+alpha)_n / n!.
 
@@ -369,25 +370,58 @@ def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
     return -(beta + d * (k + 1)) * (d * k + p), d * (k + 1) * (d * k + q)
 
 
+def _endpoint_den(spec: FamilySpec, n: int) -> int:
+    """The denominator of P_n(-a) in lowest terms, in closed form.
+
+    P_n(-a) = +-(c)_n / n! with c = P/Q in lowest terms: c = beta + 1 for
+    an interval row with p = q, c = p for one with p != q (each such row
+    has q = beta + 1: Gegenbauer's c = 2 lam, Chebyshev's 1), and
+    c = alpha + 1 for Laguerre.  (c)_n / n! = prod_{i<n} (P + iQ) / (Q^n n!).
+    A prime l dividing Q divides no factor P + iQ, so it keeps all of
+    Q^n n!: n v_l(Q) + v_l(n!), with v_l(n!) = sum_i floor(n / l^i)
+    (Legendre's formula).  For a prime l not dividing Q, n consecutive
+    terms of the progression P + iQ meet every power of l no later than
+    1..n do, so n!'s powers of l cancel.  So the denominator is
+    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator."""
+    if spec.family is Family.LAGUERRE:
+        d, alpha = spec._row_ints
+        _, q = lowest(alpha + d, d)
+    else:
+        d, _, beta, p, q = spec._row_ints
+        _, q = lowest((beta + d) if p == q else p, d)
+    den, rest, ell = q ** n, q, 2
+    while rest > 1:  # the primes l | Q by trial division
+        if ell * ell > rest:
+            ell = rest
+        if rest % ell == 0:
+            while rest % ell == 0:
+                rest //= ell
+            v, t = 0, n
+            while t:
+                t //= ell
+                v += t
+            den *= ell ** v
+        ell += 1
+    return den
+
+
 def endpoint_runs(spec: FamilySpec, runs, n: int) -> tuple:
     """(nums, den) with P_k(-a) = nums[k] / den for every k in the runs
     [lo, hi) of `runs`, disjoint and within 0..n, and nums[k] = 0 for the
-    other k <= n; den is the denominator of P_n(-a) in lowest terms.
+    other k <= n; den is the denominator of P_n(-a) in lowest terms, in
+    closed form from `_endpoint_den`.
 
     den is the least common denominator of every P_k(-a), k <= n: each
     P_k(-a) is +-(c)_k / k! for a rational c > -1 that is not an integer
     <= 0 (c = beta + 1, 2 lam or alpha + 1; Chebyshev's is +-1), and the
     denominators of (c)_k / k! in lowest terms divide one another as k
-    grows.  For a prime l not dividing c's denominator, the k factors of
-    (c)_k meet every power of l no later than 1..k do, so l stays in the
-    numerator; a prime that divides it only gains powers.  So den is one
-    product of rising factorials and one gcd, each run starts from one
-    such product at its first k, and each value after it is the one before
-    times the `_endpoint_ratio`, nums[k+1] = nums[k] * ratio_k, an exact
-    division by a small int: one step per k in the runs, none for the k
-    between them.  The products are not stepped: den's has O(n) factors
-    and each run start's O(lo), and nums is allocated at full length."""
-    den = lowest(*_endpoint_derivative_ints(spec, n, 0))[1]
+    grows (see `_endpoint_den`).  Each run starts from one product of
+    rising factorials at its first k, and each value after it is the one
+    before times the `_endpoint_ratio`, nums[k+1] = nums[k] * ratio_k, an
+    exact division by a small int: one step per k in the runs, none for
+    the k between them.  The run starts are not stepped: each is a product
+    of O(lo) factors, and nums is allocated at full length."""
+    den = _endpoint_den(spec, n)
     nums = [0] * (n + 1)
     for lo, hi in runs:
         num, num_den = _endpoint_derivative_ints(spec, lo, 0)

@@ -40,12 +40,13 @@ the endpoint condition, and skips every row whose operands are zero.  It
 works only on the rows a column can reach, fixed once per call as runs:
 its set-up, endpoint steps and every per-row pass over a column skip the
 zero band between two far-apart degrees; the column lists and the
-rising-factorial products behind the endpoint values still grow with the
-top degree.  ``rho_columns`` is its
-single-weight case.  The recurrence runs in ints: its coefficients and
-the values P_k(-a) are int pairs from ``basis.connection_ints`` and
-``basis.endpoint_runs``, and each column is kept as int numerators over
-one positive denominator, (nums, den), with its content divided out.  A
+rising-factorial product that starts each run of endpoint values still
+grow with the top degree.  ``rho_columns`` is its single-weight case.
+The recurrence runs in ints and makes no ``Fraction``: its coefficients
+and the values P_k(-a) are int pairs from ``basis.connection_ints`` and
+``basis.endpoint_runs``, its column terms and closing entries int pairs
+in lowest terms, and each column is kept as int numerators over one
+positive denominator, (nums, den), with its content divided out.  A
 cell leaves that layout in one of two ways.
 ``magnitude_grid`` reads log10 |rho| straight off each column's ints
 (``scalars.log10_abs_ints``), with no ``Fraction`` made.  The tables in
@@ -664,11 +665,11 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
 
 def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     """The columns R_{., n} = sum_m w_m rho^m_{., n}, n = 0..nmax, where
-    `weights` maps each degree m to its exact coefficient w_m.  Column n
-    holds j = 0..M+n+1, M the highest degree of nonzero weight (0 when
-    there is none), as a pair (nums, den): R_{j,n} = nums[j] / den, with
-    int numerators and one positive int denominator, the column's content
-    divided out (gcd(den, *nums) = 1).
+    `weights` maps each degree m to its exact coefficient w_m, an int or a
+    Fraction.  Column n holds j = 0..M+n+1, M the highest degree of nonzero
+    weight (0 when there is none), as a pair (nums, den):
+    R_{j,n} = nums[j] / den, with int numerators and one positive int
+    denominator, the column's content divided out (gcd(den, *nums) = 1).
 
     rho is linear in P_m and the recurrence below is linear in rho, so one
     run serves a whole series.  With the derivative connection
@@ -689,9 +690,11 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     sum_j R_{j,n} P_j(-a) = 0, since the convolution vanishes at x = -2a
     (P_0 = 1).
 
-    The arithmetic is integer.  A, B and C are int pairs from
-    `basis.connection_ints`, and the values P_k(-a) int numerators over one
-    denominator from `basis.endpoint_runs`.  Row j's equation is weighted
+    The arithmetic is integer, and no Fraction is made.  A, B and C are int
+    pairs from `basis.connection_ints`, the values P_k(-a) int numerators
+    over one denominator from `basis.endpoint_runs`, and h, E_n, each
+    column term and each closing entry int pairs in lowest terms
+    (`scalars.lowest`).  Row j's equation is weighted
     by l_j, the lcm of the denominators of A_{j-1}, B_j and C_{j+1}, which
     makes its row part an int combination of the column's numerators; the
     terms of the column (B_n, C_n, E_n, 1/A_n and the denominators of the
@@ -707,14 +710,13 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     nmax + 1 of those, as disjoint runs, and does all its work on them
     alone: the connection data and row weights, in a table local to the
     call; the endpoint values P_k(-a), whose common denominator, that of
-    P_top(-a) with top = M + nmax + 2, is one product; and, per column,
+    P_top(-a) with top = M + nmax + 2, is a closed form; and, per column,
     the row loop, the rescale by the row weights, the closing sum and the
     division by the content.  So each weight costs O(nmax) rows of set-up
     and of every per-row step, and no row between two weights is visited.
-    Some O(top) work remains: the endpoint denominator is a product of
-    O(top) factors and each run's first value one of O(lo) factors, and
-    the endpoint list and each column are allocated at full length.
-    Dense input is one run over every row.
+    Some O(top) work remains: each run's first endpoint value is a product
+    of O(lo) factors, and the endpoint list and each column are allocated
+    at full length.  Dense input is one run over every row.
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
@@ -741,16 +743,20 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         weight = math.lcm(*(y for _, y in pairs))
         rows[k] = (weight, *(x * (weight // y) for x, y in pairs))
 
+    # h as int pairs from the weights' numerators and denominators, each
+    # entry in lowest terms, then over the lcm of their denominators
     image = {}
     for m, w in weights.items():
-        a, b, c = conn[m]
-        for k, (x, y) in ((m + 1, a), (m, b), (m - 1, c)):
+        wn, wd = w.numerator, w.denominator
+        for k, (x, y) in zip((m + 1, m, m - 1), conn[m]):
             if k >= 1 and x:
-                image[k] = image.get(k, _ZERO) + w * Fraction(x, y)
+                p, q = image.get(k, (0, 1))
+                image[k] = p * wd * y + wn * x * q, q * wd * y
+    image = {k: lowest(*v) for k, v in image.items()}
+    h_den = math.lcm(*(q for _, q in image.values()))
     h = [0] * (top + 1)
-    image_nums, h_den = over_lcm(image.values())
-    for k, v in zip(image, image_nums):
-        h[k] = v
+    for k, (p, q) in image.items():
+        h[k] = p * (h_den // q)
 
     def close(nums, den):
         """Set nums[0], 0 until then, from sum_j R_j P_j(-a) = 0; divide
@@ -758,13 +764,13 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         total = 0
         for lo, hi in runs:
             total += sum(v * e for v, e in zip(nums[lo:hi], ends[lo:hi]) if v)
-        first = Fraction(-total, den * end_den)
-        scale = first.denominator // math.gcd(first.denominator, den)
+        first, first_den = lowest(-total, den * end_den)
+        scale = first_den // math.gcd(first_den, den)
         if scale > 1:
             for lo, hi in runs:
                 nums[lo:hi] = [v * scale for v in nums[lo:hi]]
             den *= scale
-        nums[0] = first.numerator * (den // first.denominator)
+        nums[0] = first * (den // first_den)
         g = den
         for lo, hi in runs:
             g = math.gcd(g, *nums[lo:hi])
@@ -782,15 +788,20 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         prev, prev_den = cols[n - 1] if n else ([], 1)
         prev = prev + [0] * (size - len(prev))
         (an, ad), (bn, bd), (cn, cd) = conn[n]
-        # E_n times end_den; C_0 = 0, so n = 0 reads no P_{-1}(-a)
-        e = sum((Fraction(x * ends[k], y) for (x, y), k
-                 in zip(conn[n], (n + 1, n, n - 1)) if x), _ZERO)
+        # E_n times end_den as an int pair; C_0 = 0, so n = 0 reads no
+        # P_{-1}(-a)
+        en, ed = 0, 1
+        for (x, y), k in zip(conn[n], (n + 1, n, n - 1)):
+            if x:
+                en, ed = en * y + x * ends[k] * ed, ed * y
         # R_{., n+1} = [rows/l_k / den - B_n cur / den - C_n prev / prev_den
-        #               + E_n h / h_den] / A_n, the column terms over G
-        (u, vb, vc, w), g_den = over_lcm([
-            Fraction(ad, an * den), Fraction(-bn * ad, bd * an * den),
-            Fraction(-cn * ad, cd * an * prev_den),
-            e * Fraction(ad, an * h_den * end_den)])
+        #               + E_n h / h_den] / A_n, the column terms each in
+        # lowest terms, then over the lcm G of their denominators
+        terms = (lowest(ad, an * den), lowest(-bn * ad, bd * an * den),
+                 lowest(-cn * ad, cd * an * prev_den),
+                 lowest(en * ad, ed * an * h_den * end_den))
+        g_den = math.lcm(*(q for _, q in terms))
+        u, vb, vc, w = (p * (g_den // q) for p, q in terms)
         nxt, row_dens = [0] * size, []
         for lo, hi in runs:
             for k in range(lo or 1, min(hi, size)):
@@ -822,7 +833,7 @@ def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
     """The columns rho^m_{., n} for n = 0..nmax in the layout of
     `series_columns`, column n holding j = 0..m+n+1: `series_columns` with
     the single weight w_m = 1."""
-    return series_columns(spec, {m: Fraction(1)}, nmax)
+    return series_columns(spec, {m: 1}, nmax)
 
 
 def _fractions(col: tuple) -> list:

@@ -120,8 +120,17 @@ class ConvMatrix:
 
 def _weights(series: SeriesCoeffs) -> dict:
     """The nonzero coefficients of `series` by degree, as exact Fractions
-    (a float coefficient counts as its exact binary value)."""
-    return {m: c.value for m, c in enumerate(series.coeffs) if c.value}
+    (a float coefficient counts as its exact binary value).  The last zero
+    met is skipped by identity, so the zeros of a series that shares one
+    zero Scalar cost no value test after the first."""
+    weights, zero = {}, None
+    for m, c in enumerate(series.coeffs):
+        if c is not zero:
+            if c.value:
+                weights[m] = c.value
+            else:
+                zero = c
+    return weights
 
 
 def _combine(cols: list, weights: dict, size: int) -> list:

@@ -199,6 +199,18 @@ class TestSeriesIO:
         assert again.family == spec
         assert again.coeffs == series.coeffs
 
+    def test_left_out_degrees_share_one_zero(self, tmp_path):
+        # the degrees a file leaves out are one shared zero Scalar, which
+        # `_weights` skips by identity; a zero written out is its own
+        path = tmp_path / "s.csv"
+        write_file(path, "# family=legendre\n0,1/3\n3,0\n6,-2\n")
+        series = read_series(str(path))
+        zeros = [series.coeffs[k] for k in (1, 2, 4, 5)]
+        assert all(v is zeros[0] for v in zeros)
+        assert [v.as_fraction() for v in series.coeffs] == \
+            [Fraction(1, 3), 0, 0, 0, 0, 0, -2]
+        assert convmat._weights(series) == {0: Fraction(1, 3), 6: -2}
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         write_file(path, "0,1\n")

@@ -310,6 +310,17 @@ class TestAgainstClosedForms:
             assert zeros[0].backend == backend
             assert zeros[0].as_fraction() == 0
 
+    def test_weights_skip_every_zero(self):
+        # the shared zero by identity, any other zero by its value, at the
+        # rational and a float backend
+        for backend in (RATIONAL, FloatBackend(128)):
+            spec = basis.legendre(backend)
+            series = SeriesCoeffs(spec, [0, cf._ZERO, Fraction(1, 3), "0",
+                                         cf._ZERO, Fraction(0), -2, cf._ZERO])
+            weights = convmat._weights(series)
+            assert list(weights) == [2, 6] and weights[6] == -2
+        assert convmat._weights(SeriesCoeffs(spec, [1, 2])) == {0: 1, 1: 2}
+
     def test_empty_weights(self):
         spec = basis.legendre()
         for weights in ({}, {3: Fraction(0)}):

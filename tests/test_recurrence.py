@@ -12,11 +12,11 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyconv import basis, closed_forms as cf, convmat, generic_conv
 from polyconv.oracle import oracle_rho
-from polyconv.scalars import FloatBackend
+from polyconv.scalars import FloatBackend, lowest
 
 from conftest import acceptance_families
 
@@ -295,6 +295,77 @@ class TestEndpointValues:
                               for k in range(41)], spec.label()
             assert values == basis.eval_polys(
                 spec, 40, -spec.domain_offset_a), spec.label()
+
+    def test_integer_c_has_denominator_one(self):
+        # P_n(-a) = +-(c)_n / n! is an integer when c is: Legendre and
+        # Chebyshev (c = 1), beta = 2 (c = 3), Laguerre(1) (c = 2)
+        for spec in (basis.legendre(), basis.chebyshev(),
+                     basis.jacobi(Fraction(5, 2), 2), basis.laguerre(1)):
+            for n in (0, 1, 57, 1000):
+                assert basis._endpoint_den(spec, n) == 1, (spec.label(), n)
+
+    def test_closed_form_denominator_at_depth(self):
+        # the degree of the CI product P_3 x P_8000, whose unreduced
+        # product route has about 8,000 factors
+        for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                     basis.chebyshev()):
+            assert basis._endpoint_den(spec, 8005) == \
+                product_route_den(spec, 8005), spec.label()
+
+
+def product_route_den(spec, n):
+    """The denominator of P_n(-a) in lowest terms, from the unreduced
+    product of rising factorials and one gcd."""
+    return lowest(*basis._endpoint_derivative_ints(spec, n, 0))[1]
+
+
+@settings(max_examples=30, deadline=None)
+@given(jacobi_parameters(), st.integers(0, 1000))
+@example((Fraction(-1, 2), Fraction(-1, 2)), 1000)  # c = 1/2: Q = 2
+@example((Fraction(1, 3), Fraction(-7, 9)), 999)    # c = 2/9: Q = 9
+@example((Fraction(-1, 12), Fraction(-11, 12)), 1000)  # Q = 12, a + b = -1
+@example((Fraction(3), Fraction(2)), 997)           # integer c: den 1
+def test_closed_form_endpoint_denominator(params, n):
+    # `_endpoint_den` = Q^n prod_{l | Q} l^(v_l(n!)) against the product
+    # route, for Jacobi (c = beta + 1), Laguerre (c = alpha + 1) and
+    # Gegenbauer (p != q: c = 2 lam)
+    alpha, beta = params
+    specs = [basis.jacobi(alpha, beta), basis.laguerre(alpha)]
+    lam = alpha + Fraction(1, 2)
+    if lam > Fraction(-1, 2) and lam != 0:
+        specs.append(basis.gegenbauer(lam))
+    for spec in specs:
+        assert basis._endpoint_den(spec, n) == product_route_den(spec, n), \
+            (spec.label(), n)
+
+
+class ForbiddenFraction(Fraction):
+    """Stands in for a module's `Fraction` name and raises when made; an
+    isinstance test against it still works."""
+
+    def __new__(cls, *args, **kwargs):
+        raise AssertionError("the engine made a Fraction")
+
+
+def test_engine_makes_no_fraction(monkeypatch):
+    # every per-column and per-call step of `series_columns` is int
+    # arithmetic: dense weights (a degree-15 series), sparse weights far
+    # apart, and the one-term series of `rho_columns`, over the acceptance
+    # and edge families.  The first, unguarded run makes each spec's
+    # cached parameter rows, which are the family's, not the engine's
+    jacobi = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+    dense = {k: Fraction(2 * k - 15, k + 2) for k in range(16)}
+    sparse = {2: Fraction(1, 3), 300: Fraction(-2, 5), 700: Fraction(7, 11)}
+    cases = [(jacobi, dense, 20), (jacobi, sparse, 6)] + [
+        (spec, weights, nmax)
+        for spec in acceptance_families() + edge_families()
+        for weights, nmax in ((dense, 8), (sparse, 3), ({4: 1}, 10))]
+    want = [cf.series_columns(*case) for case in cases]
+    want_rho = cf.rho_columns(jacobi, 15, 30)
+    monkeypatch.setattr(cf, "Fraction", ForbiddenFraction)
+    monkeypatch.setattr(basis, "Fraction", ForbiddenFraction)
+    assert [cf.series_columns(*case) for case in cases] == want
+    assert cf.rho_columns(jacobi, 15, 30) == want_rho
 
 
 class TestTables:
