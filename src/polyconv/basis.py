@@ -360,7 +360,10 @@ def _endpoint_derivative_ints(spec: FamilySpec, n: int, p: int) -> tuple:
 def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
     """P_{k+1}(-a) / P_k(-a) as an int pair, not reduced:
     -(beta+k+1)/(k+1) * (p+k)/(q+k) for the row (alpha, beta, p, q) of an
-    interval family, (alpha+k+1)/(k+1) for Laguerre, in `_row_ints`."""
+    interval family, (alpha+k+1)/(k+1) for Laguerre, in `_row_ints`; 0
+    for a generic sequence, whose P_k(-a) = 0 for k >= 1."""
+    if spec.family is Family.GENERIC_MONIC:
+        return 0, 1
     if spec.family is Family.LAGUERRE:
         d, alpha = spec._row_ints
         return alpha + d * (k + 1), d * (k + 1)
@@ -382,7 +385,12 @@ def _endpoint_den(spec: FamilySpec, n: int) -> int:
     (Legendre's formula).  For a prime l not dividing Q, n consecutive
     terms of the progression P + iQ meet every power of l no later than
     1..n do, so n!'s powers of l cancel.  So the denominator is
-    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator."""
+    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator.
+    A prime l > n has v_l(n!) = 0, so trial division stops at
+    min(sqrt(Q), n) and a large prime in Q costs nothing.  A generic
+    sequence's P_n(-a) are ints."""
+    if spec.family is Family.GENERIC_MONIC:
+        return 1
     if spec.family is Family.LAGUERRE:
         d, alpha = spec._row_ints
         _, q = lowest(alpha + d, d)
@@ -390,8 +398,10 @@ def _endpoint_den(spec: FamilySpec, n: int) -> int:
         d, _, beta, p, q = spec._row_ints
         _, q = lowest((beta + d) if p == q else p, d)
     den, rest, ell = q ** n, q, 2
-    while rest > 1:  # the primes l | Q by trial division
-        if ell * ell > rest:
+    while rest > 1 and ell <= n:  # the primes l <= n of Q, trial division
+        if ell * ell > rest:  # rest is a prime
+            if rest > n:
+                break
             ell = rest
         if rest % ell == 0:
             while rest % ell == 0:

@@ -78,8 +78,8 @@ from .basis import (Family, FamilySpec, chebyshev, connection_ints,
                     endpoint_runs)
 from .errors import IndexContractError
 from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
-                      log10_abs_ints, lowest, over_lcm, over_rising, sign,
-                      times)
+                      log10_abs_ints, lowest, over_lcm, over_lcm_ints,
+                      over_rising, sign, times)
 # unused here: bench/tracing.py wraps `hyp_pfq` and `log10_abs`,
 # bench/job.py reads `_poch`
 from .scalars import hyp_pfq, log10_abs  # noqa: F401
@@ -694,16 +694,17 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     pairs from `basis.connection_ints`, the values P_k(-a) int numerators
     over one denominator from `basis.endpoint_runs`, and h, E_n, each
     column term and each closing entry int pairs in lowest terms
-    (`scalars.lowest`).  Row j's equation is weighted
-    by l_j, the lcm of the denominators of A_{j-1}, B_j and C_{j+1}, which
-    makes its row part an int combination of the column's numerators; the
-    terms of the column (B_n, C_n, E_n, 1/A_n and the denominators of the
-    columns they act on) share one denominator G.  A row's weight is
-    divided back out by its gcd with that row's numerator before the
-    column takes the lcm of what is left, so the lcm of the row weights
-    never multiplies the numerators: the new column's denominator is G
-    times a divisor of its true one, until one `math.gcd` over the column
-    removes its content.  A row whose operands are all zero is skipped.
+    (`scalars.lowest`, `scalars.over_lcm_ints`).  Row j's equation is
+    weighted by l_j, the lcm of the denominators of A_{j-1}, B_j and
+    C_{j+1}, which makes its row part an int combination of the column's
+    numerators; the terms of the column (B_n, C_n, E_n, 1/A_n and the
+    denominators of the columns they act on) share one denominator G.  A
+    row's weight is divided back out by its gcd with that row's numerator
+    before the column takes the lcm of what is left, so the lcm of the row
+    weights never multiplies the numerators: the new column's denominator
+    is G times a divisor of its true one, until one `math.gcd` over the
+    column removes its content.  A row whose operands are all zero is
+    skipped.
 
     Column n + 1 can be nonzero only within n + 2 rows of row 0 or of a
     degree m of nonzero weight, so the call fixes once the rows within
@@ -743,8 +744,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
         weight = math.lcm(*(y for _, y in pairs))
         rows[k] = (weight, *(x * (weight // y) for x, y in pairs))
 
-    # h as int pairs from the weights' numerators and denominators, each
-    # entry in lowest terms, then over the lcm of their denominators
+    # h as int pairs from the weights' numerators and denominators
     image = {}
     for m, w in weights.items():
         wn, wd = w.numerator, w.denominator
@@ -752,11 +752,10 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
             if k >= 1 and x:
                 p, q = image.get(k, (0, 1))
                 image[k] = p * wd * y + wn * x * q, q * wd * y
-    image = {k: lowest(*v) for k, v in image.items()}
-    h_den = math.lcm(*(q for _, q in image.values()))
     h = [0] * (top + 1)
-    for k, (p, q) in image.items():
-        h[k] = p * (h_den // q)
+    image_nums, h_den = over_lcm_ints(image.values())
+    for k, v in zip(image, image_nums):
+        h[k] = v
 
     def close(nums, den):
         """Set nums[0], 0 until then, from sum_j R_j P_j(-a) = 0; divide
@@ -795,13 +794,11 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
             if x:
                 en, ed = en * y + x * ends[k] * ed, ed * y
         # R_{., n+1} = [rows/l_k / den - B_n cur / den - C_n prev / prev_den
-        #               + E_n h / h_den] / A_n, the column terms each in
-        # lowest terms, then over the lcm G of their denominators
-        terms = (lowest(ad, an * den), lowest(-bn * ad, bd * an * den),
-                 lowest(-cn * ad, cd * an * prev_den),
-                 lowest(en * ad, ed * an * h_den * end_den))
-        g_den = math.lcm(*(q for _, q in terms))
-        u, vb, vc, w = (p * (g_den // q) for p, q in terms)
+        #               + E_n h / h_den] / A_n, the column terms over G
+        (u, vb, vc, w), g_den = over_lcm_ints((
+            (ad, an * den), (-bn * ad, bd * an * den),
+            (-cn * ad, cd * an * prev_den),
+            (en * ad, ed * an * h_den * end_den)))
         nxt, row_dens = [0] * size, []
         for lo, hi in runs:
             for k in range(lo or 1, min(hi, size)):

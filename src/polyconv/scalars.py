@@ -17,10 +17,10 @@ quotients, and terminating generalized hypergeometric sums.  Each is one
 integer core on int pairs (numerator, denominator), :func:`pochhammer_ints`
 and :func:`hyp_pfq_ints`, which every formula in the package calls, next
 to the int-pair operations the formulas share (:func:`sign`, :func:`times`,
-:func:`over_rising`, :func:`lowest`, :func:`over_lcm`); a formula makes
-one ``Fraction`` per value.  :func:`pochhammer` (cached) and
-:func:`hyp_pfq` are thin ``Fraction`` wrappers for callers outside the
-package; no package path calls them.  :func:`log10_abs_ints` and its
+:func:`over_rising`, :func:`lowest`, :func:`over_lcm`,
+:func:`over_lcm_ints`); a formula makes one ``Fraction`` per value.
+:func:`pochhammer` (cached) and :func:`hyp_pfq` are thin ``Fraction``
+wrappers for callers outside the package; no package path calls them.  :func:`log10_abs_ints` and its
 wrapper :func:`log10_abs` follow the same pattern for the figure's
 magnitudes.
 """
@@ -315,6 +315,15 @@ def over_lcm(values) -> tuple:
     in lowest terms as a whole."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def over_lcm_ints(pairs) -> tuple:
+    """`over_lcm` for int pairs (num, den), den != 0, not necessarily in
+    lowest terms: each pair is reduced by `lowest`, then put over the lcm
+    of the reduced denominators."""
+    pairs = [lowest(p, q) for p, q in pairs]
+    den = math.lcm(*(q for _, q in pairs))
+    return [p * (den // q) for p, q in pairs], den
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyconv import basis, closed_forms as cf, convmat, generic_conv
@@ -311,6 +312,27 @@ class TestEndpointValues:
                      basis.chebyshev()):
             assert basis._endpoint_den(spec, 8005) == \
                 product_route_den(spec, 8005), spec.label()
+
+
+    def test_large_prime_denominator(self):
+        # Q a 39-digit prime, alone and times 12: trial division stops at
+        # n, since a prime l > n has v_l(n!) = 0
+        big = 2 ** 127 - 1
+        for q in (big, 12 * big):
+            for spec in (basis.jacobi(0, Fraction(1, q)),
+                         basis.laguerre(Fraction(1, q)),
+                         basis.gegenbauer(Fraction(1, q))):
+                for n in (0, 1, 5, 40, 300):
+                    assert basis._endpoint_den(spec, n) == \
+                        product_route_den(spec, n), (spec.label(), n)
+
+    def test_generic_sequence(self):
+        # P_0 = 1 and P_k(-a) = 0 for k >= 1; the engine then stops at
+        # the missing derivative connection
+        spec = basis.generic_monic()
+        assert basis.endpoint_ints(spec, 5) == ([1, 0, 0, 0, 0, 0], 1)
+        with pytest.raises(ValueError, match="derivative connection"):
+            cf.series_columns(spec, {2: 1}, 3)
 
 
 def product_route_den(spec, n):

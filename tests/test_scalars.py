@@ -11,7 +11,8 @@ from polyconv.errors import (
     NonTerminatingSeriesError,
 )
 from polyconv.scalars import (RATIONAL, FloatBackend, hyp_pfq, log10_abs,
-                              log10_abs_ints, pochhammer)
+                              log10_abs_ints, over_lcm, over_lcm_ints,
+                              pochhammer)
 
 
 def frac(s):
@@ -440,3 +441,16 @@ def test_log10_abs_ints_matches_the_fraction_route():
         want = math.log10(v.numerator) - math.log10(v.denominator)
         got = log10_abs_ints(num, den)
         assert got.hex() == want.hex() == log10_abs(Fraction(num, den)).hex()
+
+
+def test_over_lcm_ints_matches_over_lcm():
+    # pairs not in lowest terms, with negative denominators and zeros:
+    # the same ints as `over_lcm` of their Fractions
+    rng = random.Random(313)
+    for _ in range(200):
+        pairs = [(rng.randint(-10 ** 6, 10 ** 6) * g,
+                  rng.choice((-1, 1)) * rng.randint(1, 10 ** 4) * g)
+                 for g in (rng.randint(1, 50) for _ in range(rng.randint(
+                     1, 5)))]
+        assert over_lcm_ints(pairs) == \
+            over_lcm([Fraction(p, q) for p, q in pairs]), pairs
