@@ -1,12 +1,15 @@
 """Classical orthogonal polynomial families and their connection data.
 
-Each family is described by a :class:`FamilySpec`.  The module evaluates
-polynomials by their three-term recurrences, gives closed forms for
-derivatives at the left endpoint of the domain, and gives two kinds of
-connection coefficients:
+Each family is described by a :class:`FamilySpec`, an immutable,
+hashable record of the family, its exact parameters and its output
+backend, checked when it is made.  The module evaluates polynomials by
+their three-term recurrences, gives closed forms for derivatives at the
+left endpoint of the domain, and gives two kinds of connection
+coefficients:
 
 * ``monomial_expansion_b``: coefficients b_{n,k} of the shifted monomial
-  (x+a)^n in the family basis, the data of ``GenericBasisData``;
+  (x+a)^n in the family basis, the data of ``GenericBasisData``, a
+  record whose constructor checks each leading entry;
 * ``connection_gamma``: coefficients linking the p-th derivatives of the
   sequence to the q-th derivatives of shifted-degree members.  Public, but
   nothing in the package is built from it.
@@ -37,14 +40,14 @@ formulas, not the label, are authoritative here.
 """
 
 import math
-from dataclasses import dataclass, field, replace
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
-from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
-                      lowest, over_lcm, over_rising, sign, times)
+from .scalars import (RATIONAL, Scalar, _FrozenRecord, _Record, exact,
+                      factorial, hyp_pfq_ints, lowest, over_lcm, over_rising,
+                      sign, times)
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .scalars import hyp_pfq  # noqa: F401
 from .scalars import pochhammer_ints as _rising
@@ -76,50 +79,52 @@ _JACOBI_ROWS = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(_FrozenRecord):
     """A polynomial family with its exact parameters and the backend its
-    tables and series are rounded to on output."""
+    tables and series are rounded to on output.  Immutable and hashable;
+    equal when family, parameters and backend are."""
 
-    family: Family
-    alpha: Scalar | None = None
-    beta: Scalar | None = None
-    lam: Scalar | None = None
-    backend: object = field(default=RATIONAL)
+    _fields = ("family", "alpha", "beta", "lam", "backend")
 
-    def __post_init__(self):
-        f = self.family
-        if f is Family.JACOBI:
-            if self.alpha is None or self.beta is None:
+    def __init__(self, family: Family, alpha: Scalar | None = None,
+                 beta: Scalar | None = None, lam: Scalar | None = None,
+                 backend=RATIONAL):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "backend", backend)
+        if family is Family.JACOBI:
+            if alpha is None or beta is None:
                 raise ValueError("Jacobi needs alpha and beta")
-            if not (self.alpha > -1 and self.beta > -1):
+            if not (alpha > -1 and beta > -1):
                 raise ValueError("Jacobi needs alpha > -1 and beta > -1")
-        elif f is Family.SYMMETRIC_JACOBI:
-            if self.alpha is None:
+        elif family is Family.SYMMETRIC_JACOBI:
+            if alpha is None:
                 raise ValueError("symmetric Jacobi needs alpha")
-            if not self.alpha > -1:
+            if not alpha > -1:
                 raise ValueError("symmetric Jacobi needs alpha > -1")
-            if self.alpha == 0:
+            if alpha == 0:
                 raise ValueError(
                     "symmetric Jacobi with alpha = 0 is Legendre; use the "
                     "symmetric_jacobi() factory, which redirects"
                 )
-        elif f is Family.GEGENBAUER:
-            if self.lam is None:
+        elif family is Family.GEGENBAUER:
+            if lam is None:
                 raise ValueError("Gegenbauer needs lambda")
-            if not self.lam > Fraction(-1, 2):
+            if not lam > Fraction(-1, 2):
                 raise ValueError("Gegenbauer needs lambda > -1/2")
-            if self.lam == 0:
+            if lam == 0:
                 raise ValueError("Gegenbauer lambda must be nonzero")
-            if self.lam == Fraction(1, 2):
+            if lam == Fraction(1, 2):
                 raise ValueError(
                     "Gegenbauer with lambda = 1/2 is Legendre; use the "
                     "gegenbauer() factory, which redirects"
                 )
-        elif f is Family.LAGUERRE:
-            if self.alpha is None:
+        elif family is Family.LAGUERRE:
+            if alpha is None:
                 raise ValueError("Laguerre needs alpha")
-            if not self.alpha > -1:
+            if not alpha > -1:
                 raise ValueError("Laguerre needs alpha > -1")
 
     # -- derived constants -------------------------------------------------
@@ -183,7 +188,8 @@ class FamilySpec:
 
     def to_backend(self, backend) -> "FamilySpec":
         """The same family with output rounded to `backend`."""
-        return replace(self, backend=backend)
+        return FamilySpec(self.family, self.alpha, self.beta, self.lam,
+                          backend)
 
     # -- serialization -----------------------------------------------------
 
@@ -572,8 +578,7 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GenericBasisData:
+class GenericBasisData(_Record):
     """User-suppliable connection data for an arbitrary degree-graded
     polynomial sequence: monomial-expansion b-coefficients and derivatives
     at x = -a up to ``max_degree``.  ``backend`` records the output backend
@@ -581,15 +586,18 @@ class GenericBasisData:
     computed from them are exact.  The tables may hold ints, Fractions or
     Scalars; `b` and `deriv` return every entry as a Fraction."""
 
-    domain_offset_a: Scalar
-    max_degree: int
-    b_coeffs: dict
-    endpoint_derivs: dict
-    backend: object = RATIONAL
+    _fields = ("domain_offset_a", "max_degree", "b_coeffs", "endpoint_derivs",
+               "backend")
 
-    def __post_init__(self):
-        for n in range(self.max_degree + 1):
-            lead = self.b_coeffs.get((n, n))
+    def __init__(self, domain_offset_a: Scalar, max_degree: int,
+                 b_coeffs: dict, endpoint_derivs: dict, backend=RATIONAL):
+        self.domain_offset_a = domain_offset_a
+        self.max_degree = max_degree
+        self.b_coeffs = b_coeffs
+        self.endpoint_derivs = endpoint_derivs
+        self.backend = backend
+        for n in range(max_degree + 1):
+            lead = b_coeffs.get((n, n))
             if lead is None or lead == 0:
                 raise MissingDataError(
                     f"b_coeffs must carry a nonzero leading entry (n,n) for "

@@ -16,7 +16,11 @@ rounds the written values only.  `main` and `read_series` lift CPython's
 limit on int <-> str conversion (4,300 digits) while they run, and
 restore it after; `--out` is written to a temporary file next to it and
 renamed over it only when the command succeeds (`_output` names the
-paths written in place).
+paths written in place).  Every command pays the interpreter's start-up
+and the package's imports, which at the paper's sizes take longer than
+its compute; the record classes, `VerificationReport` among them, are
+plain classes (``scalars._Record``), so no command loads `dataclasses`
+and `inspect`.
 """
 
 import argparse
@@ -24,13 +28,12 @@ import os
 import stat
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import basis, closed_forms, convmat, generic_conv, oracle
 from .basis import FamilySpec, GenericBasisData
 from .errors import PolyconvError
-from .scalars import RATIONAL, FloatBackend
+from .scalars import RATIONAL, FloatBackend, _Record
 
 
 def _integer(text: str) -> int:
@@ -64,13 +67,6 @@ def _nonnegative(text: str) -> int:
     value = _integer(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
-
-
-def _positive(text: str) -> int:
-    value = _integer(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be positive")
     return value
 
 
@@ -118,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("matrix", help="convolution matrix of a series")
     p.add_argument("--f", required=True, help="series CSV for the fixed factor")
-    p.add_argument("--N", type=_positive, required=True,
-                   help="number of columns (N+1 for degree-N input)")
+    p.add_argument("--N", type=_nonnegative, required=True,
+                   help="degree N of the input series; the matrix has N+1 "
+                        "columns")
     p.add_argument("--format", dest="fmt", choices=["csv", "triplet"],
                    default="csv")
     _common_options(p)
@@ -274,12 +271,18 @@ def default_verify_families() -> list:
     ]
 
 
-@dataclass
-class VerificationReport:
-    lines: list
-    checks: int
-    failures: int
-    first_mismatch: tuple | None
+class VerificationReport(_Record):
+    """The report of `run_verification`: its printed lines, the number of
+    checks and failures, and the first mismatch or None."""
+
+    _fields = ("lines", "checks", "failures", "first_mismatch")
+
+    def __init__(self, lines: list, checks: int, failures: int,
+                 first_mismatch: tuple | None):
+        self.lines = lines
+        self.checks = checks
+        self.failures = failures
+        self.first_mismatch = first_mismatch
 
     @property
     def ok(self) -> bool:

@@ -61,7 +61,9 @@ Everything here is a pure function of its inputs.  Every formula, Laguerre,
 the symmetry factors and the Bateman tensor included, is a product of int
 pairs: rising factorials from ``scalars.pochhammer_ints`` (imported as
 ``_rising``; a negative order is a gamma quotient) and pFq sums from
-``scalars.hyp_pfq_ints``, with one ``Fraction`` per value.  Only the 4F3
+``scalars.hyp_pfq_ints``, with one ``Fraction`` per value.
+``bateman_tensor`` returns its entries in a :class:`BatemanTensor`, a
+record (``scalars._Record``) equal when its fields are.  Only the 4F3
 factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
 ``_cheb_d_f43``), which cells of the same m and j share, are memoized.
 ``clear_caches`` empties them and the cache of ``scalars.pochhammer``
@@ -69,7 +71,6 @@ factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -77,9 +78,9 @@ from itertools import repeat
 from .basis import (Family, FamilySpec, chebyshev, connection_ints,
                     endpoint_runs)
 from .errors import IndexContractError
-from .scalars import (RATIONAL, Scalar, exact, factorial, hyp_pfq_ints,
-                      log10_abs_ints, lowest, over_lcm, over_lcm_ints,
-                      over_rising, sign, times)
+from .scalars import (RATIONAL, Scalar, _Record, exact, factorial,
+                      hyp_pfq_ints, log10_abs_ints, lowest, over_lcm,
+                      over_lcm_ints, over_rising, sign, times)
 # unused here: bench/tracing.py wraps `hyp_pfq` and `log10_abs`,
 # bench/job.py reads `_poch`
 from .scalars import hyp_pfq, log10_abs  # noqa: F401
@@ -605,8 +606,7 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BatemanTensor:
+class BatemanTensor(_Record):
     """Coefficients c_{m-k,j} detaching the variables of P_m(x - t):
 
         P_m(x-t) = sum_{k=0}^m sum_{j=0}^{m-k} c_{m-k,j}
@@ -614,10 +614,13 @@ class BatemanTensor:
 
     stored, as exact Fractions, only on the triangle j <= m-k."""
 
-    m: int
-    alpha: Scalar
-    beta: Scalar
-    coeffs: dict
+    _fields = ("m", "alpha", "beta", "coeffs")
+
+    def __init__(self, m: int, alpha: Scalar, beta: Scalar, coeffs: dict):
+        self.m = m
+        self.alpha = alpha
+        self.beta = beta
+        self.coeffs = coeffs
 
     def coefficient(self, k: int, j: int) -> Scalar:
         return RATIONAL.make(self.coeffs.get((k, j), _ZERO))

@@ -22,10 +22,12 @@ numerators summed over one common denominator, and at the end a Fraction
 in lowest terms made per nonzero entry and one shared zero for the rest.
 `SeriesCoeffs` wraps each as it is at the rational backend, or rounds it
 once at a float one.  The writers print each row as one joined string.
+`SeriesCoeffs` and `ConvMatrix` are records (``scalars._Record``): equal
+when their fields are, unhashable, and each checked or wrapped in its
+constructor; `ConvMatrix.to_backend` builds a new one.
 """
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .basis import FamilySpec
@@ -34,6 +36,7 @@ from .closed_forms import (_ZERO, _rows, _write_jn_rows, rho_columns,
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError, IndexContractError
+from .scalars import _Record
 
 
 def _described(spec: FamilySpec) -> str:
@@ -42,8 +45,7 @@ def _described(spec: FamilySpec) -> str:
     return f"{spec.label()} at {spec.backend.name}"
 
 
-@dataclass
-class SeriesCoeffs:
+class SeriesCoeffs(_Record):
     """Coefficients of a finite expansion in a family basis; index =
     degree.  Each coefficient is made in the family's backend, so a float
     backend rounds it.  The exact products' zero, the shared `_ZERO` that
@@ -51,30 +53,29 @@ class SeriesCoeffs:
     when it is first met and shared, which is safe since a Scalar is
     immutable."""
 
-    family: FamilySpec
-    coeffs: list
+    _fields = ("family", "coeffs")
 
-    def __post_init__(self):
-        if not self.coeffs:
+    def __init__(self, family: FamilySpec, coeffs: list):
+        if not coeffs:
             raise ValueError("a series needs at least one coefficient")
-        make = self.family.backend.make
-        coeffs, zero = [], None
-        for c in self.coeffs:
+        make = family.backend.make
+        made, zero = [], None
+        for c in coeffs:
             if c is not _ZERO:
-                coeffs.append(make(c))
+                made.append(make(c))
             else:
                 if zero is None:
                     zero = make(_ZERO)
-                coeffs.append(zero)
-        self.coeffs = coeffs
+                made.append(zero)
+        self.family = family
+        self.coeffs = made
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
 
-@dataclass
-class ConvMatrix:
+class ConvMatrix(_Record):
     """The matrix of convolution by a fixed series, its rows j < n_rows,
     kept as its int columns (nums, den), each cut to those rows and zero
     below its end.  `build_matrix` keeps every row, n_rows = M + n_cols + 1
@@ -83,9 +84,12 @@ class ConvMatrix:
     backend on each read, so bind it once before a loop; the writers make
     none."""
 
-    family: FamilySpec
-    n_rows: int
-    columns: list
+    _fields = ("family", "n_rows", "columns")
+
+    def __init__(self, family: FamilySpec, n_rows: int, columns: list):
+        self.family = family
+        self.n_rows = n_rows
+        self.columns = columns
 
     @property
     def n_cols(self) -> int:
@@ -115,7 +119,8 @@ class ConvMatrix:
 
     def to_backend(self, backend) -> "ConvMatrix":
         """The matrix whose entries are read rounded to `backend`."""
-        return replace(self, family=self.family.to_backend(backend))
+        return ConvMatrix(self.family.to_backend(backend), self.n_rows,
+                          self.columns)
 
 
 def _weights(series: SeriesCoeffs) -> dict:

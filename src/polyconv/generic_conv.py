@@ -24,31 +24,31 @@ here is one call of the integer kernel in `basis`: `deriv_products` makes
 the inner sums over a + b = q-1 from the derivative rows, and
 `column_sum` dots them with the column b_{q,j}/q!.  Each route reads
 exactly the table entries its printed formula reads, each once, and
-returns one Scalar per coefficient.
+returns one Scalar per coefficient.  A :class:`RhoRequest` names one
+cell; it is an immutable, hashable record, its indices checked when it is
+made.
 """
-
-from dataclasses import dataclass
 
 from .basis import GenericBasisData, column_sum, deriv_products
 from .errors import IndexContractError
-from .scalars import RATIONAL, Scalar
+from .scalars import RATIONAL, Scalar, _FrozenRecord
 
 
-@dataclass(frozen=True)
-class RhoRequest:
-    """One coefficient request: degrees m, n and output index j."""
+class RhoRequest(_FrozenRecord):
+    """One coefficient request: degrees m, n and output index j.
+    Immutable and hashable."""
 
-    m: int
-    n: int
-    j: int
+    _fields = ("m", "n", "j")
 
-    def __post_init__(self):
-        if self.m < 0 or self.n < 0:
+    def __init__(self, m: int, n: int, j: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "j", j)
+        if m < 0 or n < 0:
             raise IndexContractError("degrees must be nonnegative")
-        if not 0 <= self.j <= self.m + self.n + 1:
+        if not 0 <= j <= m + n + 1:
             raise IndexContractError(
-                f"j must lie in [0, m+n+1], got j={self.j} for "
-                f"(m, n)=({self.m}, {self.n})"
+                f"j must lie in [0, m+n+1], got j={j} for (m, n)=({m}, {n})"
             )
 
 

@@ -21,10 +21,11 @@ to a maximum degree, in ints throughout.  Nothing is cached between calls.
 Only ring operations on rationals are used; there is no tolerance anywhere.
 The sums run over ints, and a Fraction is made once per coefficient that
 leaves.  This is desk-scale machinery: O((m+n)^3) int operations per pair.
+``MonomialPoly`` writes out its own equality and repr, so the module reads
+nothing of ``scalars`` but exact rationals and their lcm.
 """
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .basis import Family, FamilySpec
@@ -34,18 +35,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass
 class MonomialPoly:
     """A polynomial sum_k coeffs[k] * (x + shift)^k with exact rational
-    coefficients, kept in canonical form (no trailing zeros)."""
+    coefficients, kept in canonical form (no trailing zeros).  Equal to a
+    MonomialPoly of the same coefficients and shift; unhashable."""
 
-    coeffs: list
-    shift: Fraction = field(default_factory=Fraction)
-
-    def __post_init__(self):
-        self.coeffs = [Fraction(c) for c in self.coeffs]
+    def __init__(self, coeffs: list, shift: Fraction = _ZERO):
+        self.coeffs = [Fraction(c) for c in coeffs]
+        self.shift = shift
         while self.coeffs and self.coeffs[-1] == 0:
             self.coeffs.pop()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.shift) == (other.coeffs, other.shift)
+
+    def __repr__(self):
+        return f"MonomialPoly(coeffs={self.coeffs!r}, shift={self.shift!r})"
 
     @property
     def degree(self) -> int:

@@ -23,6 +23,13 @@ to the int-pair operations the formulas share (:func:`sign`, :func:`times`,
 wrappers for callers outside the package; no package path calls them.  :func:`log10_abs_ints` and its
 wrapper :func:`log10_abs` follow the same pattern for the figure's
 magnitudes.
+
+The package's record classes (``FamilySpec``, ``SeriesCoeffs`` and five
+more) are plain classes on the private bases :class:`_Record` and
+:class:`_FrozenRecord`, which give the equality, repr and, when frozen,
+the hash a dataclass would; the oracle's ``MonomialPoly`` writes out its
+own.  No module imports ``dataclasses``, whose import of ``inspect``
+would cost every command more start-up than the package's own modules.
 """
 
 import math
@@ -411,3 +418,44 @@ def log10_abs(value) -> float:
     if v == 0:
         return float("-inf")
     return log10_abs_ints(v.numerator, v.denominator)
+
+
+# ---------------------------------------------------------------------------
+# record classes
+# ---------------------------------------------------------------------------
+
+
+class _Record:
+    """Equality and repr over the fields a subclass names in `_fields`, as
+    a dataclass makes them, and no hash.  Each subclass writes its own
+    `__init__`.  Equality compares one `operator.attrgetter` tuple per
+    side, which `ConvMatrix.matvec` pays once per call on its specs."""
+
+    def __init_subclass__(cls):
+        if "_fields" in vars(cls):
+            cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _FrozenRecord(_Record):
+    """A `_Record` hashed by its fields, which `__init__` sets once through
+    `object.__setattr__`; assigning or deleting one raises."""
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

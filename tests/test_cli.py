@@ -90,8 +90,10 @@ class TestCoeffsCommand:
          "argument --N: not an integer: 'x'"),
         (["verify", "--max-degree", "1e3"],
          "argument --max-degree: not an integer: '1e3'"),
+        (["matrix", "--f", "f.csv", "--N=-1"],
+         "argument --N: must be nonnegative"),
     ], ids=["low_precision", "bits_not_integer", "m", "jmax", "N",
-            "max_degree"])
+            "max_degree", "N_negative"])
     def test_usage_error_names_the_reason(self, capsys, argv, reason):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -438,6 +440,19 @@ class TestMatrixAndConvolve:
         assert lines[1:] == [f"{i},{fb.make(v.as_fraction())}"
                              for i, v in enumerate(exact.coeffs)]
         assert len(lines) == 1 + 14
+
+    def test_degree_zero_target_is_one_column(self, tmp_path):
+        # --N is the degree of the input series, so N = 0 gives the
+        # (M+2) x 1 matrix
+        f = tmp_path / "f.csv"
+        write_file(f, JACOBI_F)
+        out = tmp_path / "R.csv"
+        assert main(["matrix", "--f", str(f), "--N", "0",
+                     "--out", str(out)]) == 0
+        want = convmat.build_matrix(read_series(str(f)), 1)
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "5,1"
+        assert lines[1:] == [str(row[0]) for row in want.entries]
 
     def test_triplet_format(self, tmp_path):
         f = tmp_path / "f.csv"

@@ -43,6 +43,20 @@ def test_readme_quick_tour_runs():
     assert result.returncode == 0, result.stderr
 
 
+def test_import_loads_no_dataclasses():
+    # every command pays its imports at start-up; `dataclasses` would add
+    # `inspect`, `ast`, `dis` and `tokenize`, more than the package's own
+    # modules cost
+    src = os.path.dirname(os.path.dirname(polyconv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, polyconv, polyconv.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 JACOBI = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
 
 
