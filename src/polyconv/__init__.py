@@ -40,7 +40,8 @@ from .closed_forms import (
 )
 from .convmat import (ConvMatrix, SeriesCoeffs, build_matrix,
                       convolve_series, rho_table)
-from .generic_conv import RhoRequest, rho_highj, rho_lowj, rho_taylor, rho_vector
+from .generic_conv import (RhoRequest, generic_table, rho_highj, rho_lowj,
+                           rho_taylor, rho_vector)
 from .oracle import (MonomialPoly, convolve_exact, oracle_rho, oracle_table,
                      project_to_family, to_monomial)
 from .scalars import (
@@ -79,6 +80,7 @@ __all__ = [
     "gamma_from_b",
     "gegenbauer",
     "generic_monic",
+    "generic_table",
     "hyp_pfq",
     "jacobi",
     "laguerre",

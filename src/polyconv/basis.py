@@ -40,6 +40,7 @@ formulas, not the label, are authoritative here.
 """
 
 import math
+import operator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -640,26 +641,27 @@ def _lookup(table: dict, key: tuple, what: str) -> Fraction:
 # int weights made from endpoint derivatives.  Each entry is read once,
 # through `data.b` or `data.deriv`; the entries of a column or of a
 # derivative row are put over one common denominator, and each sum makes
-# one Fraction.  Nothing is kept between calls.
+# one Fraction.  Nothing is kept between calls, but a caller may reuse the
+# rows and columns of one call for many sums, as `generic_conv` does.
 
 
-def _deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
+def deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
     """(nums, den) with d^p P_n |_{x=-a} = nums[p - lo] / den for
     p = lo..hi."""
     return over_lcm([data.deriv(n, p) for p in range(lo, hi + 1)])
 
 
-def deriv_products(data: GenericBasisData, m: int, n: int, m_lo: int,
-                   n_lo: int, t_lo: int, t_hi: int) -> tuple:
+def row_products(row_m: tuple, row_n: tuple, m_lo: int, n_lo: int,
+                 t_lo: int, t_hi: int) -> tuple:
     """(sums, den) with
 
         sum_{a+b=t} d^a P_m * d^b P_n |_{x=-a} = sums[t - t_lo] / den
 
-    for t = t_lo..t_hi, reading d^a P_m for a = m_lo..m and then d^b P_n
-    for b = n_lo..n.  Terms with a < m_lo or b < n_lo are left out, so a
-    caller sets the bounds where those terms have no partner."""
-    dm, den_m = _deriv_ints(data, m, m_lo, m)
-    dn, den_n = _deriv_ints(data, n, n_lo, n)
+    for t = t_lo..t_hi, from the `deriv_ints` rows of P_m from order m_lo
+    and of P_n from order n_lo.  Terms with a < m_lo or b < n_lo are left
+    out, so a caller sets the bounds where those terms have no partner."""
+    (dm, den_m), (dn, den_n) = row_m, row_n
+    m, n = m_lo + len(dm) - 1, n_lo + len(dn) - 1
     sums = []
     for t in range(t_lo, t_hi + 1):
         a_lo, a_hi = max(m_lo, t - n), min(m, t - n_lo)
@@ -668,18 +670,26 @@ def deriv_products(data: GenericBasisData, m: int, n: int, m_lo: int,
     return sums, den_m * den_n
 
 
-def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
-               weights: list, den: int) -> Fraction:
-    """sum_{q=lo}^{hi} b_{q,j}/q! * weights[q - lo] / den for int weights.
+def column_ints(data: GenericBasisData, j: int, lo: int, hi: int) -> tuple:
+    """(nums, den) with b_{q,j}/q! = nums[q - lo] / den for q = lo..hi:
+    the column over one denominator, each entry weighted by hi!/q!.
 
     Reads b_{lo,j}, ..., b_{hi,j} in that order, so a table that stops
     short names the first entry of the column it lacks."""
     column, b_den = over_lcm([data.b(q, j) for q in range(lo, hi + 1)])
-    total, f = 0, 1
+    f = 1
     for q in range(hi, lo - 1, -1):  # f = hi!/q!
-        total += column[q - lo] * weights[q - lo] * f
+        column[q - lo] *= f
         f *= q
-    return Fraction(total, b_den * factorial(hi) * den)
+    return column, b_den * factorial(hi)
+
+
+def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
+               weights: list, den: int) -> Fraction:
+    """sum_{q=lo}^{hi} b_{q,j}/q! * weights[q - lo] / den for int weights,
+    the column read by `column_ints`."""
+    column, col_den = column_ints(data, j, lo, hi)
+    return Fraction(sum(map(operator.mul, column, weights)), col_den * den)
 
 
 def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
@@ -700,6 +710,6 @@ def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
         raise IndexOutOfRangeError(f"need n >= r, got n={n}, r={r}")
     if k < 0 or k > n - r:
         raise IndexOutOfRangeError(f"need 0 <= k <= n-r, got k={k}")
-    weights, den = _deriv_ints(data, n, r + k, n)
+    weights, den = deriv_ints(data, n, r + k, n)
     return RATIONAL.make(column_sum(data, k + s, k + s, n - r + s,
                                     weights, den))

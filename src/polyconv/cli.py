@@ -292,9 +292,13 @@ class VerificationReport(_Record):
 def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     """Desk-scale certification: the closed forms and the family-agnostic
     formulas against the exact oracle, and the zero bands of the engine
-    every table command runs, `closed_forms.rho_columns`.  The report's
-    last line names the first mismatch and the route its value came from:
-    `closed=`, `generic=` or `engine=`."""
+    every table command runs, `closed_forms.rho_columns`.  Per family the
+    oracle and the family-agnostic route each serve every pair from one
+    table (`oracle.oracle_table`, `generic_conv.generic_table`), the closed
+    forms are one `closed_forms.rho_closed` call per cell, and the zero
+    bands are read off the engine's int columns, a Fraction made only for
+    a nonzero cell.  The report's last line names the first mismatch and
+    the route its value came from: `closed=`, `generic=` or `engine=`."""
     families = default_verify_families() if families is None else families
     lines, mismatches = [], []
     checks = 0
@@ -310,10 +314,10 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
         checks_before, failures_before = checks, len(mismatches)
         data = GenericBasisData.from_family(spec, 2 * max_degree + 1)
         truths = oracle.oracle_table(spec, max_degree)
+        generics = generic_conv.generic_table(data, max_degree)
         for m in range(max_degree + 1):
             for n in range(m, max_degree + 1):
-                truth = truths[(m, n)]
-                generic = generic_conv.rho_vector(data, m, n)
+                truth, generic = truths[(m, n)], generics[(m, n)]
                 for j in range(m + n + 2):
                     check("closed", m, n, j,
                           closed_forms.rho_closed(spec, m, n, j), truth[j])
@@ -325,9 +329,10 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                 band = closed_forms.zero_region(spec, m, n)
                 if band is None:
                     continue
-                values = closed_forms._fractions(cols[n])
+                nums, den = cols[n]
                 for j in range(band[0], band[1] + 1):
-                    check("engine", m, n, j, values[j], 0)
+                    v = nums[j]
+                    check("engine", m, n, j, Fraction(v, den) if v else 0, 0)
         fam_checks = checks - checks_before
         fam_failures = len(mismatches) - failures_before
         status = "ok" if fam_failures == 0 else "FAILED"

@@ -14,22 +14,29 @@ come in three equivalent shapes:
 
 ``rho_vector`` assembles the whole coefficient vector from the piecewise
 pair, exploiting the commutativity rho_{j,n}^m = rho_{j,m}^n to assume
-m <= n.  All functions are pure; empty summation ranges contribute exactly
-zero.
+m <= n, and ``generic_table`` assembles it for every pair up to a degree
+at once, keyed as ``oracle.oracle_table`` is.  All functions are pure;
+empty summation ranges contribute exactly zero.
 
 Each shape is a sum of terms b_{q,j}/q! d^a P_m d^b P_n at x = -a with
 a + b = q-1; they differ in the ranges of q, a and b they run over, and
 the terms one leaves out and another keeps are zero.  So every function
-here is one call of the integer kernel in `basis`: `deriv_products` makes
-the inner sums over a + b = q-1 from the derivative rows, and
-`column_sum` dots them with the column b_{q,j}/q!.  Each route reads
-exactly the table entries its printed formula reads, each once, and
-returns one Scalar per coefficient.  A :class:`RhoRequest` names one
-cell; it is an immutable, hashable record, its indices checked when it is
-made.
+here is built from the integer kernel in `basis`: `deriv_ints` puts a
+derivative row over one denominator, `row_products` makes the inner sums
+over a + b = q-1 from two rows, and `column_ints` puts the column
+b_{q,j}/q! over one denominator, to be dotted with them.  Each cell route
+reads exactly the table entries its printed formula reads, each once.
+``generic_table`` reads each row and column once for all its pairs, and
+``rho_vector`` is its one-pair case; every route returns one Scalar per
+coefficient.  A :class:`RhoRequest` names one cell; it is an immutable,
+hashable record, its indices checked when it is made.
 """
 
-from .basis import GenericBasisData, column_sum, deriv_products
+from fractions import Fraction
+from operator import mul
+
+from .basis import (GenericBasisData, column_ints, column_sum, deriv_ints,
+                    row_products)
 from .errors import IndexContractError
 from .scalars import RATIONAL, Scalar, _FrozenRecord
 
@@ -61,8 +68,9 @@ def _cell(data: GenericBasisData, req: RhoRequest, m_lo: int, n_lo: int,
           q_lo: int, q_hi: int) -> Scalar:
     """sum_{q=q_lo}^{q_hi} b_{q,j}/q! sum_{a+b=q-1} d^a P_m d^b P_n at
     x = -a, the shape every formula of this module reduces to."""
-    sums, den = deriv_products(data, req.m, req.n, m_lo, n_lo,
-                               q_lo - 1, q_hi - 1)
+    sums, den = row_products(deriv_ints(data, req.m, m_lo, req.m),
+                             deriv_ints(data, req.n, n_lo, req.n),
+                             m_lo, n_lo, q_lo - 1, q_hi - 1)
     return RATIONAL.make(column_sum(data, req.j, q_lo, q_hi, sums, den))
 
 
@@ -112,20 +120,53 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
     return _cell(data, req, 0, 0, max(j, 1), m + max(j, n + 1))
 
 
+def _vectors(data: GenericBasisData, pairs: list, top: int) -> dict:
+    """{(m, n): rho vector} for the pairs m <= n with m + n + 1 <= top.
+
+    Each derivative row d^p P_k, p = 0..k, of a degree k in the pairs is
+    read once, in ascending k, and put over one denominator; then each
+    column b_{q,j}/q!, q = max(j, 1)..top, in ascending j, by
+    `column_ints`.  Each pair makes its inner sums over a + b = q-1 once,
+    and each rho_j is one dot product of the column's first entries with
+    them: the cells of `rho_lowj` (j <= m) and `rho_highj` (j > m), which
+    share those sums, one Fraction each."""
+    rows = {k: deriv_ints(data, k, 0, k)
+            for k in sorted({k for pair in pairs for k in pair})}
+    columns = [column_ints(data, j, max(j, 1), top) for j in range(top + 1)]
+    table = {}
+    for m, n in pairs:
+        sums, den = row_products(rows[m], rows[n], 0, 0, 0, m + n)
+        vector = []
+        for j in range(m + n + 2):
+            column, col_den = columns[j]
+            total = sum(map(mul, column, sums[max(j, 1) - 1:]))
+            vector.append(RATIONAL.make(Fraction(total, col_den * den)))
+        table[(m, n)] = vector
+    return table
+
+
 def rho_vector(data: GenericBasisData, m: int, n: int) -> list:
-    """All rho_{j,n}^m for j = 0..m+n+1: the cells of `rho_lowj` (j <= m)
-    and `rho_highj` (j > m), which share the inner sums over a + b = q-1.
-    Those are made once, then each j is one column sum.
+    """All rho_{j,n}^m for j = 0..m+n+1: `generic_table`'s kernel for
+    the one pair, reading the rows of P_m and P_n and the columns
+    b_{q,j}, q = max(j, 1)..m+n+1.
 
     Swaps (m, n) when m > n, which is free by commutativity of the
     convolution.
     """
     if m > n:
         m, n = n, m
-    sums, den = deriv_products(data, m, n, 0, 0, 0, m + n)
-    out = []
-    for j in range(m + n + 2):
-        lo = max(j, 1)
-        out.append(RATIONAL.make(
-            column_sum(data, j, lo, m + n + 1, sums[lo - 1:], den)))
-    return out
+    return _vectors(data, [(m, n)], m + n + 1)[(m, n)]
+
+
+def generic_table(data: GenericBasisData, max_degree: int) -> dict:
+    """`rho_vector(data, m, n)` for every pair 0 <= m <= n <= max_degree,
+    keyed (m, n) as `oracle.oracle_table` is, from one pass: each entry
+    of the derivative rows up to max_degree and of the columns up to
+    q = 2 max_degree + 1 is read once for all pairs.  A table that stops
+    short raises MissingDataError naming the first entry it lacks, rows
+    first, then the columns in ascending j and q."""
+    if max_degree < 0:
+        raise IndexContractError("degree must be nonnegative")
+    pairs = [(m, n) for m in range(max_degree + 1)
+             for n in range(m, max_degree + 1)]
+    return _vectors(data, pairs, 2 * max_degree + 1)

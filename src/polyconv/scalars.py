@@ -145,6 +145,11 @@ class Scalar:
     def __setattr__(self, name, value):
         raise AttributeError("Scalar is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, since the
+        # default restores slots through `__setattr__`
+        return Scalar, (self.backend, self.value)
+
     # -- coercion ---------------------------------------------------------
 
     @staticmethod

@@ -552,6 +552,23 @@ def test_console_entry_point_exit_code(argv, code):
 
 
 class TestVerify:
+    def test_report_is_the_recorded_text(self):
+        # recorded from the per-pair generic route: a route that drops or
+        # adds checks changes a count here
+        report = run_verification(6)
+        interval = ["jacobi(5/2,3/2)", "jacobi(0,0)", "symmetric_jacobi(5/2)",
+                    "gegenbauer(3/2)", "legendre", "chebyshev"]
+        assert report.lines == (
+            [f"{label}: 583/583 checks passed [ok]" for label in interval]
+            + [f"laguerre({a}): 613/613 checks passed [ok]"
+               for a in ("0", "1", "5/2")]
+            + ["all 5337 checks passed"])
+        assert (report.checks, report.failures) == (5337, 0)
+        assert report.first_mismatch is None
+        deep = run_verification(10)
+        assert (deep.checks, deep.failures) == (15561, 0)
+        assert deep.lines[-1] == "all 15561 checks passed"
+
     def test_default_run_passes(self, capsys):
         assert main(["verify", "--max-degree", "2"]) == 0
         out = capsys.readouterr().out

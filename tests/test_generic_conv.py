@@ -273,9 +273,11 @@ class _Recording(dict):
     def __init__(self, *args):
         super().__init__(*args)
         self.read = set()
+        self.log = []   # every read, in order
 
     def __getitem__(self, key):
         self.read.add(key)
+        self.log.append(key)
         return super().__getitem__(key)
 
     def take(self) -> set:
@@ -362,6 +364,101 @@ class TestKernelAgainstReference:
             with pytest.raises(MissingDataError,
                                match=r"endpoint derivative \(3, \d\)"):
                 kernel(data)
+
+
+def _table_keys(max_degree):
+    """The derivative keys and then the b keys `generic_table` reads, in
+    its order: rows n = 0..D, then columns j ascending, q ascending."""
+    top = 2 * max_degree + 1
+    derivs = [(n, p) for n in range(max_degree + 1) for p in range(n + 1)]
+    bs = [(q, j) for j in range(top + 1) for q in range(max(j, 1), top + 1)]
+    return derivs, bs
+
+
+class TestGenericTable:
+    """`generic_table` serves every pair from one pass over the table:
+    the per-pair vectors, each entry read once, and the first missing
+    entry named in its reading order."""
+
+    DEGREE = 4
+
+    @pytest.mark.parametrize("spec", KERNEL_FAMILIES, ids=lambda s: s.label())
+    def test_equals_the_per_pair_vectors(self, spec):
+        data = GenericBasisData.from_family(spec, 2 * self.DEGREE + 1)
+        table = generic_conv.generic_table(data, self.DEGREE)
+        pairs = [(m, n) for m in range(self.DEGREE + 1)
+                 for n in range(m, self.DEGREE + 1)]
+        assert list(table) == pairs
+        for (m, n), vector in table.items():
+            assert vector == generic_conv.rho_vector(data, m, n), (m, n)
+            assert _as_values(vector) == ref_vector(data, m, n), (m, n)
+            assert all(type(v) is Scalar for v in vector)
+
+    def test_matches_the_oracle_table(self):
+        spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+        data = GenericBasisData.from_family(spec, 2 * self.DEGREE + 1)
+        assert (generic_conv.generic_table(data, self.DEGREE)
+                == oracle.oracle_table(spec, self.DEGREE))
+
+    @pytest.mark.parametrize("convert", [
+        int, Fraction, RATIONAL.make,
+        lambda v: RATIONAL.make(v) if v.denominator % 2 else v,
+    ], ids=["int", "Fraction", "Scalar", "mixed"])
+    def test_entry_types_give_equal_values(self, convert):
+        if convert is int:
+            spec = basis.generic_monic()   # the family whose tables are ints
+        else:
+            spec = basis.jacobi(Fraction(-1, 2), Fraction(1, 3))
+        data = _with_entries(GenericBasisData.from_family(spec, 9), convert)
+        for (m, n), vector in generic_conv.generic_table(data, 4).items():
+            assert _as_values(vector) == ref_vector(data, m, n), (m, n)
+            assert all(type(v) is Scalar for v in vector)
+
+    @pytest.mark.parametrize("spec", [
+        basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+        basis.laguerre(Fraction(-1, 2)), basis.generic_monic(),
+    ], ids=lambda s: s.label())
+    def test_reads_each_entry_once_in_order(self, spec):
+        data = _with_entries(GenericBasisData.from_family(spec, 11), Fraction,
+                             _Recording, _Recording)
+        generic_conv.generic_table(data, self.DEGREE)
+        derivs, bs = _table_keys(self.DEGREE)
+        assert data.endpoint_derivs.log == derivs
+        assert data.b_coeffs.log == bs
+
+    def test_one_pair_reads_each_entry_once(self):
+        data = _with_entries(GenericBasisData.from_family(basis.legendre(), 9),
+                             Fraction, _Recording, _Recording)
+        for m, n in [(3, 3), (4, 2), (0, 0)]:
+            derivs, bs = data.endpoint_derivs.log, data.b_coeffs.log
+            del derivs[:], bs[:]
+            generic_conv.rho_vector(data, m, n)
+            lo, hi = sorted((m, n))
+            rows = sorted({lo, hi})
+            assert derivs == [(k, p) for k in rows for p in range(k + 1)]
+            assert bs == [(q, j) for j in range(lo + hi + 2)
+                          for q in range(max(j, 1), lo + hi + 2)]
+
+    @pytest.mark.parametrize("stored", range(9))
+    def test_truncated_table_names_the_first_missing_entry(self, stored):
+        data = GenericBasisData.from_family(
+            basis.jacobi(Fraction(-1, 3), Fraction(-2, 3)), stored)
+        derivs, bs = _table_keys(self.DEGREE)
+        missing = ([("endpoint derivative", k) for k in derivs
+                    if k not in data.endpoint_derivs]
+                   + [("b-coefficient", k) for k in bs
+                      if k not in data.b_coeffs])
+        what, key = missing[0]
+        with pytest.raises(MissingDataError) as exc:
+            generic_conv.generic_table(data, self.DEGREE)
+        assert str(exc.value) == f"missing {what} {key}"
+
+    def test_degree_zero_and_negative(self):
+        data = GenericBasisData.from_family(basis.legendre(), 1)
+        assert generic_conv.generic_table(data, 0) == {
+            (0, 0): generic_conv.rho_vector(data, 0, 0)}
+        with pytest.raises(IndexContractError, match="nonnegative"):
+            generic_conv.generic_table(data, -1)
 
 
 def _mp_eval(coeffs, x):

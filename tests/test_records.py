@@ -4,6 +4,8 @@ keyword with the same defaults and checks, equal within their class only,
 hashable only where frozen, and printed in the dataclass text.  The repr
 strings below are those the dataclass versions printed."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -186,3 +188,45 @@ def test_to_backend_builds_a_checked_copy():
         broken.to_backend(FloatBackend(128))
     with pytest.raises(ValueError, match="Jacobi needs alpha and beta"):
         convmat.ConvMatrix(broken, 4, COLUMNS).to_backend(RATIONAL)
+
+
+# copy.copy, copy.deepcopy and a pickle round trip: a Scalar restores its
+# slots through the constructor, not the `__setattr__` that raises
+_JACOBI_64 = basis.jacobi(Fraction(5, 2), Fraction(3, 2), FloatBackend(64))
+_SERIES = convmat.SeriesCoeffs(_JACOBI_64, [HALF, 0, THIRD])
+COPIED = {
+    "rational Scalar": RATIONAL.make(Fraction(-7, 3)),
+    "float Scalar": FloatBackend(64).make(THIRD),
+    "Jacobi spec": basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+    "SeriesCoeffs": _SERIES,
+    "ConvMatrix": convmat.build_matrix(_SERIES, 3),
+}
+COPIERS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
+def _backend(x):
+    if isinstance(x, (convmat.SeriesCoeffs, convmat.ConvMatrix)):
+        return x.family.backend
+    return x.backend
+
+
+@pytest.mark.parametrize("copier", COPIERS, ids=str)
+@pytest.mark.parametrize("name", COPIED, ids=str)
+def test_copies_equal_the_original(name, copier):
+    original = COPIED[name]
+    twin = COPIERS[copier](original)
+    assert type(twin) is type(original)
+    assert twin == original
+    assert repr(twin) == repr(original)
+    assert _backend(twin) == _backend(original)
+
+
+def test_deep_copied_spec_gives_the_same_columns():
+    spec = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+    twin = copy.deepcopy(spec)
+    assert twin.alpha is not spec.alpha
+    assert cf.rho_columns(twin, 3, 6) == cf.rho_columns(spec, 3, 6)
