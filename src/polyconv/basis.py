@@ -25,11 +25,13 @@ common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
 the endpoint derivatives, b_{n,k} and gamma are each a product of int
 rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
 per value, uncached; ``connection_ints`` and ``endpoint_runs`` are int
-pairs.  ``endpoint_runs`` makes the values P_k(-a) only on the runs of k a
-caller reads, over the denominator of the highest one, which is a closed
-form (``_endpoint_den``: Legendre's formula for the prime powers of n!),
-each run from one such product stepped by term ratios; ``endpoint_ints``
-is its one run 0..n.
+pairs.  The values P_k(-a) = sigma^k (c)_k / k! are read from one family
+constant, the spec's (sigma, c) (``FamilySpec._endpoint_constant``).
+``endpoint_runs`` makes them only on the runs of k a caller reads, over
+the denominator of the highest one, which is a closed form in c's
+denominator (``_endpoint_den``: Legendre's formula for the prime powers
+of n!), each run from one rising factorial of c stepped by the term
+ratio sigma (c + k) / (k + 1).
 Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
 L_n^(alpha)(0) = (1+alpha)_n / n!.
 
@@ -171,6 +173,23 @@ class FamilySpec(_FrozenRecord):
             row = self._jacobi_row
         d = math.lcm(*(v.denominator for v in row))
         return (d, *(v.numerator * (d // v.denominator) for v in row))
+
+    @cached_property
+    def _endpoint_constant(self) -> tuple:
+        """(sigma, P, Q) with P_k(-a) = sigma^k (c)_k / k! for every k, c =
+        P/Q in lowest terms, Q > 0: the one family fact the endpoint values
+        are read from.  An interval row (alpha, beta, p, q) has sigma = -1
+        and c = beta + 1 when p = q; when p != q it has q = beta + 1
+        (Gegenbauer, Chebyshev), so c_k (beta+1)_k = (p)_k and c = p.
+        Laguerre has sigma = +1 and c = alpha + 1, and a generic sequence,
+        whose P_0 = 1 and P_k(-a) = 0 for k >= 1, sigma = +1 and c = 0."""
+        if self.family is Family.GENERIC_MONIC:
+            return 1, 0, 1
+        if self.family is Family.LAGUERRE:
+            d, alpha = self._row_ints
+            return (1, *lowest(alpha + d, d))
+        d, _, beta, p, q = self._row_ints
+        return (-1, *lowest(beta + d if p == q else p, d))
 
     def jacobi_parameters(self) -> tuple[Fraction, Fraction]:
         """The (alpha, beta) of the underlying Jacobi normalization."""
@@ -339,71 +358,43 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
         d^p P_n^(alpha,beta) |_{x=-1}
             = (-1)^(n+p) (beta+p+1)_(n-p) (s+n+1)_p / (2^p (n-p)!),
 
-    s = alpha + beta; for Laguerre (-1)^p (alpha+p+1)_(n-p) / (n-p)!."""
-    return RATIONAL.make(Fraction(*_endpoint_derivative_ints(spec, n, p)))
-
-
-def _endpoint_derivative_ints(spec: FamilySpec, n: int, p: int) -> tuple:
-    """`endpoint_derivative` as an int pair, not reduced: one product of
-    rising factorials of the family's row."""
+    s = alpha + beta; for Laguerre (-1)^p (alpha+p+1)_(n-p) / (n-p)!.  One
+    product of rising factorials of the family's row, one Fraction."""
     if n < 0 or p < 0:
         raise IndexOutOfRangeError("degree and order must be nonnegative")
     f = spec.family
     if p > n:
-        return 0, 1
-    if f is Family.GENERIC_MONIC:
-        return factorial(n) if p == n else 0, 1
-    if f is Family.LAGUERRE:
+        value = 0, 1
+    elif f is Family.GENERIC_MONIC:
+        value = factorial(n) if p == n else 0, 1
+    elif f is Family.LAGUERRE:
         d, a = spec._row_ints
-        return times((sign(p), factorial(n - p)),
-                     _rising(a + (p + 1) * d, d, n - p))
-    d, a, b, _, _ = spec._row_ints
-    return times((sign(n + p), 2 ** p * factorial(n - p)),
-                 _rising(b + (p + 1) * d, d, n - p),
-                 _rising(a + b + (n + 1) * d, d, p),
-                 spec._normalization_ints(n))
-
-
-def _endpoint_ratio(spec: FamilySpec, k: int) -> tuple:
-    """P_{k+1}(-a) / P_k(-a) as an int pair, not reduced:
-    -(beta+k+1)/(k+1) * (p+k)/(q+k) for the row (alpha, beta, p, q) of an
-    interval family, (alpha+k+1)/(k+1) for Laguerre, in `_row_ints`; 0
-    for a generic sequence, whose P_k(-a) = 0 for k >= 1."""
-    if spec.family is Family.GENERIC_MONIC:
-        return 0, 1
-    if spec.family is Family.LAGUERRE:
-        d, alpha = spec._row_ints
-        return alpha + d * (k + 1), d * (k + 1)
-    d, _, beta, p, q = spec._row_ints
-    if p == q:
-        return -(beta + d * (k + 1)), d * (k + 1)
-    return -(beta + d * (k + 1)) * (d * k + p), d * (k + 1) * (d * k + q)
+        value = times((sign(p), factorial(n - p)),
+                      _rising(a + (p + 1) * d, d, n - p))
+    else:
+        d, a, b, _, _ = spec._row_ints
+        value = times((sign(n + p), 2 ** p * factorial(n - p)),
+                      _rising(b + (p + 1) * d, d, n - p),
+                      _rising(a + b + (n + 1) * d, d, p),
+                      spec._normalization_ints(n))
+    return RATIONAL.make(Fraction(*value))
 
 
 def _endpoint_den(spec: FamilySpec, n: int) -> int:
     """The denominator of P_n(-a) in lowest terms, in closed form.
 
-    P_n(-a) = +-(c)_n / n! with c = P/Q in lowest terms: c = beta + 1 for
-    an interval row with p = q, c = p for one with p != q (each such row
-    has q = beta + 1: Gegenbauer's c = 2 lam, Chebyshev's 1), and
-    c = alpha + 1 for Laguerre.  (c)_n / n! = prod_{i<n} (P + iQ) / (Q^n n!).
+    P_n(-a) = +-(c)_n / n! with c = P/Q in lowest terms from the spec's
+    `_endpoint_constant`, and (c)_n / n! = prod_{i<n} (P + iQ) / (Q^n n!).
     A prime l dividing Q divides no factor P + iQ, so it keeps all of
     Q^n n!: n v_l(Q) + v_l(n!), with v_l(n!) = sum_i floor(n / l^i)
     (Legendre's formula).  For a prime l not dividing Q, n consecutive
     terms of the progression P + iQ meet every power of l no later than
     1..n do, so n!'s powers of l cancel.  So the denominator is
-    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator.
+    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator
+    (1 for a generic sequence, whose P_n(-a) are ints).
     A prime l > n has v_l(n!) = 0, so trial division stops at
-    min(sqrt(Q), n) and a large prime in Q costs nothing.  A generic
-    sequence's P_n(-a) are ints."""
-    if spec.family is Family.GENERIC_MONIC:
-        return 1
-    if spec.family is Family.LAGUERRE:
-        d, alpha = spec._row_ints
-        _, q = lowest(alpha + d, d)
-    else:
-        d, _, beta, p, q = spec._row_ints
-        _, q = lowest((beta + d) if p == q else p, d)
+    min(sqrt(Q), n) and a large prime in Q costs nothing."""
+    q = spec._endpoint_constant[2]
     den, rest, ell = q ** n, q, 2
     while rest > 1 and ell <= n:  # the primes l <= n of Q, trial division
         if ell * ell > rest:  # rest is a prime
@@ -426,35 +417,30 @@ def endpoint_runs(spec: FamilySpec, runs, n: int) -> tuple:
     """(nums, den) with P_k(-a) = nums[k] / den for every k in the runs
     [lo, hi) of `runs`, disjoint and within 0..n, and nums[k] = 0 for the
     other k <= n; den is the denominator of P_n(-a) in lowest terms, in
-    closed form from `_endpoint_den`.
+    closed form from `_endpoint_den`, and the least common denominator of
+    every P_k(-a), k <= n, since those of (c)_k / k! divide one another
+    as k grows.
 
-    den is the least common denominator of every P_k(-a), k <= n: each
-    P_k(-a) is +-(c)_k / k! for a rational c > -1 that is not an integer
-    <= 0 (c = beta + 1, 2 lam or alpha + 1; Chebyshev's is +-1), and the
-    denominators of (c)_k / k! in lowest terms divide one another as k
-    grows (see `_endpoint_den`).  Each run starts from one product of
-    rising factorials at its first k, and each value after it is the one
-    before times the `_endpoint_ratio`, nums[k+1] = nums[k] * ratio_k, an
-    exact division by a small int: one step per k in the runs, none for
-    the k between them.  The run starts are not stepped: each is a product
-    of O(lo) factors, and nums is allocated at full length."""
+    Every value is read from the spec's `_endpoint_constant` (sigma, P,
+    Q), P_k(-a) = sigma^k (P/Q)_k / k!.  Each run starts from one
+    `pochhammer_ints(P, Q, lo)` over Q^lo lo!, and each value after it is
+    the one before times sigma (P + kQ) / (Q (k+1)), an exact division by
+    a small int: one step per k in the runs, none for the k between them.
+    The run starts are not stepped: each is a product of O(lo) factors,
+    and nums is allocated at full length."""
+    if n < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    sigma, p, q = spec._endpoint_constant
     den = _endpoint_den(spec, n)
     nums = [0] * (n + 1)
     for lo, hi in runs:
-        num, num_den = _endpoint_derivative_ints(spec, lo, 0)
-        v = num * den // num_den
+        num, num_den = _rising(p, q, lo)
+        v = sigma ** lo * num * den // (num_den * factorial(lo))
         nums[lo] = v
         for k in range(lo, hi - 1):
-            rn, rd = _endpoint_ratio(spec, k)
-            v = v * rn // rd
+            v = v * (sigma * (p + k * q)) // (q * (k + 1))
             nums[k + 1] = v
     return nums, den
-
-
-def endpoint_ints(spec: FamilySpec, n: int) -> tuple:
-    """(nums, den) with P_k(-a) = nums[k] / den for k = 0..n, den the least
-    common denominator: `endpoint_runs` over the one run 0..n."""
-    return endpoint_runs(spec, [(0, n + 1)], n)
 
 
 def connection_ints(spec: FamilySpec, n: int) -> tuple:

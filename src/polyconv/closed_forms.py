@@ -39,8 +39,9 @@ it starts from the derivative connection, closes each column at j = 0 by
 the endpoint condition, and skips every row whose operands are zero.  It
 works only on the rows a column can reach, fixed once per call as runs:
 its set-up, endpoint steps and every per-row pass over a column skip the
-zero band between two far-apart degrees; the column lists and the
-rising-factorial product that starts each run of endpoint values still
+zero band between two far-apart degrees; the column lists and the one
+rising factorial (c)_lo of the family constant c (``basis`` reads
+P_k(-a) = +-(c)_k / k!) that starts each run of endpoint values still
 grow with the top degree.  ``rho_columns`` is its single-weight case.
 The recurrence runs in ints and makes no ``Fraction``: its coefficients
 and the values P_k(-a) are int pairs from ``basis.connection_ints`` and
@@ -718,9 +719,10 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     the row loop, the rescale by the row weights, the closing sum and the
     division by the content.  So each weight costs O(nmax) rows of set-up
     and of every per-row step, and no row between two weights is visited.
-    Some O(top) work remains: each run's first endpoint value is a product
-    of O(lo) factors, and the endpoint list and each column are allocated
-    at full length.  Dense input is one run over every row.
+    Some O(top) work remains: each run's first endpoint value is one
+    rising factorial (c)_lo of the family constant c, O(lo) factors, and
+    the endpoint list and each column are allocated at full length.
+    Dense input is one run over every row.
     """
     weights = {m: w for m, w in weights.items() if w}
     if nmax < 0 or any(m < 0 for m in weights):
@@ -886,6 +888,8 @@ def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
     column's int numerator and denominator by `log10_abs_ints`: the grid
     starts as all None and only the nonzero cells are filled, with no
     Fraction made."""
+    if jmax < 0:
+        raise IndexContractError("jmax must be nonnegative")
     cols = rho_columns(spec, m, nmax)
     grid = [[None] * (nmax + 1) for _ in range(jmax + 1)]
     for n, (nums, den) in enumerate(cols):

@@ -153,6 +153,8 @@ def rho_vector(data: GenericBasisData, m: int, n: int) -> list:
     Swaps (m, n) when m > n, which is free by commutativity of the
     convolution.
     """
+    if m < 0 or n < 0:
+        raise IndexContractError("degrees must be nonnegative")
     if m > n:
         m, n = n, m
     return _vectors(data, [(m, n)], m + n + 1)[(m, n)]

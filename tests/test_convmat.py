@@ -269,6 +269,9 @@ class TestTableIsTheMatrixOfPm:
     def test_negative_jmax_is_rejected(self):
         with pytest.raises(IndexContractError):
             convmat.rho_table(basis.legendre(), 2, -2, 3)
+        # the figure grid too, not as an empty grid
+        with pytest.raises(IndexContractError, match="jmax"):
+            cf.magnitude_grid(basis.legendre(), 2, -2, 3)
 
 
 class TestAgainstClosedForms:

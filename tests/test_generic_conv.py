@@ -459,6 +459,10 @@ class TestGenericTable:
             (0, 0): generic_conv.rho_vector(data, 0, 0)}
         with pytest.raises(IndexContractError, match="nonnegative"):
             generic_conv.generic_table(data, -1)
+        # one pair as the table: not zeros or []
+        for m, n in ((-1, 3), (3, -1), (-2, -1), (-1, -1)):
+            with pytest.raises(IndexContractError, match="nonnegative"):
+                generic_conv.rho_vector(data, m, n)
 
 
 def _mp_eval(coeffs, x):

@@ -320,7 +320,7 @@ def test_integer_cores_return_ints():
                   d_sum(2, 5, 1, row)]
         for n in range(3):
             pairs += basis.connection_ints(spec, n)
-        nums, den = basis.endpoint_ints(spec, 3)
+        nums, den = basis.endpoint_runs(spec, [(0, 4)], 3)
         pairs += [(v, den) for v in nums]
     assert all(type(v) is int for pair in pairs for v in pair)
 

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from polyconv import basis, closed_forms as cf, convmat, generic_conv
+from polyconv.errors import IndexOutOfRangeError
 from polyconv.oracle import oracle_rho
-from polyconv.scalars import FloatBackend, lowest
+from polyconv.scalars import FloatBackend
 
 from conftest import acceptance_families
 
@@ -222,24 +223,29 @@ class TestIntegerColumns:
     def test_endpoint_values_track_the_rows_visited(self, monkeypatch):
         # the values P_k(-a) are made only on the runs of rows a column can
         # reach: a single weight at degree 400 or 4000 against nmax = 4
-        # makes O(nmax) endpoint steps, not one per row below the top
+        # asks for O(nmax) endpoint values in one call, not one per row
+        # below the top, and they are the values of the full run
         calls = []
-        ratio = basis._endpoint_ratio
 
-        def counted(spec, k):
-            calls.append(k)
-            return ratio(spec, k)
+        def recorded(spec, runs, n):
+            calls.append((spec, list(runs), n))
+            return basis.endpoint_runs(spec, runs, n)
 
-        monkeypatch.setattr(basis, "_endpoint_ratio", counted)
+        monkeypatch.setattr(cf, "endpoint_runs", recorded)
         for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
                      basis.gegenbauer(Fraction(3, 2)),
+                     basis.chebyshev(),
                      basis.laguerre(Fraction(5, 2))):
             for m in (400, 4000):
                 calls.clear()
                 cols = cf.series_columns(spec, {m: Fraction(3, 7)}, 4)
                 assert len(cols) == 5
-                assert len(calls) == len(set(calls)) <= 4 * (4 + 2), \
-                    (spec.label(), m, sorted(calls))
+                assert len(calls) == 1, (spec.label(), m)
+                _, runs, n = calls[0]
+                assert n == m + 4 + 2
+                assert sum(hi - lo for lo, hi in runs) <= 4 * (4 + 2), \
+                    (spec.label(), m, runs)
+                assert_endpoint_runs(spec, runs, n)
 
     def test_connection_and_endpoint_ints_in_lowest_terms(self):
         # the values themselves are certified by the oracle and by the
@@ -248,15 +254,15 @@ class TestIntegerColumns:
             for n in range(12):
                 for num, den in basis.connection_ints(spec, n):
                     assert den > 0 and math.gcd(num, den) == 1
-            nums, den = basis.endpoint_ints(spec, 30)
+            nums, den = basis.endpoint_runs(spec, [(0, 31)], 30)
             assert den > 0 and math.gcd(den, *nums) == 1, spec.label()
 
 
 def assert_endpoint_runs(spec, runs, n):
-    """`endpoint_runs` equals `endpoint_ints` on its runs and is zero off
+    """`endpoint_runs` equals its one run 0..n on its runs and is zero off
     them, over the same denominator."""
     nums, den = basis.endpoint_runs(spec, runs, n)
-    full, full_den = basis.endpoint_ints(spec, n)
+    full, full_den = basis.endpoint_runs(spec, [(0, n + 1)], n)
     assert den == full_den and len(nums) == n + 1, spec.label()
     on = {k for lo, hi in runs for k in range(lo, hi)}
     assert nums == [v if k in on else 0 for k, v in enumerate(full)], \
@@ -277,8 +283,27 @@ def test_random_endpoint_runs(params, cuts):
         assert_endpoint_runs(basis.gegenbauer(lam), runs, 60)
 
 
+@settings(max_examples=25, deadline=None)
+@given(jacobi_parameters(), st.integers(0, 40))
+@example((Fraction(-1, 2), Fraction(-1, 2)), 40)  # alpha = -1/2: Q = 2
+@example((Fraction(-1, 3), Fraction(-2, 3)), 40)  # alpha + beta = -1
+def test_random_endpoint_values(params, n):
+    # every value P_k(-a) read from the family constant (sigma, c) equals
+    # the three-term recurrence at x = -a, for Jacobi (c = beta + 1),
+    # Laguerre (c = alpha + 1) and Gegenbauer (p != q: c = 2 lam)
+    alpha, beta = params
+    specs = [basis.jacobi(alpha, beta), basis.laguerre(alpha)]
+    lam = alpha + Fraction(1, 2)
+    if lam > Fraction(-1, 2) and lam != 0:
+        specs.append(basis.gegenbauer(lam))
+    for spec in specs:
+        nums, den = basis.endpoint_runs(spec, [(0, n + 1)], n)
+        assert [Fraction(v, den) for v in nums] == basis.eval_polys(
+            spec, n, -spec.domain_offset_a), (spec.label(), n)
+
+
 class TestEndpointValues:
-    def test_runs_equal_endpoint_ints(self):
+    def test_runs_equal_the_full_run(self):
         # the values at visited rows and their denominator, that of the
         # top value, for runs at the bottom, in the middle and at the top,
         # and for none
@@ -289,7 +314,7 @@ class TestEndpointValues:
 
     def test_equal_endpoint_derivatives_and_recurrence(self):
         for spec in acceptance_families() + edge_families():
-            nums, den = basis.endpoint_ints(spec, 40)
+            nums, den = basis.endpoint_runs(spec, [(0, 41)], 40)
             assert all(type(v) is int for v in nums + [den])
             values = [Fraction(v, den) for v in nums]
             assert values == [basis.endpoint_derivative(spec, k, 0)
@@ -330,15 +355,24 @@ class TestEndpointValues:
         # P_0 = 1 and P_k(-a) = 0 for k >= 1; the engine then stops at
         # the missing derivative connection
         spec = basis.generic_monic()
-        assert basis.endpoint_ints(spec, 5) == ([1, 0, 0, 0, 0, 0], 1)
+        assert basis.endpoint_runs(spec, [(0, 6)], 5) == \
+            ([1, 0, 0, 0, 0, 0], 1)
         with pytest.raises(ValueError, match="derivative connection"):
             cf.series_columns(spec, {2: 1}, 3)
 
+    def test_negative_degree_rejected(self):
+        for spec in (basis.legendre(), basis.laguerre(0),
+                     basis.generic_monic()):
+            for runs in ([], [(0, 1)]):
+                with pytest.raises(IndexOutOfRangeError,
+                                   match="degree must be nonnegative"):
+                    basis.endpoint_runs(spec, runs, -1)
+
 
 def product_route_den(spec, n):
-    """The denominator of P_n(-a) in lowest terms, from the unreduced
-    product of rising factorials and one gcd."""
-    return lowest(*basis._endpoint_derivative_ints(spec, n, 0))[1]
+    """The denominator of P_n(-a) in lowest terms, from the product of
+    rising factorials of `endpoint_derivative`, reduced by one gcd."""
+    return basis.endpoint_derivative(spec, n, 0).as_fraction().denominator
 
 
 @settings(max_examples=30, deadline=None)
