@@ -245,10 +245,8 @@ def read_series(path: str) -> convmat.SeriesCoeffs:
     if not entries:
         raise PolyconvError(f"{path}:{header_no}: header has no "
                             "coefficient rows")
-    # the degrees left out are the shared exact zero, so the series makes
-    # one zero Scalar for them all
-    zero = closed_forms._ZERO
-    coeffs = [entries.get(i, zero) for i in range(max(entries) + 1)]
+    # the degrees left out are 0, which the series makes one zero Scalar for
+    coeffs = [entries.get(i, 0) for i in range(max(entries) + 1)]
     return convmat.SeriesCoeffs(spec, coeffs)
 
 

@@ -29,8 +29,10 @@ alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
 simplified forms in the T normalization, whose n = 0 case takes the same
 factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
 symmetric varpi display has a removable singularity at alpha = -1/2, where
-the equivalent general-parameter form is used instead; the symmetric d
-sum is the general display at beta = alpha, with its own 4F3.
+the equivalent general-parameter form is used instead.  Every d sum but
+Legendre's reads one 4F3, ``_jacobi_d_f43``: symmetric Jacobi and
+Gegenbauer sum the general display itself at beta = alpha, and Chebyshev's
+own display takes the 4F3 at alpha = beta = -1/2.
 
 The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
@@ -65,10 +67,11 @@ pairs: rising factorials from ``scalars.pochhammer_ints`` (imported as
 ``scalars.hyp_pfq_ints``, with one ``Fraction`` per value.
 ``bateman_tensor`` returns its entries in a :class:`BatemanTensor`, a
 record (``scalars._Record``) equal when its fields are.  Only the 4F3
-factors of the ``d`` terms (``_jacobi_d_f43``, ``_sym_d_f43``,
-``_cheb_d_f43``), which cells of the same m and j share, are memoized.
-``clear_caches`` empties them and the cache of ``scalars.pochhammer``
-(imported as ``_poch``), which no package path calls.
+factor of the ``d`` terms, ``_jacobi_d_f43``, which cells of the same m
+and j share, is memoized; ``clear_caches`` empties it, the benchmark's
+handles ``_sym_d_f43`` and ``_cheb_d_f43`` (its specializations, which
+nothing here calls) and the cache of ``scalars.pochhammer`` (imported as
+``_poch``), which no package path calls.
 """
 
 import math
@@ -192,24 +195,21 @@ def _jacobi_d_f43(m: int, nu: int, j: int, d: int, a: int, b: int) -> tuple:
         [(nu - j + 1, 1), (b + d, d), (s + (j + nu + 2) * d, d)], (1, 1)))
 
 
-def _jacobi_d_sum(m: int, n: int, j: int, row: tuple, f43=None) -> tuple:
+def _jacobi_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
     """sum_{nu=j+1}^{n+1} of the second-sum terms of the j <= m regime for
-    general (alpha, beta):
+    general (alpha, beta), symmetric Jacobi and Gegenbauer (beta = alpha)
+    included:
 
         d_nu = 2 (-1)^(m+n+1+nu) (beta+nu) (beta+j+1)_(m-j) (beta+1)_n
                (s+n+1)_(nu-1) / (m! (n+1-nu)! (nu-j)!)
-               * (s+2j+1) / (s+j+1)_(nu+1) * f43(nu)
+               * (s+2j+1) / (s+j+1)_(nu+1) * 4F3(nu)
 
-    and, apart from the 4F3 `f43` (`_jacobi_d_f43` unless given),
-    d_(nu+1) / d_nu = -(beta+nu+1)(s+n+nu)(n+1-nu)
-    / ((beta+nu)(nu+1-j)(s+j+nu+2)).  At j = 0, (s+1) / (s+1)_(nu+1) is
-    written 1 / (s+2)_nu: the same number for s != -1, and at s = -1,
-    where the display is 0/0, its limit."""
+    and, apart from the 4F3 (`_jacobi_d_f43`), d_(nu+1) / d_nu =
+    -(beta+nu+1)(s+n+nu)(n+1-nu) / ((beta+nu)(nu+1-j)(s+j+nu+2)).  At
+    j = 0, (s+1) / (s+1)_(nu+1) is written 1 / (s+2)_nu: the same number
+    for s != -1, and at s = -1, where the display is 0/0, its limit."""
     d, a, b = row
     s = a + b
-    if f43 is None:
-        def f43(nu):
-            return _jacobi_d_f43(m, nu, j, d, a, b)
 
     def term(nu):
         if j == 0:
@@ -229,7 +229,8 @@ def _jacobi_d_sum(m: int, n: int, j: int, row: tuple, f43=None) -> tuple:
         return (-(b + (nu + 1) * d) * (s + (n + nu) * d) * (n + 1 - nu),
                 (b + nu * d) * (nu + 1 - j) * (s + (j + nu + 2) * d))
 
-    return _ratio_sum(range(j + 1, n + 2), term, ratio, f43)
+    return _ratio_sum(range(j + 1, n + 2), term, ratio,
+                      lambda nu: _jacobi_d_f43(m, nu, j, d, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +286,8 @@ def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 
 @lru_cache(maxsize=200_000)
 def _sym_d_f43(m: int, nu: int, j: int, d: int, a: int) -> tuple:
-    """4F3(1, -m, alpha+nu+1, 2alpha+m+1; nu-j+1, alpha+1, 2alpha+j+nu+2;
-    1) in lowest terms, alpha = a/d."""
-    return lowest(*hyp_pfq_ints(
-        [(1, 1), (-m, 1), (a + (nu + 1) * d, d), (2 * a + (m + 1) * d, d)],
-        [(nu - j + 1, 1), (a + d, d), (2 * a + (j + nu + 2) * d, d)], (1, 1)))
-
-
-def _sym_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
-    """The symmetric-parameter d sum: the general display at beta = alpha,
-    alpha = -1/2 and its j = 0 limit included, with the symmetric 4F3."""
-    d, a, _ = row
-    return _jacobi_d_sum(m, n, j, (d, a, a),
-                         lambda nu: _sym_d_f43(m, nu, j, d, a))
+    """`_jacobi_d_f43` at beta = alpha = a/d; only bench/job.py reads it."""
+    return _jacobi_d_f43(m, nu, j, d, a, a)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +411,8 @@ def _chebyshev_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 
 @lru_cache(maxsize=200_000)
 def _cheb_d_f43(m: int, nu: int, j: int) -> tuple:
-    """4F3(1, -m, m, nu+1/2; 1/2, nu-j+1, j+nu+1; 1) in lowest terms."""
-    return lowest(*hyp_pfq_ints(
-        [(1, 1), (-m, 1), (m, 1), (2 * nu + 1, 2)],
-        [(1, 2), (nu - j + 1, 1), (j + nu + 1, 1)], (1, 1)))
+    """`_jacobi_d_f43` at alpha = beta = -1/2; only bench/job.py reads it."""
+    return _jacobi_d_f43(m, nu, j, 2, -1, -1)
 
 
 def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
@@ -433,8 +421,9 @@ def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
         d_nu = lead (-1)^(m+n) (-n)_(nu-1) (n)_(nu-1) (nu-1/2)
                / ((nu-j)! (j+nu)!) * 4F3(nu),
 
-    and, apart from the 4F3 `_cheb_d_f43`, d_(nu+1) / d_nu =
-    (nu-1-n)(n+nu-1)(2nu+1) / ((2nu-1)(nu+1-j)(nu+1+j))."""
+    4F3(nu) = 4F3(1, -m, m, nu+1/2; 1/2, nu-j+1, j+nu+1; 1), the Jacobi
+    4F3 `_jacobi_d_f43` at alpha = beta = -1/2; apart from it,
+    d_(nu+1) / d_nu = (nu-1-n)(n+nu-1)(2nu+1) / ((2nu-1)(nu+1-j)(nu+1+j))."""
 
     def term(nu):
         return times(((2 if j == 0 else 4) * sign(m + n) * (2 * nu - 1),
@@ -447,7 +436,7 @@ def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
                 (2 * nu - 1) * (nu + 1 - j) * (nu + 1 + j))
 
     return _ratio_sum(range(j + 1, n + 2), term, ratio,
-                      lambda nu: _cheb_d_f43(m, nu, j))
+                      lambda nu: _jacobi_d_f43(m, nu, j, 2, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +478,8 @@ def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
 # normalization rather than the family's own).
 _SUMS = {
     Family.JACOBI: (_jacobi_varpi_sum, _jacobi_d_sum, False),
-    Family.SYMMETRIC_JACOBI: (_sym_varpi_sum, _sym_d_sum, False),
-    Family.GEGENBAUER: (_sym_varpi_sum, _sym_d_sum, True),
+    Family.SYMMETRIC_JACOBI: (_sym_varpi_sum, _jacobi_d_sum, False),
+    Family.GEGENBAUER: (_sym_varpi_sum, _jacobi_d_sum, True),
     Family.LEGENDRE: (_legendre_varpi_sum, _legendre_d_sum, False),
     Family.CHEBYSHEV: (_chebyshev_varpi_sum, _chebyshev_d_sum, False),
 }
@@ -503,12 +492,17 @@ def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> tuple:
     return times(c(m), c(n), c(j)[::-1])
 
 
+def _check_degrees(*degrees: int) -> None:
+    """Raise IndexContractError unless every degree is nonnegative."""
+    if min(degrees) < 0:
+        raise IndexContractError("degrees must be nonnegative")
+
+
 def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """The coefficient rho_{j,n}^m in the family's own normalization,
     from the closed forms, exact whatever the spec's backend.  Swaps (m, n)
     when m > n (commutativity)."""
-    if m < 0 or n < 0:
-        raise IndexContractError("degrees must be nonnegative")
+    _check_degrees(m, n)
     if m > n:
         m, n = n, m
 
@@ -562,6 +556,7 @@ def zero_region(spec: FamilySpec, m: int, n: int) -> tuple[int, int] | None:
     For a classical family with constant q, rho_{j,n}^m = 0 for
     m+1 <= j <= n-m-q-1 once n >= 2m+q+2; roles swap when m dominates.
     """
+    _check_degrees(m, n)
     q = spec.zero_region_q
     if q is None:
         return None
@@ -584,6 +579,7 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
 
     the Jacobi factor times (c_j / c_n)^2, (s+1)_n / (s+1)_j written as
     above so that it holds at s = -1 too."""
+    _check_degrees(m, n, j)
     f = spec.family
     if f is Family.LAGUERRE or f is Family.GENERIC_MONIC:
         raise IndexContractError(f"{f.value} has no symmetry scaling")
@@ -637,6 +633,7 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
             / ((s+k+1)_(nu+1) (nu-k)! (m-nu-j)! (s+j+1)_j),
 
     s = alpha + beta, each term an int pair, one Fraction per entry."""
+    _check_degrees(m)
     (a, b), d = over_lcm([exact(alpha), exact(beta)])
     s = a + b
     coeffs = {}
@@ -725,8 +722,7 @@ def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
     Dense input is one run over every row.
     """
     weights = {m: w for m, w in weights.items() if w}
-    if nmax < 0 or any(m < 0 for m in weights):
-        raise IndexContractError("degrees must be nonnegative")
+    _check_degrees(nmax, *weights)
     top_m = max(weights, default=0)
     top = top_m + nmax + 2
     # the rows a column can reach, as disjoint runs [lo, hi) in increasing
@@ -868,6 +864,7 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
     symmetric extension available for Legendre, and (Laguerre only, where
     the closed form is a cheap product) exact evaluation.
     """
+    _check_degrees(m, n)
     if j > m + n + 1:
         return True
     if spec.family is Family.LAGUERRE:

@@ -19,9 +19,10 @@ that run makes, each int numerators over one positive denominator
 Both products are one combination of columns, `_combine`: each weight
 over its column's denominator an int pair in lowest terms, the int
 numerators summed over one common denominator, and at the end a Fraction
-in lowest terms made per nonzero entry and one shared zero for the rest.
+in lowest terms made per nonzero entry and the int 0 for the rest.
 `SeriesCoeffs` wraps each as it is at the rational backend, or rounds it
-once at a float one.  The writers print each row as one joined string.
+once at a float one, and makes one zero Scalar for all the zeros.  The
+writers print each row as one joined string.
 `SeriesCoeffs` and `ConvMatrix` are records (``scalars._Record``): equal
 when their fields are, unhashable, and each checked or wrapped in its
 constructor; `ConvMatrix.to_backend` builds a new one.
@@ -31,12 +32,11 @@ import math
 from fractions import Fraction
 
 from .basis import FamilySpec
-from .closed_forms import (_ZERO, _rows, _write_jn_rows, rho_columns,
-                           series_columns)
+from .closed_forms import _rows, _write_jn_rows, rho_columns, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
 from .errors import FamilyMismatchError, IndexContractError
-from .scalars import _Record
+from .scalars import _Record, exact
 
 
 def _described(spec: FamilySpec) -> str:
@@ -48,10 +48,10 @@ def _described(spec: FamilySpec) -> str:
 class SeriesCoeffs(_Record):
     """Coefficients of a finite expansion in a family basis; index =
     degree.  Each coefficient is made in the family's backend, so a float
-    backend rounds it.  The exact products' zero, the shared `_ZERO` that
-    fills most of a sparse product, becomes one Scalar per series, made
-    when it is first met and shared, which is safe since a Scalar is
-    immutable."""
+    backend rounds it.  Every zero coefficient (0, Fraction(0) or a zero
+    Scalar), which fills most of a sparse product, is one Scalar per
+    series, made when the first is met and shared, which is safe since a
+    Scalar is immutable; a falsy non-number such as None raises."""
 
     _fields = ("family", "coeffs")
 
@@ -61,11 +61,11 @@ class SeriesCoeffs(_Record):
         make = family.backend.make
         made, zero = [], None
         for c in coeffs:
-            if c is not _ZERO:
+            if c or exact(c):
                 made.append(make(c))
             else:
                 if zero is None:
-                    zero = make(_ZERO)
+                    zero = make(0)
                 made.append(zero)
         self.family = family
         self.coeffs = made
@@ -143,7 +143,8 @@ def _combine(cols: list, weights: dict, size: int) -> list:
     factor w_n / den_n is an int pair in lowest terms, one gcd each; the
     columns' int numerators are summed over the lcm of the factors'
     denominators, and a Fraction in lowest terms is made per nonzero sum
-    only at the end.  Every zero sum is one shared zero."""
+    only at the end.  Every zero sum is the int 0, for `SeriesCoeffs` to
+    share one zero Scalar."""
     factors = []
     for n, w in weights.items():
         p, q = w.numerator, w.denominator * cols[n][1]
@@ -156,7 +157,7 @@ def _combine(cols: list, weights: dict, size: int) -> list:
         for j, v in enumerate(cols[n][0]):
             if v:
                 out[j] += scale * v
-    return [Fraction(v, den) if v else _ZERO for v in out]
+    return [Fraction(v, den) if v else 0 for v in out]
 
 
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
@@ -218,7 +219,7 @@ def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
     newline, so the lines are the ones a `csv.writer` would write."""
     stream.write(f"{matrix.n_rows},{matrix.n_cols}\n")
     fmt = matrix.family.backend.format
-    zero = fmt(_ZERO)
+    zero = fmt(0)
     for row in _rows(matrix.columns, matrix.n_rows):
         stream.write(",".join([fmt(v) if v else zero for v in row]) + "\n")
 
@@ -229,4 +230,4 @@ def write_rho_csv(matrix: ConvMatrix, stream, fmt: str = "csv") -> None:
     inspection."""
     form = matrix.family.backend.format
     _write_jn_rows(_rows(matrix.columns, matrix.n_rows), form, stream,
-                   None if fmt == "triplet" else form(_ZERO))
+                   None if fmt == "triplet" else form(0))

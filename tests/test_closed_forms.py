@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
 from polyconv.basis import Family, GenericBasisData
@@ -490,6 +491,11 @@ def ref_sym_varpi(m, n, j, nu, alpha):
     return num / den
 
 
+def ref_sym_d_f43(m, nu, j, alpha):
+    return hyp_pfq([1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
+                   [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)], 1)
+
+
 def ref_sym_d(nu, j, n, m, alpha):
     if alpha == -_HALF:
         return ref_jacobi_d(nu, j, n, m, alpha, alpha)
@@ -500,9 +506,7 @@ def ref_sym_d(nu, j, n, m, alpha):
            * _poch(2 * alpha + (n + 1), nu - 1))
     den = (factorial(m) * factorial(n + 1 - nu) * factorial(nu - j)
            * _poch(2 * alpha + (j + 1), nu + 1))
-    f43 = hyp_pfq([1, -m, alpha + (nu + 1), 2 * alpha + (m + 1)],
-                  [nu - j + 1, alpha + 1, 2 * alpha + (j + nu + 2)], 1)
-    return num / den * f43
+    return num / den * ref_sym_d_f43(m, nu, j, alpha)
 
 
 def ref_legendre_varpi(m, n, j, nu):
@@ -551,13 +555,16 @@ def ref_chebyshev_varpi(m, n, j, nu):
     return num / den
 
 
+def ref_chebyshev_d_f43(m, nu, j):
+    return hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
+
+
 def ref_chebyshev_d(nu, j, n, m):
     lead = 2 if j == 0 else 4
     num = (lead * _sign(m + n) * _poch(-n, nu - 1)
            * _poch(n, nu - 1) * (nu - _HALF))
     den = factorial(nu - j) * factorial(j + nu)
-    f43 = hyp_pfq([1, -m, m, nu + _HALF], [_HALF, nu - j + 1, j + nu + 1], 1)
-    return num / den * f43
+    return num / den * ref_chebyshev_d_f43(m, nu, j)
 
 
 # family -> (varpi term, d term, how many Jacobi parameters they take)
@@ -663,6 +670,56 @@ class TestRatioSumsAgainstReference:
         got = cf._ratio_sum(range(6), term, ratio, lambda nu: (1, nu + 1))
         assert Fraction(*got) == sum(Fraction(nu - 2, nu + 1)
                                      for nu in range(6))
+
+
+class TestOneDSum4F3:
+    """Every d sum but Legendre's reads the one Jacobi 4F3: the symmetric
+    4F3 is it at beta = alpha, Chebyshev's at alpha = beta = -1/2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.fractions(min_value=Fraction(-11, 12), max_value=6,
+                                  max_denominator=12),
+                     st.just(-_HALF)),
+           st.integers(0, 15), st.integers(0, 19), st.integers(1, 40))
+    def test_specializations_match_their_references(self, alpha, m, j, k):
+        nu = j + k
+        d, a = alpha.denominator, alpha.numerator
+        assert Fraction(*cf._jacobi_d_f43(m, nu, j, d, a, a)) == \
+            ref_sym_d_f43(m, nu, j, alpha)
+        assert Fraction(*cf._jacobi_d_f43(m, nu, j, 2, -1, -1)) == \
+            ref_chebyshev_d_f43(m, nu, j)
+
+    def test_d_sums_fill_only_the_jacobi_cache(self):
+        cf.clear_caches()
+        for spec in (basis.symmetric_jacobi(Fraction(5, 2)),
+                     basis.gegenbauer(Fraction(3, 2)), basis.chebyshev()):
+            for j in range(4):
+                cf.rho_closed(spec, 3, 6, j)
+        assert cf._jacobi_d_f43.cache_info().currsize > 0
+        assert cf._sym_d_f43.cache_info().currsize == 0
+        assert cf._cheb_d_f43.cache_info().currsize == 0
+
+
+_JACOBI = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cf.zero_region(_JACOBI, -1, 5),
+    lambda: cf.zero_region(basis.laguerre(Fraction(1, 3)), -2, 5),
+    lambda: cf.structural_zero(_JACOBI, -1, 5, 2),
+    lambda: cf.structural_zero(basis.legendre(), -1, 5, 2),
+    lambda: cf.structural_zero(basis.laguerre(Fraction(1, 3)), -1, 5, 2),
+    lambda: cf.symmetry_factor(_JACOBI, -1, 2, 3),
+    lambda: cf.symmetry_factor(basis.legendre(), 1, -2, 3),
+    lambda: cf.bateman_tensor(-1, 0, 0),
+], ids=["zero_region", "zero_region_laguerre", "structural_zero",
+        "structural_zero_legendre", "structural_zero_laguerre",
+        "symmetry_factor", "symmetry_factor_legendre", "bateman_tensor"])
+def test_index_helpers_reject_negative_degrees(call):
+    # the degree contract of rho_closed, not a band, a factor or an
+    # empty tensor read off a negative degree
+    with pytest.raises(IndexContractError, match="degrees must be nonneg"):
+        call()
 
 
 class TestDepthAgainstEngine:

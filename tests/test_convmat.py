@@ -313,6 +313,17 @@ class TestAgainstClosedForms:
             assert zeros[0].backend == backend
             assert zeros[0].as_fraction() == 0
 
+    def test_every_zero_kind_shares_one_scalar(self):
+        # an int, a Fraction and a Scalar zero share one zero Scalar; a
+        # falsy non-number is still refused
+        spec = basis.legendre()
+        series = SeriesCoeffs(spec, [0, Fraction(0), RATIONAL.make(0), 1])
+        assert len({id(v) for v in series.coeffs[:3]}) == 1
+        assert series.coeffs[0] == 0 and series.coeffs[3] == 1
+        for bad, error in ((None, TypeError), ("", ValueError)):
+            with pytest.raises(error):
+                SeriesCoeffs(spec, [1, bad])
+
     def test_weights_skip_every_zero(self):
         # the shared zero by identity, any other zero by its value, at the
         # rational and a float backend
