@@ -31,7 +31,12 @@ constant, the spec's (sigma, c) (``FamilySpec._endpoint_constant``).
 the denominator of the highest one, which is a closed form in c's
 denominator (``_endpoint_den``: Legendre's formula for the prime powers
 of n!), each run from one rising factorial of c stepped by the term
-ratio sigma (c + k) / (k + 1).
+ratio sigma (c + k) / (k + 1).  ``b_table`` and ``derivative_table`` step
+the same way: the whole tables of b_{n,k} and of d^p P_n(-a) that
+``GenericBasisData.from_family`` holds, each b column b_{k..top,k} and
+each derivative row d^(0..n) P_n(-a) from its first entry's display, one
+Fraction per entry, every later entry the one before times the display's
+term ratio (`_b_ratio`, `_deriv_ratio`), no zero stepped through.
 Jacobi is normalized by P_n^(a,b)(1) = (a+1)_n / n! and Laguerre by
 L_n^(alpha)(0) = (1+alpha)_n / n!.
 
@@ -561,6 +566,89 @@ def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
 
 
 # ---------------------------------------------------------------------------
+# the connection data as whole tables, stepped
+# ---------------------------------------------------------------------------
+
+
+def _stepped(lo: int, hi: int, direct, ratio) -> list:
+    """[v(lo), ..., v(hi)] as Fractions, each value the one before times
+    the display's term ratio (a, b) = ratio(i), v(i+1) = v(i) a / b.  A
+    value is made by its display, direct(i), at i = lo and wherever the
+    value before is 0 or its ratio has a zero factor: no zero is stepped
+    through."""
+    values, v = [], None
+    for i in range(lo, hi + 1):
+        if v is None:
+            v = direct(i)
+        values.append(v)
+        if i < hi:
+            a, b = ratio(i)
+            v = (Fraction(v.numerator * a, v.denominator * b)
+                 if v and a and b else None)
+    return values
+
+
+def _b_ratio(spec: FamilySpec, n: int, k: int) -> tuple:
+    """(a, b) with b_{n+1,k} = b_{n,k} a / b, the term ratio in n of the
+    `monomial_expansion_b` display: 2 (n+1) (beta+n+1) / ((s+n+k+2)
+    (n+1-k)) for an interval family, (n+1) (alpha+n+1) / (n+1-k) for
+    Laguerre, in the row's ints; 0 for a generic sequence, whose
+    b_{n,k} is 1 at n = k and 0 below it."""
+    f = spec.family
+    if f is Family.GENERIC_MONIC:
+        return 0, 1
+    if f is Family.LAGUERRE:
+        d, a = spec._row_ints
+        return (n + 1) * (a + (n + 1) * d), (n + 1 - k) * d
+    d, a, b, _, _ = spec._row_ints
+    return (2 * (n + 1) * (b + (n + 1) * d),
+            (a + b + (n + k + 2) * d) * (n + 1 - k))
+
+
+def _deriv_ratio(spec: FamilySpec, n: int, p: int) -> tuple:
+    """(a, b) with d^(p+1) P_n(-a) = d^p P_n(-a) a / b, the term ratio in
+    p of the `endpoint_derivative` display: -(s+n+p+1) (n-p) /
+    (2 (beta+p+1)) for an interval family, -(n-p) / (alpha+p+1) for
+    Laguerre, in the row's ints; 0 for a generic sequence, whose row is 0
+    but for d^n P_n = n!."""
+    f = spec.family
+    if f is Family.GENERIC_MONIC:
+        return 0, 1
+    if f is Family.LAGUERRE:
+        d, a = spec._row_ints
+        return -(n - p) * d, a + (p + 1) * d
+    d, a, b, _, _ = spec._row_ints
+    return -(a + b + (n + p + 1) * d) * (n - p), 2 * (b + (p + 1) * d)
+
+
+def b_table(spec: FamilySpec, top: int) -> dict:
+    """{(n, k): b_{n,k}} for 0 <= k <= n <= top, as Fractions: each
+    column b_{k..top,k} is stepped from b_{k,k} (`monomial_expansion_b`)
+    by the display's term ratio in n."""
+    if top < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    columns = []
+    for k in range(top + 1):
+        columns.append(_stepped(
+            k, top, lambda n: monomial_expansion_b(spec, n, k).as_fraction(),
+            lambda n: _b_ratio(spec, n, k)))
+    return {(n, k): columns[k][n - k]
+            for n in range(top + 1) for k in range(n + 1)}
+
+
+def derivative_table(spec: FamilySpec, top: int) -> dict:
+    """{(n, p): d^p P_n |_{x=-a}} for 0 <= p <= n <= top, as Fractions:
+    each row d^(0..n) P_n is stepped from P_n(-a) (`endpoint_derivative`)
+    by the display's term ratio in p."""
+    if top < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    return {(n, p): v for n in range(top + 1)
+            for p, v in enumerate(_stepped(
+                0, n, lambda p: endpoint_derivative(spec, n, p).as_fraction(),
+                lambda p: _deriv_ratio(spec, n, p)))}
+
+
+# ---------------------------------------------------------------------------
 # generic basis data and the b -> gamma bridge
 # ---------------------------------------------------------------------------
 
@@ -583,6 +671,8 @@ class GenericBasisData(_Record):
         self.b_coeffs = b_coeffs
         self.endpoint_derivs = endpoint_derivs
         self.backend = backend
+        if max_degree < 0:
+            raise IndexOutOfRangeError("max_degree must be nonnegative")
         for n in range(max_degree + 1):
             lead = b_coeffs.get((n, n))
             if lead is None or lead == 0:
@@ -593,10 +683,11 @@ class GenericBasisData(_Record):
 
     @classmethod
     def from_family(cls, spec: FamilySpec, max_degree: int) -> "GenericBasisData":
-        keys = [(n, k) for n in range(max_degree + 1) for k in range(n + 1)]
-        b = {nk: monomial_expansion_b(spec, *nk).as_fraction() for nk in keys}
-        d = {nk: endpoint_derivative(spec, *nk).as_fraction() for nk in keys}
-        return cls(spec.domain_offset_a, max_degree, b, d, spec.backend)
+        """The family's b-coefficients and endpoint derivatives up to
+        degree `max_degree`, from `b_table` and `derivative_table`."""
+        return cls(spec.domain_offset_a, max_degree,
+                   b_table(spec, max_degree),
+                   derivative_table(spec, max_degree), spec.backend)
 
     def b(self, n: int, k: int) -> Fraction:
         if n < 0 or k < 0:

@@ -292,11 +292,16 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     formulas against the exact oracle, and the zero bands of the engine
     every table command runs, `closed_forms.rho_columns`.  Per family the
     oracle and the family-agnostic route each serve every pair from one
-    table (`oracle.oracle_table`, `generic_conv.generic_table`), the closed
-    forms are one `closed_forms.rho_closed` call per cell, and the zero
-    bands are read off the engine's int columns, a Fraction made only for
-    a nonzero cell.  The report's last line names the first mismatch and
-    the route its value came from: `closed=`, `generic=` or `engine=`."""
+    table of Fractions (`oracle.table_fractions`,
+    `generic_conv.table_fractions`), the closed forms are one
+    `closed_forms.rho_closed` call per cell, read as its Fraction, and the
+    zero bands are read off the engine's int columns, a Fraction made only
+    for a nonzero cell; every check compares exact Fractions.  The
+    family-agnostic route's connection data are built only to the degrees
+    it reads: the b columns to 2 max_degree + 1 (`basis.b_table`) and the
+    derivative rows to max_degree (`basis.derivative_table`).  The
+    report's last line names the first mismatch and the route its value
+    came from: `closed=`, `generic=` or `engine=`."""
     families = default_verify_families() if families is None else families
     lines, mismatches = [], []
     checks = 0
@@ -310,15 +315,19 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     for spec in families:
         label = spec.label()
         checks_before, failures_before = checks, len(mismatches)
-        data = GenericBasisData.from_family(spec, 2 * max_degree + 1)
-        truths = oracle.oracle_table(spec, max_degree)
-        generics = generic_conv.generic_table(data, max_degree)
+        truths = oracle.table_fractions(spec, max_degree)
+        top = 2 * max_degree + 1
+        data = GenericBasisData(spec.domain_offset_a, top,
+                                basis.b_table(spec, top),
+                                basis.derivative_table(spec, max_degree),
+                                spec.backend)
+        generics = generic_conv.table_fractions(data, max_degree)
         for m in range(max_degree + 1):
             for n in range(m, max_degree + 1):
                 truth, generic = truths[(m, n)], generics[(m, n)]
                 for j in range(m + n + 2):
-                    check("closed", m, n, j,
-                          closed_forms.rho_closed(spec, m, n, j), truth[j])
+                    closed = closed_forms.rho_closed(spec, m, n, j)
+                    check("closed", m, n, j, closed.as_fraction(), truth[j])
                     check("generic", m, n, j, generic[j], truth[j])
         # zero bands, read from one engine run per m on a taller range
         for m in range(3):

@@ -28,8 +28,10 @@ b_{q,j}/q! over one denominator, to be dotted with them.  Each cell route
 reads exactly the table entries its printed formula reads, each once.
 ``generic_table`` reads each row and column once for all its pairs, and
 ``rho_vector`` is its one-pair case; every route returns one Scalar per
-coefficient.  A :class:`RhoRequest` names one cell; it is an immutable,
-hashable record, its indices checked when it is made.
+coefficient, made over the Fractions of the kernel, which
+``table_fractions`` returns as they are.  A :class:`RhoRequest` names one
+cell; it is an immutable, hashable record, its indices checked when it is
+made.
 """
 
 from fractions import Fraction
@@ -121,7 +123,8 @@ def rho_lowj(data: GenericBasisData, req: RhoRequest) -> Scalar:
 
 
 def _vectors(data: GenericBasisData, pairs: list, top: int) -> dict:
-    """{(m, n): rho vector} for the pairs m <= n with m + n + 1 <= top.
+    """{(m, n): rho vector of Fractions} for the pairs m <= n with
+    m + n + 1 <= top.
 
     Each derivative row d^p P_k, p = 0..k, of a degree k in the pairs is
     read once, in ascending k, and put over one denominator; then each
@@ -140,7 +143,7 @@ def _vectors(data: GenericBasisData, pairs: list, top: int) -> dict:
         for j in range(m + n + 2):
             column, col_den = columns[j]
             total = sum(map(mul, column, sums[max(j, 1) - 1:]))
-            vector.append(RATIONAL.make(Fraction(total, col_den * den)))
+            vector.append(Fraction(total, col_den * den))
         table[(m, n)] = vector
     return table
 
@@ -157,12 +160,20 @@ def rho_vector(data: GenericBasisData, m: int, n: int) -> list:
         raise IndexContractError("degrees must be nonnegative")
     if m > n:
         m, n = n, m
-    return _vectors(data, [(m, n)], m + n + 1)[(m, n)]
+    vector = _vectors(data, [(m, n)], m + n + 1)[(m, n)]
+    return [RATIONAL.make(v) for v in vector]
 
 
 def generic_table(data: GenericBasisData, max_degree: int) -> dict:
     """`rho_vector(data, m, n)` for every pair 0 <= m <= n <= max_degree,
-    keyed (m, n) as `oracle.oracle_table` is, from one pass: each entry
+    keyed (m, n) as `oracle.oracle_table` is: `table_fractions` with each
+    value a Scalar."""
+    return {pair: [RATIONAL.make(v) for v in rho]
+            for pair, rho in table_fractions(data, max_degree).items()}
+
+
+def table_fractions(data: GenericBasisData, max_degree: int) -> dict:
+    """`generic_table` as Fractions, from one pass: each entry
     of the derivative rows up to max_degree and of the columns up to
     q = 2 max_degree + 1 is read once for all pairs.  A table that stops
     short raises MissingDataError naming the first entry it lacks, rows

@@ -16,7 +16,9 @@ function runs it once per call, in the coordinates it works in:
 y, and ``project_to_family`` in the powers its input is written in.  Those
 are the same polynomials, P_k(y - a): ``oracle_rho`` runs the recurrence
 once for its pair and ``oracle_table`` once for every pair of a family up
-to a maximum degree, in ints throughout.  Nothing is cached between calls.
+to a maximum degree, in ints throughout.  ``oracle_table`` wraps each value
+of ``table_fractions``, the same table as Fractions, in a Scalar.  Nothing
+is cached between calls.
 
 Only ring operations on rationals are used; there is no tolerance anywhere.
 The sums run over ints, and a Fraction is made once per coefficient that
@@ -246,9 +248,8 @@ def project_to_family(poly: MonomialPoly, spec: FamilySpec, shift) -> list:
 
 
 def _padded(rho: list, m: int, n: int) -> list:
-    """The coefficients rho_j as Scalars for j = 0..m+n+1."""
-    rho = rho + [_ZERO] * (m + n + 2 - len(rho))
-    return [RATIONAL.make(v) for v in rho[: m + n + 2]]
+    """The coefficients rho_j as Fractions for j = 0..m+n+1."""
+    return (rho + [_ZERO] * (m + n + 2 - len(rho)))[: m + n + 2]
 
 
 def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
@@ -258,12 +259,19 @@ def oracle_rho(spec: FamilySpec, m: int, n: int) -> list:
     if m < 0 or n < 0:
         raise ValueError("degree must be nonnegative")
     polys = _family_polys(spec, m + n + 1, spec.domain_offset_a.as_fraction())
-    return _padded(_project_ints(*_convolve_ints(polys, m, n), polys), m, n)
+    rho = _project_ints(*_convolve_ints(polys, m, n), polys)
+    return [RATIONAL.make(v) for v in _padded(rho, m, n)]
 
 
 def oracle_table(spec: FamilySpec, max_degree: int) -> dict:
     """`oracle_rho(spec, m, n)` for every pair 0 <= m <= n <= max_degree,
-    keyed (m, n), from one run of the family recurrence.
+    keyed (m, n): `table_fractions` with each value a Scalar."""
+    return {pair: [RATIONAL.make(v) for v in rho]
+            for pair, rho in table_fractions(spec, max_degree).items()}
+
+
+def table_fractions(spec: FamilySpec, max_degree: int) -> dict:
+    """`oracle_table` as Fractions, from one run of the family recurrence.
 
     `convolve_exact` integrates against Q_k(y) = P_k(y - a), and the
     re-projection of its output, in powers of y = x + 2a onto P_j(x + a),

@@ -306,6 +306,14 @@ class TestGenericBasisData:
             data.deriv(5, 0)
         assert data.deriv(3, 4) == 0
 
+    def test_negative_degree_rejected(self):
+        # as every other degree-taking call does, not an empty table
+        with pytest.raises(IndexOutOfRangeError):
+            GenericBasisData.from_family(basis.legendre(), -1)
+        with pytest.raises(IndexOutOfRangeError):
+            GenericBasisData(RATIONAL.one(), -1, {}, {})
+        assert GenericBasisData(RATIONAL.one(), 0, {(0, 0): 1}, {}).b(0, 0) == 1
+
     def test_leading_b_must_not_vanish(self):
         with pytest.raises(MissingDataError):
             GenericBasisData(RATIONAL.one(), 1,

@@ -575,6 +575,27 @@ class TestVerify:
         assert "checks passed" in out
         assert "FAILED" not in out
 
+    def test_generic_data_holds_only_the_degrees_read(self, monkeypatch):
+        # the generic table reads b columns to 2D+1 and derivative rows
+        # to D, so the data are built to those degrees and no further
+        built, init = [], basis.GenericBasisData.__init__
+
+        def record(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self)
+
+        monkeypatch.setattr(basis.GenericBasisData, "__init__", record)
+        families = [basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
+                    basis.laguerre(1)]
+        assert run_verification(3, families).ok
+        assert len(built) == 2
+        for data in built:
+            assert data.max_degree == 7
+            assert set(data.b_coeffs) == {(n, k) for n in range(8)
+                                          for k in range(n + 1)}
+            assert set(data.endpoint_derivs) == {(n, p) for n in range(4)
+                                                 for p in range(n + 1)}
+
     def test_injected_fault_is_reported(self, monkeypatch):
         rho_closed = closed_forms.rho_closed
 

@@ -369,6 +369,78 @@ class TestEndpointValues:
                     basis.endpoint_runs(spec, runs, -1)
 
 
+def assert_stepped_tables(spec, top):
+    """Every entry of the stepped tables, each b column and derivative row
+    made from one display value, equals its own display."""
+    b, d = basis.b_table(spec, top), basis.derivative_table(spec, top)
+    keys = [(n, k) for n in range(top + 1) for k in range(n + 1)]
+    assert list(b) == keys and list(d) == keys
+    for n, k in keys:
+        assert type(b[(n, k)]) is Fraction and type(d[(n, k)]) is Fraction
+        assert b[(n, k)] == basis.monomial_expansion_b(spec, n, k), \
+            (spec.label(), n, k)
+        assert d[(n, k)] == basis.endpoint_derivative(spec, n, k), \
+            (spec.label(), n, k)
+
+
+@settings(max_examples=15, deadline=None)
+@given(jacobi_parameters(), st.integers(0, 40))
+@example((Fraction(-1, 2), Fraction(-1, 2)), 40)  # alpha = -1/2
+@example((Fraction(-1, 3), Fraction(-2, 3)), 40)  # alpha + beta = -1
+def test_random_stepped_tables(params, top):
+    alpha, beta = params
+    specs = [basis.jacobi(alpha, beta), basis.laguerre(alpha)]
+    lam = alpha + Fraction(1, 2)
+    if lam > Fraction(-1, 2) and lam != 0:
+        specs.append(basis.gegenbauer(lam))
+    for spec in specs:
+        assert_stepped_tables(spec, top)
+
+
+class TestSteppedTables:
+    @pytest.mark.parametrize(
+        "spec", acceptance_families() + edge_families()
+        + [basis.gegenbauer(Fraction(-1, 3)), basis.generic_monic()],
+        ids=lambda spec: spec.label())
+    def test_every_entry_is_its_display(self, spec):
+        assert_stepped_tables(spec, 40)
+
+    def test_no_zero_is_stepped_through(self):
+        # values 2, 0, 5, 10 with the ratios 0/1, 1/1 (wrong: it steps
+        # from the zero) and 2/1: the value after a zero factor and the
+        # value after a zero value are each made by their display
+        values, made = [Fraction(v) for v in (2, 0, 5, 10)], []
+
+        def direct(i):
+            made.append(i)
+            return values[i]
+
+        ratios = [(0, 1), (1, 1), (2, 1)]
+        assert basis._stepped(0, 3, direct, ratios.__getitem__) == values
+        assert made == [0, 1, 2]
+
+    def test_one_display_call_per_column_and_row(self, monkeypatch):
+        calls = {"b": 0, "d": 0}
+        b, d = basis.monomial_expansion_b, basis.endpoint_derivative
+
+        def count(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(basis, "monomial_expansion_b", count("b", b))
+        monkeypatch.setattr(basis, "endpoint_derivative", count("d", d))
+        basis.GenericBasisData.from_family(basis.jacobi(Fraction(5, 2), 1), 13)
+        assert calls == {"b": 14, "d": 14}
+
+    def test_negative_degree_rejected(self):
+        for table in (basis.b_table, basis.derivative_table):
+            with pytest.raises(IndexOutOfRangeError,
+                               match="degree must be nonnegative"):
+                table(basis.legendre(), -1)
+
+
 def product_route_den(spec, n):
     """The denominator of P_n(-a) in lowest terms, from the product of
     rising factorials of `endpoint_derivative`, reduced by one gcd."""
