@@ -18,21 +18,21 @@ and the sum is one integer Horner loop (``_ratio_sum``) over a running
 denominator, times that first term, with one ``Fraction`` made per cell.
 A sum of n terms costs O(n) int steps, plus one short terminating pFq per
 term where the display has one.  The displays whose terms vanish for odd
-n+nu-j (symmetric, Legendre and Chebyshev varpi) step nu by 2, and so
-does the Legendre d sum, once per parity, since its gamma quotient gains
-a half-integer shift at each single step.
+n+nu-j (symmetric and Chebyshev varpi) step nu by 2.
 
 Every rescaling comes from the family's normalization c_n = (p)_n / (q)_n
 (P_n = c_n J_n, J the Jacobi polynomial), two int rising factorials of
-its row: Gegenbauer sums the symmetric-Jacobi terms at
-alpha = lam - 1/2 and multiplies by c_m c_n / c_j; Chebyshev has its own
-simplified forms in the T normalization, whose n = 0 case takes the same
-factor; and ``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The
-symmetric varpi display has a removable singularity at alpha = -1/2, where
-the equivalent general-parameter form is used instead.  Every d sum but
-Legendre's reads one 4F3, ``_jacobi_d_f43``: symmetric Jacobi and
-Gegenbauer sum the general display itself at beta = alpha, and Chebyshev's
-own display takes the 4F3 at alpha = beta = -1/2.
+its row: Legendre is Jacobi(0, 0) as it stands and needs none; Gegenbauer
+sums the symmetric-Jacobi terms at alpha = lam - 1/2 and multiplies by
+c_m c_n / c_j; Chebyshev has its own simplified forms in the T
+normalization, whose n = 0 case takes the same factor; and
+``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The symmetric
+varpi display, which Legendre sums at alpha = 0, has a removable
+singularity at alpha = -1/2, where the equivalent general-parameter form
+is used instead.  Every d sum reads one 4F3, ``_jacobi_d_f43``: symmetric
+Jacobi, Gegenbauer and Legendre sum the general display itself at
+beta = alpha, and Chebyshev's own display takes the 4F3 at
+alpha = beta = -1/2.
 
 The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
@@ -197,8 +197,8 @@ def _jacobi_d_f43(m: int, nu: int, j: int, d: int, a: int, b: int) -> tuple:
 
 def _jacobi_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
     """sum_{nu=j+1}^{n+1} of the second-sum terms of the j <= m regime for
-    general (alpha, beta), symmetric Jacobi and Gegenbauer (beta = alpha)
-    included:
+    general (alpha, beta), symmetric Jacobi, Gegenbauer and Legendre
+    (beta = alpha) included:
 
         d_nu = 2 (-1)^(m+n+1+nu) (beta+nu) (beta+j+1)_(m-j) (beta+1)_n
                (s+n+1)_(nu-1) / (m! (n+1-nu)! (nu-j)!)
@@ -240,8 +240,8 @@ def _jacobi_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
 
 def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
                    row: tuple) -> tuple:
-    """The symmetric-parameter varpi sum, zero for odd n+nu-j, so in steps
-    of 2 over h = (n+nu-j)/2:
+    """The symmetric-parameter varpi sum, Legendre's at alpha = 0, zero
+    for odd n+nu-j, so in steps of 2 over h = (n+nu-j)/2:
 
         varpi_nu = 2 (-1)^(m+nu+1) (alpha+nu)_(m+1-nu) (2alpha+m+1)_(nu-1)
                    (2alpha+n+1)_(j-nu) (-nu)_h (alpha+j-nu+1/2)_h
@@ -288,84 +288,6 @@ def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 def _sym_d_f43(m: int, nu: int, j: int, d: int, a: int) -> tuple:
     """`_jacobi_d_f43` at beta = alpha = a/d; only bench/job.py reads it."""
     return _jacobi_d_f43(m, nu, j, d, a, a)
-
-
-# ---------------------------------------------------------------------------
-# Legendre
-# ---------------------------------------------------------------------------
-
-
-def _legendre_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
-                        row: tuple) -> tuple:
-    """The Legendre varpi sum, zero for odd n+nu-j, with h = (n-j+nu)/2:
-
-        varpi_nu = (-1)^(m+nu+1) (2j+1) (m+nu-1)! (-nu)_h
-                   / (4^nu (nu-1)! (m-nu+1)! h! ((n+j-nu+1)/2)_(nu+1)),
-
-        varpi_(nu+2) / varpi_nu = (m+nu)(m+nu+1)(nu+2)(m+1-nu)(m-nu)
-            / (nu (n-j-nu-2)(n-j+nu+2)(n+j-nu-1)(n+j+nu+3))."""
-
-    def term(nu):
-        h = (n - j + nu) // 2
-        return times((sign(m + nu + 1) * (2 * j + 1) * factorial(m + nu - 1),
-                      4 ** nu * factorial(nu - 1) * factorial(m - nu + 1)
-                      * factorial(h)),
-                     _rising(-nu, 1, h),
-                     over_rising(n + j - nu + 1, 2, nu + 1))
-
-    def ratio(nu):
-        return ((m + nu) * (m + nu + 1) * (nu + 2) * (m + 1 - nu) * (m - nu),
-                nu * (n - j - nu - 2) * (n - j + nu + 2) * (n + j - nu - 1)
-                * (n + j + nu + 3))
-
-    return _ratio_sum(_parity_range(lo, hi, n - j), term, ratio)
-
-
-def _sqrt_pi_over_gammas(a2: int, b2: int) -> tuple:
-    """sqrt(pi) / (Gamma(a2/2) Gamma(b2/2)) for positive half-arguments,
-    exactly one of which is a half-integer, as an int pair."""
-    if a2 % 2 == 1:
-        t = (a2 - 1) // 2
-        other = b2 // 2
-    else:
-        t = (b2 - 1) // 2
-        other = a2 // 2
-    # Gamma(t + 1/2) = (2t)! / (4^t t!) sqrt(pi)
-    return 4 ** t * factorial(t), factorial(2 * t) * factorial(other - 1)
-
-
-def _legendre_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
-    """The Legendre d sum.  With the gamma quotient
-    G_nu = sqrt(pi) / (Gamma((m-j+nu+2)/2) Gamma((j+m+nu+3)/2)),
-
-        d_nu = (-1)^(m+nu+n+1) (2j+1) nu 2^(j+m-nu) (n+nu-1)!
-               ((nu+1-j-m)/2)_(j+m) ((j-m+nu+2)/2)_m
-               / ((n-nu+1)! (j+m+nu)!) * G_nu.
-
-    Exactly one of G's arguments is a half-integer, and which one flips
-    with nu, so the sum runs as two sums in steps of 2, one per parity:
-
-        d_(nu+2) / d_nu = (nu+2)(n+nu)(n+nu+1)(n+1-nu)(n-nu)
-            / (nu (nu+1-j-m)(nu+2+j-m)(nu+2+m-j)(nu+3+j+m))."""
-
-    def term(nu):
-        e = j + m - nu
-        return times((sign(m + nu + n + 1) * (2 * j + 1) * nu
-                      * factorial(n + nu - 1),
-                      factorial(n - nu + 1) * factorial(j + m + nu)),
-                     (2 ** e, 1) if e >= 0 else (1, 2 ** -e),
-                     _rising(nu + 1 - j - m, 2, j + m),
-                     _rising(j - m + nu + 2, 2, m),
-                     _sqrt_pi_over_gammas(m - j + nu + 2, j + m + nu + 3))
-
-    def ratio(nu):
-        return ((nu + 2) * (n + nu) * (n + nu + 1) * (n + 1 - nu) * (n - nu),
-                nu * (nu + 1 - j - m) * (nu + 2 + j - m) * (nu + 2 + m - j)
-                * (nu + 3 + j + m))
-
-    (pn, pd), (qn, qd) = (_ratio_sum(range(first, n + 2, 2), term, ratio)
-                          for first in (j + 1, j + 2))
-    return pn * qd + qn * pd, pd * qd
 
 
 # ---------------------------------------------------------------------------
@@ -475,12 +397,14 @@ def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
 
 
 # Interval family -> (varpi sum, d sum, whether the sums are in the Jacobi
-# normalization rather than the family's own).
+# normalization rather than the family's own).  Legendre is Jacobi(0, 0)
+# in its own normalization: the symmetric varpi sum and the Jacobi d sum at
+# its row (1, 0, 0), which read the 4F3 cache entries of Jacobi(0, 0).
 _SUMS = {
     Family.JACOBI: (_jacobi_varpi_sum, _jacobi_d_sum, False),
     Family.SYMMETRIC_JACOBI: (_sym_varpi_sum, _jacobi_d_sum, False),
     Family.GEGENBAUER: (_sym_varpi_sum, _jacobi_d_sum, True),
-    Family.LEGENDRE: (_legendre_varpi_sum, _legendre_d_sum, False),
+    Family.LEGENDRE: (_sym_varpi_sum, _jacobi_d_sum, False),
     Family.CHEBYSHEV: (_chebyshev_varpi_sum, _chebyshev_d_sum, False),
 }
 
@@ -632,7 +556,9 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
             alpha+j+1, s+j+m+nu+1; alpha+j+nu+1, s+2j+2; 1)
             / ((s+k+1)_(nu+1) (nu-k)! (m-nu-j)! (s+j+1)_j),
 
-    s = alpha + beta, each term an int pair, one Fraction per entry."""
+    s = alpha + beta, each term an int pair, one Fraction per entry.  At
+    k = 0, (s+1) / (s+1)_(nu+1) is written 1 / (s+2)_nu: the same number
+    for s != -1, and at s = -1, where the display is 0/0, its limit."""
     _check_degrees(m)
     (a, b), d = over_lcm([exact(alpha), exact(beta)])
     s = a + b
@@ -641,11 +567,15 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
         for j in range(m - k + 1):
             num, den = 0, 1
             for nu in range(k, m - j + 1):
+                if k == 0:
+                    quotient = over_rising(s + 2 * d, d, nu)
+                else:
+                    quotient = times((s + (2 * k + 1) * d, d),
+                                     over_rising(s + (k + 1) * d, d, nu + 1))
                 tn, td = times(
-                    (sign(nu) * (s + (2 * k + 1) * d),
-                     d * factorial(nu - k) * factorial(m - nu - j)),
+                    (sign(nu), factorial(nu - k) * factorial(m - nu - j)),
+                    quotient,
                     _rising(b + (k + 1) * d, d, nu - k),
-                    over_rising(s + (k + 1) * d, d, nu + 1),
                     _rising(a + (j + nu + 1) * d, d, m - nu - j),
                     _rising(s + (m + 1) * d, d, nu),
                     _rising(s + (m + nu + 1) * d, d, j),
