@@ -25,8 +25,11 @@ common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
 the endpoint derivatives, b_{n,k} and gamma are each a product of int
 rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
 per value, uncached; ``connection_ints`` and ``endpoint_runs`` are int
-pairs.  The values P_k(-a) = sigma^k (c)_k / k! are read from one family
-constant, the spec's (sigma, c) (``FamilySpec._endpoint_constant``).
+pairs.  ``pole_free_quotient`` is the factor (s+2k+1) / (s+k+1)_(nu+1)
+that b_{n,k}, the closed forms' d terms and the Bateman tensor share,
+with its limit at k = 0, s = alpha + beta = -1.  The values
+P_k(-a) = sigma^k (c)_k / k! are read from one family constant, the
+spec's (sigma, c) (``FamilySpec._endpoint_constant``).
 ``endpoint_runs`` makes them only on the runs of k a caller reads, over
 the denominator of the highest one, which is a closed form in c's
 denominator (``_endpoint_den``: Legendre's formula for the prime powers
@@ -201,14 +204,18 @@ class FamilySpec(_FrozenRecord):
         return self._jacobi_row[:2]
 
     def _normalization_ints(self, n: int) -> tuple:
-        """c_n = (p)_n / (q)_n as an int pair read off `_row_ints`."""
+        """c_n = (p)_n / (q)_n as an int pair read off `_row_ints`, n >= 0:
+        the numerators of the two rising factorials over d, whose d^n
+        cancel."""
         if self._jacobi_row[2] == self._jacobi_row[3]:  # raises for Laguerre
             return 1, 1
         d, _, _, p, q = self._row_ints
-        return times(_rising(p, d, n), over_rising(q, d, n))
+        return _rising(p, d, n)[0], _rising(q, d, n)[0]
 
     def normalization(self, n: int) -> Fraction:
         """c_n = (p)_n / (q)_n with FamilyPoly_n = c_n * P_n^(alpha, beta)."""
+        if n < 0:
+            raise IndexOutOfRangeError("degree must be nonnegative")
         return Fraction(*self._normalization_ints(n))
 
     def to_backend(self, backend) -> "FamilySpec":
@@ -499,8 +506,9 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
                   / ((s+k+1)_(n+1) (n-k)!) / c_k,
 
     and at k = 0, where the display's (s+1) / (s+1)_(n+1) is 0/0 for
-    s = -1, its limit b_{n,0} = 2^n (beta+1)_n / (s+2)_n.  For Laguerre
-    x^n = sum_k b_{n,k} L_k^(alpha), b_{n,k} = (-n)_k (alpha+k+1)_(n-k)."""
+    s = -1, its limit b_{n,0} = 2^n (beta+1)_n / (s+2)_n
+    (`pole_free_quotient`).  For Laguerre x^n = sum_k b_{n,k} L_k^(alpha),
+    b_{n,k} = (-n)_k (alpha+k+1)_(n-k)."""
     if n < 0 or k < 0 or k > n:
         raise IndexOutOfRangeError(f"b-coefficient index out of range: n={n}, k={k}")
     f = spec.family
@@ -511,16 +519,23 @@ def monomial_expansion_b(spec: FamilySpec, n: int, k: int) -> Scalar:
         value = times(_rising(-n, 1, k), _rising(a + (k + 1) * d, d, n - k))
     else:
         d, a, b, _, _ = spec._row_ints
-        s = a + b
-        if k == 0:
-            tail = over_rising(s + 2 * d, d, n)
-        else:
-            tail = times((factorial(n) * (s + (2 * k + 1) * d),
-                          d * factorial(n - k)),
-                         over_rising(s + (k + 1) * d, d, n + 1))
-        value = times((2 ** n, 1), _rising(b + (k + 1) * d, d, n - k), tail,
+        value = times((2 ** n * factorial(n), factorial(n - k)),
+                      _rising(b + (k + 1) * d, d, n - k),
+                      pole_free_quotient(a + b, d, k, n),
                       spec._normalization_ints(k)[::-1])
     return RATIONAL.make(Fraction(*value))
+
+
+def pole_free_quotient(s: int, d: int, k: int, nu: int) -> tuple:
+    """(s/d + 2k+1) / (s/d + k+1)_(nu+1) as an int pair, s/d = alpha + beta
+    over the row's denominator d: the factor of the b coefficients, the
+    closed forms' d terms and the Bateman tensor.  At k = 0 it is written
+    1 / (s/d + 2)_nu: the same number for s/d != -1, and at s/d = -1,
+    where the display is 0/0, its limit."""
+    if k == 0:
+        return over_rising(s + 2 * d, d, nu)
+    return times((s + (2 * k + 1) * d, d),
+                 over_rising(s + (k + 1) * d, d, nu + 1))
 
 
 def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,

@@ -8,31 +8,27 @@ splits into three index regimes (assuming m <= n, free by commutativity):
 * 0 <= j <= m: a ``varpi`` sum with the degree roles swapped plus a sum of
   ``d`` terms.
 
-Laguerre collapses to an explicit piecewise rational expression.  The
-interval families take their varpi and d sums from one table, ``_SUMS``,
-and their parameters from the Jacobi row over one common denominator,
-``FamilySpec._row_ints``.  Each sum is evaluated from its printed display
-by term ratios: the first term is one product of rising factorials, each
-later term is the one before times a low-degree rational function of nu,
-and the sum is one integer Horner loop (``_ratio_sum``) over a running
-denominator, times that first term, with one ``Fraction`` made per cell.
-A sum of n terms costs O(n) int steps, plus one short terminating pFq per
-term where the display has one.  The displays whose terms vanish for odd
-n+nu-j (symmetric and Chebyshev varpi) step nu by 2.
+Laguerre collapses to an explicit piecewise rational expression.  Every
+interval family is summed at its Jacobi row over one common denominator,
+``FamilySpec._row_ints``, and the row alone picks the sums: the symmetric
+varpi display where alpha = beta (symmetric Jacobi, Gegenbauer, Legendre,
+Chebyshev, jacobi(alpha, alpha)), the general one elsewhere, and the one
+d sum, ``_jacobi_d_sum``, everywhere.  Each sum is evaluated from its
+printed display by term ratios: the first term is one product of rising
+factorials, each later term is the one before times a low-degree rational
+function of nu, and the sum is one integer Horner loop (``_ratio_sum``)
+over a running denominator, times that first term, with one ``Fraction``
+made per cell.  A sum of n terms costs O(n) int steps, plus one short
+terminating pFq per term where the display has one.  The symmetric
+display has no pFq, and its terms vanish for odd n+nu-j, so it steps nu
+by 2.  It is the paper's display with three factors merged into one by
+the duplication formula, so it has no pole at alpha = -1/2 (Chebyshev's
+row), where the paper's is 0/0.
 
-Every rescaling comes from the family's normalization c_n = (p)_n / (q)_n
-(P_n = c_n J_n, J the Jacobi polynomial), two int rising factorials of
-its row: Legendre is Jacobi(0, 0) as it stands and needs none; Gegenbauer
-sums the symmetric-Jacobi terms at alpha = lam - 1/2 and multiplies by
-c_m c_n / c_j; Chebyshev has its own simplified forms in the T
-normalization, whose n = 0 case takes the same factor; and
-``symmetry_factor`` is the Jacobi one times (c_j / c_n)^2.  The symmetric
-varpi display, which Legendre sums at alpha = 0, has a removable
-singularity at alpha = -1/2, where the equivalent general-parameter form
-is used instead.  Every d sum reads one 4F3, ``_jacobi_d_f43``: symmetric
-Jacobi, Gegenbauer and Legendre sum the general display itself at
-beta = alpha, and Chebyshev's own display takes the 4F3 at
-alpha = beta = -1/2.
+The sums are in the Jacobi normalization.  A row with p != q (Gegenbauer,
+Chebyshev) has P_n = c_n J_n, c_n = (p)_n / (q)_n, and its rho is
+c_m c_n / c_j times the Jacobi one; ``symmetry_factor`` is the Jacobi one
+times (c_j / c_n)^2.  Every d sum reads one 4F3, ``_jacobi_d_f43``.
 
 The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
@@ -79,8 +75,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 
-from .basis import (Family, FamilySpec, chebyshev, connection_ints,
-                    endpoint_runs)
+from .basis import (Family, FamilySpec, connection_ints, endpoint_runs,
+                    legendre, pole_free_quotient)
 from .errors import IndexContractError
 from .scalars import (RATIONAL, Scalar, _Record, exact, factorial,
                       hyp_pfq_ints, log10_abs_ints, lowest, over_lcm,
@@ -92,7 +88,9 @@ from .scalars import pochhammer as _poch
 from .scalars import pochhammer_ints as _rising
 
 _ZERO = Fraction(0)
-_CHEBYSHEV = chebyshev()
+# (alpha, beta, p, q) of Legendre, whose rho is symmetric in all of
+# (j, n, m); jacobi(0, 0) has the same row
+_LEGENDRE_ROW = legendre()._jacobi_row
 
 
 def _ratio_sum(nus: range, term, ratio, factor=None) -> tuple:
@@ -197,33 +195,27 @@ def _jacobi_d_f43(m: int, nu: int, j: int, d: int, a: int, b: int) -> tuple:
 
 def _jacobi_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
     """sum_{nu=j+1}^{n+1} of the second-sum terms of the j <= m regime for
-    general (alpha, beta), symmetric Jacobi, Gegenbauer and Legendre
-    (beta = alpha) included:
+    every interval row, beta = alpha included:
 
         d_nu = 2 (-1)^(m+n+1+nu) (beta+nu) (beta+j+1)_(m-j) (beta+1)_n
                (s+n+1)_(nu-1) / (m! (n+1-nu)! (nu-j)!)
                * (s+2j+1) / (s+j+1)_(nu+1) * 4F3(nu)
 
     and, apart from the 4F3 (`_jacobi_d_f43`), d_(nu+1) / d_nu =
-    -(beta+nu+1)(s+n+nu)(n+1-nu) / ((beta+nu)(nu+1-j)(s+j+nu+2)).  At
-    j = 0, (s+1) / (s+1)_(nu+1) is written 1 / (s+2)_nu: the same number
-    for s != -1, and at s = -1, where the display is 0/0, its limit."""
+    -(beta+nu+1)(s+n+nu)(n+1-nu) / ((beta+nu)(nu+1-j)(s+j+nu+2)).  The
+    factor (s+2j+1) / (s+j+1)_(nu+1) is `basis.pole_free_quotient`, which
+    takes its limit at j = 0, s = -1."""
     d, a, b = row
     s = a + b
 
     def term(nu):
-        if j == 0:
-            quotient = over_rising(s + 2 * d, d, nu)
-        else:
-            quotient = times((s + (2 * j + 1) * d, d),
-                             over_rising(s + (j + 1) * d, d, nu + 1))
         return times((2 * sign(m + n + 1 + nu) * (b + nu * d),
                       d * factorial(m) * factorial(n + 1 - nu)
                       * factorial(nu - j)),
                      _rising(b + (j + 1) * d, d, m - j),
                      _rising(b + d, d, n),
                      _rising(s + (n + 1) * d, d, nu - 1),
-                     quotient)
+                     pole_free_quotient(s, d, j, nu))
 
     def ratio(nu):
         return (-(b + (nu + 1) * d) * (s + (n + nu) * d) * (n + 1 - nu),
@@ -240,39 +232,35 @@ def _jacobi_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
 
 def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
                    row: tuple) -> tuple:
-    """The symmetric-parameter varpi sum, Legendre's at alpha = 0, zero
-    for odd n+nu-j, so in steps of 2 over h = (n+nu-j)/2:
+    """The varpi sum of an alpha = beta row, zero for odd n+nu-j, so in
+    steps of 2 over h = (n+nu-j)/2:
 
         varpi_nu = 2 (-1)^(m+nu+1) (alpha+nu)_(m+1-nu) (2alpha+m+1)_(nu-1)
-                   (2alpha+n+1)_(j-nu) (-nu)_h (alpha+j-nu+1/2)_h
-                   (alpha+j-nu+1)_(n+nu-j)
-                   / ((m-nu+1)! h! (2alpha+j+1)_j (alpha+j+3/2)_h
-                      (2alpha+2j-2nu+1)_(n+nu-j)),
+                   (2alpha+n+1)_(j-nu) (-nu)_h (alpha+j-nu+h+1)_h
+                   / (4^h (m-nu+1)! h! (2alpha+j+1)_j (alpha+j+3/2)_h),
 
         varpi_(nu+2) / varpi_nu = (m+1-nu)(m-nu)(2alpha+m+nu)
             (2alpha+m+nu+1)(nu+1)(nu+2) / ((alpha+nu)(alpha+nu+1)(n-j-nu-2)
             (2alpha+n+j-nu-1)(n-j+nu+2)(2alpha+n+j+nu+3)).
 
-    At alpha = -1/2 the display is indeterminate (0/0) and the general form
-    is used."""
+    The paper's display has (alpha+j-nu+1/2)_h (alpha+j-nu+1)_(2h)
+    / (2alpha+2j-2nu+1)_(2h) where this has (alpha+j-nu+h+1)_h / 4^h: the
+    same number by the duplication formula (2x)_(2h) = 4^h (x)_h (x+1/2)_h
+    (DLMF 5.5.5) at x = alpha+j-nu+1/2.  The display is 0/0 at
+    alpha = -1/2 (Chebyshev's row); this form has no pole there."""
     d, a, _ = row
-    if 2 * a == -d:
-        return _jacobi_varpi_sum(m, n, j, lo, hi, (d, a, a))
 
     def term(nu):
         h = (n + nu - j) // 2
         return times((2 * sign(m + nu + 1),
-                      factorial(m - nu + 1) * factorial(h)),
+                      4 ** h * factorial(m - nu + 1) * factorial(h)),
                      _rising(a + nu * d, d, m + 1 - nu),
                      _rising(2 * a + (m + 1) * d, d, nu - 1),
                      _rising(2 * a + (n + 1) * d, d, j - nu),
                      _rising(-nu, 1, h),
-                     _rising(2 * a + (2 * (j - nu) + 1) * d, 2 * d, h),
-                     _rising(a + (j - nu + 1) * d, d, n + nu - j),
+                     _rising(a + (j - nu + h + 1) * d, d, h),
                      over_rising(2 * a + (j + 1) * d, d, j),
-                     over_rising(2 * a + (2 * j + 3) * d, 2 * d, h),
-                     over_rising(2 * a + (2 * (j - nu) + 1) * d, d,
-                                 n + nu - j))
+                     over_rising(2 * a + (2 * j + 3) * d, 2 * d, h))
 
     def ratio(nu):
         return ((m + 1 - nu) * (m - nu) * (2 * a + (m + nu) * d)
@@ -286,79 +274,17 @@ def _sym_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
 
 @lru_cache(maxsize=200_000)
 def _sym_d_f43(m: int, nu: int, j: int, d: int, a: int) -> tuple:
-    """`_jacobi_d_f43` at beta = alpha = a/d; only bench/job.py reads it."""
+    """`_jacobi_d_f43` at beta = alpha = a/d.  The d sums of an
+    alpha = beta row read `_jacobi_d_f43` itself; only bench/job.py reads
+    this."""
     return _jacobi_d_f43(m, nu, j, d, a, a)
-
-
-# ---------------------------------------------------------------------------
-# Chebyshev (T normalization)
-# ---------------------------------------------------------------------------
-
-
-def _chebyshev_varpi_sum(m: int, n: int, j: int, lo: int, hi: int,
-                         row: tuple) -> tuple:
-    """The T-normalized varpi sum, zero for odd n+nu-j, with
-    h = (n+nu-j)/2:
-
-        varpi_nu = (-1)^m 2^(1-2nu) n (-m)_(nu-1) (m)_(nu-1) (-nu)_h
-                   ((n+nu-j+2)/2)_(j-nu-1) / ((1/2)_(nu-1) ((n+nu+j)/2)!),
-
-        varpi_(nu+2) / varpi_nu = 4 (m+1-nu)(m-nu)(m+nu-1)(m+nu)(nu+1)(nu+2)
-            / ((n-j-nu-2)(n-j+nu+2)(n+j-nu-2)(2nu-1)(2nu+1)(n+j+nu+2)).
-
-    The display carries a factor n and degenerates at n = 0; that case is
-    rescaled from the general form."""
-    if n == 0:
-        return times(_rescale(_CHEBYSHEV, m, n, j),
-                     _jacobi_varpi_sum(m, n, j, lo, hi, row))
-
-    def term(nu):
-        h = (n + nu - j) // 2
-        return times((sign(m) * 2 * n,
-                      4 ** nu * factorial((n + nu + j) // 2)),
-                     _rising(-m, 1, nu - 1),
-                     _rising(m, 1, nu - 1),
-                     _rising(-nu, 1, h),
-                     _rising(n + nu - j + 2, 2, j - nu - 1),
-                     over_rising(1, 2, nu - 1))
-
-    def ratio(nu):
-        return (4 * (m + 1 - nu) * (m - nu) * (m + nu - 1) * (m + nu)
-                * (nu + 1) * (nu + 2),
-                (n - j - nu - 2) * (n - j + nu + 2) * (n + j - nu - 2)
-                * (2 * nu - 1) * (2 * nu + 1) * (n + j + nu + 2))
-
-    return _ratio_sum(_parity_range(lo, hi, n - j), term, ratio)
 
 
 @lru_cache(maxsize=200_000)
 def _cheb_d_f43(m: int, nu: int, j: int) -> tuple:
-    """`_jacobi_d_f43` at alpha = beta = -1/2; only bench/job.py reads it."""
+    """`_jacobi_d_f43` at alpha = beta = -1/2.  Chebyshev's d sums read
+    `_jacobi_d_f43` itself at its row; only bench/job.py reads this."""
     return _jacobi_d_f43(m, nu, j, 2, -1, -1)
-
-
-def _chebyshev_d_sum(m: int, n: int, j: int, row: tuple) -> tuple:
-    """The T-normalized d sum, with lead = 2 at j = 0 and 4 otherwise:
-
-        d_nu = lead (-1)^(m+n) (-n)_(nu-1) (n)_(nu-1) (nu-1/2)
-               / ((nu-j)! (j+nu)!) * 4F3(nu),
-
-    4F3(nu) = 4F3(1, -m, m, nu+1/2; 1/2, nu-j+1, j+nu+1; 1), the Jacobi
-    4F3 `_jacobi_d_f43` at alpha = beta = -1/2; apart from it,
-    d_(nu+1) / d_nu = (nu-1-n)(n+nu-1)(2nu+1) / ((2nu-1)(nu+1-j)(nu+1+j))."""
-
-    def term(nu):
-        return times(((2 if j == 0 else 4) * sign(m + n) * (2 * nu - 1),
-                      2 * factorial(nu - j) * factorial(j + nu)),
-                     _rising(-n, 1, nu - 1),
-                     _rising(n, 1, nu - 1))
-
-    def ratio(nu):
-        return ((nu - 1 - n) * (n + nu - 1) * (2 * nu + 1),
-                (2 * nu - 1) * (nu + 1 - j) * (nu + 1 + j))
-
-    return _ratio_sum(range(j + 1, n + 2), term, ratio,
-                      lambda nu: _jacobi_d_f43(m, nu, j, 2, -1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -396,26 +322,6 @@ def laguerre_rho(alpha: Fraction, m: int, n: int, j: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-# Interval family -> (varpi sum, d sum, whether the sums are in the Jacobi
-# normalization rather than the family's own).  Legendre is Jacobi(0, 0)
-# in its own normalization: the symmetric varpi sum and the Jacobi d sum at
-# its row (1, 0, 0), which read the 4F3 cache entries of Jacobi(0, 0).
-_SUMS = {
-    Family.JACOBI: (_jacobi_varpi_sum, _jacobi_d_sum, False),
-    Family.SYMMETRIC_JACOBI: (_sym_varpi_sum, _jacobi_d_sum, False),
-    Family.GEGENBAUER: (_sym_varpi_sum, _jacobi_d_sum, True),
-    Family.LEGENDRE: (_sym_varpi_sum, _jacobi_d_sum, False),
-    Family.CHEBYSHEV: (_chebyshev_varpi_sum, _chebyshev_d_sum, False),
-}
-
-
-def _rescale(spec: FamilySpec, m: int, n: int, j: int) -> tuple:
-    """c_m c_n / c_j as an int pair (P_k = c_k J_k): the factor taking
-    rho_{j,n}^m from the Jacobi normalization to the family's own."""
-    c = spec._normalization_ints
-    return times(c(m), c(n), c(j)[::-1])
-
-
 def _check_degrees(*degrees: int) -> None:
     """Raise IndexContractError unless every degree is nonnegative."""
     if min(degrees) < 0:
@@ -441,17 +347,22 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     elif m + 1 <= j <= n - m - 2:
         total = _ZERO
     else:
-        varpi, d_sum, jacobi_normalized = _SUMS[f]
-        row = spec._row_ints[:3]
+        # the sums read the family's Jacobi row; an alpha = beta row takes
+        # the symmetric varpi display, which steps nu by 2
+        d, a, b, p, q = spec._row_ints
+        row = d, a, b
+        varpi = _sym_varpi_sum if a == b else _jacobi_varpi_sum
         if j >= max(m + 1, n - m - 1):
             num, den = varpi(m, n, j, max(1, abs(j - n)), m + 1, row)
         else:
             # the varpi sum with the degrees' roles swapped, then the d sum
             (vn, vd), (dn, dd) = (varpi(n, m, j, 1, j, row),
-                                  d_sum(m, n, j, row))
+                                  _jacobi_d_sum(m, n, j, row))
             num, den = vn * dd + dn * vd, vd * dd
-        if jacobi_normalized:
-            num, den = times((num, den), _rescale(spec, m, n, j))
+        if p != q:
+            # Jacobi's rho times c_m c_n / c_j, since P_k = c_k J_k
+            c = spec._normalization_ints
+            num, den = times((num, den), c(m), c(n), c(j)[::-1])
         total = Fraction(num, den)
     return RATIONAL.make(total)
 
@@ -494,8 +405,9 @@ def zero_region(spec: FamilySpec, m: int, n: int) -> tuple[int, int] | None:
 def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """Factor F with rho_{n,j}^m = F * rho_{j,n}^m.
 
-    Valid for j, n >= m+1 in every interval family and for all j, n in the
-    Legendre case.  Laguerre has no such relation.  With s = alpha + beta,
+    Valid for j, n >= m+1 in every interval family and for all j, n at
+    Legendre's row (jacobi(0, 0) included).  Laguerre has no such relation.
+    With s = alpha + beta,
 
         F = (-1)^(n+j) (s+2n+1) (alpha+1)_j (beta+1)_j
             / ((s+2j+1) (alpha+1)_n (beta+1)_n)
@@ -507,7 +419,7 @@ def symmetry_factor(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     f = spec.family
     if f is Family.LAGUERRE or f is Family.GENERIC_MONIC:
         raise IndexContractError(f"{f.value} has no symmetry scaling")
-    if f is not Family.LEGENDRE and (j < m + 1 or n < m + 1):
+    if spec._jacobi_row != _LEGENDRE_ROW and (j < m + 1 or n < m + 1):
         raise IndexContractError(
             f"symmetry scaling needs j, n >= m+1; got j={j}, n={n}, m={m}"
         )
@@ -556,9 +468,9 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
             alpha+j+1, s+j+m+nu+1; alpha+j+nu+1, s+2j+2; 1)
             / ((s+k+1)_(nu+1) (nu-k)! (m-nu-j)! (s+j+1)_j),
 
-    s = alpha + beta, each term an int pair, one Fraction per entry.  At
-    k = 0, (s+1) / (s+1)_(nu+1) is written 1 / (s+2)_nu: the same number
-    for s != -1, and at s = -1, where the display is 0/0, its limit."""
+    s = alpha + beta, each term an int pair, one Fraction per entry.  The
+    factor (s+2k+1) / (s+k+1)_(nu+1) is `basis.pole_free_quotient`, which
+    takes its limit at k = 0, s = -1."""
     _check_degrees(m)
     (a, b), d = over_lcm([exact(alpha), exact(beta)])
     s = a + b
@@ -567,14 +479,9 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
         for j in range(m - k + 1):
             num, den = 0, 1
             for nu in range(k, m - j + 1):
-                if k == 0:
-                    quotient = over_rising(s + 2 * d, d, nu)
-                else:
-                    quotient = times((s + (2 * k + 1) * d, d),
-                                     over_rising(s + (k + 1) * d, d, nu + 1))
                 tn, td = times(
                     (sign(nu), factorial(nu - k) * factorial(m - nu - j)),
-                    quotient,
+                    pole_free_quotient(s, d, k, nu),
                     _rising(b + (k + 1) * d, d, nu - k),
                     _rising(a + (j + nu + 1) * d, d, m - nu - j),
                     _rising(s + (m + 1) * d, d, nu),
@@ -791,8 +698,9 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
     """True when branch logic alone certifies rho_{j,n}^m = 0 exactly.
 
     Degree bound, the guaranteed zero bands in both orientations, the
-    symmetric extension available for Legendre, and (Laguerre only, where
-    the closed form is a cheap product) exact evaluation.
+    symmetric extension available at Legendre's row (jacobi(0, 0)
+    included), and (Laguerre only, where the closed form is a cheap
+    product) exact evaluation.
     """
     _check_degrees(m, n)
     if j > m + n + 1:
@@ -800,7 +708,9 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
     if spec.family is Family.LAGUERRE:
         mm, nn = (m, n) if m <= n else (n, m)
         return laguerre_rho(spec._exact[0], mm, nn, j) == 0
-    if spec.family is Family.LEGENDRE and (n > j + m + 1 or m > j + n + 1):
+    if (spec.family is not Family.GENERIC_MONIC
+            and spec._jacobi_row == _LEGENDRE_ROW
+            and (n > j + m + 1 or m > j + n + 1)):
         # full symmetry in (j, n, m): support is the tilted band where no
         # index exceeds the sum of the others plus one
         return True

@@ -407,6 +407,8 @@ class TestFormulasAgainstFractionReference:
             got = spec.normalization(n)
             assert type(got) is Fraction
             assert got == ref_normalization(spec, n), n
+        with pytest.raises(IndexOutOfRangeError):
+            spec.normalization(-1)
 
     @pytest.mark.parametrize("spec", REFERENCE_FAMILIES,
                              ids=lambda s: s.label())

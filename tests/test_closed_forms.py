@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
 from polyconv.basis import Family, GenericBasisData
@@ -28,7 +28,8 @@ class TestOracleEquivalence:
                             (spec.label(), m, n, j)
 
     def test_symmetric_jacobi_at_minus_half(self):
-        # the rerouted removable-singularity case
+        # the paper's symmetric varpi display is 0/0 here; the package's,
+        # after the duplication formula, has no pole
         spec = basis.symmetric_jacobi(Fraction(-1, 2))
         for m in range(5):
             for n in range(m, 5):
@@ -106,11 +107,9 @@ class TestInnerTerms:
         assert v == Fraction(2, 3)
         v = ref_legendre_d(1, 0, 1, 0)
         assert v == -1
-        # the same two terms through Legendre's d sum, the Jacobi one at
-        # Legendre's row
-        d_sum = cf._SUMS[Family.LEGENDRE][1]
+        # the same two terms through the Jacobi d sum at Legendre's row
         row = basis.legendre()._row_ints[:3]
-        assert Fraction(*d_sum(0, 1, 0, row)) == Fraction(2, 3) - 1
+        assert Fraction(*cf._jacobi_d_sum(0, 1, 0, row)) == Fraction(2, 3) - 1
 
 
 class TestLaguerre:
@@ -218,13 +217,15 @@ class TestSymmetryFactor:
                         factor * cf.rho_closed(spec, m, n, j), (m, n, j)
 
     def test_legendre_relation_everywhere(self):
-        spec = basis.legendre()
-        for m in range(4):
-            for j in range(0, 9):
-                for n in range(0, 9):
-                    factor = cf.symmetry_factor(spec, m, n, j)
-                    assert cf.rho_closed(spec, m, j, n) == \
-                        factor * cf.rho_closed(spec, m, n, j)
+        # a fact of Legendre's row, so jacobi(0, 0) has it too
+        for spec in (basis.legendre(), basis.jacobi(0, 0)):
+            for m in range(4):
+                for j in range(0, 9):
+                    for n in range(0, 9):
+                        factor = cf.symmetry_factor(spec, m, n, j)
+                        assert cf.rho_closed(spec, m, j, n) == \
+                            factor * cf.rho_closed(spec, m, n, j), \
+                            (spec.label(), m, n, j)
 
     def test_legendre_diagonal_factor(self):
         spec = basis.legendre()
@@ -262,6 +263,19 @@ class TestNormalizationScalings:
                 for j in range(m + n + 2):
                     assert cf.rho_closed(cheb, m, n, j) == \
                         c(m) * c(n) / c(j) * cf.rho_closed(sym, m, n, j)
+
+    def test_chebyshev_matches_its_t_displays(self):
+        # the paper's T-normalized displays, summed term by term, against
+        # rho_closed, which sums at Chebyshev's Jacobi row and rescales
+        cheb = basis.chebyshev()
+        for m in range(7):
+            for n in range(m, 10):
+                for j in range(m + n + 2):
+                    if m + 1 <= j <= n - m - 2:
+                        continue
+                    want = sum(want for _, _, want in
+                               sums_and_references(cheb, m, n, j))
+                    assert cf.rho_closed(cheb, m, n, j) == want, (m, n, j)
 
 
 class TestBatemanTensor:
@@ -318,6 +332,14 @@ class TestStructuralZeros:
                 in_c = n + 1 <= j <= m - n - 2
                 if in_a or in_b or in_c:
                     assert cf.structural_zero(spec, m, n, j)
+
+    def test_legendre_row_band(self):
+        # the tilted band is a fact of Legendre's row: jacobi(0, 0) has it
+        for m in range(5):
+            for n in range(12):
+                for j in range(m + n + 4):
+                    assert cf.structural_zero(basis.jacobi(0, 0), m, n, j) \
+                        == cf.structural_zero(basis.legendre(), m, n, j)
 
     def test_laguerre_sparse_patterns_classified(self):
         spec = basis.laguerre(1)
@@ -569,31 +591,39 @@ def ref_chebyshev_d(nu, j, n, m):
     return num / den * ref_chebyshev_d_f43(m, nu, j)
 
 
-# family -> (varpi term, d term, how many Jacobi parameters they take)
+# family -> (varpi term, d term, how many Jacobi parameters they take,
+# whether they are in the family's own normalization rather than Jacobi's)
 REF_TERMS = {
-    Family.JACOBI: (ref_jacobi_varpi, ref_jacobi_d, 2),
-    Family.SYMMETRIC_JACOBI: (ref_sym_varpi, ref_sym_d, 1),
-    Family.GEGENBAUER: (ref_sym_varpi, ref_sym_d, 1),
-    Family.LEGENDRE: (ref_legendre_varpi, ref_legendre_d, 0),
-    Family.CHEBYSHEV: (ref_chebyshev_varpi, ref_chebyshev_d, 0),
+    Family.JACOBI: (ref_jacobi_varpi, ref_jacobi_d, 2, False),
+    Family.SYMMETRIC_JACOBI: (ref_sym_varpi, ref_sym_d, 1, False),
+    Family.GEGENBAUER: (ref_sym_varpi, ref_sym_d, 1, False),
+    Family.LEGENDRE: (ref_legendre_varpi, ref_legendre_d, 0, True),
+    Family.CHEBYSHEV: (ref_chebyshev_varpi, ref_chebyshev_d, 0, True),
 }
 
 
 def sums_and_references(spec, m, n, j):
     """(name, the package's sum as a Fraction, the term-by-term sum) for
-    every sum rho_{j,n}^m (m <= n, j outside the zero band) is made of,
-    in the Jacobi normalization for Gegenbauer."""
-    varpi, d_term, count = REF_TERMS[spec.family]
+    every sum rho_{j,n}^m (m <= n, j outside the zero band) is made of.
+    The package's sums are those `rho_closed` takes at the spec's Jacobi
+    row (the symmetric varpi display where alpha = beta), times
+    c_m c_n / c_j where the references are in the family's own
+    normalization (Chebyshev's T displays)."""
+    varpi, d_term, count, own = REF_TERMS[spec.family]
     params = spec.jacobi_parameters()[:count]
-    varpi_sum, d_sum, _ = cf._SUMS[spec.family]
-    row = spec._row_ints[:3]
+    d, a, b, _, _ = spec._row_ints
+    row = d, a, b
+    varpi_sum = cf._sym_varpi_sum if a == b else cf._jacobi_varpi_sum
+    c = spec.normalization
+    scale = c(m) * c(n) / c(j) if own else 1
     if j >= max(m + 1, n - m - 1):
         lo = max(1, abs(j - n))
-        return [("varpi", varpi_sum(m, n, j, lo, m + 1, row),
+        return [("varpi", scale * Fraction(*varpi_sum(m, n, j, lo, m + 1,
+                                                     row)),
                  sum(varpi(m, n, j, nu, *params) for nu in range(lo, m + 2)))]
-    return [("swapped varpi", varpi_sum(n, m, j, 1, j, row),
+    return [("swapped varpi", scale * Fraction(*varpi_sum(n, m, j, 1, j, row)),
              sum(varpi(n, m, j, nu, *params) for nu in range(1, j + 1))),
-            ("d", d_sum(m, n, j, row),
+            ("d", scale * Fraction(*cf._jacobi_d_sum(m, n, j, row)),
              sum(d_term(nu, j, n, m, *params) for nu in range(j + 1, n + 2)))]
 
 
@@ -624,8 +654,8 @@ RATIO_FAMILIES = [
     basis.gegenbauer(1),
     basis.legendre(),
     basis.chebyshev(),
-    # alpha = -1/2: the symmetric displays are 0/0 and the general forms
-    # are summed
+    # alpha = -1/2: the paper's symmetric varpi display is 0/0; the
+    # package's symmetric one has no pole
     basis.symmetric_jacobi(Fraction(-1, 2)),
     basis.jacobi(Fraction(-1, 2), Fraction(1, 2)),
     basis.jacobi(Fraction(-1, 2), Fraction(-1, 2)),
@@ -639,8 +669,8 @@ RATIO_FAMILIES = [
 class TestRatioSumsAgainstReference:
     """Every varpi and d sum, in both regimes, against its display summed
     term by term: m <= n <= 8, every j outside the zero band.  The grid
-    takes in the limits: Chebyshev's n = 0 cell, the alpha = -1/2
-    reroutes, and the j = 0 d sums at alpha + beta = -1."""
+    takes in the limits: Chebyshev's n = 0 cell, the symmetric displays
+    at alpha = -1/2, and the j = 0 d sums at alpha + beta = -1."""
 
     TOP = 8
 
@@ -653,7 +683,7 @@ class TestRatioSumsAgainstReference:
                         continue
                     for name, got, want in sums_and_references(spec, m, n,
                                                                 j):
-                        assert Fraction(*got) == want, (name, m, n, j)
+                        assert got == want, (name, m, n, j)
 
     def test_restart_at_a_vanishing_ratio(self):
         # term(nu) = nu - 2 on nu = 0..5: the ratio (nu-1)/(nu-2) out of
@@ -672,6 +702,33 @@ class TestRatioSumsAgainstReference:
         got = cf._ratio_sum(range(6), term, ratio, lambda nu: (1, nu + 1))
         assert Fraction(*got) == sum(Fraction(nu - 2, nu + 1)
                                      for nu in range(6))
+
+
+class TestPoleFreeSymmetricDisplay:
+    """The package's symmetric varpi display, the paper's with the
+    duplication formula applied, equals the paper's term by term; at
+    alpha = -1/2, where the paper's is 0/0, the reference takes the
+    general display's term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.fractions(min_value=Fraction(-11, 12), max_value=6,
+                                  max_denominator=12),
+                     st.just(-_HALF)),
+           st.integers(0, 10), st.integers(0, 14), st.integers(0, 40))
+    @example(-_HALF, 4, 7, 3)
+    @example(-_HALF, 4, 7, 11)
+    def test_terms_match_the_paper_display(self, alpha, m, n, k):
+        m, n = min(m, n), max(m, n)
+        j = k % (m + n + 2)
+        row = alpha.denominator, alpha.numerator, alpha.numerator
+        if j >= max(m + 1, n - m - 1):
+            degrees, nus = (m, n), range(max(1, abs(j - n)), m + 2)
+        else:  # the swapped varpi sum of j <= m, or the zero band
+            degrees, nus = (n, m), range(1, j + 1 if j <= m else 1)
+        for nu in nus:
+            got = cf._sym_varpi_sum(*degrees, j, nu, nu, row)
+            assert Fraction(*got) == ref_sym_varpi(*degrees, j, nu, alpha), \
+                (m, n, j, nu)
 
 
 class TestOneDSum4F3:
@@ -869,7 +926,7 @@ class TestFormulasAgainstFractionReference:
     @pytest.mark.parametrize("spec", INTERVAL_FAMILIES,
                              ids=lambda s: s.label())
     def test_symmetry_factor(self, spec):
-        legendre = spec.family is Family.LEGENDRE
+        legendre = spec._jacobi_row == (0, 0, 1, 1)  # jacobi(0, 0) too
         for m in range(5):
             low = 0 if legendre else m + 1
             for n in range(low, 13):

@@ -314,10 +314,11 @@ def test_integer_cores_return_ints():
              cf._sym_d_f43(2, 1, 0, 2, 5), cf._cheb_d_f43(2, 1, 0)]
     for spec in [JACOBI, basis.legendre(), basis.chebyshev(),
                  basis.gegenbauer(Fraction(3, 2))]:
-        varpi_sum, d_sum, _ = cf._SUMS[spec.family]
         row = spec._row_ints[:3]
+        varpi_sum = (cf._sym_varpi_sum if row[1] == row[2]
+                     else cf._jacobi_varpi_sum)
         pairs += [varpi_sum(2, 5, 6, 1, 3, row), varpi_sum(5, 2, 1, 1, 1, row),
-                  d_sum(2, 5, 1, row)]
+                  cf._jacobi_d_sum(2, 5, 1, row)]
         for n in range(3):
             pairs += basis.connection_ints(spec, n)
         nums, den = basis.endpoint_runs(spec, [(0, 4)], 3)
