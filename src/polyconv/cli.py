@@ -291,27 +291,23 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     """Desk-scale certification: the closed forms and the family-agnostic
     formulas against the exact oracle, and the zero bands of the engine
     every table command runs, `closed_forms.rho_columns`.  Per family the
-    oracle and the family-agnostic route each serve every pair from one
-    table of Fractions (`oracle.table_fractions`,
-    `generic_conv.table_fractions`), the closed forms are one
-    `closed_forms.rho_closed` call per cell, read as its Fraction, and the
-    zero bands are read off the engine's int columns, a Fraction made only
-    for a nonzero cell; every check compares exact Fractions.  The
-    family-agnostic route's connection data are built only to the degrees
-    it reads: the b columns to 2 max_degree + 1 (`basis.b_table`) and the
-    derivative rows to max_degree (`basis.derivative_table`).  The
+    oracle, the family-agnostic route and the closed forms each serve
+    every pair from one table of Fractions (`oracle.table_fractions`,
+    `generic_conv.table_fractions`, `closed_forms.table_fractions`).  Each
+    pair's two route vectors count m + n + 2 checks each and are compared
+    with the oracle's whole; only a vector that differs is walked cell by
+    cell, in j and closed before generic at each j, so the mismatches come
+    in the order a cell-by-cell walk would find them.  The zero bands are
+    tested on the engine's int numerators, a Fraction made only for a
+    nonzero cell, which is a mismatch; every check compares exact values.
+    The family-agnostic route's connection data are built only to the
+    degrees it reads: the b columns to 2 max_degree + 1 (`basis.b_table`)
+    and the derivative rows to max_degree (`basis.derivative_table`).  The
     report's last line names the first mismatch and the route its value
     came from: `closed=`, `generic=` or `engine=`."""
     families = default_verify_families() if families is None else families
     lines, mismatches = [], []
     checks = 0
-
-    def check(route, m, n, j, got, want):
-        nonlocal checks
-        checks += 1
-        if got != want:
-            mismatches.append((label, m, n, j, str(got), str(want), route))
-
     for spec in families:
         label = spec.label()
         checks_before, failures_before = checks, len(mismatches)
@@ -322,13 +318,20 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                                 basis.derivative_table(spec, max_degree),
                                 spec.backend)
         generics = generic_conv.table_fractions(data, max_degree)
+        closeds = closed_forms.table_fractions(spec, max_degree)
         for m in range(max_degree + 1):
             for n in range(m, max_degree + 1):
-                truth, generic = truths[(m, n)], generics[(m, n)]
+                truth = truths[(m, n)]
+                routes = (("closed", closeds[(m, n)]),
+                          ("generic", generics[(m, n)]))
+                checks += len(routes) * (m + n + 2)
+                if all(got == truth for _, got in routes):
+                    continue
                 for j in range(m + n + 2):
-                    closed = closed_forms.rho_closed(spec, m, n, j)
-                    check("closed", m, n, j, closed.as_fraction(), truth[j])
-                    check("generic", m, n, j, generic[j], truth[j])
+                    for route, got in routes:
+                        if got[j] != truth[j]:
+                            mismatches.append((label, m, n, j, str(got[j]),
+                                               str(truth[j]), route))
         # zero bands, read from one engine run per m on a taller range
         for m in range(3):
             cols = closed_forms.rho_columns(spec, m, 2 * m + 11)
@@ -337,9 +340,12 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                 if band is None:
                     continue
                 nums, den = cols[n]
+                checks += band[1] - band[0] + 1
                 for j in range(band[0], band[1] + 1):
-                    v = nums[j]
-                    check("engine", m, n, j, Fraction(v, den) if v else 0, 0)
+                    if nums[j]:
+                        mismatches.append((label, m, n, j,
+                                           str(Fraction(nums[j], den)), "0",
+                                           "engine"))
         fam_checks = checks - checks_before
         fam_failures = len(mismatches) - failures_before
         status = "ok" if fam_failures == 0 else "FAILED"

@@ -27,8 +27,17 @@ row), where the paper's is 0/0.
 
 The sums are in the Jacobi normalization.  A row with p != q (Gegenbauer,
 Chebyshev) has P_n = c_n J_n, c_n = (p)_n / (q)_n, and its rho is
-c_m c_n / c_j times the Jacobi one; ``symmetry_factor`` is the Jacobi one
-times (c_j / c_n)^2.  Every d sum reads one 4F3, ``_jacobi_d_f43``.
+c_m c_n / c_j times the Jacobi one, c_n / c_j read as the quotient
+(p+j)_(n-j) / (q+j)_(n-j) of |n - j| factors; ``symmetry_factor`` is the
+Jacobi one times (c_j / c_n)^2.  Every d sum reads one 4F3,
+``_jacobi_d_f43``.
+
+One per-pair core, ``_closed_pair``, serves every closed-form value: it
+picks the pair's display, reads the row and forms c_m once, then sums each
+j alone.  ``rho_closed`` is its one-cell case, ``rho_closed_vector`` its
+one-pair case (both swap m > n), and ``table_fractions`` all pairs
+m <= n <= D as one table of Fractions in the layout of
+``oracle.table_fractions``, the closed route of ``verify``.
 
 The figure grid (``magnitude_grid``) and every table and series product
 in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
@@ -328,6 +337,52 @@ def _check_degrees(*degrees: int) -> None:
         raise IndexContractError("degrees must be nonnegative")
 
 
+def _closed_pair(spec: FamilySpec, m: int, n: int, js) -> list:
+    """rho_{j,n}^m for each j in `js`, m <= n, as Fractions.  The pair
+    picks its display, reads the row and forms c_m once; each j is summed
+    alone, zero outside 0..m+n+1 and in the band m+1..n-m-2, and a p != q
+    row scales it by c_m (p/d + j)_(n-j) / (q/d + j)_(n-j), a negative
+    order for j > n."""
+    f = spec.family
+    if f is Family.LAGUERRE:
+        alpha = spec._exact[0]
+
+        def cell(j):
+            return laguerre_rho(alpha, m, n, j)
+    elif f is Family.GENERIC_MONIC:
+        def cell(j):
+            raise ValueError("generic sequences have no closed form; use "
+                             "the family-agnostic formulas in "
+                             "polyconv.generic_conv")
+    else:
+        # the sums read the family's Jacobi row; an alpha = beta row takes
+        # the symmetric varpi display, which steps nu by 2
+        d, a, b, p, q = spec._row_ints
+        row = d, a, b
+        varpi = _sym_varpi_sum if a == b else _jacobi_varpi_sum
+        c_m = spec._normalization_ints(m)
+
+        def cell(j):
+            if m + 1 <= j <= n - m - 2:
+                return _ZERO
+            if j >= max(m + 1, n - m - 1):
+                num, den = varpi(m, n, j, max(1, abs(j - n)), m + 1, row)
+            else:
+                # the varpi sum with the degrees' roles swapped, then the
+                # d sum
+                (vn, vd), (dn, dd) = (varpi(n, m, j, 1, j, row),
+                                      _jacobi_d_sum(m, n, j, row))
+                num, den = vn * dd + dn * vd, vd * dd
+            if p != q:
+                # Jacobi's rho times c_m c_n / c_j, since P_k = c_k J_k
+                num, den = times((num, den), c_m,
+                                 _rising(p + j * d, d, n - j),
+                                 over_rising(q + j * d, d, n - j))
+            return Fraction(num, den)
+
+    return [cell(j) if 0 <= j <= m + n + 1 else _ZERO for j in js]
+
+
 def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     """The coefficient rho_{j,n}^m in the family's own normalization,
     from the closed forms, exact whatever the spec's backend.  Swaps (m, n)
@@ -335,41 +390,27 @@ def rho_closed(spec: FamilySpec, m: int, n: int, j: int) -> Scalar:
     _check_degrees(m, n)
     if m > n:
         m, n = n, m
-
-    f = spec.family
-    if j < 0 or j > m + n + 1:
-        total = _ZERO
-    elif f is Family.LAGUERRE:
-        total = laguerre_rho(spec._exact[0], m, n, j)
-    elif f is Family.GENERIC_MONIC:
-        raise ValueError("generic sequences have no closed form; use the "
-                         "family-agnostic formulas in polyconv.generic_conv")
-    elif m + 1 <= j <= n - m - 2:
-        total = _ZERO
-    else:
-        # the sums read the family's Jacobi row; an alpha = beta row takes
-        # the symmetric varpi display, which steps nu by 2
-        d, a, b, p, q = spec._row_ints
-        row = d, a, b
-        varpi = _sym_varpi_sum if a == b else _jacobi_varpi_sum
-        if j >= max(m + 1, n - m - 1):
-            num, den = varpi(m, n, j, max(1, abs(j - n)), m + 1, row)
-        else:
-            # the varpi sum with the degrees' roles swapped, then the d sum
-            (vn, vd), (dn, dd) = (varpi(n, m, j, 1, j, row),
-                                  _jacobi_d_sum(m, n, j, row))
-            num, den = vn * dd + dn * vd, vd * dd
-        if p != q:
-            # Jacobi's rho times c_m c_n / c_j, since P_k = c_k J_k
-            c = spec._normalization_ints
-            num, den = times((num, den), c(m), c(n), c(j)[::-1])
-        total = Fraction(num, den)
-    return RATIONAL.make(total)
+    return RATIONAL.make(_closed_pair(spec, m, n, (j,))[0])
 
 
 def rho_closed_vector(spec: FamilySpec, m: int, n: int) -> list:
-    """All rho_{j,n}^m for j = 0..m+n+1."""
-    return [rho_closed(spec, m, n, j) for j in range(m + n + 2)]
+    """All rho_{j,n}^m for j = 0..m+n+1, from one pass of the core of
+    `rho_closed`.  Swaps (m, n) when m > n (commutativity)."""
+    _check_degrees(m, n)
+    if m > n:
+        m, n = n, m
+    return [RATIONAL.make(v)
+            for v in _closed_pair(spec, m, n, range(m + n + 2))]
+
+
+def table_fractions(spec: FamilySpec, max_degree: int) -> dict:
+    """The closed forms as one table of Fractions in the layout of
+    `oracle.table_fractions`: {(m, n): [rho_{j,n}^m for j = 0..m+n+1]} for
+    0 <= m <= n <= max_degree, one pass of the core of `rho_closed` per
+    pair."""
+    _check_degrees(max_degree)
+    return {(m, n): _closed_pair(spec, m, n, range(m + n + 2))
+            for m in range(max_degree + 1) for n in range(m, max_degree + 1)}
 
 
 def clear_caches() -> None:

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import polyconv
-from polyconv import basis, cli, closed_forms, convmat
+from polyconv import basis, cli, closed_forms, convmat, generic_conv, oracle
 from polyconv.cli import main, read_series, run_verification, write_series
 from polyconv.errors import PolyconvError
 from polyconv.scalars import FloatBackend, over_lcm
@@ -597,21 +597,58 @@ class TestVerify:
                                                  for p in range(n + 1)}
 
     def test_injected_fault_is_reported(self, monkeypatch):
-        rho_closed = closed_forms.rho_closed
+        table_fractions = closed_forms.table_fractions
 
-        def corrupt(spec, m, n, j):
-            value = rho_closed(spec, m, n, j)
-            if spec.family is basis.Family.LEGENDRE and (m, n, j) == (1, 2, 0):
-                return value + 1
-            return value
+        def corrupt(spec, max_degree):
+            table = table_fractions(spec, max_degree)
+            if spec.family is basis.Family.LEGENDRE:
+                table[(1, 2)][0] += 1
+            return table
 
-        monkeypatch.setattr(closed_forms, "rho_closed", corrupt)
+        monkeypatch.setattr(closed_forms, "table_fractions", corrupt)
         report = run_verification(max_degree=2)
         assert not report.ok
         label, m, n, j, got, want = report.first_mismatch
         assert (label, m, n, j) == ("legendre", 1, 2, 0)
         assert got != want
         assert any("FIRST MISMATCH" in ln for ln in report.lines)
+
+    @staticmethod
+    def _corrupt_table(monkeypatch, module, pair, j):
+        """Patch `module.table_fractions` to add 1 to entry j of `pair`."""
+        table_fractions = module.table_fractions
+
+        def corrupt(source, max_degree):
+            table = table_fractions(source, max_degree)
+            table[pair][j] += 1
+            return table
+
+        monkeypatch.setattr(module, "table_fractions", corrupt)
+
+    def test_generic_fault_is_reported(self, monkeypatch):
+        self._corrupt_table(monkeypatch, generic_conv, (1, 2), 2)
+        want = oracle.table_fractions(basis.legendre(), 2)[(1, 2)][2]
+        report = run_verification(2, [basis.legendre()])
+        assert report.failures == 1
+        assert report.first_mismatch == ("legendre", 1, 2, 2, str(want + 1),
+                                         str(want))
+        assert report.lines[0].endswith("[FAILED]")
+        assert report.lines[-1] == (f"FIRST MISMATCH family=legendre m=1 "
+                                    f"n=2 j=2 generic={want + 1} "
+                                    f"oracle={want}")
+
+    def test_faults_are_reported_in_cell_order(self, monkeypatch):
+        # a pair's cells are walked in j, closed before generic at each j,
+        # so a generic fault at a lower j comes first
+        self._corrupt_table(monkeypatch, closed_forms, (1, 2), 3)
+        self._corrupt_table(monkeypatch, generic_conv, (1, 2), 1)
+        report = run_verification(2, [basis.legendre()])
+        assert report.failures == 2
+        assert report.first_mismatch[:4] == ("legendre", 1, 2, 1)
+        assert " generic=" in report.lines[-1]
+        checks = report.checks
+        assert report.lines[0] == (f"legendre: {checks - 2}/{checks} checks "
+                                   "passed [FAILED]")
 
     def test_engine_zero_band_fault_is_reported(self, monkeypatch):
         # the zero-band checks read the engine's columns, so a nonzero

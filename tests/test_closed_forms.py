@@ -785,9 +785,14 @@ _JACOBI = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
     lambda: cf.symmetry_factor(_JACOBI, -1, 2, 3),
     lambda: cf.symmetry_factor(basis.legendre(), 1, -2, 3),
     lambda: cf.bateman_tensor(-1, 0, 0),
+    lambda: cf.rho_closed_vector(basis.legendre(), -5, 1),
+    lambda: cf.rho_closed_vector(basis.laguerre(0), -3, 1),
+    lambda: cf.table_fractions(_JACOBI, -1),
 ], ids=["zero_region", "zero_region_laguerre", "structural_zero",
         "structural_zero_legendre", "structural_zero_laguerre",
-        "symmetry_factor", "symmetry_factor_legendre", "bateman_tensor"])
+        "symmetry_factor", "symmetry_factor_legendre", "bateman_tensor",
+        "rho_closed_vector", "rho_closed_vector_laguerre",
+        "table_fractions"])
 def test_index_helpers_reject_negative_degrees(call):
     # the degree contract of rho_closed, not a band, a factor or an
     # empty tensor read off a negative degree

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyconv import basis, closed_forms as cf, convmat, generic_conv
+from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
 from polyconv.errors import IndexOutOfRangeError
 from polyconv.oracle import oracle_rho
 from polyconv.scalars import FloatBackend
@@ -156,6 +156,46 @@ def test_random_one_parameter_families_certified_by_the_oracle(alpha):
     assert_certified(basis.laguerre(alpha))
     if alpha != Fraction(-1, 2):
         assert_certified(basis.gegenbauer(alpha + Fraction(1, 2)))
+
+
+def assert_closed_table(spec, top=5):
+    """closed_forms.table_fractions is the oracle's table, in its layout
+    and as Fractions; each of its vectors is rho_closed_vector's and each
+    entry the one-cell rho_closed, with (m, n) either way round."""
+    table = cf.table_fractions(spec, top)
+    truths = oracle.table_fractions(spec, top)
+    assert list(table) == list(truths)
+    for (m, n), vector in table.items():
+        assert vector == truths[(m, n)], (spec.label(), m, n)
+        assert {type(v) for v in vector} == {Fraction}
+        for a, b in ((m, n), (n, m)):
+            assert [v.as_fraction() for v in
+                    cf.rho_closed_vector(spec, a, b)] == vector, \
+                (spec.label(), a, b)
+            assert [cf.rho_closed(spec, a, b, j).as_fraction()
+                    for j in range(m + n + 2)] == vector, (spec.label(), a, b)
+
+
+def test_closed_table_at_parameter_edges():
+    for spec in edge_families() + [basis.gegenbauer(Fraction(-1, 3))]:
+        assert_closed_table(spec)
+
+
+@settings(max_examples=10, deadline=None)
+@given(jacobi_parameters())
+@example((Fraction(-1, 2), Fraction(-1, 2)))  # alpha = -1/2
+@example((Fraction(-1, 3), Fraction(-2, 3)))  # alpha + beta = -1
+def test_random_jacobi_closed_tables(params):
+    assert_closed_table(basis.jacobi(*params))
+
+
+@settings(max_examples=5, deadline=None)
+@given(_parameter())
+def test_random_one_parameter_closed_tables(alpha):
+    assert_closed_table(basis.symmetric_jacobi(alpha))
+    assert_closed_table(basis.laguerre(alpha))
+    if alpha != Fraction(-1, 2):
+        assert_closed_table(basis.gegenbauer(alpha + Fraction(1, 2)))
 
 
 class TestIntegerColumns:
