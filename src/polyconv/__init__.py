@@ -15,10 +15,8 @@ from .basis import (
     FamilySpec,
     GenericBasisData,
     chebyshev,
-    connection_gamma,
     endpoint_derivative,
     eval_poly,
-    gamma_from_b,
     gegenbauer,
     generic_monic,
     jacobi,
@@ -72,12 +70,10 @@ __all__ = [
     "build_matrix",
     "chebyshev",
     "clear_caches",
-    "connection_gamma",
     "convolve_exact",
     "convolve_series",
     "endpoint_derivative",
     "eval_poly",
-    "gamma_from_b",
     "gegenbauer",
     "generic_monic",
     "generic_table",

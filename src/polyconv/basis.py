@@ -4,15 +4,10 @@ Each family is described by a :class:`FamilySpec`, an immutable,
 hashable record of the family, its exact parameters and its output
 backend, checked when it is made.  The module evaluates polynomials by
 their three-term recurrences, gives closed forms for derivatives at the
-left endpoint of the domain, and gives two kinds of connection
-coefficients:
-
-* ``monomial_expansion_b``: coefficients b_{n,k} of the shifted monomial
-  (x+a)^n in the family basis, the data of ``GenericBasisData``, a
-  record whose constructor checks each leading entry;
-* ``connection_gamma``: coefficients linking the p-th derivatives of the
-  sequence to the q-th derivatives of shifted-degree members.  Public, but
-  nothing in the package is built from it.
+left endpoint of the domain, and gives the connection coefficients
+b_{n,k} of the shifted monomial (x+a)^n in the family basis
+(``monomial_expansion_b``), the data of ``GenericBasisData``, a record
+whose constructor checks each leading entry.
 
 Every interval family is a normalized Jacobi polynomial,
 P_n = (p)_n / (q)_n * P_n^(alpha,beta) (DLMF 18.7), and states its row
@@ -22,10 +17,9 @@ symmetric Jacobi (alpha, alpha, 1, 1), Gegenbauer C_n^(lam)
 T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the recurrence of
 ``eval_polys`` and every formula read that row, the formulas over one
 common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
-the endpoint derivatives, b_{n,k} and gamma are each a product of int
-rising factorials with at most one ``hyp_pfq_ints`` sum, one ``Fraction``
-per value, uncached; ``connection_ints`` and ``endpoint_runs`` are int
-pairs.  ``pole_free_quotient`` is the factor (s+2k+1) / (s+k+1)_(nu+1)
+the endpoint derivatives and b_{n,k} are each a product of int rising
+factorials, one ``Fraction`` per value, uncached; ``connection_ints`` and
+``endpoint_runs`` are int pairs.  ``pole_free_quotient`` is the factor (s+2k+1) / (s+k+1)_(nu+1)
 that b_{n,k}, the closed forms' d terms and the Bateman tensor share,
 with its limit at k = 0, s = alpha + beta = -1.  The values
 P_k(-a) = sigma^k (c)_k / k! are read from one family constant, the
@@ -57,8 +51,7 @@ from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
 from .scalars import (RATIONAL, Scalar, _FrozenRecord, _Record, exact,
-                      factorial, hyp_pfq_ints, lowest, over_lcm, over_rising,
-                      sign, times)
+                      factorial, lowest, over_lcm, over_rising, sign, times)
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .scalars import hyp_pfq  # noqa: F401
 from .scalars import pochhammer_ints as _rising
@@ -538,48 +531,6 @@ def pole_free_quotient(s: int, d: int, k: int, nu: int) -> tuple:
                  over_rising(s + (k + 1) * d, d, nu + 1))
 
 
-def connection_gamma(spec: FamilySpec, n: int, k: int, p: int,
-                     q: int) -> Scalar:
-    """gamma_{n,k}^(p,q): d^p P_{n+p} = sum_k gamma_{n,k}^(p,q) d^q P_{k+q}.
-    For an interval family, with s = alpha + beta, c_{n+p} / c_{k+q} times
-    the terminating 3F2 at unit argument
-
-        (alpha+k+p+1)_(n-k) (s+n+p+1)_p (s+n+2p+1)_k
-        / (2^(p-q) (n-k)! (s+k+q+1)_q (s+k+2q+1)_k)
-        * 3F2(k-n, alpha+k+q+1, s+k+n+2p+1; alpha+k+p+1, s+2k+2q+2; 1),
-
-    pole-free for alpha, beta > -1, alpha = beta = -1/2 included; for
-    alpha = beta and odd n-k the 3F2 sums to 0.  For Laguerre
-    (-1)^(p+q) (p-q)_(n-k) / (n-k)!."""
-    if k < 0 or k > n:
-        raise IndexOutOfRangeError(f"connection index out of range: n={n}, k={k}")
-    if p < 0 or q < 0:
-        raise IndexOutOfRangeError("derivative orders must be nonnegative")
-    f = spec.family
-    if f is Family.LAGUERRE:
-        value = times((sign(p + q), factorial(n - k)),
-                      _rising(p - q, 1, n - k))
-    elif f is Family.GENERIC_MONIC:
-        value = (factorial(n + p), factorial(n + q)) if n == k else (0, 1)
-    else:
-        d, a, b, _, _ = spec._row_ints
-        s = a + b
-        value = times(
-            (2 ** max(q - p, 0), 2 ** max(p - q, 0) * factorial(n - k)),
-            _rising(a + (k + p + 1) * d, d, n - k),
-            _rising(s + (n + p + 1) * d, d, p),
-            _rising(s + (n + 2 * p + 1) * d, d, k),
-            over_rising(s + (k + q + 1) * d, d, q),
-            over_rising(s + (k + 2 * q + 1) * d, d, k),
-            hyp_pfq_ints([(k - n, 1), (a + (k + q + 1) * d, d),
-                          (s + (k + n + 2 * p + 1) * d, d)],
-                         [(a + (k + p + 1) * d, d),
-                          (s + (2 * k + 2 * q + 2) * d, d)], (1, 1)),
-            spec._normalization_ints(n + p),
-            spec._normalization_ints(k + q)[::-1])
-    return RATIONAL.make(Fraction(*value))
-
-
 # ---------------------------------------------------------------------------
 # the connection data as whole tables, stepped
 # ---------------------------------------------------------------------------
@@ -729,11 +680,10 @@ def _lookup(table: dict, key: tuple, what: str) -> Fraction:
 
 
 # The integer kernel of the family-agnostic formulas.  Every sum of
-# `gamma_from_b` and `generic_conv` is a column of b_{q,j}/q! dotted with
-# int weights made from endpoint derivatives.  Each entry is read once,
-# through `data.b` or `data.deriv`; the entries of a column or of a
-# derivative row are put over one common denominator, and each sum makes
-# one Fraction.  Nothing is kept between calls, but a caller may reuse the
+# `generic_conv` is a column of b_{q,j}/q! dotted with int weights made
+# from endpoint derivatives.  Each entry is read once, through `data.b`
+# or `data.deriv`; the entries of a column or of a derivative row are put
+# over one common denominator, and each sum makes one Fraction.  Nothing is kept between calls, but a caller may reuse the
 # rows and columns of one call for many sums, as `generic_conv` does.
 
 
@@ -782,26 +732,3 @@ def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
     the column read by `column_ints`."""
     column, col_den = column_ints(data, j, lo, hi)
     return Fraction(sum(map(operator.mul, column, weights)), col_den * den)
-
-
-def gamma_from_b(data: GenericBasisData, n: int, k: int, r: int,
-                 s: int) -> Scalar:
-    """gamma_{n-r,k}^(r,s) assembled from b-coefficients and endpoint
-    derivatives of P_n:
-
-        sum_{sigma=0}^{n-(r+k)} b_{sigma+k+s, k+s} / (sigma+k+s)!
-                                * d^{r+k+sigma} P_n |_{x=-a}
-
-    computed by the integer kernel: the derivatives d^{r+k..n} P_n and the
-    column b_{k+s..n-r+s, k+s} / q! are each read once and put over one
-    denominator, and the sum is one Fraction."""
-    if r < 0 or s < 0:
-        raise IndexOutOfRangeError(
-            f"derivative orders must be nonnegative, got r={r}, s={s}")
-    if n < r:
-        raise IndexOutOfRangeError(f"need n >= r, got n={n}, r={r}")
-    if k < 0 or k > n - r:
-        raise IndexOutOfRangeError(f"need 0 <= k <= n-r, got k={k}")
-    weights, den = deriv_ints(data, n, r + k, n)
-    return RATIONAL.make(column_sum(data, k + s, k + s, n - r + s,
-                                    weights, den))

@@ -30,7 +30,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import basis, closed_forms, convmat, generic_conv, oracle
+from . import basis, closed_forms, convmat, engine, generic_conv, oracle
 from .basis import FamilySpec, GenericBasisData
 from .errors import PolyconvError
 from .scalars import RATIONAL, FloatBackend, _Record
@@ -290,7 +290,7 @@ class VerificationReport(_Record):
 def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
     """Desk-scale certification: the closed forms and the family-agnostic
     formulas against the exact oracle, and the zero bands of the engine
-    every table command runs, `closed_forms.rho_columns`.  Per family the
+    every table command runs, `engine.iter_columns`.  Per family the
     oracle, the family-agnostic route and the closed forms each serve
     every pair from one table of Fractions (`oracle.table_fractions`,
     `generic_conv.table_fractions`, `closed_forms.table_fractions`).  Each
@@ -334,7 +334,7 @@ def run_verification(max_degree: int = 6, families=None) -> VerificationReport:
                                                str(truth[j]), route))
         # zero bands, read from one engine run per m on a taller range
         for m in range(3):
-            cols = closed_forms.rho_columns(spec, m, 2 * m + 11)
+            cols = list(engine.iter_columns(spec, {m: 1}, 2 * m + 11))
             for n in range(2 * m + 2, 2 * m + 12):
                 band = closed_forms.zero_region(spec, m, n)
                 if band is None:

@@ -39,31 +39,10 @@ one-pair case (both swap m > n), and ``table_fractions`` all pairs
 m <= n <= D as one table of Fractions in the layout of
 ``oracle.table_fractions``, the closed route of ``verify``.
 
-The figure grid (``magnitude_grid``) and every table and series product
-in ``convmat`` are not summed cell by cell.  ``series_columns`` fills the
-columns of a weighted sum sum_m w_m rho^m exactly by one recurrence in n:
-it starts from the derivative connection, closes each column at j = 0 by
-the endpoint condition, and skips every row whose operands are zero.  It
-works only on the rows a column can reach, fixed once per call as runs:
-its set-up, endpoint steps and every per-row pass over a column skip the
-zero band between two far-apart degrees; the column lists and the one
-rising factorial (c)_lo of the family constant c (``basis`` reads
-P_k(-a) = +-(c)_k / k!) that starts each run of endpoint values still
-grow with the top degree.  ``rho_columns`` is its single-weight case.
-The recurrence runs in ints and makes no ``Fraction``: its coefficients
-and the values P_k(-a) are int pairs from ``basis.connection_ints`` and
-``basis.endpoint_runs``, its column terms and closing entries int pairs
-in lowest terms, and each column is kept as int numerators over one
-positive denominator, (nums, den), with its content divided out.  A
-cell leaves that layout in one of two ways.
-``magnitude_grid`` reads log10 |rho| straight off each column's ints
-(``scalars.log10_abs_ints``), with no ``Fraction`` made.  The tables in
-``convmat``, their entries and writers walk the rows of ``_rows``, which
-makes a ``Fraction`` in lowest terms per cell as it leaves, one row at a
-time as it is read; ``_write_jn_rows`` writes the ``j,n,value`` lines of
-those tables and of the figure.  The closed forms are off both paths;
-they remain the reference that certifies them (``verify``, the tests and
-the benchmark's checks).
+Every table, product and figure grid comes from the column engine
+(``engine``); the closed forms are the reference that certifies it.
+``magnitude_grid`` reads its columns into the figure grid, log10 |rho|
+off their ints, and ``write_magnitude_csv`` writes that grid.
 
 Everything here is a pure function of its inputs.  Every formula, Laguerre,
 the symmetry factors and the Bateman tensor included, is a product of int
@@ -82,14 +61,13 @@ nothing here calls) and the cache of ``scalars.pochhammer`` (imported as
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
-from .basis import (Family, FamilySpec, connection_ints, endpoint_runs,
-                    legendre, pole_free_quotient)
+from .basis import Family, FamilySpec, legendre, pole_free_quotient
+from .engine import iter_columns, write_jn_rows
 from .errors import IndexContractError
 from .scalars import (RATIONAL, Scalar, _Record, exact, factorial,
                       hyp_pfq_ints, log10_abs_ints, lowest, over_lcm,
-                      over_lcm_ints, over_rising, sign, times)
+                      over_rising, sign, times)
 # unused here: bench/tracing.py wraps `hyp_pfq` and `log10_abs`,
 # bench/job.py reads `_poch`
 from .scalars import hyp_pfq, log10_abs  # noqa: F401
@@ -538,201 +516,8 @@ def bateman_tensor(m: int, alpha, beta) -> BatemanTensor:
 
 
 # ---------------------------------------------------------------------------
-# the column engine and figure data
+# zero certificates and figure data
 # ---------------------------------------------------------------------------
-
-
-def series_columns(spec: FamilySpec, weights: dict, nmax: int) -> list:
-    """The columns R_{., n} = sum_m w_m rho^m_{., n}, n = 0..nmax, where
-    `weights` maps each degree m to its exact coefficient w_m, an int or a
-    Fraction.  Column n holds j = 0..M+n+1, M the highest degree of nonzero
-    weight (0 when there is none), as a pair (nums, den):
-    R_{j,n} = nums[j] / den, with int numerators and one positive int
-    denominator, the column's content divided out (gcd(den, *nums) = 1).
-
-    rho is linear in P_m and the recurrence below is linear in rho, so one
-    run serves a whole series.  With the derivative connection
-    P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1} and the weighted image
-
-        h_j = sum_m w_m [A_m d_{j,m+1} + B_m d_{j,m} + C_m d_{j,m-1}]
-
-    (d the Kronecker delta), column 0 is h for j >= 1: the convolution of
-    P_m with P_0 = 1 is the integral of P_m from -a to x+a.  No closed
-    form is evaluated.  Each later column follows from the two before it:
-    for j >= 1
-
-        A_n R_{j,n+1} = A_{j-1} R_{j-1,n} + (B_j - B_n) R_{j,n}
-                        + C_{j+1} R_{j+1,n} - C_n R_{j,n-1} + E_n h_j
-
-    with E_n = A_n P_{n+1}(-a) + B_n P_n(-a) + C_n P_{n-1}(-a).  Every
-    column's j = 0 entry, column 0's included, closes it through
-    sum_j R_{j,n} P_j(-a) = 0, since the convolution vanishes at x = -2a
-    (P_0 = 1).
-
-    The arithmetic is integer, and no Fraction is made.  A, B and C are int
-    pairs from `basis.connection_ints`, the values P_k(-a) int numerators
-    over one denominator from `basis.endpoint_runs`, and h, E_n, each
-    column term and each closing entry int pairs in lowest terms
-    (`scalars.lowest`, `scalars.over_lcm_ints`).  Row j's equation is
-    weighted by l_j, the lcm of the denominators of A_{j-1}, B_j and
-    C_{j+1}, which makes its row part an int combination of the column's
-    numerators; the terms of the column (B_n, C_n, E_n, 1/A_n and the
-    denominators of the columns they act on) share one denominator G.  A
-    row's weight is divided back out by its gcd with that row's numerator
-    before the column takes the lcm of what is left, so the lcm of the row
-    weights never multiplies the numerators: the new column's denominator
-    is G times a divisor of its true one, until one `math.gcd` over the
-    column removes its content.  A row whose operands are all zero is
-    skipped.
-
-    Column n + 1 can be nonzero only within n + 2 rows of row 0 or of a
-    degree m of nonzero weight, so the call fixes once the rows within
-    nmax + 1 of those, as disjoint runs, and does all its work on them
-    alone: the connection data and row weights, in a table local to the
-    call; the endpoint values P_k(-a), whose common denominator, that of
-    P_top(-a) with top = M + nmax + 2, is a closed form; and, per column,
-    the row loop, the rescale by the row weights, the closing sum and the
-    division by the content.  So each weight costs O(nmax) rows of set-up
-    and of every per-row step, and no row between two weights is visited.
-    Some O(top) work remains: each run's first endpoint value is one
-    rising factorial (c)_lo of the family constant c, O(lo) factors, and
-    the endpoint list and each column are allocated at full length.
-    Dense input is one run over every row.
-    """
-    weights = {m: w for m, w in weights.items() if w}
-    _check_degrees(nmax, *weights)
-    top_m = max(weights, default=0)
-    top = top_m + nmax + 2
-    # the rows a column can reach, as disjoint runs [lo, hi) in increasing
-    # order: every pass below walks these, and row 0 opens the first
-    runs = []
-    for m in sorted({0, *weights}):
-        lo, hi = max(0, m - nmax - 1), min(top, m + nmax + 2)
-        if runs and lo <= runs[-1][1]:
-            runs[-1] = runs[-1][0], hi
-        else:
-            runs.append((lo, hi))
-    ends, end_den = endpoint_runs(spec, runs, top)
-    # row k's (l_k, l_k A_{k-1}, l_k B_k, l_k C_{k+1}) as ints, k >= 1
-    visits = [k for lo, hi in runs for k in range(lo or 1, hi)]
-    conn = {k: connection_ints(spec, k) for k in
-            {0, *weights, *(i for k in visits for i in (k - 1, k, k + 1))}}
-    rows = [None] * top
-    for k in visits:
-        pairs = (conn[k - 1][0], conn[k][1], conn[k + 1][2])
-        weight = math.lcm(*(y for _, y in pairs))
-        rows[k] = (weight, *(x * (weight // y) for x, y in pairs))
-
-    # h as int pairs from the weights' numerators and denominators
-    image = {}
-    for m, w in weights.items():
-        wn, wd = w.numerator, w.denominator
-        for k, (x, y) in zip((m + 1, m, m - 1), conn[m]):
-            if k >= 1 and x:
-                p, q = image.get(k, (0, 1))
-                image[k] = p * wd * y + wn * x * q, q * wd * y
-    h = [0] * (top + 1)
-    image_nums, h_den = over_lcm_ints(image.values())
-    for k, v in zip(image, image_nums):
-        h[k] = v
-
-    def close(nums, den):
-        """Set nums[0], 0 until then, from sum_j R_j P_j(-a) = 0; divide
-        out the content.  Changes `nums` in place."""
-        total = 0
-        for lo, hi in runs:
-            total += sum(v * e for v, e in zip(nums[lo:hi], ends[lo:hi]) if v)
-        first, first_den = lowest(-total, den * end_den)
-        scale = first_den // math.gcd(first_den, den)
-        if scale > 1:
-            for lo, hi in runs:
-                nums[lo:hi] = [v * scale for v in nums[lo:hi]]
-            den *= scale
-        nums[0] = first * (den // first_den)
-        g = den
-        for lo, hi in runs:
-            g = math.gcd(g, *nums[lo:hi])
-        if g > 1:
-            for lo, hi in runs:
-                nums[lo:hi] = [v // g for v in nums[lo:hi]]
-            den //= g
-        return nums, den
-
-    cols = [close(h[:top_m + 2], h_den)]
-    for n in range(nmax):
-        size = top_m + n + 3
-        cur, den = cols[n]
-        cur = cur + [0, 0]
-        prev, prev_den = cols[n - 1] if n else ([], 1)
-        prev = prev + [0] * (size - len(prev))
-        (an, ad), (bn, bd), (cn, cd) = conn[n]
-        # E_n times end_den as an int pair; C_0 = 0, so n = 0 reads no
-        # P_{-1}(-a)
-        en, ed = 0, 1
-        for (x, y), k in zip(conn[n], (n + 1, n, n - 1)):
-            if x:
-                en, ed = en * y + x * ends[k] * ed, ed * y
-        # R_{., n+1} = [rows/l_k / den - B_n cur / den - C_n prev / prev_den
-        #               + E_n h / h_den] / A_n, the column terms over G
-        (u, vb, vc, w), g_den = over_lcm_ints((
-            (ad, an * den), (-bn * ad, bd * an * den),
-            (-cn * ad, cd * an * prev_den),
-            (en * ad, ed * an * h_den * end_den)))
-        nxt, row_dens = [0] * size, []
-        for lo, hi in runs:
-            for k in range(lo or 1, min(hi, size)):
-                x0, x1, x2, y, z = cur[k - 1], cur[k], cur[k + 1], prev[k], h[k]
-                if not (x0 or x1 or x2 or y or z):
-                    continue
-                weight, ra, rb, rc = rows[k]
-                t = u * (ra * x0 + rb * x1 + rc * x2) + weight * (
-                    vb * x1 + vc * y + w * z)
-                if weight > 1:
-                    g = math.gcd(t, weight)
-                    if g < weight:
-                        row_dens.append((k, weight // g))
-                    t //= g
-                nxt[k] = t
-        # the rows left over a divisor d > 1 of their weight, and the rest,
-        # over the lcm of those d
-        scale = math.lcm(*(d for _, d in row_dens))
-        if scale > 1:
-            for lo, hi in runs:
-                nxt[lo:hi] = [v * scale for v in nxt[lo:hi]]
-            for k, d in row_dens:
-                nxt[k] //= d
-        cols.append(close(nxt, g_den * scale))
-    return cols
-
-
-def rho_columns(spec: FamilySpec, m: int, nmax: int) -> list:
-    """The columns rho^m_{., n} for n = 0..nmax in the layout of
-    `series_columns`, column n holding j = 0..m+n+1: `series_columns` with
-    the single weight w_m = 1."""
-    return series_columns(spec, {m: 1}, nmax)
-
-
-def _fractions(col: tuple) -> list:
-    """The exact values of one column (nums, den), each a Fraction in
-    lowest terms: made only where a cell leaves the engine."""
-    return list(_cells(col, len(col[0])))
-
-
-def _cells(col: tuple, n_rows: int):
-    """Cells j < n_rows of the column (nums, den), zero below its end, each
-    a Fraction in lowest terms made when it is read."""
-    nums, den = col
-    for v in nums[:n_rows]:
-        yield Fraction(v, den) if v else _ZERO
-    yield from repeat(_ZERO, n_rows - len(nums))
-
-
-def _rows(cols: list, n_rows: int):
-    """Rows j < n_rows of the columns `cols`, as Fractions: the walk over
-    the column layout for the tables' entries and their writers.  One
-    `_cells` generator per column, zipped, so row j's Fractions are made
-    only when row j is read."""
-    return zip(*(_cells(col, n_rows) for col in cols))
 
 
 def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
@@ -761,34 +546,19 @@ def structural_zero(spec: FamilySpec, m: int, n: int, j: int) -> bool:
 
 def magnitude_grid(spec: FamilySpec, m: int, jmax: int, nmax: int) -> list:
     """log10 |rho| on the grid, as rows grid[j][n]; None marks exact zeros.
-    Every cell is computed exactly by `rho_columns`, so zeros are exact, and
+    Every cell is computed exactly by the engine, so zeros are exact, and
     the logarithm is taken of the exact value, read straight off its
-    column's int numerator and denominator by `log10_abs_ints`: the grid
-    starts as all None and only the nonzero cells are filled, with no
-    Fraction made."""
+    column's int numerator and denominator by `log10_abs_ints` as each
+    column is drawn from the stream: the grid starts as all None and only
+    the nonzero cells are filled, with no Fraction made."""
     if jmax < 0:
         raise IndexContractError("jmax must be nonnegative")
-    cols = rho_columns(spec, m, nmax)
     grid = [[None] * (nmax + 1) for _ in range(jmax + 1)]
-    for n, (nums, den) in enumerate(cols):
+    for n, (nums, den) in enumerate(iter_columns(spec, {m: 1}, nmax)):
         for row, v in zip(grid, nums):
             if v:
                 row[n] = log10_abs_ints(v, den)
     return grid
-
-
-def _write_jn_rows(rows, fmt, stream, zero=None, name: str = "value") -> None:
-    """Write rows[j][n] as `j,n,<name>` lines, each row's lines as one
-    joined string: a nonzero cell as fmt(cell), tested before fmt runs, so
-    a backend's `format` rounds it once; a zero cell as the text `zero`,
-    made once by the caller, or not at all when `zero` is None (the triplet
-    format).  No field ever holds a comma, quote or newline, so the lines
-    are the ones a `csv.writer` would write, unquoted."""
-    stream.write(f"j,n,{name}\n")
-    for j, row in enumerate(rows):
-        stream.write("".join([f"{j},{n},{fmt(v) if v else zero}\n"
-                              for n, v in enumerate(row)
-                              if v or zero is not None]))
 
 
 def write_magnitude_csv(grid: list, stream) -> None:
@@ -796,4 +566,4 @@ def write_magnitude_csv(grid: list, stream) -> None:
     Each cell is its repr text before the writer tests it, so a 0.0 cell
     (|rho| = 1) prints `0.0`, not `-inf`."""
     text = ([None if v is None else repr(v) for v in row] for row in grid)
-    _write_jn_rows(text, str, stream, "-inf", name="log10abs")
+    write_jn_rows(text, str, stream, "-inf", name="log10abs")

@@ -9,32 +9,25 @@ series in the same basis.  Against a degree-N target the operator is the
 so the coefficients of f * g are c = R b.  The coefficient table of fixed
 m is the one-term case f = P_m: its entries are rho^m_{j,n}, and
 `rho_table` keeps its rows j <= jmax.  `ConvMatrix` is the one table type
-for both.  R, the tables and f * g all come from one exact run of
-``closed_forms.series_columns``, whose recurrence is linear in the series:
-R weights it by the a_m, a table by the single weight 1 at m, and
-``convolve_series`` by the factor of higher degree, stopping at the other
-factor's degree.  No closed form is evaluated.  A table keeps the columns
-that run makes, each int numerators over one positive denominator
-(nums, den), cut to its rows and zero below its end and in its zero band.
-Both products are one combination of columns, `_combine`: each weight
-over its column's denominator an int pair in lowest terms, the int
-numerators summed over one common denominator, and at the end a Fraction
-in lowest terms made per nonzero entry and the int 0 for the rest.
-`SeriesCoeffs` wraps each as it is at the rational backend, or rounds it
-once at a float one, and makes one zero Scalar for all the zeros.  The
-writers print each row as one joined string.
+for both.  This module owns the series and table types, their products
+and their writers; the columns, their layout and its readers are the
+column engine's (``engine``).  R and a table keep the columns of one
+engine run, weighted by the a_m or by the single weight 1 at m, and
+``convolve_series`` weights a run by the factor of higher degree, keeps
+only the columns at the other factor's degrees and combines them with
+that factor's coefficients.
+`SeriesCoeffs` wraps each exact value as it is at the rational backend,
+or rounds it once at a float one, and makes one zero Scalar for all the
+zeros.  The writers print each row as one joined string.
 `SeriesCoeffs` and `ConvMatrix` are records (``scalars._Record``): equal
 when their fields are, unhashable, and each checked or wrapped in its
 constructor; `ConvMatrix.to_backend` builds a new one.
 """
 
-import math
-from fractions import Fraction
-
 from .basis import FamilySpec
-from .closed_forms import _rows, _write_jn_rows, rho_columns, series_columns
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .closed_forms import rho_closed_vector  # noqa: F401
+from .engine import combine, cut, iter_columns, rows, write_jn_rows
 from .errors import FamilyMismatchError, IndexContractError
 from .scalars import _Record, exact
 
@@ -99,7 +92,7 @@ class ConvMatrix(_Record):
     def entries(self) -> list:
         make = self.family.backend.make
         return [[make(v) for v in row]
-                for row in _rows(self.columns, self.n_rows)]
+                for row in rows(self.columns, self.n_rows)]
 
     def matvec(self, b: SeriesCoeffs) -> SeriesCoeffs:
         """R b on the matrix's rows, computed exactly and rounded once to
@@ -115,7 +108,7 @@ class ConvMatrix(_Record):
                 f"has {self.n_cols} columns"
             )
         return SeriesCoeffs(self.family,
-                            _combine(self.columns, _weights(b), self.n_rows))
+                            combine(self.columns, _weights(b), self.n_rows))
 
     def to_backend(self, backend) -> "ConvMatrix":
         """The matrix whose entries are read rounded to `backend`."""
@@ -138,53 +131,29 @@ def _weights(series: SeriesCoeffs) -> dict:
     return weights
 
 
-def _combine(cols: list, weights: dict, size: int) -> list:
-    """sum_n w_n cols[n], w_n = weights[n], as `size` exact values.  Each
-    factor w_n / den_n is an int pair in lowest terms, one gcd each; the
-    columns' int numerators are summed over the lcm of the factors'
-    denominators, and a Fraction in lowest terms is made per nonzero sum
-    only at the end.  Every zero sum is the int 0, for `SeriesCoeffs` to
-    share one zero Scalar."""
-    factors = []
-    for n, w in weights.items():
-        p, q = w.numerator, w.denominator * cols[n][1]
-        g = math.gcd(p, q)
-        factors.append((n, p // g, q // g))
-    den = math.lcm(*(q for _, _, q in factors))
-    out = [0] * size
-    for n, p, q in factors:
-        scale = p * (den // q)
-        for j, v in enumerate(cols[n][0]):
-            if v:
-                out[j] += scale * v
-    return [Fraction(v, den) if v else 0 for v in out]
-
-
 def build_matrix(f: SeriesCoeffs, n_cols: int) -> ConvMatrix:
     """Assemble R for the operator `convolve with f` on N+1 = n_cols
     coefficient vectors; shape (M + N + 2) x (N + 1).
 
     The columns R[., n] = sum_m a_m rho^m_{., n}, n = 0..N, come from one
-    exact run of `series_columns` weighted by the a_m; an entry is rounded
-    to the series' backend only when it is read."""
+    exact engine run weighted by the a_m; an entry is rounded to the
+    series' backend only when it is read."""
     if n_cols < 1:
         raise ValueError("the matrix needs at least one column")
     return ConvMatrix(f.family, f.degree + n_cols + 1,
-                      series_columns(f.family, _weights(f), n_cols - 1))
+                      list(iter_columns(f.family, _weights(f), n_cols - 1)))
 
 
 def rho_table(spec: FamilySpec, m: int, jmax: int, nmax: int) -> ConvMatrix:
     """rho^m_{j,n} for j <= jmax, n <= nmax: the matrix of convolution by
-    P_m on its rows j <= jmax, filled exactly by `rho_columns`, each column
-    cut to those rows when the table is made (rows past a column's end
-    m + n + 1 read as zero); an entry is rounded to the spec's backend only
-    when it is read."""
+    P_m on its rows j <= jmax, filled exactly by the engine's run of the
+    single weight 1 at m, each column cut to those rows as it is drawn
+    (rows past a column's end m + n + 1 read as zero); an entry is rounded
+    to the spec's backend only when it is read."""
     if jmax < 0:
         raise IndexContractError("jmax must be nonnegative")
-    cols = rho_columns(spec, m, nmax)
-    for nums, _ in cols:
-        del nums[jmax + 1:]
-    return ConvMatrix(spec, jmax + 1, cols)
+    return ConvMatrix(spec, jmax + 1,
+                      cut(iter_columns(spec, {m: 1}, nmax), jmax + 1))
 
 
 def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
@@ -192,18 +161,22 @@ def convolve_series(f: SeriesCoeffs, g: SeriesCoeffs) -> SeriesCoeffs:
     exactly and rounded once to the series' backend.
 
     By commutativity, rho^m_{j,n} = rho^n_{j,m}, so the factor of higher
-    degree weights one `series_columns` run that stops at the other
-    factor's degree, and the result is the columns' combination with the
-    other factor's coefficients: O(min(M, N) (M + N)) exact operations."""
+    degree weights one engine run that stops at the other factor's degree,
+    the run's columns at the other factor's degrees are kept as they are
+    drawn, and the result is their combination with that factor's
+    coefficients: O(min(M, N) (M + N)) exact operations."""
     if f.family != g.family:
         raise FamilyMismatchError(f"cannot convolve {_described(f.family)} "
                                   f"with {_described(g.family)}")
     long, short = _weights(f), _weights(g)
     if max(short, default=-1) > max(long, default=-1):
         long, short = short, long
-    cols = series_columns(f.family, long, max(short)) if short else []
+    cols = {}
+    if short:
+        stream = iter_columns(f.family, long, max(short))
+        cols = {n: col for n, col in enumerate(stream) if n in short}
     return SeriesCoeffs(f.family,
-                        _combine(cols, short, f.degree + g.degree + 2))
+                        combine(cols, short, f.degree + g.degree + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +193,7 @@ def write_matrix_dense_csv(matrix: ConvMatrix, stream) -> None:
     stream.write(f"{matrix.n_rows},{matrix.n_cols}\n")
     fmt = matrix.family.backend.format
     zero = fmt(0)
-    for row in _rows(matrix.columns, matrix.n_rows):
+    for row in rows(matrix.columns, matrix.n_rows):
         stream.write(",".join([fmt(v) if v else zero for v in row]) + "\n")
 
 
@@ -229,5 +202,5 @@ def write_rho_csv(matrix: ConvMatrix, stream, fmt: str = "csv") -> None:
     cell; `triplet` keeps only the nonzero entries for sparse
     inspection."""
     form = matrix.family.backend.format
-    _write_jn_rows(_rows(matrix.columns, matrix.n_rows), form, stream,
-                   None if fmt == "triplet" else form(0))
+    write_jn_rows(rows(matrix.columns, matrix.n_rows), form, stream,
+                  None if fmt == "triplet" else form(0))

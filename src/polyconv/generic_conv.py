@@ -96,8 +96,8 @@ def rho_highj(data: GenericBasisData, req: RhoRequest) -> Scalar:
         rho_j = sum_{nu=max(1, j-n)}^{m+1} gamma_{n-j+nu,0}^{(j-nu, j)}
                                            * d^{nu-1} P_m |_{x=-a}.
 
-    Each gamma is `gamma_from_b`'s sum of b_{q,j}/q! d^{q-nu} P_n over
-    q = j..n+nu, so the double sum runs over the terms of `rho_taylor`
+    Each gamma is the sum of b_{q,j}/q! d^{q-nu} P_n over q = j..n+nu
+    (the b-bridge), so the double sum runs over the terms of `rho_taylor`
     and reads the same entries: at j >= m+1 the two are one computation."""
     if req.j <= req.m:
         raise IndexContractError(

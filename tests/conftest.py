@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from polyconv import basis
-from polyconv.scalars import pochhammer
+from polyconv import basis, engine
+from polyconv.basis import Family, column_sum, deriv_ints
+from polyconv.scalars import (RATIONAL, factorial, hyp_pfq_ints, over_rising,
+                              pochhammer, sign, times)
+from polyconv.scalars import pochhammer_ints as rising
+
+
+def column_values(col):
+    """The exact values of one engine column (nums, den), as Fractions."""
+    return list(engine.cells(col, len(col[0])))
 
 
 def acceptance_families():
@@ -46,3 +54,55 @@ def ref_normalization(spec, n):
 @pytest.fixture(scope="session")
 def families():
     return acceptance_families()
+
+
+# The paper's connection coefficients gamma, kept as references: no
+# package path reads them.  The tests check the closed form against its
+# b-bridge, which reads the package's b and derivative tables.
+
+def connection_gamma(spec, n, k, p, q):
+    """gamma_{n,k}^(p,q): d^p P_{n+p} = sum_k gamma_{n,k}^(p,q) d^q P_{k+q},
+    0 <= k <= n.  For an interval family, with s = alpha + beta,
+    c_{n+p} / c_{k+q} times the terminating 3F2 at unit argument
+
+        (alpha+k+p+1)_(n-k) (s+n+p+1)_p (s+n+2p+1)_k
+        / (2^(p-q) (n-k)! (s+k+q+1)_q (s+k+2q+1)_k)
+        * 3F2(k-n, alpha+k+q+1, s+k+n+2p+1; alpha+k+p+1, s+2k+2q+2; 1);
+
+    for Laguerre (-1)^(p+q) (p-q)_(n-k) / (n-k)!."""
+    f = spec.family
+    if f is Family.LAGUERRE:
+        value = times((sign(p + q), factorial(n - k)), rising(p - q, 1, n - k))
+    elif f is Family.GENERIC_MONIC:
+        value = (factorial(n + p), factorial(n + q)) if n == k else (0, 1)
+    else:
+        d, a, b, _, _ = spec._row_ints
+        s = a + b
+        value = times(
+            (2 ** max(q - p, 0), 2 ** max(p - q, 0) * factorial(n - k)),
+            rising(a + (k + p + 1) * d, d, n - k),
+            rising(s + (n + p + 1) * d, d, p),
+            rising(s + (n + 2 * p + 1) * d, d, k),
+            over_rising(s + (k + q + 1) * d, d, q),
+            over_rising(s + (k + 2 * q + 1) * d, d, k),
+            hyp_pfq_ints([(k - n, 1), (a + (k + q + 1) * d, d),
+                          (s + (k + n + 2 * p + 1) * d, d)],
+                         [(a + (k + p + 1) * d, d),
+                          (s + (2 * k + 2 * q + 2) * d, d)], (1, 1)),
+            spec._normalization_ints(n + p),
+            spec._normalization_ints(k + q)[::-1])
+    return RATIONAL.make(Fraction(*value))
+
+
+def gamma_from_b(data, n, k, r, s):
+    """gamma_{n-r,k}^(r,s) from the b coefficients and the endpoint
+    derivatives of P_n,
+
+        sum_{sigma=0}^{n-(r+k)} b_{sigma+k+s, k+s} / (sigma+k+s)!
+                                * d^{r+k+sigma} P_n |_{x=-a},
+
+    by the package's integer kernel (`basis.deriv_ints`,
+    `basis.column_sum`)."""
+    weights, den = deriv_ints(data, n, r + k, n)
+    return RATIONAL.make(column_sum(data, k + s, k + s, n - r + s,
+                                    weights, den))

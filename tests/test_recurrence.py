@@ -1,6 +1,6 @@
 """Certification of the column recurrence against the closed forms.
 
-`closed_forms.rho_columns` fills whole tables from the derivative
+`engine.iter_columns` fills whole tables from the derivative
 connection P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}; every entry must
 equal `rho_closed` exactly, including the cells with m > n.  The closed
 forms and the family-agnostic route must in turn equal the oracle at
@@ -15,12 +15,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polyconv import basis, closed_forms as cf, convmat, generic_conv, oracle
+from polyconv import (basis, closed_forms as cf, convmat, engine, generic_conv,
+                      oracle)
 from polyconv.errors import IndexOutOfRangeError
 from polyconv.oracle import oracle_rho
 from polyconv.scalars import FloatBackend
 
-from conftest import acceptance_families
+from conftest import acceptance_families, column_values
 
 
 def edge_families():
@@ -41,17 +42,17 @@ def assert_canonical(cols, top_m):
         assert type(den) is int and den > 0
         assert [type(v) for v in nums] == [int] * (top_m + n + 2)
         assert math.gcd(den, *nums) == 1, n
-    rows = list(cf._rows(cols, top_m + len(cols) + 3))
+    rows = list(engine.rows(cols, top_m + len(cols) + 3))
     for n in range(len(cols)):
         assert all(row[n] == 0 for row in rows[top_m + n + 2:]), n
 
 
 def assert_matches_closed_forms(spec, m, nmax):
-    cols = cf.rho_columns(spec, m, nmax)
+    cols = list(engine.iter_columns(spec, {m: 1}, nmax))
     assert len(cols) == nmax + 1
     assert_canonical(cols, m)
     for n, col in enumerate(cols):
-        assert cf._fractions(col) == cf.rho_closed_vector(spec, m, n), \
+        assert column_values(col) == cf.rho_closed_vector(spec, m, n), \
             (spec.label(), m, n)
 
 
@@ -204,16 +205,17 @@ class TestIntegerColumns:
         for spec in acceptance_families() + edge_families():
             weights = {m: Fraction(rng.randint(-99, 99), rng.randint(1, 99))
                        for m in range(7)}
-            cols = cf.series_columns(spec, weights, 30)
+            cols = list(engine.iter_columns(spec, weights, 30))
             assert_canonical(cols, max(m for m, w in weights.items() if w))
             # one weighted run is the weighted sum of the single-weight runs
-            singles = {m: [cf._fractions(col) for col in
-                           cf.rho_columns(spec, m, 30)] for m in weights}
+            singles = {m: [column_values(col) for col in
+                           engine.iter_columns(spec, {m: 1}, 30)]
+                       for m in weights}
             for n, col in enumerate(cols):
                 want = [sum((w * singles[m][n][j] for m, w in weights.items()
                              if j < len(singles[m][n])), Fraction(0))
                         for j in range(len(col[0]))]
-                assert cf._fractions(col) == want, (spec.label(), n)
+                assert column_values(col) == want, (spec.label(), n)
 
     def test_sparse_weights_are_the_sum_of_single_weights(self):
         # far-apart weights, as a sparse series of high degree gives: the
@@ -229,15 +231,16 @@ class TestIntegerColumns:
             for degrees in ((2, 90), (84, 90), (2, 300, 700), (2, 16, 30)):
                 weights = {m: Fraction(rng.randint(-99, 99) or 1,
                                        rng.randint(1, 99)) for m in degrees}
-                cols = cf.series_columns(spec, weights, 6)
+                cols = list(engine.iter_columns(spec, weights, 6))
                 assert_canonical(cols, max(degrees))
-                singles = {m: cf.rho_columns(spec, m, 6) for m in weights}
+                singles = {m: list(engine.iter_columns(spec, {m: 1}, 6))
+                           for m in weights}
                 for n, col in enumerate(cols):
                     size = len(col[0])
                     want = [sum(w * v for w, v in zip(weights.values(), row))
-                            for row in cf._rows([singles[m][n]
-                                                 for m in weights], size)]
-                    assert cf._fractions(col) == want, (spec.label(), degrees,
+                            for row in engine.rows([singles[m][n]
+                                                    for m in weights], size)]
+                    assert column_values(col) == want, (spec.label(), degrees,
                                                         n)
 
     def test_set_up_tracks_the_rows_visited(self, monkeypatch):
@@ -250,12 +253,12 @@ class TestIntegerColumns:
             calls.append(k)
             return basis.connection_ints(spec, k)
 
-        monkeypatch.setattr(cf, "connection_ints", counted)
+        monkeypatch.setattr(engine, "connection_ints", counted)
         for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
                      basis.legendre(), basis.laguerre(Fraction(5, 2))):
             for m in (400, 4000):
                 calls.clear()
-                cols = cf.series_columns(spec, {m: Fraction(3, 7)}, 4)
+                cols = list(engine.iter_columns(spec, {m: Fraction(3, 7)}, 4))
                 assert len(cols) == 5
                 assert len(calls) == len(set(calls)) <= 4 * (4 + 2), \
                     (spec.label(), m, sorted(calls))
@@ -271,14 +274,14 @@ class TestIntegerColumns:
             calls.append((spec, list(runs), n))
             return basis.endpoint_runs(spec, runs, n)
 
-        monkeypatch.setattr(cf, "endpoint_runs", recorded)
+        monkeypatch.setattr(engine, "endpoint_runs", recorded)
         for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
                      basis.gegenbauer(Fraction(3, 2)),
                      basis.chebyshev(),
                      basis.laguerre(Fraction(5, 2))):
             for m in (400, 4000):
                 calls.clear()
-                cols = cf.series_columns(spec, {m: Fraction(3, 7)}, 4)
+                cols = list(engine.iter_columns(spec, {m: Fraction(3, 7)}, 4))
                 assert len(cols) == 5
                 assert len(calls) == 1, (spec.label(), m)
                 _, runs, n = calls[0]
@@ -398,7 +401,7 @@ class TestEndpointValues:
         assert basis.endpoint_runs(spec, [(0, 6)], 5) == \
             ([1, 0, 0, 0, 0, 0], 1)
         with pytest.raises(ValueError, match="derivative connection"):
-            cf.series_columns(spec, {2: 1}, 3)
+            list(engine.iter_columns(spec, {2: 1}, 3))
 
     def test_negative_degree_rejected(self):
         for spec in (basis.legendre(), basis.laguerre(0),
@@ -516,9 +519,9 @@ class ForbiddenFraction(Fraction):
 
 
 def test_engine_makes_no_fraction(monkeypatch):
-    # every per-column and per-call step of `series_columns` is int
+    # every per-column and per-call step of `engine.iter_columns` is int
     # arithmetic: dense weights (a degree-15 series), sparse weights far
-    # apart, and the one-term series of `rho_columns`, over the acceptance
+    # apart, and the one-term series {15: 1}, over the acceptance
     # and edge families.  The first, unguarded run makes each spec's
     # cached parameter rows, which are the family's, not the engine's
     jacobi = basis.jacobi(Fraction(5, 2), Fraction(3, 2))
@@ -528,12 +531,12 @@ def test_engine_makes_no_fraction(monkeypatch):
         (spec, weights, nmax)
         for spec in acceptance_families() + edge_families()
         for weights, nmax in ((dense, 8), (sparse, 3), ({4: 1}, 10))]
-    want = [cf.series_columns(*case) for case in cases]
-    want_rho = cf.rho_columns(jacobi, 15, 30)
-    monkeypatch.setattr(cf, "Fraction", ForbiddenFraction)
+    want = [list(engine.iter_columns(*case)) for case in cases]
+    want_rho = list(engine.iter_columns(jacobi, {15: 1}, 30))
+    monkeypatch.setattr(engine, "Fraction", ForbiddenFraction)
     monkeypatch.setattr(basis, "Fraction", ForbiddenFraction)
-    assert [cf.series_columns(*case) for case in cases] == want
-    assert cf.rho_columns(jacobi, 15, 30) == want_rho
+    assert [list(engine.iter_columns(*case)) for case in cases] == want
+    assert list(engine.iter_columns(jacobi, {15: 1}, 30)) == want_rho
 
 
 class TestTables:
