@@ -3,9 +3,10 @@
 Each family is described by a :class:`FamilySpec`, an immutable,
 hashable record of the family, its exact parameters and its output
 backend, checked when it is made.  The module evaluates polynomials by
-their three-term recurrences, gives closed forms for derivatives at the
-left endpoint of the domain, and gives the connection coefficients
-b_{n,k} of the shifted monomial (x+a)^n in the family basis
+their three-term recurrences and holds the data the paper's general
+framework reads: the derivatives d^p P_n(-a) at the left endpoint of the
+domain (``endpoint_derivative``) and the connection coefficients b_{n,k}
+of the shifted monomial (x+a)^n in the family basis
 (``monomial_expansion_b``), the data of ``GenericBasisData``, a record
 whose constructor checks each leading entry.
 
@@ -18,18 +19,15 @@ T_n (-1/2, -1/2, 1, 1/2).  The Jacobi parameters, the recurrence of
 ``eval_polys`` and every formula read that row, the formulas over one
 common denominator, ``_row_ints`` (Laguerre: alpha over its own): c_n,
 the endpoint derivatives and b_{n,k} are each a product of int rising
-factorials, one ``Fraction`` per value, uncached; ``connection_ints`` and
-``endpoint_runs`` are int pairs.  ``pole_free_quotient`` is the factor (s+2k+1) / (s+k+1)_(nu+1)
-that b_{n,k}, the closed forms' d terms and the Bateman tensor share,
-with its limit at k = 0, s = alpha + beta = -1.  The values
-P_k(-a) = sigma^k (c)_k / k! are read from one family constant, the
-spec's (sigma, c) (``FamilySpec._endpoint_constant``).
-``endpoint_runs`` makes them only on the runs of k a caller reads, over
-the denominator of the highest one, which is a closed form in c's
-denominator (``_endpoint_den``: Legendre's formula for the prime powers
-of n!), each run from one rising factorial of c stepped by the term
-ratio sigma (c + k) / (k + 1).  ``b_table`` and ``derivative_table`` step
-the same way: the whole tables of b_{n,k} and of d^p P_n(-a) that
+factorials, one ``Fraction`` per value, uncached.  ``connection_ints``
+gives the derivative connection P_n = A_n P'_{n+1} + B_n P'_n +
+C_n P'_{n-1} (DLMF 18.9) as int pairs, and ``FamilySpec._endpoint_constant``
+the family constant (sigma, c) of P_k(-a) = sigma^k (c)_k / k!; the
+column engine (``engine``) reads both.  ``pole_free_quotient`` is the
+factor (s+2k+1) / (s+k+1)_(nu+1) that b_{n,k}, the closed forms' d terms
+and the Bateman tensor share, with its limit at k = 0,
+s = alpha + beta = -1.  ``b_table`` and ``derivative_table`` are the
+whole tables of b_{n,k} and of d^p P_n(-a) that
 ``GenericBasisData.from_family`` holds, each b column b_{k..top,k} and
 each derivative row d^(0..n) P_n(-a) from its first entry's display, one
 Fraction per entry, every later entry the one before times the display's
@@ -44,14 +42,13 @@ formulas, not the label, are authoritative here.
 """
 
 import math
-import operator
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 
 from .errors import IndexOutOfRangeError, MissingDataError
 from .scalars import (RATIONAL, Scalar, _FrozenRecord, _Record, exact,
-                      factorial, lowest, over_lcm, over_rising, sign, times)
+                      factorial, lowest, over_rising, sign, times)
 # unused here: the benchmark's trace (bench/tracing.py) wraps this name
 from .scalars import hyp_pfq  # noqa: F401
 from .scalars import pochhammer_ints as _rising
@@ -385,69 +382,6 @@ def endpoint_derivative(spec: FamilySpec, n: int, p: int) -> Scalar:
     return RATIONAL.make(Fraction(*value))
 
 
-def _endpoint_den(spec: FamilySpec, n: int) -> int:
-    """The denominator of P_n(-a) in lowest terms, in closed form.
-
-    P_n(-a) = +-(c)_n / n! with c = P/Q in lowest terms from the spec's
-    `_endpoint_constant`, and (c)_n / n! = prod_{i<n} (P + iQ) / (Q^n n!).
-    A prime l dividing Q divides no factor P + iQ, so it keeps all of
-    Q^n n!: n v_l(Q) + v_l(n!), with v_l(n!) = sum_i floor(n / l^i)
-    (Legendre's formula).  For a prime l not dividing Q, n consecutive
-    terms of the progression P + iQ meet every power of l no later than
-    1..n do, so n!'s powers of l cancel.  So the denominator is
-    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator
-    (1 for a generic sequence, whose P_n(-a) are ints).
-    A prime l > n has v_l(n!) = 0, so trial division stops at
-    min(sqrt(Q), n) and a large prime in Q costs nothing."""
-    q = spec._endpoint_constant[2]
-    den, rest, ell = q ** n, q, 2
-    while rest > 1 and ell <= n:  # the primes l <= n of Q, trial division
-        if ell * ell > rest:  # rest is a prime
-            if rest > n:
-                break
-            ell = rest
-        if rest % ell == 0:
-            while rest % ell == 0:
-                rest //= ell
-            v, t = 0, n
-            while t:
-                t //= ell
-                v += t
-            den *= ell ** v
-        ell += 1
-    return den
-
-
-def endpoint_runs(spec: FamilySpec, runs, n: int) -> tuple:
-    """(nums, den) with P_k(-a) = nums[k] / den for every k in the runs
-    [lo, hi) of `runs`, disjoint and within 0..n, and nums[k] = 0 for the
-    other k <= n; den is the denominator of P_n(-a) in lowest terms, in
-    closed form from `_endpoint_den`, and the least common denominator of
-    every P_k(-a), k <= n, since those of (c)_k / k! divide one another
-    as k grows.
-
-    Every value is read from the spec's `_endpoint_constant` (sigma, P,
-    Q), P_k(-a) = sigma^k (P/Q)_k / k!.  Each run starts from one
-    `pochhammer_ints(P, Q, lo)` over Q^lo lo!, and each value after it is
-    the one before times sigma (P + kQ) / (Q (k+1)), an exact division by
-    a small int: one step per k in the runs, none for the k between them.
-    The run starts are not stepped: each is a product of O(lo) factors,
-    and nums is allocated at full length."""
-    if n < 0:
-        raise IndexOutOfRangeError("degree must be nonnegative")
-    sigma, p, q = spec._endpoint_constant
-    den = _endpoint_den(spec, n)
-    nums = [0] * (n + 1)
-    for lo, hi in runs:
-        num, num_den = _rising(p, q, lo)
-        v = sigma ** lo * num * den // (num_den * factorial(lo))
-        nums[lo] = v
-        for k in range(lo, hi - 1):
-            v = v * (sigma * (p + k * q)) // (q * (k + 1))
-            nums[k + 1] = v
-    return nums, den
-
-
 def connection_ints(spec: FamilySpec, n: int) -> tuple:
     """(A_n, B_n, C_n) with P_n = A_n P'_{n+1} + B_n P'_n + C_n P'_{n-1}
     in the family's own normalization, as three int pairs (numerator,
@@ -615,7 +549,7 @@ def derivative_table(spec: FamilySpec, top: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# generic basis data and the b -> gamma bridge
+# generic basis data
 # ---------------------------------------------------------------------------
 
 
@@ -677,58 +611,3 @@ def _lookup(table: dict, key: tuple, what: str) -> Fraction:
     except KeyError:
         raise MissingDataError(f"missing {what} {key}") from None
     return value if isinstance(value, Fraction) else Fraction(exact(value))
-
-
-# The integer kernel of the family-agnostic formulas.  Every sum of
-# `generic_conv` is a column of b_{q,j}/q! dotted with int weights made
-# from endpoint derivatives.  Each entry is read once, through `data.b`
-# or `data.deriv`; the entries of a column or of a derivative row are put
-# over one common denominator, and each sum makes one Fraction.  Nothing is kept between calls, but a caller may reuse the
-# rows and columns of one call for many sums, as `generic_conv` does.
-
-
-def deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
-    """(nums, den) with d^p P_n |_{x=-a} = nums[p - lo] / den for
-    p = lo..hi."""
-    return over_lcm([data.deriv(n, p) for p in range(lo, hi + 1)])
-
-
-def row_products(row_m: tuple, row_n: tuple, m_lo: int, n_lo: int,
-                 t_lo: int, t_hi: int) -> tuple:
-    """(sums, den) with
-
-        sum_{a+b=t} d^a P_m * d^b P_n |_{x=-a} = sums[t - t_lo] / den
-
-    for t = t_lo..t_hi, from the `deriv_ints` rows of P_m from order m_lo
-    and of P_n from order n_lo.  Terms with a < m_lo or b < n_lo are left
-    out, so a caller sets the bounds where those terms have no partner."""
-    (dm, den_m), (dn, den_n) = row_m, row_n
-    m, n = m_lo + len(dm) - 1, n_lo + len(dn) - 1
-    sums = []
-    for t in range(t_lo, t_hi + 1):
-        a_lo, a_hi = max(m_lo, t - n), min(m, t - n_lo)
-        sums.append(sum(dm[a - m_lo] * dn[t - a - n_lo]
-                        for a in range(a_lo, a_hi + 1)))
-    return sums, den_m * den_n
-
-
-def column_ints(data: GenericBasisData, j: int, lo: int, hi: int) -> tuple:
-    """(nums, den) with b_{q,j}/q! = nums[q - lo] / den for q = lo..hi:
-    the column over one denominator, each entry weighted by hi!/q!.
-
-    Reads b_{lo,j}, ..., b_{hi,j} in that order, so a table that stops
-    short names the first entry of the column it lacks."""
-    column, b_den = over_lcm([data.b(q, j) for q in range(lo, hi + 1)])
-    f = 1
-    for q in range(hi, lo - 1, -1):  # f = hi!/q!
-        column[q - lo] *= f
-        f *= q
-    return column, b_den * factorial(hi)
-
-
-def column_sum(data: GenericBasisData, j: int, lo: int, hi: int,
-               weights: list, den: int) -> Fraction:
-    """sum_{q=lo}^{hi} b_{q,j}/q! * weights[q - lo] / den for int weights,
-    the column read by `column_ints`."""
-    column, col_den = column_ints(data, j, lo, hi)
-    return Fraction(sum(map(operator.mul, column, weights)), col_den * den)

@@ -26,6 +26,15 @@ gcd.  No row between two far-apart weights is visited, so a weight costs
 O(nmax) rows of set-up and of every step; O(top) work remains in each run's
 first endpoint value (a rising factorial) and the list lengths.
 
+The endpoint column that E_n and the closing sum read is P_k(-a) on the
+runs (`endpoint_runs`), from the family constant (sigma, c) of
+P_k(-a) = sigma^k (c)_k / k! that `basis.FamilySpec._endpoint_constant`
+states: int numerators over the denominator of the highest value, a
+closed form in c's denominator (`_endpoint_den`: Legendre's formula for
+the prime powers of n!), each run from one rising factorial of c stepped
+by the term ratio sigma (c + k) / (k + 1).  The derivative connection is
+`basis.connection_ints`, so no family is named here.
+
 The rest of the module reads the layout: `cells` and `rows` make one
 Fraction per cell as it is read, `cut` keeps a table's rows, `combine`
 sums weighted columns, and `write_jn_rows` writes `j,n,value` lines.
@@ -35,18 +44,81 @@ import math
 from fractions import Fraction
 from itertools import repeat
 
-from .basis import FamilySpec, connection_ints, endpoint_runs
-from .errors import IndexContractError
-from .scalars import lowest, over_lcm_ints
+from .basis import FamilySpec, connection_ints
+from .errors import IndexContractError, IndexOutOfRangeError
+from .scalars import lowest, over_lcm_ints, pochhammer_ints
 
 _ZERO = Fraction(0)
+
+
+def _endpoint_den(spec: FamilySpec, n: int) -> int:
+    """The denominator of P_n(-a) in lowest terms, in closed form.
+
+    P_n(-a) = +-(c)_n / n! with c = P/Q in lowest terms from the spec's
+    `_endpoint_constant`, and (c)_n / n! = prod_{i<n} (P + iQ) / (Q^n n!).
+    A prime l dividing Q divides no factor P + iQ, so it keeps all of
+    Q^n n!: n v_l(Q) + v_l(n!), with v_l(n!) = sum_i floor(n / l^i)
+    (Legendre's formula).  For a prime l not dividing Q, n consecutive
+    terms of the progression P + iQ meet every power of l no later than
+    1..n do, so n!'s powers of l cancel.  So the denominator is
+    Q^n prod_{l | Q} l^(v_l(n!)), and Q is the row's small denominator
+    (1 for a generic sequence, whose P_n(-a) are ints).
+    A prime l > n has v_l(n!) = 0, so trial division stops at
+    min(sqrt(Q), n) and a large prime in Q costs nothing."""
+    q = spec._endpoint_constant[2]
+    den, rest, ell = q ** n, q, 2
+    while rest > 1 and ell <= n:  # the primes l <= n of Q, trial division
+        if ell * ell > rest:  # rest is a prime
+            if rest > n:
+                break
+            ell = rest
+        if rest % ell == 0:
+            while rest % ell == 0:
+                rest //= ell
+            v, t = 0, n
+            while t:
+                t //= ell
+                v += t
+            den *= ell ** v
+        ell += 1
+    return den
+
+
+def endpoint_runs(spec: FamilySpec, runs, n: int) -> tuple:
+    """(nums, den) with P_k(-a) = nums[k] / den for every k in the runs
+    [lo, hi) of `runs`, disjoint and within 0..n, and nums[k] = 0 for the
+    other k <= n; den is the denominator of P_n(-a) in lowest terms, in
+    closed form from `_endpoint_den`, and the least common denominator of
+    every P_k(-a), k <= n, since those of (c)_k / k! divide one another
+    as k grows.
+
+    Every value is read from the spec's `_endpoint_constant` (sigma, P,
+    Q), P_k(-a) = sigma^k (P/Q)_k / k!.  Each run starts from one
+    `pochhammer_ints(P, Q, lo)` over Q^lo lo!, and each value after it is
+    the one before times sigma (P + kQ) / (Q (k+1)), an exact division by
+    a small int: one step per k in the runs, none for the k between them.
+    The run starts are not stepped: each is a product of O(lo) factors,
+    and nums is allocated at full length."""
+    if n < 0:
+        raise IndexOutOfRangeError("degree must be nonnegative")
+    sigma, p, q = spec._endpoint_constant
+    den = _endpoint_den(spec, n)
+    nums = [0] * (n + 1)
+    for lo, hi in runs:
+        num, num_den = pochhammer_ints(p, q, lo)
+        v = sigma ** lo * num * den // (num_den * math.factorial(lo))
+        nums[lo] = v
+        for k in range(lo, hi - 1):
+            v = v * (sigma * (p + k * q)) // (q * (k + 1))
+            nums[k + 1] = v
+    return nums, den
 
 
 def set_up(spec: FamilySpec, weights: dict, nmax: int) -> tuple:
     """(runs, ends, conn, table, image) for nonzero `weights`: the runs
     [lo, hi), rows within nmax + 1 of row 0 or of a weight (column n + 1
     is zero past n + 2 rows from them); P_k(-a) as a column on the runs
-    (`basis.endpoint_runs`); conn[k] = (A_k, B_k, C_k), int pairs from
+    (`endpoint_runs`); conn[k] = (A_k, B_k, C_k), int pairs from
     `basis.connection_ints`; table[k] = (l_k, l_k A_{k-1}, l_k B_k,
     l_k C_{k+1}), l_k the lcm of their denominators; and h as a column."""
     if nmax < 0 or min(weights, default=0) < 0:

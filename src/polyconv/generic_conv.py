@@ -21,11 +21,13 @@ empty summation ranges contribute exactly zero.
 Each shape is a sum of terms b_{q,j}/q! d^a P_m d^b P_n at x = -a with
 a + b = q-1; they differ in the ranges of q, a and b they run over, and
 the terms one leaves out and another keeps are zero.  So every function
-here is built from the integer kernel in `basis`: `deriv_ints` puts a
-derivative row over one denominator, `row_products` makes the inner sums
-over a + b = q-1 from two rows, and `column_ints` puts the column
-b_{q,j}/q! over one denominator, to be dotted with them.  Each cell route
-reads exactly the table entries its printed formula reads, each once.
+here is built from one integer kernel: `deriv_ints` puts a derivative
+row over one denominator, `row_products` makes the inner sums over
+a + b = q-1 from two rows, and `column_ints` puts the column b_{q,j}/q!
+over one denominator, to be dotted with them.  Each table entry is read
+through `data.b` or `data.deriv`, and nothing is kept between calls.
+Each cell route reads exactly the table entries its printed formula
+reads, each once.
 ``generic_table`` reads each row and column once for all its pairs, and
 ``rho_vector`` is its one-pair case; every route returns one Scalar per
 coefficient, made over the Fractions of the kernel, which
@@ -34,13 +36,13 @@ cell; it is an immutable, hashable record, its indices checked when it is
 made.
 """
 
+import math
 from fractions import Fraction
 from operator import mul
 
-from .basis import (GenericBasisData, column_ints, column_sum, deriv_ints,
-                    row_products)
+from .basis import GenericBasisData
 from .errors import IndexContractError
-from .scalars import RATIONAL, Scalar, _FrozenRecord
+from .scalars import RATIONAL, Scalar, _FrozenRecord, over_lcm
 
 
 class RhoRequest(_FrozenRecord):
@@ -66,6 +68,45 @@ def request(data: GenericBasisData, m: int, n: int, j: int) -> RhoRequest:
     return RhoRequest(m, n, j)
 
 
+def deriv_ints(data: GenericBasisData, n: int, lo: int, hi: int) -> tuple:
+    """(nums, den) with d^p P_n |_{x=-a} = nums[p - lo] / den for
+    p = lo..hi."""
+    return over_lcm([data.deriv(n, p) for p in range(lo, hi + 1)])
+
+
+def row_products(row_m: tuple, row_n: tuple, m_lo: int, n_lo: int,
+                 t_lo: int, t_hi: int) -> tuple:
+    """(sums, den) with
+
+        sum_{a+b=t} d^a P_m * d^b P_n |_{x=-a} = sums[t - t_lo] / den
+
+    for t = t_lo..t_hi, from the `deriv_ints` rows of P_m from order m_lo
+    and of P_n from order n_lo.  Terms with a < m_lo or b < n_lo are left
+    out, so a caller sets the bounds where those terms have no partner."""
+    (dm, den_m), (dn, den_n) = row_m, row_n
+    m, n = m_lo + len(dm) - 1, n_lo + len(dn) - 1
+    sums = []
+    for t in range(t_lo, t_hi + 1):
+        a_lo, a_hi = max(m_lo, t - n), min(m, t - n_lo)
+        sums.append(sum(dm[a - m_lo] * dn[t - a - n_lo]
+                        for a in range(a_lo, a_hi + 1)))
+    return sums, den_m * den_n
+
+
+def column_ints(data: GenericBasisData, j: int, lo: int, hi: int) -> tuple:
+    """(nums, den) with b_{q,j}/q! = nums[q - lo] / den for q = lo..hi:
+    the column over one denominator, each entry weighted by hi!/q!.
+
+    Reads b_{lo,j}, ..., b_{hi,j} in that order, so a table that stops
+    short names the first entry of the column it lacks."""
+    column, b_den = over_lcm([data.b(q, j) for q in range(lo, hi + 1)])
+    f = 1
+    for q in range(hi, lo - 1, -1):  # f = hi!/q!
+        column[q - lo] *= f
+        f *= q
+    return column, b_den * math.factorial(hi)
+
+
 def _cell(data: GenericBasisData, req: RhoRequest, m_lo: int, n_lo: int,
           q_lo: int, q_hi: int) -> Scalar:
     """sum_{q=q_lo}^{q_hi} b_{q,j}/q! sum_{a+b=q-1} d^a P_m d^b P_n at
@@ -73,7 +114,9 @@ def _cell(data: GenericBasisData, req: RhoRequest, m_lo: int, n_lo: int,
     sums, den = row_products(deriv_ints(data, req.m, m_lo, req.m),
                              deriv_ints(data, req.n, n_lo, req.n),
                              m_lo, n_lo, q_lo - 1, q_hi - 1)
-    return RATIONAL.make(column_sum(data, req.j, q_lo, q_hi, sums, den))
+    column, col_den = column_ints(data, req.j, q_lo, q_hi)
+    return RATIONAL.make(Fraction(sum(map(mul, column, sums)),
+                                  col_den * den))
 
 
 def rho_taylor(data: GenericBasisData, req: RhoRequest) -> Scalar:

@@ -60,9 +60,6 @@ class MonomialPoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else _ZERO
-
     def evaluate(self, x) -> Fraction:
         u = Fraction(x) + self.shift
         acc = _ZERO

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from polyconv import basis, engine
-from polyconv.basis import Family, column_sum, deriv_ints
+from polyconv.basis import Family
+from polyconv.generic_conv import column_ints, deriv_ints
 from polyconv.scalars import (RATIONAL, factorial, hyp_pfq_ints, over_rising,
                               pochhammer, sign, times)
 from polyconv.scalars import pochhammer_ints as rising
@@ -101,8 +103,9 @@ def gamma_from_b(data, n, k, r, s):
         sum_{sigma=0}^{n-(r+k)} b_{sigma+k+s, k+s} / (sigma+k+s)!
                                 * d^{r+k+sigma} P_n |_{x=-a},
 
-    by the package's integer kernel (`basis.deriv_ints`,
-    `basis.column_sum`)."""
+    by the family-agnostic route's integer kernel
+    (`generic_conv.deriv_ints`, `generic_conv.column_ints`)."""
     weights, den = deriv_ints(data, n, r + k, n)
-    return RATIONAL.make(column_sum(data, k + s, k + s, n - r + s,
-                                    weights, den))
+    column, col_den = column_ints(data, k + s, k + s, n - r + s)
+    return RATIONAL.make(Fraction(sum(map(mul, column, weights)),
+                                  col_den * den))

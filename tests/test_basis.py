@@ -55,6 +55,42 @@ class TestFamilySpec:
         with pytest.raises(ValueError):
             basis.laguerre("-1")
 
+    @pytest.mark.parametrize("family,params,reason", [
+        (Family.SYMMETRIC_JACOBI, {}, "symmetric Jacobi needs alpha$"),
+        (Family.SYMMETRIC_JACOBI, {"alpha": -1}, "needs alpha > -1"),
+        (Family.SYMMETRIC_JACOBI, {"alpha": "-3/2"}, "needs alpha > -1"),
+        (Family.SYMMETRIC_JACOBI, {"alpha": 0}, "alpha = 0 is Legendre"),
+        (Family.GEGENBAUER, {}, "Gegenbauer needs lambda$"),
+        (Family.GEGENBAUER, {"lam": "1/2"}, "lambda = 1/2 is Legendre"),
+        (Family.LAGUERRE, {}, "Laguerre needs alpha$"),
+    ], ids=["symmetric_no_alpha", "symmetric_alpha_minus_one",
+            "symmetric_alpha_below", "symmetric_alpha_zero",
+            "gegenbauer_no_lambda", "gegenbauer_half", "laguerre_no_alpha"])
+    def test_direct_construction_is_checked(self, family, params, reason):
+        # the checks the factories' redirects leave to the constructor
+        params = {k: RATIONAL.make(v) for k, v in params.items()}
+        with pytest.raises(ValueError, match=reason):
+            basis.FamilySpec(family, **params)
+
+    def test_laguerre_has_no_jacobi_parameters(self):
+        with pytest.raises(ValueError,
+                           match="laguerre has no Jacobi parameters"):
+            basis.laguerre(1).jacobi_parameters()
+
+    def test_unknown_family_in_config(self):
+        with pytest.raises(ValueError, match="unknown family 'hermite'"):
+            basis.spec_from_config({"family": "hermite"})
+
+    @pytest.mark.parametrize("call", [
+        lambda spec: basis.eval_poly(spec, -1, 0),
+        lambda spec: basis.endpoint_derivative(spec, -1, 0),
+        lambda spec: basis.connection_ints(spec, -1),
+    ], ids=["eval_poly", "endpoint_derivative", "connection_ints"])
+    def test_negative_degree_is_out_of_range(self, call):
+        for spec in (basis.legendre(), basis.laguerre(0)):
+            with pytest.raises(IndexOutOfRangeError, match="nonnegative"):
+                call(spec)
+
     def test_redirects(self):
         assert basis.symmetric_jacobi(0).family is Family.LEGENDRE
         assert basis.gegenbauer(Fraction(1, 2)).family is Family.LEGENDRE

@@ -84,6 +84,9 @@ class TestCoeffsCommand:
          "bits"),
         ([*LEGENDRE_TABLE, "--m", "1", "--backend", "float:x"],
          "argument --backend: not an integer: 'x'"),
+        ([*LEGENDRE_TABLE, "--m", "1", "--backend", "double"],
+         "argument --backend: unknown backend 'double'; use 'rational' or "
+         "'float:<bits>'"),
         ([*LEGENDRE_TABLE, "--m", "x"], "argument --m: not an integer: 'x'"),
         (["coeffs", "--family", "legendre", "--m", "1", "--jmax", "2.5",
           "--nmax", "2"], "argument --jmax: not an integer: '2.5'"),
@@ -93,8 +96,8 @@ class TestCoeffsCommand:
          "argument --max-degree: not an integer: '1e3'"),
         (["matrix", "--f", "f.csv", "--N=-1"],
          "argument --N: must be nonnegative"),
-    ], ids=["low_precision", "bits_not_integer", "m", "jmax", "N",
-            "max_degree", "N_negative"])
+    ], ids=["low_precision", "bits_not_integer", "unknown_backend", "m",
+            "jmax", "N", "max_degree", "N_negative"])
     def test_usage_error_names_the_reason(self, capsys, argv, reason):
         assert main(argv) == 2
         err = capsys.readouterr().err
@@ -151,6 +154,17 @@ class TestCoeffsCommand:
             j, n, v = ln.split(",")
             exact = cf.rho_closed(spec, 3, int(n), int(j)).as_fraction()
             assert v == str(fb.make(exact)), (j, n)
+
+    def test_float_backend_alias_is_256_bits(self, tmp_path):
+        texts = {}
+        for backend in ("float", "float:256", "float:128"):
+            out = tmp_path / f"{backend.replace(':', '')}.csv"
+            assert main(["coeffs", "--family", "jacobi", "--alpha", "1/3",
+                         "--beta", "1/5", "--m", "3", "--jmax", "6",
+                         "--nmax", "4", "--backend", backend,
+                         "--out", str(out)]) == 0
+            texts[backend] = out.read_bytes()
+        assert texts["float"] == texts["float:256"] != texts["float:128"]
 
 
 class TestFigureCommand:

@@ -110,6 +110,15 @@ class TestAlgebraicProperties:
         with pytest.raises(FamilyMismatchError):
             mat.matvec(g)
 
+    def test_shape_checks(self):
+        f = SeriesCoeffs(basis.legendre(), [1, 2])
+        mat = build_matrix(f, 2)
+        with pytest.raises(ValueError, match="series has 3 coefficients but "
+                           "the matrix has 2 columns"):
+            mat.matvec(SeriesCoeffs(basis.legendre(), [1, 2, 3]))
+        with pytest.raises(ValueError, match="at least one column"):
+            build_matrix(f, 0)
+
     def test_family_mismatch_names_each_backend(self):
         # FamilySpec equality includes the output backend; label() does not
         spec = basis.jacobi(1, 1)

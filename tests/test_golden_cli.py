@@ -3,10 +3,13 @@ code, standard output and standard error, against digests recorded once.
 
 The corpus runs `coeffs`, `figure`, `matrix` and `convolve` over the nine
 default families, at the rational backend and at float:128, with both
-`--format` values where a command takes one.  A refactor that moves one
-output byte, or one exit code, fails here with the run's argv named.  No
-run is a usage error, so no digest holds argparse's usage text, which
-differs between Python versions.
+`--format` values where a command takes one; `matrix` and `convolve` over
+each malformed series file of `MALFORMED`, whose error names the file (the
+run's directory is replaced by a fixed token before hashing); and
+`verify` at degree 2.  A refactor that moves one output byte, or one exit
+code, fails here with the run's argv named.  No run is a usage error, so
+no digest holds argparse's usage text, which differs between Python
+versions.
 
 To re-record after a deliberate change of output, print the new table:
 
@@ -47,6 +50,26 @@ SERIES = {
     "p3": "3,7/3\n",
     "p40": "38,1/3\n40,-2/5\n",
 }
+# malformed series files, by name: each is the `--f` of a `matrix` run and
+# the `--g` of a `convolve` run (exit 1, the error on stderr).  None is a
+# file never written
+MALFORMED = {
+    "missing_file": None,
+    "no_header": b"0,1\n1,2\n",
+    "no_rows": b"# family=legendre\n",
+    "bad_index": b"# family=legendre\n0,1\nx,1\n",
+    "zero_denominator": b"# family=legendre\n0,1\n1,1/0\n",
+    "negative_index": b"# family=legendre\n0,1\n-1,2\n",
+    "repeated_index": b"# family=legendre\n0,1\n1,2\n0,3\n",
+    "not_utf8": b"# family=legendre\n0,1\n1,1/\xff\n",
+    "generic_monic": b"# family=generic_monic\n0,1\n",
+    "foreign_parameter": b"# family=legendre alpha=1\n0,1\n",
+    "zero_denominator_parameter":
+        b"# family=jacobi alpha=1/0 beta=0\n0,1\n",
+}
+# the token the run's directory is replaced by in its output
+WORKDIR = "<workdir>"
+
 # (backend, format) pairs, stepped through family by family so that every
 # command meets all four
 MODES = [("rational", "csv"), ("float:128", "triplet"),
@@ -79,28 +102,44 @@ def corpus() -> list:
     runs.append(("coeffs-band-legendre", [
         "coeffs", "--family", "legendre", "--m", "2", "--jmax", "14",
         "--nmax", "12", "--format", "triplet"]))
+    for case in MALFORMED:
+        runs.append((f"matrix-{case}", [
+            "matrix", "--f", f"{{{case}}}", "--N", "2"]))
+        runs.append((f"convolve-{case}", [
+            "convolve", "--f", "{f}", "--g", f"{{{case}}}"]))
+    runs.append(("verify-2", ["verify", "--max-degree", "2"]))
     return runs
 
 
 def run(argv: list, header: str, workdir) -> str:
     """The sha256 of one in-process run: its exit code, standard output and
-    standard error, the series files written under `header` in `workdir`."""
+    standard error, the series files written under `header` and the
+    malformed ones as they are, in `workdir`, whose path is replaced by
+    `WORKDIR` in the text hashed."""
     paths = {}
     for key, rows in SERIES.items():
         path = workdir / f"{key}.csv"
         path.write_text(f"# {header}\n{rows}", encoding="utf-8")
+        paths[key] = str(path)
+    for key, data in MALFORMED.items():
+        path = workdir / f"{key}.csv"
+        if data is not None:
+            path.write_bytes(data)
         paths[key] = str(path)
     argv = [a.format(**paths) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     text = f"exit={code}\n{out.getvalue()}\x00{err.getvalue()}"
+    text = text.replace(str(workdir), WORKDIR)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _header(run_id: str) -> str:
+    """The series header of the family a run id ends in; Legendre's for a
+    run that names none."""
     name = run_id.rsplit("-", 1)[1]
-    return next(h for n, _, h in FAMILIES if n == name)
+    return next((h for n, _, h in FAMILIES if n == name), "family=legendre")
 
 
 def record() -> None:
@@ -196,6 +235,52 @@ DIGESTS = {
         "5604e8b9b16b11c57376402804f94c1bc51864dd70e8388b3f1ab0bbeae60ba1",
     "coeffs-band-legendre":
         "1d5bb4814c701e4595543c730d552f39e1236a323d5733d6e8ad22c47ab1a59d",
+    "matrix-missing_file":
+        "6070b47a5ddf32afb3289c4ee0a593343fad74cc3704693d65c3199ca33dbde0",
+    "convolve-missing_file":
+        "6070b47a5ddf32afb3289c4ee0a593343fad74cc3704693d65c3199ca33dbde0",
+    "matrix-no_header":
+        "6cc3399414b114f7d1e76d34bf014aad7ae97dd6cc139279bae3fa7ae2228e61",
+    "convolve-no_header":
+        "6cc3399414b114f7d1e76d34bf014aad7ae97dd6cc139279bae3fa7ae2228e61",
+    "matrix-no_rows":
+        "2f3588d23adc14d16c0eb61565ebf1785af4b3713aba6c059747dadbf0d8b998",
+    "convolve-no_rows":
+        "2f3588d23adc14d16c0eb61565ebf1785af4b3713aba6c059747dadbf0d8b998",
+    "matrix-bad_index":
+        "fd179dbe6c12c8966dca5ddd2d8255479eab1aa9f37b5cc940f86d870d42971a",
+    "convolve-bad_index":
+        "fd179dbe6c12c8966dca5ddd2d8255479eab1aa9f37b5cc940f86d870d42971a",
+    "matrix-zero_denominator":
+        "250b5dcfd5db84c0706f9138961dc1a253c9fbeb68767434f78ebaed2cc4df38",
+    "convolve-zero_denominator":
+        "250b5dcfd5db84c0706f9138961dc1a253c9fbeb68767434f78ebaed2cc4df38",
+    "matrix-negative_index":
+        "2ce72f59fd23e3fb98a4b28dda320592494731342789c1df7beaf21b1070c292",
+    "convolve-negative_index":
+        "2ce72f59fd23e3fb98a4b28dda320592494731342789c1df7beaf21b1070c292",
+    "matrix-repeated_index":
+        "6898f156d1a5fdb498d4e6c362ad7fa64e0e61c57642f4d7223613b50ec5f601",
+    "convolve-repeated_index":
+        "6898f156d1a5fdb498d4e6c362ad7fa64e0e61c57642f4d7223613b50ec5f601",
+    "matrix-not_utf8":
+        "75aa4c723f995705a873f12920f5a382d98d70bc7b0570a6d8fb4773cc9effc7",
+    "convolve-not_utf8":
+        "75aa4c723f995705a873f12920f5a382d98d70bc7b0570a6d8fb4773cc9effc7",
+    "matrix-generic_monic":
+        "3be3db78a4019f00fc1e679a717d2f77e202e6da1821c868d1feb62ef6378d2e",
+    "convolve-generic_monic":
+        "3be3db78a4019f00fc1e679a717d2f77e202e6da1821c868d1feb62ef6378d2e",
+    "matrix-foreign_parameter":
+        "6473d14ed0e60429178072340ad6752f2162cd55c62b6078f9b80b3b26d0597e",
+    "convolve-foreign_parameter":
+        "6473d14ed0e60429178072340ad6752f2162cd55c62b6078f9b80b3b26d0597e",
+    "matrix-zero_denominator_parameter":
+        "2aee59b00930dea504f249bc54e6d2c87f97203092a5fc2c9b57c4dac39af60a",
+    "convolve-zero_denominator_parameter":
+        "2aee59b00930dea504f249bc54e6d2c87f97203092a5fc2c9b57c4dac39af60a",
+    "verify-2":
+        "7c2910fc2c1a003c4f89c683f6758ab593229051c3aa1ecf64104d5d81aa906c",
 }
 
 

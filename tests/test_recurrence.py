@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from polyconv import (basis, closed_forms as cf, convmat, engine, generic_conv,
                       oracle)
-from polyconv.errors import IndexOutOfRangeError
+from polyconv.errors import IndexContractError, IndexOutOfRangeError
 from polyconv.oracle import oracle_rho
 from polyconv.scalars import FloatBackend
 
@@ -269,10 +269,11 @@ class TestIntegerColumns:
         # asks for O(nmax) endpoint values in one call, not one per row
         # below the top, and they are the values of the full run
         calls = []
+        original = engine.endpoint_runs
 
         def recorded(spec, runs, n):
             calls.append((spec, list(runs), n))
-            return basis.endpoint_runs(spec, runs, n)
+            return original(spec, runs, n)
 
         monkeypatch.setattr(engine, "endpoint_runs", recorded)
         for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
@@ -290,6 +291,13 @@ class TestIntegerColumns:
                     (spec.label(), m, runs)
                 assert_endpoint_runs(spec, runs, n)
 
+    def test_negative_degrees_raise_when_the_first_column_is_drawn(self):
+        for weights, nmax in (({2: 1}, -1), ({-1: 1, 2: 1}, 3)):
+            columns = engine.iter_columns(basis.legendre(), weights, nmax)
+            with pytest.raises(IndexContractError,
+                               match="degrees must be nonnegative"):
+                next(columns)
+
     def test_connection_and_endpoint_ints_in_lowest_terms(self):
         # the values themselves are certified by the oracle and by the
         # endpoint derivatives; here, that the ints carry no common factor
@@ -297,15 +305,15 @@ class TestIntegerColumns:
             for n in range(12):
                 for num, den in basis.connection_ints(spec, n):
                     assert den > 0 and math.gcd(num, den) == 1
-            nums, den = basis.endpoint_runs(spec, [(0, 31)], 30)
+            nums, den = engine.endpoint_runs(spec, [(0, 31)], 30)
             assert den > 0 and math.gcd(den, *nums) == 1, spec.label()
 
 
 def assert_endpoint_runs(spec, runs, n):
     """`endpoint_runs` equals its one run 0..n on its runs and is zero off
     them, over the same denominator."""
-    nums, den = basis.endpoint_runs(spec, runs, n)
-    full, full_den = basis.endpoint_runs(spec, [(0, n + 1)], n)
+    nums, den = engine.endpoint_runs(spec, runs, n)
+    full, full_den = engine.endpoint_runs(spec, [(0, n + 1)], n)
     assert den == full_den and len(nums) == n + 1, spec.label()
     on = {k for lo, hi in runs for k in range(lo, hi)}
     assert nums == [v if k in on else 0 for k, v in enumerate(full)], \
@@ -340,7 +348,7 @@ def test_random_endpoint_values(params, n):
     if lam > Fraction(-1, 2) and lam != 0:
         specs.append(basis.gegenbauer(lam))
     for spec in specs:
-        nums, den = basis.endpoint_runs(spec, [(0, n + 1)], n)
+        nums, den = engine.endpoint_runs(spec, [(0, n + 1)], n)
         assert [Fraction(v, den) for v in nums] == basis.eval_polys(
             spec, n, -spec.domain_offset_a), (spec.label(), n)
 
@@ -357,7 +365,7 @@ class TestEndpointValues:
 
     def test_equal_endpoint_derivatives_and_recurrence(self):
         for spec in acceptance_families() + edge_families():
-            nums, den = basis.endpoint_runs(spec, [(0, 41)], 40)
+            nums, den = engine.endpoint_runs(spec, [(0, 41)], 40)
             assert all(type(v) is int for v in nums + [den])
             values = [Fraction(v, den) for v in nums]
             assert values == [basis.endpoint_derivative(spec, k, 0)
@@ -371,14 +379,14 @@ class TestEndpointValues:
         for spec in (basis.legendre(), basis.chebyshev(),
                      basis.jacobi(Fraction(5, 2), 2), basis.laguerre(1)):
             for n in (0, 1, 57, 1000):
-                assert basis._endpoint_den(spec, n) == 1, (spec.label(), n)
+                assert engine._endpoint_den(spec, n) == 1, (spec.label(), n)
 
     def test_closed_form_denominator_at_depth(self):
         # the degree of the CI product P_3 x P_8000, whose unreduced
         # product route has about 8,000 factors
         for spec in (basis.jacobi(Fraction(5, 2), Fraction(3, 2)),
                      basis.chebyshev()):
-            assert basis._endpoint_den(spec, 8005) == \
+            assert engine._endpoint_den(spec, 8005) == \
                 product_route_den(spec, 8005), spec.label()
 
 
@@ -391,14 +399,14 @@ class TestEndpointValues:
                          basis.laguerre(Fraction(1, q)),
                          basis.gegenbauer(Fraction(1, q))):
                 for n in (0, 1, 5, 40, 300):
-                    assert basis._endpoint_den(spec, n) == \
+                    assert engine._endpoint_den(spec, n) == \
                         product_route_den(spec, n), (spec.label(), n)
 
     def test_generic_sequence(self):
         # P_0 = 1 and P_k(-a) = 0 for k >= 1; the engine then stops at
         # the missing derivative connection
         spec = basis.generic_monic()
-        assert basis.endpoint_runs(spec, [(0, 6)], 5) == \
+        assert engine.endpoint_runs(spec, [(0, 6)], 5) == \
             ([1, 0, 0, 0, 0, 0], 1)
         with pytest.raises(ValueError, match="derivative connection"):
             list(engine.iter_columns(spec, {2: 1}, 3))
@@ -409,7 +417,7 @@ class TestEndpointValues:
             for runs in ([], [(0, 1)]):
                 with pytest.raises(IndexOutOfRangeError,
                                    match="degree must be nonnegative"):
-                    basis.endpoint_runs(spec, runs, -1)
+                    engine.endpoint_runs(spec, runs, -1)
 
 
 def assert_stepped_tables(spec, top):
@@ -506,7 +514,7 @@ def test_closed_form_endpoint_denominator(params, n):
     if lam > Fraction(-1, 2) and lam != 0:
         specs.append(basis.gegenbauer(lam))
     for spec in specs:
-        assert basis._endpoint_den(spec, n) == product_route_den(spec, n), \
+        assert engine._endpoint_den(spec, n) == product_route_den(spec, n), \
             (spec.label(), n)
 
 

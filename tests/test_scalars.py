@@ -423,6 +423,11 @@ def test_log10_abs_error_bound():
             assert err <= bound, v
 
 
+def test_log10_abs_of_zero_is_minus_infinity():
+    for zero in (0, Fraction(0), RATIONAL.zero()):
+        assert log10_abs(zero) == float("-inf")
+
+
 def test_log10_abs_ints_matches_the_fraction_route():
     # pairs not in lowest terms, negative numerators, and terms below and
     # far past 2^1024: the same float, bit for bit, as `log10_abs` of the
